@@ -10,10 +10,11 @@ from __future__ import annotations
 import ipaddress
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..model import (
     Hop,
+    IPAddress,
     Nat64Prefix,
     PathFamily,
     PrefixKind,
@@ -58,14 +59,6 @@ def _encode_prefix(prefix: Optional[Nat64Prefix]):
     if prefix is None:
         return None
     return {"base": str(prefix.base), "length": prefix.length, "kind": prefix.kind.value}
-
-
-def _decode_prefix(doc) -> Optional[Nat64Prefix]:
-    if doc is None:
-        return None
-    return Nat64Prefix(
-        ipaddress.IPv6Address(doc["base"]), doc["length"], PrefixKind(doc["kind"])
-    )
 
 
 def encode_record(record: object) -> dict:
@@ -113,50 +106,116 @@ def encode_record(record: object) -> dict:
     raise TypeError(f"cannot encode {type(record).__name__}")
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _need(value, kind: type, what: str):
+    """Return ``value`` when it has the JSON type the codec needs."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DatasetError([f"{what} must be {_TYPE_NAMES[kind]}"])
+    return value
+
+
+class _Decoder:
+    """Builds records from JSON documents, parsing each distinct value once.
+
+    One decoder serves one load and its tables go with it. A value is
+    type-checked before it is parsed or used as a key, so nothing
+    unhashable reaches the tables.
+    """
+
+    def __init__(self) -> None:
+        self._addresses: Dict[str, IPAddress] = {}
+        self._targets: Dict[str, ipaddress.IPv4Address] = {}
+        self._prefixes: Dict[Tuple[str, int, str], Nat64Prefix] = {}
+
+    def address(self, text, what: str) -> IPAddress:
+        address = self._addresses.get(_need(text, str, what))
+        if address is None:
+            address = self._addresses[text] = ipaddress.ip_address(text)
+        return address
+
+    def target(self, text) -> ipaddress.IPv4Address:
+        target = self._targets.get(_need(text, str, "target_v4"))
+        if target is None:
+            target = self._targets[text] = ipaddress.IPv4Address(text)
+        return target
+
+    def prefix(self, doc) -> Optional[Nat64Prefix]:
+        if doc is None:
+            return None
+        _need(doc, dict, "prefix")
+        key = (
+            _need(doc["base"], str, "prefix base"),
+            _need(doc["length"], int, "prefix length"),
+            _need(doc["kind"], str, "prefix kind"),
+        )
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            base, length, kind = key
+            prefix = self._prefixes[key] = Nat64Prefix(
+                ipaddress.IPv6Address(base), length, PrefixKind(kind)
+            )
+        return prefix
+
+    def hops(self, docs) -> Tuple[Hop, ...]:
+        hops = []
+        for doc in _need(docs, list, "hops"):
+            address = _need(doc, dict, "hop")["address"]
+            if address is not None:
+                address = self.address(address, "hop address")
+            rtts = tuple(_need(doc["rtts_ms"], list, "rtts_ms"))
+            hops.append(Hop(doc["index"], address, rtts))
+        return tuple(hops)
+
+    def decode(self, doc) -> object:
+        kind = _need(doc, dict, "record").get("record")
+        if kind == "probe":
+            network = doc["network_prefix_v6"]
+            return ProbeRecord(
+                probe_id=_need(doc["probe_id"], str, "probe_id"),
+                asn_v4=doc["asn_v4"],
+                asn_v6=doc["asn_v6"],
+                resolvers=tuple(
+                    self.address(r, "resolver")
+                    for r in _need(doc["resolvers"], list, "resolvers")
+                ),
+                tags=tuple(_need(doc["tags"], list, "tags")),
+                network_prefix_v6=(
+                    None
+                    if network is None
+                    else ipaddress.IPv6Network(_need(network, str, "network_prefix_v6"))
+                ),
+            )
+        if kind == "test_run":
+            used = doc["resolver_used"]
+            return TestRun(
+                probe_id=_need(doc["probe_id"], str, "probe_id"),
+                test_kind=TestKind(doc["test_kind"]),
+                timestamp=doc["timestamp"],
+                raw_outcome=RawOutcome(doc["raw_outcome"]),
+                observed_prefix=self.prefix(doc["observed_prefix"]),
+                resolver_used=None if used is None else self.address(used, "resolver_used"),
+                diagnostic=doc.get("diagnostic"),
+            )
+        if kind == "traceroute":
+            return TraceroutePath(
+                probe_id=_need(doc["probe_id"], str, "probe_id"),
+                family=PathFamily(doc["family"]),
+                prefix=self.prefix(doc["prefix"]),
+                target_v4=self.target(doc["target_v4"]),
+                round_index=doc["round"],
+                hops=self.hops(doc["hops"]),
+            )
+        raise DatasetError([f"unknown record kind {kind!r}"])
+
+
 def decode_record(doc: dict) -> object:
-    kind = doc.get("record")
-    if kind == "probe":
-        return ProbeRecord(
-            probe_id=doc["probe_id"],
-            asn_v4=doc["asn_v4"],
-            asn_v6=doc["asn_v6"],
-            resolvers=tuple(ipaddress.ip_address(r) for r in doc["resolvers"]),
-            tags=tuple(doc["tags"]),
-            network_prefix_v6=(
-                ipaddress.IPv6Network(doc["network_prefix_v6"])
-                if doc["network_prefix_v6"]
-                else None
-            ),
-        )
-    if kind == "test_run":
-        return TestRun(
-            probe_id=doc["probe_id"],
-            test_kind=TestKind(doc["test_kind"]),
-            timestamp=doc["timestamp"],
-            raw_outcome=RawOutcome(doc["raw_outcome"]),
-            observed_prefix=_decode_prefix(doc["observed_prefix"]),
-            resolver_used=(
-                ipaddress.ip_address(doc["resolver_used"]) if doc["resolver_used"] else None
-            ),
-            diagnostic=doc.get("diagnostic"),
-        )
-    if kind == "traceroute":
-        return TraceroutePath(
-            probe_id=doc["probe_id"],
-            family=PathFamily(doc["family"]),
-            prefix=_decode_prefix(doc["prefix"]),
-            target_v4=ipaddress.IPv4Address(doc["target_v4"]),
-            round_index=doc["round"],
-            hops=tuple(
-                Hop(
-                    index=h["index"],
-                    address=ipaddress.ip_address(h["address"]) if h["address"] else None,
-                    rtts_ms=tuple(h["rtts_ms"]),
-                )
-                for h in doc["hops"]
-            ),
-        )
-    raise DatasetError([f"unknown record kind {kind!r}"])
+    """Map one JSON document to its model record.
+
+    A malformed document raises DatasetError, KeyError or ValueError.
+    """
+    return _Decoder().decode(doc)
 
 
 def _dump(doc: dict) -> str:
@@ -188,33 +247,52 @@ def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
 def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
     """Parse and validate; raises DatasetError naming every offender found."""
     own = isinstance(source, str)
-    handle = open(source, "r", encoding="ascii") if own else source
+    # Undecodable bytes survive reading and are reported per line below.
+    handle = (
+        open(source, "r", encoding="ascii", errors="surrogateescape") if own else source
+    )
     problems: List[str] = []
     dataset = Dataset()
+    decoder = _Decoder()
     try:
         lines = iter(enumerate(handle, start=1))
         try:
             _, first = next(lines)
         except StopIteration:
             raise DatasetError(["file is empty, expected a header line"])
+        if own and not first.isascii():
+            raise DatasetError(["line 1: not ASCII"])
         try:
             header = json.loads(first)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DatasetError([f"line 1: {exc}"])
-        if header.get("record") != "header":
+        if not isinstance(header, dict) or header.get("record") != "header":
             raise DatasetError(["line 1 is not a header record"])
         if header.get("schema") != SCHEMA_VERSION:
             raise DatasetError([f"unsupported schema {header.get('schema')!r}"])
         window = header.get("capture_window")
-        dataset.capture_window = tuple(window) if window else None
+        if window is not None:
+            if isinstance(window, list) and [type(t) for t in window] == [int, int]:
+                dataset.capture_window = tuple(window)
+            else:
+                problems.append("line 1: capture_window must be null or two integers")
 
         for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue
+            if own and not line.isascii():
+                problems.append(f"line {lineno}: not ASCII")
+                continue
             try:
-                record = decode_record(json.loads(line))
-            except (DatasetError, KeyError, ValueError) as exc:
+                record = decoder.decode(json.loads(line))
+            except DatasetError as exc:
+                problems.extend(f"line {lineno}: {problem}" for problem in exc.problems)
+                continue
+            except KeyError as exc:
+                problems.append(f"line {lineno}: missing field {exc}")
+                continue
+            except (ValueError, RecursionError) as exc:
                 problems.append(f"line {lineno}: {exc}")
                 continue
             for violation in validate(record):

@@ -390,19 +390,14 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
         location: Optional[NatLocation] = None
         local_nat: Optional[bool] = None
         by_prefix = kept_by_probe.get(probe_id, {})
-        if by_prefix and ip2as is not None and record.asn_v6 is not None:
-            locations = {}
-            for prefix in sorted(by_prefix, key=str):
-                attribution = attribute_nat64_as(
-                    by_prefix[prefix], prefix, ip2as, record
-                )
-                locations[str(prefix)] = locate_nat64(attribution.asn, record)
-            # Prefixes rarely disagree; the first one kept wins the summary.
-            location = locations[sorted(locations)[0]]
         if by_prefix:
-            first_prefix = sorted(by_prefix, key=str)[0]
+            # Prefixes rarely disagree; the first one kept, by text, wins.
+            first = min(by_prefix, key=str)
+            if ip2as is not None and record.asn_v6 is not None:
+                attribution = attribute_nat64_as(by_prefix[first], first, ip2as, record)
+                location = locate_nat64(attribution.asn, record)
             try:
-                local_nat = detect_local_nat64(by_prefix[first_prefix], first_prefix)
+                local_nat = detect_local_nat64(by_prefix[first], first)
             except NoNatHopError:
                 local_nat = None
         facts[probe_id] = (seen_nat_hop, location, local_nat)
@@ -448,6 +443,10 @@ def cmd_classify(args) -> int:
 
     facts = _probe_path_facts(dataset, ip2as)
     publics = set(public_resolvers)
+    resolvers_by_probe: Dict[str, set] = {}
+    for run in dataset.runs:
+        if run.resolver_used is not None:
+            resolvers_by_probe.setdefault(run.probe_id, set()).add(run.resolver_used)
 
     probes_doc = {}
     category_counts: Dict[str, int] = {}
@@ -456,11 +455,7 @@ def cmd_classify(args) -> int:
         record = dataset.probes[probe_id]
         det = report.probes[probe_id]
         seen_nat_hop, location, local_nat = facts[probe_id]
-        resolvers_used = set(record.resolvers) | {
-            run.resolver_used
-            for run in dataset.runs
-            if run.probe_id == probe_id and run.resolver_used is not None
-        }
+        resolvers_used = set(record.resolvers) | resolvers_by_probe.get(probe_id, set())
         ping_passed = any(
             v.value.value == "passed" for v in det.pings.values()
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -177,6 +177,13 @@ class PathPair:
     nat64: TraceroutePath
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_probe(record: ProbeRecord) -> list[str]:
     problems = []
     if not record.probe_id:
@@ -192,6 +199,9 @@ def _validate_probe(record: ProbeRecord) -> list[str]:
         record.network_prefix_v6, ipaddress.IPv6Network
     ):
         problems.append("network_prefix_v6 must be an IPv6Network or None")
+    for tag in record.tags:
+        if not isinstance(tag, str):
+            problems.append(f"tag {tag!r} is not a string")
     return problems
 
 
@@ -199,8 +209,12 @@ def _validate_test_run(record: TestRun) -> list[str]:
     problems = []
     if not record.probe_id:
         problems.append("probe_id is empty")
-    if record.timestamp < 0:
+    if not _is_int(record.timestamp):
+        problems.append("timestamp must be an integer")
+    elif record.timestamp < 0:
         problems.append("timestamp is negative")
+    if record.diagnostic is not None and not isinstance(record.diagnostic, str):
+        problems.append("diagnostic must be a string or None")
     kind = record.test_kind
     if kind.is_ping:
         # Ping runs always name the prefix they targeted.
@@ -222,12 +236,15 @@ def _validate_test_run(record: TestRun) -> list[str]:
 
 def _validate_hop(hop: Hop, where: str = "") -> list[str]:
     problems = []
-    if hop.index < 1:
+    if not _is_int(hop.index):
+        problems.append(f"{where}hop index {hop.index!r} is not an integer")
+    elif hop.index < 1:
         problems.append(f"{where}hop index {hop.index} is below 1")
     if hop.address is None and hop.rtts_ms:
         problems.append(f"{where}silent hop {hop.index} carries RTTs")
     for rtt in hop.rtts_ms:
-        if not math.isfinite(rtt) or rtt < 0:
+        # A number float arithmetic can take; NaN fails both bounds.
+        if not ((isinstance(rtt, float) or _is_int(rtt)) and 0 <= rtt <= _FLOAT_MAX):
             problems.append(f"{where}hop {hop.index} has invalid RTT {rtt!r}")
     return problems
 
@@ -243,14 +260,17 @@ def _validate_path(record: TraceroutePath) -> list[str]:
         problems.append("ipv4 path carries a prefix")
     if not isinstance(record.target_v4, ipaddress.IPv4Address):
         problems.append("target_v4 must be an IPv4Address")
-    if record.round_index < 0:
+    if not _is_int(record.round_index):
+        problems.append("round_index must be an integer")
+    elif record.round_index < 0:
         problems.append("round_index is negative")
     for position, hop in enumerate(record.hops, start=1):
         if hop.index != position:
             problems.append(f"hop indices not contiguous at position {position}")
             break
+    where = f"{record.probe_id}: "
     for hop in record.hops:
-        problems.extend(_validate_hop(hop, where=f"{record.probe_id}: "))
+        problems.extend(_validate_hop(hop, where))
     return problems
 
 

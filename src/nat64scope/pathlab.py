@@ -85,22 +85,24 @@ def pair_paths(
     The join key is (probe, target, round); a translated path additionally
     carries its prefix, so one native path can back several pairs when a
     probe uses more than one prefix. Later duplicates of an already-seen
-    key are set aside rather than silently replacing the first.
+    key are set aside rather than silently replacing the first. Targets
+    and prefixes key as objects: their equality is that of their text,
+    because a prefix's kind follows from its base and length.
     """
-    v4_index: Dict[Tuple[str, str, int], TraceroutePath] = {}
+    v4_index: Dict[Tuple[str, ipaddress.IPv4Address, int], TraceroutePath] = {}
     unpaired: List[UnpairedPath] = []
-    nat_seen: Dict[Tuple[str, str, int, str], TraceroutePath] = {}
+    nat_seen: Dict[Tuple[str, ipaddress.IPv4Address, int, Nat64Prefix], TraceroutePath] = {}
     nat_order: List[TraceroutePath] = []
 
     for path in paths:
         if path.family is PathFamily.IPV4:
-            key = (path.probe_id, str(path.target_v4), path.round_index)
+            key = (path.probe_id, path.target_v4, path.round_index)
             if key in v4_index:
                 unpaired.append(UnpairedPath(path, "duplicate"))
             else:
                 v4_index[key] = path
         else:
-            key6 = (path.probe_id, str(path.target_v4), path.round_index, str(path.prefix))
+            key6 = (path.probe_id, path.target_v4, path.round_index, path.prefix)
             if key6 in nat_seen:
                 unpaired.append(UnpairedPath(path, "duplicate"))
             else:
@@ -110,7 +112,7 @@ def pair_paths(
     pairs: List[PathPair] = []
     used_v4 = set()
     for nat in nat_order:
-        key = (nat.probe_id, str(nat.target_v4), nat.round_index)
+        key = (nat.probe_id, nat.target_v4, nat.round_index)
         v4 = v4_index.get(key)
         if v4 is None:
             unpaired.append(UnpairedPath(nat, "no_ipv4_counterpart"))
@@ -156,6 +158,10 @@ def missing_hop_pct(path: TraceroutePath) -> float:
     reached = _target_hop_index(path)
     if reached is None:
         raise ValueError(f"{path.probe_id}: path never reached its target")
+    return _silent_pct(path, reached)
+
+
+def _silent_pct(path: TraceroutePath, reached: int) -> float:
     silent = sum(1 for hop in path.hops[:reached] if hop.address is None)
     return 100.0 * silent / reached
 
@@ -245,36 +251,38 @@ def filter_pairs(
     trailing round, targets that never answered any traceroute, translated
     paths that never crossed their translator, then any extra rules.
     """
+    # Expected targets may be given as text, so coverage compares names;
+    # each distinct target object is named once.
+    names = {t: str(t) for t in {p.nat64.target_v4 for p in pairs}}
     if expected_targets is None:
-        targets = sorted({str(p.nat64.target_v4) for p in pairs})
+        expected = set(names.values())
     else:
-        targets = sorted(str(t) for t in expected_targets)
-    expected = set(targets)
+        expected = {str(t) for t in expected_targets}
 
     # Round coverage per (probe, prefix): which targets were paired.
-    coverage: Dict[Tuple[str, str, int], set] = {}
+    coverage: Dict[Tuple[str, Nat64Prefix, int], set] = {}
     for pair in pairs:
-        key = (pair.nat64.probe_id, str(pair.nat64.prefix), pair.nat64.round_index)
-        coverage.setdefault(key, set()).add(str(pair.nat64.target_v4))
+        key = (pair.nat64.probe_id, pair.nat64.prefix, pair.nat64.round_index)
+        coverage.setdefault(key, set()).add(names[pair.nat64.target_v4])
 
     # A target is dead when no path in the whole input ever reached it.
     alive = set()
     for pair in pairs:
-        name = str(pair.nat64.target_v4)
-        if name not in alive and (success(pair.ipv4) or success(pair.nat64)):
-            alive.add(name)
+        target = pair.nat64.target_v4
+        if target not in alive and (success(pair.ipv4) or success(pair.nat64)):
+            alive.add(target)
 
     kept: List[PathPair] = []
     excluded: List[ExcludedPair] = []
     for pair in pairs:
-        key = (pair.nat64.probe_id, str(pair.nat64.prefix), pair.nat64.round_index)
+        key = (pair.nat64.probe_id, pair.nat64.prefix, pair.nat64.round_index)
         if coverage[key] != expected:
             excluded.append(ExcludedPair(pair, FilterReason.INCOMPLETE_ROUND.value))
             continue
         if final_round is not None and pair.nat64.round_index == final_round:
             excluded.append(ExcludedPair(pair, FilterReason.TRAILING_ROUND.value))
             continue
-        if str(pair.nat64.target_v4) not in alive:
+        if pair.nat64.target_v4 not in alive:
             excluded.append(ExcludedPair(pair, FilterReason.DEAD_TARGET.value))
             continue
         if not has_nat_hop(pair.nat64):
@@ -403,8 +411,8 @@ def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
         nat64_length=idx6,
         v4_rtt_ms=statistics.fmean(hop4.rtts_ms),
         nat64_rtt_ms=statistics.fmean(hop6.rtts_ms),
-        v4_missing_pct=missing_hop_pct(pair.ipv4),
-        nat64_missing_pct=missing_hop_pct(pair.nat64),
+        v4_missing_pct=_silent_pct(pair.ipv4, idx4),
+        nat64_missing_pct=_silent_pct(pair.nat64, idx6),
     )
 
 
@@ -509,12 +517,10 @@ def _summary(values: Sequence[float]) -> Optional[SummaryStats]:
     )
 
 
-def _rates(pairs: Sequence[PathPair]) -> SuccessRates:
-    n = len(pairs)
+def _rates(ok4: Sequence[bool], ok6: Sequence[bool]) -> SuccessRates:
+    n = len(ok4)
     if n == 0:
         return SuccessRates(0, None, None, None)
-    ok4 = [success(p.ipv4) for p in pairs]
-    ok6 = [success(p.nat64) for p in pairs]
     return SuccessRates(
         n_pairs=n,
         v4_pct=100.0 * sum(ok4) / n,
@@ -561,41 +567,47 @@ def aggregate_report(
     except CorrelationError:
         r = None
 
+    ok4 = [success(p.ipv4) for p in pairs]
+    ok6 = [success(p.nat64) for p in pairs]
+
+    def rates(indices: Sequence[int]) -> SuccessRates:
+        return _rates([ok4[i] for i in indices], [ok6[i] for i in indices])
+
+    # One pass groups pair positions by probe, target and prefix. Targets
+    # and prefixes key as objects and are named once each, so reports keep
+    # their order by text.
+    by_probe: Dict[str, List[int]] = {}
+    by_target: Dict[ipaddress.IPv4Address, List[int]] = {}
+    by_prefix: Dict[Nat64Prefix, List[int]] = {}
+    for i, pair in enumerate(pairs):
+        by_probe.setdefault(pair.nat64.probe_id, []).append(i)
+        by_target.setdefault(pair.nat64.target_v4, []).append(i)
+        by_prefix.setdefault(pair.nat64.prefix, []).append(i)
+
     groups: Dict[str, GroupStats] = {}
     for name, probe_ids in (groupings or {}).items():
-        member = set(probe_ids)
-        sub = [
-            (pair, m)
-            for pair, m in zip(pairs, metrics)
-            if pair.nat64.probe_id in member
-        ]
-        sub_pairs = [pair for pair, _ in sub]
-        sub_usable = [m for _, m in sub if m is not None]
+        indices = sorted(i for pid in set(probe_ids) for i in by_probe.get(pid, ()))
+        sub_usable = [metrics[i] for i in indices if metrics[i] is not None]
         groups[name] = GroupStats(
-            success=_rates(sub_pairs),
+            success=rates(indices),
             length_diff=_summary([m.length_diff for m in sub_usable]),
             rtt_diff_ms=_summary([m.rtt_diff_ms for m in sub_usable]),
         )
 
-    per_target: Dict[str, SuccessRates] = {}
-    for target in sorted({str(p.nat64.target_v4) for p in pairs}):
-        per_target[target] = _rates(
-            [p for p in pairs if str(p.nat64.target_v4) == target]
-        )
+    per_target: Dict[str, SuccessRates] = {
+        name: rates(indices)
+        for name, indices in sorted((str(t), idx) for t, idx in by_target.items())
+    }
 
     per_prefix: Dict[str, SummaryStats] = {}
-    for prefix_name in sorted({str(p.nat64.prefix) for p in pairs}):
-        values = [
-            m.length_diff
-            for pair, m in zip(pairs, metrics)
-            if m is not None and str(pair.nat64.prefix) == prefix_name
-        ]
-        stats = _summary(values)
+    for name, indices in sorted((str(p), idx) for p, idx in by_prefix.items()):
+        sub_usable = [metrics[i] for i in indices if metrics[i] is not None]
+        stats = _summary([m.length_diff for m in sub_usable])
         if stats is not None:
-            per_prefix[prefix_name] = stats
+            per_prefix[name] = stats
 
     return AggregateStats(
-        success=_rates(pairs),
+        success=_rates(ok4, ok6),
         metrics=summaries,
         mean_of_pair_pcts=mean_of_pair_pcts,
         pct_of_means=pct_of_means,

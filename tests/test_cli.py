@@ -91,6 +91,29 @@ class TestDetect:
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run("detect", "--from-dataset", str(tmp_path / "no.ndjson"), "--out", str(tmp_path / "x")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("timestamp", '"soon"'), ("hops", "5"), ("rtts_ms", '["x"]')],
+    )
+    def test_wrong_field_type_is_one_line_config_error(self, tmp_path, capsys, field, value):
+        world = simulate(tmp_path)
+        lines = (world / "dataset.ndjson").read_text().splitlines()
+        kind = "test_run" if field == "timestamp" else "traceroute"
+        index = next(i for i, line in enumerate(lines) if f'"record":"{kind}"' in line)
+        doc = json.loads(lines[index])
+        if field == "rtts_ms":
+            doc["hops"][0]["rtts_ms"] = json.loads(value)
+        else:
+            doc[field] = json.loads(value)
+        lines[index] = json.dumps(doc)
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("detect", "--from-dataset", str(bad), "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "1 problem(s): line " in err
+
 
 class TestClassify:
     def test_outputs_with_ip2as(self, tmp_path):

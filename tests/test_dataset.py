@@ -1,8 +1,9 @@
 import io
 import ipaddress
+import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nat64scope.acquire.dataset import (
     Dataset,
@@ -125,8 +126,6 @@ def test_duplicate_probe_rejected():
     buffer = io.StringIO()
     write_dataset(ds, buffer)
     line = encode_record(ds.probes["p1"])
-    import json
-
     buffer.write(json.dumps(line) + "\n")
     buffer.seek(0)
     with pytest.raises(DatasetError, match="duplicate probe p1"):
@@ -186,3 +185,164 @@ def probe_records(draw):
 @given(probe_records())
 def test_probe_record_codec_round_trip(record):
     assert decode_record(encode_record(record)) == record
+
+
+# ------------------------------------------------ decoding at scale
+
+
+def simulated_dataset(seed: int = 3) -> Dataset:
+    from nat64scope.simharness import ACCEPTANCE_TEMPLATE, generate, parse_scenario
+
+    return generate(parse_scenario(ACCEPTANCE_TEMPLATE), seed).dataset
+
+
+def dataset_lines(ds: Dataset) -> list:
+    buffer = io.StringIO()
+    write_dataset(ds, buffer)
+    return buffer.getvalue().splitlines()
+
+
+def test_load_of_repeated_addresses_equals_line_by_line_decode():
+    lines = dataset_lines(simulated_dataset())
+    loaded = load_dataset(lines)
+    decoded = [decode_record(json.loads(line)) for line in lines[1:]]
+    assert list(loaded.probes.values()) == [r for r in decoded if isinstance(r, ProbeRecord)]
+    assert loaded.runs == [r for r in decoded if isinstance(r, TestRun)]
+    assert loaded.paths == [r for r in decoded if isinstance(r, TraceroutePath)]
+    addresses = [h.address for p in loaded.paths for h in p.hops if h.address is not None]
+    # Far fewer distinct addresses than hops, and each is one shared object.
+    assert len(set(addresses)) < len(addresses) / 4
+    assert len({id(a) for a in addresses}) == len(set(addresses))
+
+
+def test_tables_do_not_outlive_a_load():
+    lines = dataset_lines(sample_dataset())
+    first, second = load_dataset(lines), load_dataset(lines)
+    assert first.paths == second.paths
+    assert first.paths[0].hops[0].address is not second.paths[0].hops[0].address
+
+
+def test_write_load_write_is_byte_identical_at_world_scale(tmp_path):
+    path_a = tmp_path / "a.ndjson"
+    path_b = tmp_path / "b.ndjson"
+    write_dataset(simulated_dataset(), str(path_a))
+    write_dataset(load_dataset(str(path_a)), str(path_b))
+    assert path_a.read_bytes() == path_b.read_bytes()
+
+
+# ------------------------------------------------ malformed input
+
+HEADER = '{"record":"header","schema":1,"capture_window":null}'
+PROBE = (
+    '{"asn_v4":1,"asn_v6":1,"network_prefix_v6":null,"probe_id":"p1",'
+    '"record":"probe","resolvers":[],"tags":[]}'
+)
+PATH = (
+    '{"record":"traceroute","probe_id":"p1","family":"ipv4","prefix":null,'
+    '"target_v4":"192.0.2.1","round":0,"hops":%s}'
+)
+RUN = (
+    '{"record":"test_run","probe_id":"p1","test_kind":"dns_test1","timestamp":%s,'
+    '"raw_outcome":"fail","observed_prefix":null,"resolver_used":null,"diagnostic":null}'
+)
+
+
+@pytest.mark.parametrize(
+    "lines, problem",
+    [
+        (["[1, 2]", PROBE], "line 1 is not a header record"),
+        ([HEADER, PROBE, "[1]"], "line 3: record must be an object"),
+        ([HEADER, PROBE, PATH % "5"], "line 3: hops must be a list"),
+        ([HEADER, PROBE, RUN % '"soon"'], "line 3: timestamp must be an integer"),
+        (
+            [HEADER, PROBE, PATH % '[{"index":1,"address":"192.0.2.1","rtts_ms":["x"]}]'],
+            "line 3: p1: hop 1 has invalid RTT 'x'",
+        ),
+        (
+            [HEADER, PROBE, PATH % '[{"index":1,"address":"192.0.2.1","rtts_ms":[1e999]}]'],
+            "line 3: p1: hop 1 has invalid RTT inf",
+        ),
+        (
+            [HEADER, PROBE, PATH % '[{"index":1,"address":["192.0.2.1"],"rtts_ms":[]}]'],
+            "line 3: hop address must be a string",
+        ),
+        ([HEADER, PROBE.replace('"p1"', '["p1"]')], "line 2: probe_id must be a string"),
+        ([HEADER, PROBE.replace(',"tags":[]', "")], "line 2: missing field 'tags'"),
+    ],
+)
+def test_wrong_types_are_one_problem_each(lines, problem):
+    with pytest.raises(DatasetError) as info:
+        load_dataset(lines)
+    assert info.value.problems == [problem]
+
+
+def test_other_lines_still_checked_after_a_wrong_type():
+    lines = [HEADER, PROBE, PATH % "5", RUN % '"soon"', RUN % "-1", PATH % "[]"]
+    with pytest.raises(DatasetError) as info:
+        load_dataset(lines)
+    assert info.value.problems == [
+        "line 3: hops must be a list",
+        "line 4: timestamp must be an integer",
+        "line 5: timestamp is negative",
+    ]
+
+
+def test_non_ascii_bytes_in_a_file_are_reported(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_bytes((HEADER + "\n" + PROBE.replace("p1", "pé") + "\n").encode("utf-8"))
+    with pytest.raises(DatasetError, match="line 2: not ASCII"):
+        load_dataset(str(path))
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_line(draw):
+    """A valid record line with one value replaced or one key dropped."""
+    lines = dataset_lines(sample_dataset())[1:]
+    doc = json.loads(draw(st.sampled_from(lines)))
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(json_values)
+        break
+    return json.dumps(doc)
+
+
+any_line = st.one_of(
+    mutated_line(),
+    st.sampled_from(dataset_lines(sample_dataset())),
+    json_values.map(json.dumps),
+    st.text(max_size=30),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.just(HEADER), any_line), st.lists(any_line, max_size=8))
+def test_any_lines_give_a_dataset_or_a_dataset_error(header, lines):
+    try:
+        result = load_dataset([header, *lines])
+    except DatasetError as exc:
+        assert exc.problems and all(isinstance(p, str) for p in exc.problems)
+    else:
+        assert isinstance(result, Dataset)

@@ -680,3 +680,187 @@ class TestComputeMetrics:
         metrics = compute_metrics(pairs)
         assert len(metrics) == 2
         assert metrics[0] is not None and metrics[1] is None
+
+
+class TestGroupingAgainstBruteForce:
+    """The grouped passes agree with a per-key rescan keyed on text."""
+
+    TARGETS = tuple(
+        ipaddress.IPv4Address(t) for t in ("198.51.100.9", "198.51.100.10", "203.0.113.5")
+    )
+    # 24 custom prefixes of every allowed length plus the standard one;
+    # their text order differs from their creation order.
+    PREFIXES = (STANDARD_PREFIX,) + tuple(
+        Nat64Prefix.from_cidr(f"2001:{i + 1:x}::/{(32, 40, 48, 56, 64, 96)[i % 6]}")
+        for i in range(24)
+    )
+    GROUPINGS = {
+        "low": [f"p{i:02d}" for i in range(12)],
+        "high": [f"p{i:02d}" for i in range(8, 25)],  # p08..p11 in both
+        "ghost": ["nobody"],
+        "none": [],
+    }
+
+    @staticmethod
+    def _hops(rng, addresses):
+        return tuple(
+            Hop(i, None, ())
+            if a is None
+            else Hop(i, a, tuple(round(rng.uniform(1, 90), 3) for _ in range(rng.randint(0, 3))))
+            for i, a in enumerate(addresses, start=1)
+        )
+
+    def _world(self, seed):
+        rng = random.Random(seed)
+        paths = []
+        for n, prefix in enumerate(self.PREFIXES):
+            probe = f"p{n:02d}"
+            prefixes = [prefix] + ([rng.choice(self.PREFIXES)] if rng.random() < 0.3 else [])
+            for rnd in range(3):
+                for target in self.TARGETS:
+                    # The last target is dead on even seeds and reached only
+                    # natively on odd ones.
+                    last = target == self.TARGETS[-1]
+                    v4_odds = 0.05 * (seed % 2) if last else 0.8
+                    nat_odds = 0.0 if last else 0.8
+                    v4_hops = [ipaddress.ip_address("192.0.2.1"), None]
+                    if rng.random() < v4_odds:
+                        v4_hops.append(target)
+                    paths.append(
+                        TraceroutePath(probe, PathFamily.IPV4, None, target, rnd,
+                                       self._hops(rng, v4_hops))
+                    )
+                    for pfx in dict.fromkeys(prefixes):
+                        if rng.random() < 0.1:
+                            continue  # leaves the round incomplete
+                        nat_hops = [ipaddress.ip_address("2001:db8:ffff::1"), None]
+                        if rng.random() < 0.7:
+                            nat_hops.append(synthesize(pfx, ipaddress.IPv4Address("10.0.0.1")))
+                        if rng.random() < nat_odds:
+                            nat_hops.append(synthesize(pfx, target))
+                        paths.append(
+                            TraceroutePath(probe, PathFamily.NAT64, pfx, target, rnd,
+                                           self._hops(rng, nat_hops))
+                        )
+        pairs, _ = pair_paths(paths)
+        return pairs
+
+    @staticmethod
+    def _reference_filter(pairs, expected=None, final_round=None):
+        if expected is None:
+            expected = {str(p.nat64.target_v4) for p in pairs}
+        kept, excluded = [], []
+        for pair in pairs:
+            nat = pair.nat64
+            covered = {
+                str(q.nat64.target_v4)
+                for q in pairs
+                if q.nat64.probe_id == nat.probe_id
+                and str(q.nat64.prefix) == str(nat.prefix)
+                and q.nat64.round_index == nat.round_index
+            }
+            alive = any(
+                str(q.nat64.target_v4) == str(nat.target_v4)
+                and (success(q.ipv4) or success(q.nat64))
+                for q in pairs
+            )
+            if covered != set(expected):
+                reason = FilterReason.INCOMPLETE_ROUND
+            elif final_round is not None and nat.round_index == final_round:
+                reason = FilterReason.TRAILING_ROUND
+            elif not alive:
+                reason = FilterReason.DEAD_TARGET
+            elif not has_nat_hop(nat):
+                reason = FilterReason.NO_NAT_HOP
+            else:
+                kept.append(pair)
+                continue
+            excluded.append((pair, reason.value))
+        return kept, excluded
+
+    @staticmethod
+    def _rates(pairs):
+        n = len(pairs)
+        if n == 0:
+            return (0, None, None, None)
+        ok4 = [success(p.ipv4) for p in pairs]
+        ok6 = [success(p.nat64) for p in pairs]
+        return (
+            n,
+            100.0 * sum(ok4) / n,
+            100.0 * sum(ok6) / n,
+            100.0 * sum(a and b for a, b in zip(ok4, ok6)) / n,
+        )
+
+    @staticmethod
+    def _summary(values):
+        if not values:
+            return None
+        return (len(values), statistics.fmean(values), statistics.pstdev(values),
+                statistics.median(values))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_filter_pairs_matches_reference(self, seed):
+        pairs = self._world(seed)
+        names = [str(t) for t in self.TARGETS]
+        for kwargs, expected in (
+            ({}, None),
+            ({"final_round": 2}, None),
+            ({"expected_targets": self.TARGETS}, names),
+            ({"expected_targets": names[:2]}, names[:2]),
+        ):
+            kept, excluded = filter_pairs(pairs, **kwargs)
+            ref_kept, ref_excluded = self._reference_filter(
+                pairs, expected, kwargs.get("final_round")
+            )
+            assert kept == ref_kept
+            assert [(e.pair, e.reason) for e in excluded] == ref_excluded
+        reasons = {reason for _, reason in self._reference_filter(pairs)[1]}
+        assert len(pairs) > 200 and len({str(p.nat64.prefix) for p in pairs}) >= 20
+        assert {"IncompleteRound", "NoNatHop"} <= reasons
+        assert ("DeadTarget" in reasons) == (seed % 2 == 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_aggregate_report_matches_reference(self, seed):
+        pairs = self._world(seed)
+        metrics = compute_metrics(pairs)
+        for pair, m in zip(pairs, metrics):
+            if m is not None:
+                assert m.v4_missing_pct == missing_hop_pct(pair.ipv4)
+                assert m.nat64_missing_pct == missing_hop_pct(pair.nat64)
+        report = aggregate_report(pairs, metrics, self.GROUPINGS)
+
+        def rates(r):
+            return (r.n_pairs, r.v4_pct, r.nat64_pct, r.both_pct)
+
+        def summary(s):
+            return None if s is None else (s.n, s.mean, s.sd, s.median)
+
+        assert rates(report.success) == self._rates(pairs)
+        assert list(report.groups) == list(self.GROUPINGS)
+        for name, members in self.GROUPINGS.items():
+            sub = [(p, m) for p, m in zip(pairs, metrics) if p.nat64.probe_id in members]
+            usable = [m for _, m in sub if m is not None]
+            group = report.groups[name]
+            assert rates(group.success) == self._rates([p for p, _ in sub])
+            assert summary(group.length_diff) == self._summary([m.length_diff for m in usable])
+            assert summary(group.rtt_diff_ms) == self._summary([m.rtt_diff_ms for m in usable])
+        assert report.groups["ghost"].success.n_pairs == 0
+
+        target_names = sorted({str(p.nat64.target_v4) for p in pairs})
+        assert list(report.per_target) == target_names
+        for name in target_names:
+            sub = [p for p in pairs if str(p.nat64.target_v4) == name]
+            assert rates(report.per_target[name]) == self._rates(sub)
+
+        expected_prefixes = {}
+        for name in sorted({str(p.nat64.prefix) for p in pairs}):
+            stats = self._summary(
+                [m.length_diff for p, m in zip(pairs, metrics)
+                 if m is not None and str(p.nat64.prefix) == name]
+            )
+            if stats is not None:
+                expected_prefixes[name] = stats
+        assert len(expected_prefixes) >= 20
+        assert {k: summary(v) for k, v in report.per_prefix.items()} == expected_prefixes
+        assert list(report.per_prefix) == list(expected_prefixes)
