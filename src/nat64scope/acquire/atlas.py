@@ -31,7 +31,7 @@ from typing import (
 import requests
 
 from ..addrsynth import extract_ipv4, matches_prefix, synthesize
-from ..model import Hop, Nat64Prefix, PathFamily, PrefixKind, TestKind, TestRun, TraceroutePath
+from ..model import Hop, Nat64Prefix, PathFamily, TestKind, TestRun, TraceroutePath
 from ..model import RawOutcome
 from .dnswire import DnsResponse, DnsStatus, MalformedDns, parse_message
 
@@ -166,11 +166,7 @@ class PingObservation:
     def to_test_run(self) -> TestRun:
         if self.prefix is None:
             raise SchemaViolation("ping without a translation prefix has no test kind")
-        kind = (
-            TestKind.STD_PREFIX_PING
-            if self.prefix.kind is PrefixKind.STANDARD
-            else TestKind.CUSTOM_PREFIX_PING
-        )
+        kind = TestKind.ping_for(self.prefix)
         if self.rtts_ms:
             return TestRun(
                 self.probe_id, kind, self.timestamp, RawOutcome.PASS,

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalogs
-from .acquire.dataset import Dataset, DatasetError, load_dataset, write_dataset
+from .acquire.dataset import Dataset, load_dataset, write_dataset
 from .acquire.dnswire import TYPE_AAAA
-from .acquire.ip2as import Ip2AsError, Ip2AsTable
+from .acquire.ip2as import Ip2AsTable
 from .addrsynth import synthesize
 from .classifier import (
     NoNatHopError,
@@ -41,11 +41,12 @@ from .detector import (
     eval_dns_test1,
     eval_dns_test2,
     eval_ping_test,
+    select_custom_ping_candidates,
 )
 from .model import (
+    IPAddress,
     Nat64Prefix,
     PathFamily,
-    PrefixKind,
     ProbeRecord,
     RawOutcome,
     STANDARD_PREFIX,
@@ -164,25 +165,64 @@ def load_config(path: Optional[str], concurrency_override: Optional[int] = None)
     return config
 
 
+def _read_input(name: str, path: Optional[str], loader):
+    """Load one input file; one that cannot be read or parsed is a config error."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{name} {path}: {exc}") from exc
+
+
 def _load_catalogs(config: RunConfig):
     return (
-        catalogs.load_public_prefixes(config.public_prefixes_path),
-        catalogs.load_public_resolvers(config.public_resolvers_path),
+        _read_input(
+            "public_prefixes", config.public_prefixes_path, catalogs.load_public_prefixes
+        ),
+        _read_input(
+            "public_resolvers", config.public_resolvers_path, catalogs.load_public_resolvers
+        ),
     )
-
-
-def _read_dataset(path: str) -> Dataset:
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file does not exist: {path}")
-    try:
-        return load_dataset(path)
-    except DatasetError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _out_dir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """What the analysis commands start from: inputs read once, detection run once."""
+
+    config: RunConfig
+    public_resolvers: Tuple[IPAddress, ...]
+    dataset: Dataset
+    report: DetectionReport
+    out: str
+
+
+def _analyze(args, live: bool = False) -> Analysis:
+    """The front end shared by ``detect``, ``classify`` and ``paths``.
+
+    Reads the config, the catalogs and the dataset, makes the output
+    directory and runs detection. With ``live`` and no dataset given,
+    it measures from this host instead and records what it measured.
+    """
+    config = load_config(args.config, getattr(args, "concurrency", None))
+    public_prefixes, public_resolvers = _load_catalogs(config)
+    if args.from_dataset:
+        dataset = _read_input("dataset", args.from_dataset, load_dataset)
+    elif not live:
+        raise ConfigError(f"{args.command} needs --from-dataset")
+    out = _out_dir(args)
+    if not args.from_dataset:
+        dataset = _acquire_live(config)
+        write_dataset(dataset, os.path.join(out, "dataset.ndjson"))
+    report = detect_dataset(
+        dataset,
+        public_prefixes=public_prefixes,
+        public_resolvers=public_resolvers,
+    )
+    return Analysis(config, public_resolvers, dataset, report, out)
 
 
 def _write_json(path: str, doc) -> None:
@@ -284,19 +324,9 @@ def _acquire_live(config: RunConfig) -> Dataset:
                     eval_dns_test2(probe_id, now, responses2, config.dns2_answers)
                 )
         # Acquisition barrier: ping candidates depend on every DNS answer.
-        candidates: List[Nat64Prefix] = [STANDARD_PREFIX]
-        candidates.extend(
-            sorted(
-                {
-                    run.observed_prefix
-                    for run in dataset.runs
-                    if run.raw_outcome is RawOutcome.PASS
-                    and run.observed_prefix is not None
-                    and run.observed_prefix.kind is PrefixKind.CUSTOM
-                },
-                key=str,
-            )
-        )
+        # With one probe, every prefix its DNS tests revealed is its own.
+        revealed = select_custom_ping_candidates(dataset.probes, dataset.runs)
+        candidates = [STANDARD_PREFIX, *revealed]
         anchor = config.targets[0]
         for prefix in candidates:
             target = synthesize(prefix, anchor)
@@ -306,14 +336,9 @@ def _acquire_live(config: RunConfig) -> Dataset:
                     replies = live.icmp_echo(target)
                     dataset.runs.append(eval_ping_test(probe_id, now, prefix, replies))
                 except live.NoRouteError as exc:
-                    kind = (
-                        TestKind.STD_PREFIX_PING
-                        if prefix.kind is PrefixKind.STANDARD
-                        else TestKind.CUSTOM_PREFIX_PING
-                    )
                     dataset.runs.append(
                         TestRun(
-                            probe_id, kind, now, RawOutcome.FAIL,
+                            probe_id, TestKind.ping_for(prefix), now, RawOutcome.FAIL,
                             observed_prefix=prefix, diagnostic=f"no route: {exc}",
                         )
                     )
@@ -324,27 +349,8 @@ def _acquire_live(config: RunConfig) -> Dataset:
 
 
 def cmd_detect(args) -> int:
-    config = load_config(args.config, args.concurrency)
-    public_prefixes, public_resolvers = _load_catalogs(config)
-    out = _out_dir(args)
-
-    if args.from_dataset:
-        dataset = _read_dataset(args.from_dataset)
-    else:
-        from .acquire.live import ProbePermissionError
-
-        try:
-            dataset = _acquire_live(config)
-        except ProbePermissionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        write_dataset(dataset, os.path.join(out, "dataset.ndjson"))
-
-    report = detect_dataset(
-        dataset,
-        public_prefixes=public_prefixes,
-        public_resolvers=public_resolvers,
-    )
+    analysis = _analyze(args, live=True)
+    report, out = analysis.report, analysis.out
     _write_json(os.path.join(out, "detection.json"), _detection_doc(report))
     _write_csv(
         os.path.join(out, "test_table.csv"),
@@ -405,17 +411,9 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
 
 
 def cmd_classify(args) -> int:
-    config = load_config(args.config, args.concurrency)
-    public_prefixes, public_resolvers = _load_catalogs(config)
-    if not args.from_dataset:
-        raise ConfigError("classify needs --from-dataset (it compares probes)")
-    dataset = _read_dataset(args.from_dataset)
-    out = _out_dir(args)
-
-    report = detect_dataset(
-        dataset,
-        public_prefixes=public_prefixes,
-        public_resolvers=public_resolvers,
+    analysis = _analyze(args)
+    config, dataset, report, out = (
+        analysis.config, analysis.dataset, analysis.report, analysis.out
     )
     evidence = detect_isp_dns64(
         group_runs_by_as(dataset.runs, dataset.probes), dataset.probes
@@ -430,10 +428,7 @@ def cmd_classify(args) -> int:
 
     ip2as: Optional[Ip2AsTable] = None
     if config.ip2as_path is not None:
-        try:
-            ip2as = Ip2AsTable.load(config.ip2as_path)
-        except Ip2AsError as exc:
-            raise ConfigError(str(exc)) from exc
+        ip2as = _read_input("ip2as", config.ip2as_path, Ip2AsTable.load)
     else:
         print(
             "warning: no ip2as table configured; translator locations "
@@ -442,7 +437,7 @@ def cmd_classify(args) -> int:
         )
 
     facts = _probe_path_facts(dataset, ip2as)
-    publics = set(public_resolvers)
+    publics = set(analysis.public_resolvers)
     resolvers_by_probe: Dict[str, set] = {}
     for run in dataset.runs:
         if run.resolver_used is not None:
@@ -485,10 +480,7 @@ def cmd_classify(args) -> int:
         }
 
     as_cat_path = config.as_categories_path or catalogs.packaged_as_categories_path()
-    try:
-        mapping = load_as_categories(as_cat_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mapping = _read_input("as_categories", as_cat_path, load_as_categories)
     as_counts = count_as_categories(nat64_asns, mapping)
 
     _write_json(
@@ -580,13 +572,8 @@ def stats_to_doc(stats: AggregateStats) -> dict:
 
 
 def cmd_paths(args) -> int:
-    config = load_config(args.config, args.concurrency)
-    public_prefixes, public_resolvers = _load_catalogs(config)
-    if not args.from_dataset:
-        raise ConfigError("paths needs --from-dataset (it analyzes traceroutes)")
-    dataset = _read_dataset(args.from_dataset)
-    out = _out_dir(args)
-
+    analysis = _analyze(args)
+    dataset, out = analysis.dataset, analysis.out
     pairs, unpaired = pair_paths(dataset.paths)
     kept, excluded = filter_pairs(pairs, final_round=args.final_round)
     exclusions: Dict[str, int] = {}
@@ -601,13 +588,8 @@ def cmd_paths(args) -> int:
         kept = [pair for pair, bad in zip(kept, anomalous) if not bad]
         metrics = [m for m, bad in zip(metrics, anomalous) if not bad]
 
-    report = detect_dataset(
-        dataset,
-        public_prefixes=public_prefixes,
-        public_resolvers=public_resolvers,
-    )
     groupings: Dict[str, List[str]] = {}
-    for pid, det in sorted(report.probes.items()):
+    for pid, det in sorted(analysis.report.probes.items()):
         groupings.setdefault(det.group.value, []).append(pid)
 
     stats = aggregate_report(kept, metrics, groupings)
@@ -749,7 +731,7 @@ def cmd_atlas_fetch(args) -> int:
 def cmd_atlas_spec(args) -> int:
     from .acquire import atlas
 
-    config = load_config(args.config, args.concurrency)
+    config = load_config(args.config)
     public_prefixes, _ = _load_catalogs(config)
     definitions = atlas.measurement_definitions(
         dns2_name=config.dns2_name,
@@ -770,24 +752,26 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nat64scope",
         description="Detect NAT64/DNS64 deployments and measure their path cost.",
     )
+    # Each command takes only the flags it reads.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument(
-        "--concurrency", type=int, help="overrides the config's concurrency budget"
-    )
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", help="JSON run configuration")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", parents=[common], help="run or replay the detection tests")
+    p = sub.add_parser("detect", parents=[configured], help="run or replay the detection tests")
     p.add_argument("--from-dataset", help="analyze a recorded dataset instead of measuring")
+    p.add_argument(
+        "--concurrency", type=int, help="overrides the config's concurrency budget"
+    )
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("classify", parents=[common], help="bucket detected probes")
+    p = sub.add_parser("classify", parents=[configured], help="bucket detected probes")
     p.add_argument("--from-dataset", required=False)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("paths", parents=[common], help="compare translated and native paths")
+    p = sub.add_parser("paths", parents=[configured], help="compare translated and native paths")
     p.add_argument("--from-dataset", required=False)
     p.add_argument(
         "--exclude-ttl-anomaly",
@@ -812,7 +796,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-url", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_atlas_fetch)
 
-    p = sub.add_parser("atlas-spec", parents=[common], help="emit measurement definitions")
+    p = sub.add_parser("atlas-spec", parents=[configured], help="emit measurement definitions")
     p.set_defaults(func=cmd_atlas_spec)
     return parser
 
@@ -825,6 +809,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except PermissionError as exc:  # a probe socket or an output file refused
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

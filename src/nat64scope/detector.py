@@ -141,11 +141,7 @@ def eval_ping_test(
     ``replies`` is a sequence of objects with an ``rtt_ms`` attribute that
     is None for lost packets (see acquire.live.EchoReply).
     """
-    kind = (
-        TestKind.STD_PREFIX_PING
-        if prefix.kind is PrefixKind.STANDARD
-        else TestKind.CUSTOM_PREFIX_PING
-    )
+    kind = TestKind.ping_for(prefix)
     received = sum(1 for r in replies if getattr(r, "rtt_ms") is not None)
     if received:
         return TestRun(probe_id, kind, timestamp, RawOutcome.PASS, observed_prefix=prefix)

@@ -82,6 +82,12 @@ class TestKind(enum.Enum):
     def is_ping(self) -> bool:
         return not self.is_dns
 
+    @staticmethod
+    def ping_for(prefix: Nat64Prefix) -> "TestKind":
+        """The echo test that targets ``prefix``."""
+        standard = prefix.kind is PrefixKind.STANDARD
+        return TestKind.STD_PREFIX_PING if standard else TestKind.CUSTOM_PREFIX_PING
+
 
 class RawOutcome(enum.Enum):
     PASS = "pass"

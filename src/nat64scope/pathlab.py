@@ -14,7 +14,6 @@ import math
 import statistics
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Collection,
     Dict,
     List,
@@ -133,16 +132,7 @@ def _wanted_target(path: TraceroutePath) -> Union[ipaddress.IPv4Address, ipaddre
 
 def success(path: TraceroutePath) -> bool:
     """True when some hop answered with the target address itself."""
-    wanted = _wanted_target(path)
-    return any(hop.address == wanted for hop in path.hops)
-
-
-def reached_target_as(path: TraceroutePath, target_asn: int, ip2as: Ip2AsTable) -> bool:
-    """True when any responding hop maps into the target's AS."""
-    return any(
-        hop.address is not None and ip2as.lookup(hop.address) == target_asn
-        for hop in path.hops
-    )
+    return _target_hop_index(path) is not None
 
 
 def _target_hop_index(path: TraceroutePath) -> Optional[int]:
@@ -166,18 +156,6 @@ def _silent_pct(path: TraceroutePath, reached: int) -> float:
     return 100.0 * silent / reached
 
 
-def has_nat_hop(path: TraceroutePath) -> bool:
-    """True when any hop address falls under the path's translation prefix."""
-    if path.prefix is None:
-        return False
-    return any(
-        hop.address is not None
-        and hop.address.version == 6
-        and matches_prefix(hop.address, path.prefix)
-        for hop in path.hops
-    )
-
-
 def first_nat_hop(path: TraceroutePath) -> Optional[Hop]:
     if path.prefix is None:
         return None
@@ -189,6 +167,11 @@ def first_nat_hop(path: TraceroutePath) -> Optional[Hop]:
         ):
             return hop
     return None
+
+
+def has_nat_hop(path: TraceroutePath) -> bool:
+    """True when any hop address falls under the path's translation prefix."""
+    return first_nat_hop(path) is not None
 
 
 def _missing_runs(addresses: Sequence[object]) -> List[Tuple[object, int, object]]:
@@ -243,13 +226,12 @@ def filter_pairs(
     *,
     expected_targets: Optional[Collection[str]] = None,
     final_round: Optional[int] = None,
-    extra_rules: Sequence[Callable[[PathPair], Optional[str]]] = (),
 ) -> Tuple[List[PathPair], List[ExcludedPair]]:
     """Drop pairs that cannot be compared fairly; account for every drop.
 
     Order of precedence per pair: incomplete rounds, the configured
-    trailing round, targets that never answered any traceroute, translated
-    paths that never crossed their translator, then any extra rules.
+    trailing round, targets that never answered any traceroute, then
+    translated paths that never crossed their translator.
     """
     # Expected targets may be given as text, so coverage compares names;
     # each distinct target object is named once.
@@ -287,14 +269,6 @@ def filter_pairs(
             continue
         if not has_nat_hop(pair.nat64):
             excluded.append(ExcludedPair(pair, FilterReason.NO_NAT_HOP.value))
-            continue
-        reason = None
-        for rule in extra_rules:
-            reason = rule(pair)
-            if reason:
-                break
-        if reason:
-            excluded.append(ExcludedPair(pair, reason))
             continue
         kept.append(pair)
     return kept, excluded

@@ -125,6 +125,7 @@ class _Plan:
     n: int
     cohort: Cohort
     cell_index: int
+    net_group: int  # numbers the probe's /64 and its first-hop /48
     record: ProbeRecord
     resolver_addr: IPAddress
     d1_pass: bool
@@ -207,6 +208,7 @@ def _build_plans(scenario: Scenario, publics: Tuple[Nat64Prefix, ...],
                     n=n,
                     cohort=cohort,
                     cell_index=i,
+                    net_group=net_group,
                     record=record,
                     resolver_addr=resolver_addr,
                     d1_pass=d1_pass,
@@ -325,11 +327,10 @@ def _nat64_path(plan: _Plan, prefix: Nat64Prefix, target: ipaddress.IPv4Address,
     cell = cohort.cell
     natpos = _NAT_POSITION[cohort.location]
     nat_base = _NAT_BASE_MS[cohort.location]
-    net_group = 0x1000 + cell * 64 + plan.cell_index
 
     pre: List[Optional[IPAddress]] = []
     if natpos >= 2:
-        pre.append(ipaddress.IPv6Address(f"2001:db8:{net_group:x}::1"))
+        pre.append(ipaddress.IPv6Address(f"2001:db8:{plan.net_group:x}::1"))
     if natpos >= 3:
         pre.append(ipaddress.IPv6Address(f"2001:db8:{0x100 + cell:x}::2"))
     if natpos >= 4:
@@ -401,31 +402,18 @@ def _runs_for(plan: _Plan) -> List[TestRun]:
     working = plan.cohort.nat == "working"
     for k, prefix in enumerate(plan.attempts):
         passes = working and prefix in plan.served
+        kind = TestKind.ping_for(prefix)
         for rep in (0, 5):
             when = t0 + 20 + 10 * k + rep
             if passes:
                 runs.append(
-                    TestRun(
-                        plan.probe_id,
-                        TestKind.STD_PREFIX_PING
-                        if prefix.kind is PrefixKind.STANDARD
-                        else TestKind.CUSTOM_PREFIX_PING,
-                        when,
-                        RawOutcome.PASS,
-                        observed_prefix=prefix,
-                    )
+                    TestRun(plan.probe_id, kind, when, RawOutcome.PASS, observed_prefix=prefix)
                 )
             else:
                 runs.append(
                     TestRun(
-                        plan.probe_id,
-                        TestKind.STD_PREFIX_PING
-                        if prefix.kind is PrefixKind.STANDARD
-                        else TestKind.CUSTOM_PREFIX_PING,
-                        when,
-                        RawOutcome.FAIL,
-                        observed_prefix=prefix,
-                        diagnostic="0 of 3 replies",
+                        plan.probe_id, kind, when, RawOutcome.FAIL,
+                        observed_prefix=prefix, diagnostic="0 of 3 replies",
                     )
                 )
     return runs
@@ -444,8 +432,7 @@ def _world_table(plans: Sequence[_Plan], publics: Tuple[Nat64Prefix, ...]) -> Ip
     for plan in plans:
         cell = plan.cohort.cell
         table.add(f"10.{cell}.{plan.cell_index}.0/24", plan.record.asn_v4)
-        net_group = 0x1000 + cell * 64 + plan.cell_index
-        table.add(f"2001:db8:{net_group:x}::/48", plan.record.asn_v6)
+        table.add(f"2001:db8:{plan.net_group:x}::/48", plan.record.asn_v6)
         if cell not in seen_cells:
             seen_cells.add(cell)
             table.add(f"2001:db8:{0x100 + cell:x}::/48", _asn_v6(cell))

@@ -18,8 +18,9 @@ import numpy as np
 from ..model import PathPair, TraceroutePath
 
 #: Where the four IPv4 bytes land for each prefix length; byte 8 is the
-#: reserved zero octet and never appears as a slot.
-_V4_BYTE_SLOTS = {
+#: reserved zero octet and never appears as a slot. The test suite's own
+#: reference embedding reads this table too.
+V4_BYTE_SLOTS = {
     32: (4, 5, 6, 7),
     40: (5, 6, 7, 9),
     48: (6, 7, 9, 10),
@@ -30,11 +31,13 @@ _V4_BYTE_SLOTS = {
 
 
 def embedded_address(prefix, target: ipaddress.IPv4Address) -> ipaddress.IPv6Address:
-    packed = bytearray(16)
-    nbytes = prefix.length // 8
-    packed[:nbytes] = int(prefix.base).to_bytes(16, "big")[:nbytes]
-    packed[8] = 0
-    for slot, byte in zip(_V4_BYTE_SLOTS[prefix.length], target.packed):
+    """Place the IPv4 bytes into the prefix's base byte by byte.
+
+    A prefix's base is zero past its length, so below /96 the reserved
+    byte 8 stays zero.
+    """
+    packed = bytearray(prefix.base.packed)
+    for slot, byte in zip(V4_BYTE_SLOTS[prefix.length], target.packed):
         packed[slot] = byte
     return ipaddress.IPv6Address(bytes(packed))
 

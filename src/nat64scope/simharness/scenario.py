@@ -82,6 +82,11 @@ _CHOICES = {
 }
 _INTS = ("count", "cell", "nprefixes")
 
+# The generator writes the cell and a probe's place in it into IPv4
+# octets (its first hop is 10.cell.place.254), so neither can pass 255.
+MAX_CELL = 255
+MAX_PROBES_PER_CELL = 256
+
 
 def _parse_cohort(line: str, lineno: int) -> Cohort:
     fields: Dict[str, object] = {}
@@ -110,8 +115,8 @@ def _parse_cohort(line: str, lineno: int) -> Cohort:
 
     if cohort.count < 1:
         raise ScenarioError(f"line {lineno}: count must be at least 1")
-    if cohort.cell < 0:
-        raise ScenarioError(f"line {lineno}: cell must not be negative")
+    if not 0 <= cohort.cell <= MAX_CELL:
+        raise ScenarioError(f"line {lineno}: cell must be between 0 and {MAX_CELL}")
     if cohort.nprefixes < 1:
         raise ScenarioError(f"line {lineno}: nprefixes must be at least 1")
     if cohort.nprefixes > 1 and cohort.prefix not in ("custom", "both"):
@@ -164,6 +169,11 @@ def _check_cells(cohorts: List[Cohort]) -> None:
         by_cell.setdefault(cohort.cell, []).append(cohort)
 
     for cell, members in sorted(by_cell.items()):
+        probes = sum(c.count for c in members)
+        if probes > MAX_PROBES_PER_CELL:
+            raise ScenarioError(
+                f"cell {cell}: {probes} probes, but at most {MAX_PROBES_PER_CELL} fit in one cell"
+            )
         # Operator prefixes are only pingable once somebody's DNS64 reveals
         # them; a pool used exclusively by non-synthesizing probes is dead.
         pool_users = [c for c in members if c.prefix in ("custom", "both")]

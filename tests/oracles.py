@@ -3,8 +3,10 @@
 Everything in this file is deliberately written with different arithmetic
 than the package under test: embeddings use a byte-position table instead
 of integer shifts, correlation uses the raw-moment formula, and statistics
-come from numpy. Keep it free of imports from nat64scope internals beyond
-plain data types.
+come from numpy. The byte-position table and the byte-wise embedding are
+the simulation oracle's (``nat64scope.simharness.oracle``), which shares
+no arithmetic with ``nat64scope.addrsynth``; take nothing else from
+nat64scope internals beyond plain data types.
 """
 
 from __future__ import annotations
@@ -12,32 +14,12 @@ from __future__ import annotations
 import ipaddress
 import math
 
-# Byte positions (within the 16-byte address) that hold the four IPv4
-# octets for each embedding length. Byte 8 is never used below /96: it is
-# the reserved zero byte that splits the embedded address.
-V4_BYTE_POSITIONS = {
-    32: (4, 5, 6, 7),
-    40: (5, 6, 7, 9),
-    48: (6, 7, 9, 10),
-    56: (7, 9, 10, 11),
-    64: (9, 10, 11, 12),
-    96: (12, 13, 14, 15),
-}
-
-
-def oracle_embed(
-    base: ipaddress.IPv6Address, length: int, v4: ipaddress.IPv4Address
-) -> ipaddress.IPv6Address:
-    """Place the IPv4 octets into the address byte by byte."""
-    out = bytearray(base.packed)
-    for slot, octet in zip(V4_BYTE_POSITIONS[length], v4.packed):
-        out[slot] = octet
-    return ipaddress.IPv6Address(bytes(out))
+from nat64scope.simharness.oracle import V4_BYTE_SLOTS, embedded_address
 
 
 def oracle_extract(addr: ipaddress.IPv6Address, length: int) -> ipaddress.IPv4Address:
     packed = addr.packed
-    return ipaddress.IPv4Address(bytes(packed[slot] for slot in V4_BYTE_POSITIONS[length]))
+    return ipaddress.IPv4Address(bytes(packed[slot] for slot in V4_BYTE_SLOTS[length]))
 
 
 def oracle_pearson(xs, ys) -> float:

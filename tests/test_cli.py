@@ -1,12 +1,18 @@
 import csv
 import io
+import ipaddress
 import json
 import os
 
 import pytest
 
-from nat64scope.acquire.dataset import Dataset, write_dataset
-from nat64scope.cli import EXIT_CONFIG, EXIT_OK, main
+from nat64scope.acquire import live
+from nat64scope.acquire.dataset import Dataset, load_dataset, write_dataset
+from nat64scope.acquire.dnswire import DnsResponse, DnsStatus, answer_for
+from nat64scope.addrsynth import synthesize
+from nat64scope.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_OK, main
+from nat64scope.detector import DNS1_NAME, STD_PING_TARGET_V4
+from nat64scope.model import Nat64Prefix, RawOutcome, STANDARD_PREFIX, TestKind
 
 
 def run(*argv):
@@ -58,6 +64,18 @@ class TestSimulate:
 
     def test_missing_scenario_is_config_error(self, tmp_path):
         assert run("simulate", "--scenario", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "x")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["cell=256 count=1", "cell=3 count=257"])
+    def test_unbuildable_cell_is_config_error(self, tmp_path, line):
+        scenario = tmp_path / "big.txt"
+        scenario.write_text(line + "\n")
+        assert run("simulate", "--scenario", str(scenario), "--out", str(tmp_path / "x")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [("--concurrency", "2"), ("--config", "c.json")])
+    def test_rejects_flags_it_does_not_read(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", flag, value, "--out", str(tmp_path / "x"))
+        assert exc.value.code == EXIT_CONFIG
 
 
 class TestDetect:
@@ -229,6 +247,44 @@ class TestConfig:
         assert run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "x")) == EXIT_CONFIG
 
 
+class TestInputErrors:
+    """The dataset and every side table: unreadable or unparsable is exit 2, one line."""
+
+    CASES = {
+        # name: (config key, or None for --from-dataset; file text, or None for a directory)
+        "dataset-directory": (None, None),
+        "ip2as-directory": ("ip2as", None),
+        "public_prefixes-directory": ("public_prefixes", None),
+        "public_resolvers-directory": ("public_resolvers", None),
+        "as_categories-directory": ("as_categories", None),
+        "public_prefixes-bad-line": ("public_prefixes", "2001:db8::zz/96\n"),
+    }
+
+    @pytest.mark.parametrize("key, text", list(CASES.values()), ids=list(CASES))
+    def test_one_line_config_error(self, tmp_path, capsys, key, text):
+        bad = tmp_path / "bad"
+        if text is None:
+            bad.mkdir()
+        else:
+            bad.write_text(text)
+        dataset = tmp_path / "empty.ndjson"
+        write_dataset(Dataset(), str(dataset))
+        ip2as = tmp_path / "ip2as.tsv"
+        ip2as.write_text("192.0.2.0/24 64500\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ip2as": str(ip2as), **({key: str(bad)} if key else {})}))
+        capsys.readouterr()
+        code = run(
+            "classify",
+            "--from-dataset", str(bad if key is None else dataset),
+            "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and str(bad) in err
+
+
 class TestAtlasSpec:
     def test_writes_definitions(self, tmp_path):
         out = tmp_path / "spec"
@@ -237,3 +293,64 @@ class TestAtlasSpec:
         assert isinstance(definitions, list)
         types = {d["type"] for d in definitions}
         assert {"dns", "ping", "traceroute"} <= types
+
+
+class TestLiveDetect:
+    """The live orchestration of ``detect``, with both drivers replaced."""
+
+    ANCHOR = STD_PING_TARGET_V4  # the echo target when the config names none
+    # Revealed by the first DNS test, but later than PREFIX_A by text.
+    PREFIX_B = Nat64Prefix.from_cidr("2001:db8:b::/96")
+    PREFIX_A = Nat64Prefix.from_cidr("2001:db8:a::/96")
+
+    def fake_dns_query(self, resolver, qname, qtype, **_):
+        if qname == DNS1_NAME:
+            embedded = synthesize(self.PREFIX_B, ipaddress.IPv4Address("192.0.0.170"))
+        else:
+            embedded = synthesize(self.PREFIX_A, ipaddress.IPv4Address("132.163.96.3"))
+        return DnsResponse(
+            resolver, qname, qtype, DnsStatus.NOERROR, (answer_for(qname, embedded),)
+        )
+
+    def test_candidates_no_route_and_dataset(self, tmp_path, monkeypatch):
+        echoed = []
+        unreachable = synthesize(STANDARD_PREFIX, self.ANCHOR)
+
+        def fake_icmp_echo(target, **_):
+            echoed.append(target)
+            if target == unreachable:
+                raise live.NoRouteError("network is unreachable")
+            return (live.EchoReply(0, 1.5),)
+
+        monkeypatch.setattr(live, "dns_query", self.fake_dns_query)
+        monkeypatch.setattr(live, "icmp_echo", fake_icmp_echo)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resolvers": ["2001:db8::53"], "repeat": 2}))
+        out = tmp_path / "live"
+        assert run("detect", "--config", str(config), "--concurrency", "1", "--out", str(out)) == EXIT_OK
+
+        candidates = [STANDARD_PREFIX, self.PREFIX_A, self.PREFIX_B]
+        assert echoed == [synthesize(p, self.ANCHOR) for p in candidates for _ in range(2)]
+        dataset = load_dataset(str(out / "dataset.ndjson"))
+        pings = [r for r in dataset.runs if r.test_kind.is_ping]
+        assert [r.observed_prefix for r in pings] == [p for p in candidates for _ in range(2)]
+        for ping in pings[:2]:
+            assert ping.test_kind is TestKind.STD_PREFIX_PING
+            assert ping.raw_outcome is RawOutcome.FAIL
+            assert ping.diagnostic.startswith("no route: ")
+        for ping in pings[2:]:
+            assert ping.test_kind is TestKind.CUSTOM_PREFIX_PING
+            assert ping.raw_outcome is RawOutcome.PASS
+        assert (out / "detection.json").is_file()
+
+    def test_refused_probe_socket_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        def refused(target, **_):
+            raise live.ProbePermissionError("need an ICMPv6 socket")
+
+        monkeypatch.setattr(live, "dns_query", self.fake_dns_query)
+        monkeypatch.setattr(live, "icmp_echo", refused)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resolvers": ["2001:db8::53"]}))
+        capsys.readouterr()
+        assert run("detect", "--config", str(config), "--out", str(tmp_path / "live")) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: need an ICMPv6 socket\n"

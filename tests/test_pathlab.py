@@ -40,7 +40,6 @@ from nat64scope.pathlab import (
     pair_paths,
     path_metrics,
     pearson,
-    reached_target_as,
     success,
 )
 from nat64scope.acquire.ip2as import Ip2AsTable
@@ -174,11 +173,6 @@ class TestPathPredicates:
         path = nat_path(["2001:db8:aaaa::1", nat_addr(7), nat_addr(8)])
         found = first_nat_hop(path)
         assert found is not None and found.index == 2
-
-    def test_reached_target_as(self):
-        table = Ip2AsTable.from_pairs([("198.51.100.0/24", 64500)])
-        assert reached_target_as(v4_path(["192.0.2.1"]), 64500, table)
-        assert not reached_target_as(v4_path(["192.0.2.1"], reach=False), 64500, table)
 
 
 def _path_from_addresses(addresses, probe="p1", target=TARGET):
@@ -333,13 +327,6 @@ class TestFiltering:
         ]
         _, excluded = filter_pairs(pairs)
         assert [e.reason for e in excluded] == [FilterReason.INCOMPLETE_ROUND.value]
-
-    def test_extra_rules_run_last(self):
-        def drop_p1(pair):
-            return "Custom" if pair.nat64.probe_id == "p1" else None
-
-        kept, excluded = filter_pairs([_pair()], extra_rules=[drop_p1])
-        assert not kept and [e.reason for e in excluded] == ["Custom"]
 
     def test_expected_targets_widen_coverage(self):
         # With an explicit expectation of both targets, a round covering

@@ -72,6 +72,25 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="at least 1"):
             parse_scenario("count=0")
 
+    @pytest.mark.parametrize("text", ["cell=256 count=1", "cell=-1 count=1"])
+    def test_cell_out_of_range(self, text):
+        with pytest.raises(ScenarioError, match="between 0 and 255"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "text", ["cell=3 count=257", "cell=3 count=200\ncell=3 count=57 resolver=plain"]
+    )
+    def test_too_many_probes_in_one_cell(self, text):
+        with pytest.raises(ScenarioError, match="cell 3: 257 probes"):
+            parse_scenario(text)
+
+    def test_largest_cell_number_still_builds(self):
+        sim = generate(parse_scenario("cell=255 count=64"), 1)
+        assert len(sim.dataset.probes) == 64
+        first_hops = {path.hops[0].address for path in sim.dataset.paths
+                      if path.family is PathFamily.IPV4}
+        assert len(first_hops) == 64
+
     def test_nprefixes_needs_pool(self):
         with pytest.raises(ScenarioError, match="prefix pool"):
             parse_scenario("count=1 prefix=standard nprefixes=2")
