@@ -55,55 +55,83 @@ class Dataset:
         self.probes[probe.probe_id] = probe
 
 
-def _encode_prefix(prefix: Optional[Nat64Prefix]):
-    if prefix is None:
-        return None
-    return {"base": str(prefix.base), "length": prefix.length, "kind": prefix.kind.value}
+class _Encoder:
+    """Builds JSON documents from records, formatting each distinct value once.
+
+    The mirror of ``_Decoder``: one encoder serves one write and its
+    tables go with it. Tables key on the objects, which tell ``0.0.0.1``
+    from ``::1`` although both are the integer 1.
+    """
+
+    def __init__(self) -> None:
+        self._addresses: Dict[IPAddress, str] = {}
+        self._prefixes: Dict[Nat64Prefix, dict] = {}
+
+    def address(self, address: Optional[IPAddress]) -> Optional[str]:
+        if address is None:
+            return None
+        text = self._addresses.get(address)
+        if text is None:
+            text = self._addresses[address] = str(address)
+        return text
+
+    def prefix(self, prefix: Optional[Nat64Prefix]) -> Optional[dict]:
+        if prefix is None:
+            return None
+        doc = self._prefixes.get(prefix)
+        if doc is None:
+            doc = self._prefixes[prefix] = {
+                "base": str(prefix.base), "length": prefix.length, "kind": prefix.kind.value
+            }
+        return doc
+
+    def encode(self, record: object) -> dict:
+        if isinstance(record, ProbeRecord):
+            return {
+                "record": "probe",
+                "probe_id": record.probe_id,
+                "asn_v4": record.asn_v4,
+                "asn_v6": record.asn_v6,
+                "resolvers": [self.address(r) for r in record.resolvers],
+                "tags": list(record.tags),
+                "network_prefix_v6": (
+                    str(record.network_prefix_v6) if record.network_prefix_v6 else None
+                ),
+            }
+        if isinstance(record, TestRun):
+            return {
+                "record": "test_run",
+                "probe_id": record.probe_id,
+                "test_kind": record.test_kind.value,
+                "timestamp": record.timestamp,
+                "raw_outcome": record.raw_outcome.value,
+                "observed_prefix": self.prefix(record.observed_prefix),
+                "resolver_used": self.address(record.resolver_used),
+                "diagnostic": record.diagnostic,
+            }
+        if isinstance(record, TraceroutePath):
+            return {
+                "record": "traceroute",
+                "probe_id": record.probe_id,
+                "family": record.family.value,
+                "prefix": self.prefix(record.prefix),
+                "target_v4": self.address(record.target_v4),
+                "round": record.round_index,
+                "hops": [
+                    {
+                        "index": hop.index,
+                        "address": self.address(hop.address),
+                        "rtts_ms": list(hop.rtts_ms),
+                    }
+                    for hop in record.hops
+                ],
+            }
+        raise TypeError(f"cannot encode {type(record).__name__}")
 
 
 def encode_record(record: object) -> dict:
     """Map one model record to its JSON document."""
-    if isinstance(record, ProbeRecord):
-        return {
-            "record": "probe",
-            "probe_id": record.probe_id,
-            "asn_v4": record.asn_v4,
-            "asn_v6": record.asn_v6,
-            "resolvers": [str(r) for r in record.resolvers],
-            "tags": list(record.tags),
-            "network_prefix_v6": (
-                str(record.network_prefix_v6) if record.network_prefix_v6 else None
-            ),
-        }
-    if isinstance(record, TestRun):
-        return {
-            "record": "test_run",
-            "probe_id": record.probe_id,
-            "test_kind": record.test_kind.value,
-            "timestamp": record.timestamp,
-            "raw_outcome": record.raw_outcome.value,
-            "observed_prefix": _encode_prefix(record.observed_prefix),
-            "resolver_used": str(record.resolver_used) if record.resolver_used else None,
-            "diagnostic": record.diagnostic,
-        }
-    if isinstance(record, TraceroutePath):
-        return {
-            "record": "traceroute",
-            "probe_id": record.probe_id,
-            "family": record.family.value,
-            "prefix": _encode_prefix(record.prefix),
-            "target_v4": str(record.target_v4),
-            "round": record.round_index,
-            "hops": [
-                {
-                    "index": hop.index,
-                    "address": str(hop.address) if hop.address else None,
-                    "rtts_ms": list(hop.rtts_ms),
-                }
-                for hop in record.hops
-            ],
-        }
-    raise TypeError(f"cannot encode {type(record).__name__}")
+    return _Encoder().encode(record)
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
@@ -233,12 +261,10 @@ def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
             "capture_window": list(dataset.capture_window) if dataset.capture_window else None,
         }
         handle.write(_dump(header) + "\n")
-        for probe in dataset.probes.values():
-            handle.write(_dump(encode_record(probe)) + "\n")
-        for run in dataset.runs:
-            handle.write(_dump(encode_record(run)) + "\n")
-        for path in dataset.paths:
-            handle.write(_dump(encode_record(path)) + "\n")
+        encoder = _Encoder()
+        for records in (dataset.probes.values(), dataset.runs, dataset.paths):
+            for record in records:
+                handle.write(_dump(encoder.encode(record)) + "\n")
     finally:
         if own:
             handle.close()

@@ -122,6 +122,15 @@ def load_config(path: Optional[str], concurrency_override: Optional[int] = None)
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
+        for key in ("public_resolvers", "public_prefixes", "ip2as", "as_categories"):
+            if not isinstance(doc.get(key, ""), (str, type(None))):
+                raise ConfigError(f"{path}: {key} must be a file path")
+        if not isinstance(doc.get("dns2_name", ""), str):
+            raise ConfigError(f"{path}: dns2_name must be a string")
+        for key in ("targets", "dns2_answers", "resolvers"):
+            value = doc.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ConfigError(f"{path}: {key} must be a list of strings")
 
     try:
         targets = tuple(
@@ -136,10 +145,12 @@ def load_config(path: Optional[str], concurrency_override: Optional[int] = None)
         raise ConfigError("targets must not be empty")
 
     repeat = doc.get("repeat", 2)
-    concurrency = concurrency_override or doc.get("concurrency", 4)
-    if not isinstance(repeat, int) or repeat < 1:
+    concurrency = (
+        doc.get("concurrency", 4) if concurrency_override is None else concurrency_override
+    )
+    if type(repeat) is not int or repeat < 1:
         raise ConfigError("repeat must be a positive integer")
-    if not isinstance(concurrency, int) or concurrency < 1:
+    if type(concurrency) is not int or concurrency < 1:
         raise ConfigError("concurrency must be a positive integer")
 
     config = RunConfig(
@@ -185,7 +196,10 @@ def _load_catalogs(config: RunConfig):
 
 
 def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file is in the way
+        raise ConfigError(f"cannot make output directory {args.out}: {exc.strerror}") from exc
     return args.out
 
 

@@ -4,7 +4,12 @@
 dataset plus its ground-truth sidecar, ``oracle`` recomputes aggregate
 statistics independently, and ``mockdns`` serves resolver personalities
 over real UDP for the live query path.
+
+``oracle`` (numpy) and ``mockdns`` load on first use of one of their
+names, so building a world does not pay for them.
 """
+
+from importlib import import_module
 
 from .scenario import Cohort, Scenario, ScenarioError, parse_scenario
 from .generate import (
@@ -18,8 +23,21 @@ from .generate import (
     generate,
     truth_to_doc,
 )
-from .oracle import compare, embedded_address, oracle_stats
-from .mockdns import Dns64Server
+
+_LAZY = {
+    "compare": "oracle",
+    "embedded_address": "oracle",
+    "oracle_stats": "oracle",
+    "Dns64Server": "mockdns",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "ACCEPTANCE_TEMPLATE",

@@ -273,105 +273,70 @@ def _rtts(base: float, round_index: int) -> Tuple[float, ...]:
 
 
 def _transit_v4(n: int, position: int) -> ipaddress.IPv4Address:
-    return ipaddress.IPv4Address(f"203.0.113.{(n * 5 + position) % 250 + 1}")
+    return ipaddress.IPv4Address(0xCB007100 + (n * 5 + position) % 250 + 1)  # 203.0.113.x
 
 
-@dataclass(frozen=True, slots=True)
-class _PathShape:
-    """Per (probe, target) layout, fixed across rounds."""
-
-    v4_length: int
-    silent_v4: Optional[int]
+#: One path's hops, fixed across rounds: (index, address or None, base RTT).
+_Layout = Tuple[Tuple[int, Optional[IPAddress], float], ...]
 
 
-def _draw_shape(rng: random.Random, anomaly: bool) -> _PathShape:
+def _v4_layout(plan: _Plan, target: ipaddress.IPv4Address, rng: random.Random) -> _Layout:
+    """Draw one (probe, target) shape from ``rng`` and lay out its native path."""
+    anomaly = plan.cohort.anomaly == "ttl"
     length = 2 if anomaly else 5 + rng.randrange(3)
     silent = None
     if not anomaly and rng.random() < 0.4:
         # Interior hop with responders on both sides, so the silence is a
         # bounded run for the path comparison logic.
         silent = rng.randrange(3, length)
-    return _PathShape(length, silent)
-
-
-def _v4_path(plan: _Plan, target: ipaddress.IPv4Address, round_index: int,
-             shape: _PathShape) -> TraceroutePath:
-    cohort = plan.cohort
-    hops: List[Hop] = []
-    for h in range(1, shape.v4_length + 1):
-        if h == shape.silent_v4:
-            hops.append(Hop(h, None, ()))
-            continue
-        if h == 1:
-            addr: IPAddress = ipaddress.IPv4Address(
-                f"10.{cohort.cell}.{plan.cell_index}.254"
-            )
-        elif h == shape.v4_length:
+    first = ipaddress.IPv4Address(f"10.{plan.cohort.cell}.{plan.cell_index}.254")
+    layout = []
+    for h in range(1, length + 1):
+        if h == silent:
+            addr: Optional[IPAddress] = None
+        elif h == 1:
+            addr = first
+        elif h == length:
             addr = target
         else:
             addr = _transit_v4(plan.n, h)
-        hops.append(Hop(h, addr, _rtts(0.7 * h, round_index)))
-    return TraceroutePath(
-        probe_id=plan.probe_id,
-        family=PathFamily.IPV4,
-        prefix=None,
-        target_v4=target,
-        round_index=round_index,
-        hops=tuple(hops),
-    )
+        layout.append((h, addr, 0.7 * h))
+    return tuple(layout)
 
 
-def _nat64_path(plan: _Plan, prefix: Nat64Prefix, target: ipaddress.IPv4Address,
-                round_index: int, shape: _PathShape) -> TraceroutePath:
+def _nat64_layout(plan: _Plan, prefix: Nat64Prefix, v4: _Layout) -> _Layout:
+    """The translated path: the native hops past the first, behind the translator."""
     cohort = plan.cohort
     cell = cohort.cell
     natpos = _NAT_POSITION[cohort.location]
     nat_base = _NAT_BASE_MS[cohort.location]
-
-    pre: List[Optional[IPAddress]] = []
-    if natpos >= 2:
-        pre.append(ipaddress.IPv6Address(f"2001:db8:{plan.net_group:x}::1"))
-    if natpos >= 3:
-        pre.append(ipaddress.IPv6Address(f"2001:db8:{0x100 + cell:x}::2"))
-    if natpos >= 4:
-        pre.append(ipaddress.IPv6Address(f"2001:db8:{0x200 + cell:x}::3"))
-
-    hops: List[Hop] = []
-    for h, addr in enumerate(pre, start=1):
-        hops.append(Hop(h, addr, _rtts(0.4 * h, round_index)))
-
+    pre = (
+        f"2001:db8:{plan.net_group:x}::1",
+        f"2001:db8:{0x100 + cell:x}::2",
+        f"2001:db8:{0x200 + cell:x}::3",
+    )[: natpos - 1]
+    layout = [(h, ipaddress.IPv6Address(text), 0.4 * h) for h, text in enumerate(pre, start=1)]
     if cohort.icmp == "opaque":
         # The translator forwards traffic but swallows hop errors from its
         # far side, so everything from its position on stays dark.
-        for h in range(natpos, natpos + 3):
-            hops.append(Hop(h, None, ()))
-        return TraceroutePath(
-            plan.probe_id, PathFamily.NAT64, prefix, target, round_index, tuple(hops)
-        )
-
-    nat_hop_addr = synthesize(prefix, ipaddress.IPv4Address(f"192.0.2.{cell % 250 + 1}"))
-    hops.append(Hop(natpos, nat_hop_addr, _rtts(nat_base, round_index)))
-
+        return tuple(layout + [(h, None, 0.0) for h in range(natpos, natpos + 3)])
+    nat_hop = synthesize(prefix, ipaddress.IPv4Address(f"192.0.2.{cell % 250 + 1}"))
+    layout.append((natpos, nat_hop, nat_base))
     if cohort.nat == "broken":
-        for h in range(natpos + 1, natpos + 3):
-            hops.append(Hop(h, None, ()))
-        return TraceroutePath(
-            plan.probe_id, PathFamily.NAT64, prefix, target, round_index, tuple(hops)
-        )
+        return tuple(layout + [(h, None, 0.0) for h in range(natpos + 1, natpos + 3)])
+    for h, addr, _ in v4[1:]:
+        layout.append((
+            natpos + h - 1,
+            None if addr is None else synthesize(prefix, addr),
+            nat_base + 0.7 * (h - 1),
+        ))
+    return tuple(layout)
 
-    nat_length = natpos + shape.v4_length - 1
-    silent_nat = shape.silent_v4 + natpos - 1 if shape.silent_v4 else None
-    for h in range(natpos + 1, nat_length + 1):
-        if h == silent_nat:
-            hops.append(Hop(h, None, ()))
-            continue
-        if h == nat_length:
-            addr: IPAddress = synthesize(prefix, target)
-        else:
-            addr = synthesize(prefix, _transit_v4(plan.n, h - natpos + 1))
-        hops.append(Hop(h, addr, _rtts(nat_base + 0.7 * (h - natpos), round_index)))
-    return TraceroutePath(
-        plan.probe_id, PathFamily.NAT64, prefix, target, round_index, tuple(hops)
+
+def _hops(layout: _Layout, round_index: int) -> Tuple[Hop, ...]:
+    return tuple(
+        Hop(h, addr, () if addr is None else _rtts(base, round_index))
+        for h, addr, base in layout
     )
 
 
@@ -485,19 +450,22 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
 
         if not plan.path_prefixes:
             continue
-        shapes = {
-            target: _draw_shape(rng, plan.cohort.anomaly == "ttl")
-            for target in SIM_TARGETS
-        }
+        # Shapes come from rng one per target, in target order, before any
+        # round: every seeded world's bytes depend on that order.
+        layouts = []
+        for target in SIM_TARGETS:
+            v4 = _v4_layout(plan, target, rng)
+            layouts.append((PathFamily.IPV4, None, target, v4))
+            layouts.extend(
+                (PathFamily.NAT64, prefix, target, _nat64_layout(plan, prefix, v4))
+                for prefix in plan.path_prefixes
+            )
         for round_index in range(SIM_ROUNDS):
-            for target in SIM_TARGETS:
-                dataset.paths.append(
-                    _v4_path(plan, target, round_index, shapes[target])
-                )
-                for prefix in plan.path_prefixes:
-                    dataset.paths.append(
-                        _nat64_path(plan, prefix, target, round_index, shapes[target])
-                    )
+            for family, prefix, target, layout in layouts:
+                dataset.paths.append(TraceroutePath(
+                    plan.probe_id, family, prefix, target, round_index,
+                    _hops(layout, round_index),
+                ))
         pair_count = SIM_ROUNDS * len(SIM_TARGETS) * len(plan.path_prefixes)
         if plan.cohort.icmp == "opaque":
             opaque_pairs += pair_count

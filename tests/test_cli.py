@@ -1,11 +1,15 @@
 import csv
+import hashlib
 import io
 import ipaddress
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nat64scope
 from nat64scope.acquire import live
 from nat64scope.acquire.dataset import Dataset, load_dataset, write_dataset
 from nat64scope.acquire.dnswire import DnsResponse, DnsStatus, answer_for
@@ -48,6 +52,31 @@ class TestSimulate:
         b = simulate(tmp_path, seed=9, name="b")
         for name in ("dataset.ndjson", "truth.json", "ip2as.tsv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_template_bytes_are_pinned(self, tmp_path):
+        # Any change to what the simulator writes for a given seed shows here,
+        # not only a difference between two runs of the same code.
+        out = simulate(tmp_path, seed=42)
+        digests = {
+            "dataset.ndjson": "45f598b89ed307b3f9dba630d35fa2d81864c0adf4eb15cff040270017c111ac",
+            "ip2as.tsv": "ce416de1ac39630a137c74a2bc2de4c18af8ea3b4fc0f2d78a8f538e838ac8fc",
+            "truth.json": "f04e55073f806ee2b8244d88948ba7e6aa47d50b46ad430e221912dabcf2d282",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_simulate_does_not_load_numpy(self, tmp_path):
+        code = (
+            "import sys; from nat64scope.cli import main; "
+            f"assert main(['simulate', '--out', {str(tmp_path / 'w')!r}]) == 0; "
+            "print('numpy' not in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(nat64scope.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "True"
 
     def test_custom_scenario_file(self, tmp_path):
         scenario = tmp_path / "tiny.txt"
@@ -245,6 +274,47 @@ class TestConfig:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"repeat": 0}))
         assert run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "x")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"ip2as": ["a"]},
+            {"public_prefixes": 1},
+            {"dns2_name": 7},
+            {"resolvers": [5]},
+            {"targets": 5},
+            {"repeat": True},
+        ],
+    )
+    def test_wrong_value_type_is_one_line_config_error(self, tmp_path, capsys, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("config error:") and next(iter(doc)) in err
+
+
+def test_zero_concurrency_flag_is_config_error(tmp_path):
+    # With a dataset given, nothing is measured even if the flag were accepted.
+    dataset = tmp_path / "empty.ndjson"
+    write_dataset(Dataset(), str(dataset))
+    code = run(
+        "detect", "--concurrency", "0", "--from-dataset", str(dataset), "--out", str(tmp_path / "x")
+    )
+    assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_naming_a_file_is_one_line_config_error(tmp_path, capsys, under):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    capsys.readouterr()
+    assert run("simulate", "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and str(out) in err
 
 
 class TestInputErrors:

@@ -230,6 +230,32 @@ def test_write_load_write_is_byte_identical_at_world_scale(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_addresses_with_one_integer_value_keep_their_own_text():
+    # A table keyed on the integer value would write one text for both.
+    v4, v6 = V4("0.0.0.1"), V6("::1")
+    assert int(v4) == int(v6) and v4 != v6
+    ds = Dataset()
+    ds.add_probe(ProbeRecord("p1", asn_v4=1, asn_v6=1, resolvers=(v6, v4)))
+    ds.paths.append(
+        TraceroutePath(
+            "p1", PathFamily.IPV4, None, V4("198.18.0.1"), 0,
+            hops=(Hop(1, v4, (1.0,)), Hop(2, v6, (2.0,)), Hop(3, v4, (3.0,))),
+        )
+    )
+    probe, path = (json.loads(line) for line in dataset_lines(ds)[1:])
+    assert probe["resolvers"] == ["::1", "0.0.0.1"]
+    assert [hop["address"] for hop in path["hops"]] == ["0.0.0.1", "::1", "0.0.0.1"]
+
+
+def test_encode_record_equals_the_written_line():
+    ds = sample_dataset()
+    lines = dataset_lines(ds)[1:]
+    records = [*ds.probes.values(), *ds.runs, *ds.paths]
+    assert len(lines) == len(records)
+    for line, record in zip(lines, records):
+        assert json.dumps(encode_record(record), sort_keys=True, separators=(",", ":")) == line
+
+
 # ------------------------------------------------ malformed input
 
 HEADER = '{"record":"header","schema":1,"capture_window":null}'

@@ -161,6 +161,25 @@ def _dataset_bytes(sim):
     return buf.getvalue()
 
 
+class TestLazyNames:
+    def test_lazy_names_import(self):
+        from nat64scope.simharness import Dns64Server, compare, embedded_address, oracle_stats
+        from nat64scope.simharness import mockdns, oracle
+
+        assert compare is oracle.compare
+        assert embedded_address is oracle.embedded_address
+        assert oracle_stats is oracle.oracle_stats
+        assert Dns64Server is mockdns.Dns64Server
+
+    def test_unknown_name_is_attribute_error(self):
+        import nat64scope.simharness as simharness
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            simharness.no_such_name
+        with pytest.raises(ImportError):
+            from nat64scope.simharness import no_such_name  # noqa: F401
+
+
 class TestGenerate:
     def test_same_seed_same_bytes(self):
         scenario = template()
