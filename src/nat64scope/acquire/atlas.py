@@ -19,7 +19,6 @@ from typing import (
     Callable,
     Collection,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,

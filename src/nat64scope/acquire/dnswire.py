@@ -139,9 +139,8 @@ class DnsResponse:
         return tuple(a.address for a in self.answers if a.address is not None)
 
 
-def build_query(qname: str, qtype: int, txid: int, recursion_desired: bool = True) -> bytes:
-    flags = _FLAG_RD if recursion_desired else 0
-    header = _HEADER.pack(txid, flags, 1, 0, 0, 0)
+def build_query(qname: str, qtype: int, txid: int) -> bytes:
+    header = _HEADER.pack(txid, _FLAG_RD, 1, 0, 0, 0)
     return header + encode_name(qname) + struct.pack("!HH", qtype, CLASS_IN)
 
 

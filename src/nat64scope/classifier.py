@@ -146,15 +146,11 @@ def group_runs_by_as(
     return grouped
 
 
-def detect_local_nat64(
-    paths: Sequence[TraceroutePath],
-    prefix: Nat64Prefix,
-    threshold_ms: float = LOCAL_NAT_RTT_MS,
-) -> bool:
+def detect_local_nat64(paths: Sequence[TraceroutePath], prefix: Nat64Prefix) -> bool:
     """True when the nearest translator hop answers like local equipment.
 
     Looks at the first translated hop of every path under ``prefix`` and
-    compares the minimum of the per-path median RTTs with the threshold.
+    compares the minimum of the per-path median RTTs with ``LOCAL_NAT_RTT_MS``.
     """
     best: Optional[float] = None
     for path in paths:
@@ -168,7 +164,7 @@ def detect_local_nat64(
             best = rtt
     if best is None:
         raise NoNatHopError(f"no timed translator hop under {prefix}")
-    return best < threshold_ms
+    return best < LOCAL_NAT_RTT_MS
 
 
 def categorize_probe(
@@ -178,19 +174,16 @@ def categorize_probe(
     evidence: Optional[IspDns64Evidence] = None,
     resolvers_used: Collection[IPAddress] = (),
     public_resolvers: Collection[IPAddress] = (),
-    uses_public_service: bool = False,
     nat_location: Optional[NatLocation] = None,
     ping_passed: bool = False,
     has_nat_hop: bool = False,
-    local_nat: Optional[bool] = None,
     home_annotation: bool = False,
 ) -> FrozenSet[ProbeCategory]:
     """Bucket one detected probe; buckets overlap except the unknown one.
 
-    ``local_nat`` (translator timing) is accepted and surfaced by reports
-    but never assigns the home bucket on its own: low RTT also matches
-    translators one rack away, so home setups stay an owner-confirmed
-    annotation (``home_annotation``).
+    Translator timing (``detect_local_nat64``) never assigns the home
+    bucket: low RTT also matches translators one rack away, so home setups
+    stay an owner-confirmed annotation (``home_annotation``).
     """
     if group not in (DetectionGroup.NAT64_PLUS_DNS64, DetectionGroup.NAT64_ONLY):
         return frozenset()
@@ -204,7 +197,7 @@ def categorize_probe(
     public = set(public_resolvers)
     if resolvers_used and all(r in public for r in resolvers_used):
         cats.add(ProbeCategory.PUBLIC_RESOLVER_ONLY)
-    if uses_public_service or flags.public_nat64_only:
+    if flags.public_nat64_only:
         cats.add(ProbeCategory.PUBLIC_SERVICE)
     if nat_location is NatLocation.REMOTE:
         cats.add(ProbeCategory.REMOTE_NAT64)

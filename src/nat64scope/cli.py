@@ -34,6 +34,8 @@ from .classifier import (
     load_as_categories,
 )
 from .detector import (
+    DEFAULT_DNS2_KNOWN_A,
+    DEFAULT_DNS2_NAME,
     DNS1_NAME,
     DetectionReport,
     STD_PING_TARGET_V4,
@@ -115,6 +117,8 @@ def load_config(path: Optional[str], concurrency_override: Optional[int] = None)
                 doc = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
@@ -137,7 +141,7 @@ def load_config(path: Optional[str], concurrency_override: Optional[int] = None)
             ipaddress.IPv4Address(t) for t in doc.get("targets", [str(STD_PING_TARGET_V4)])
         )
         dns2_answers = tuple(
-            ipaddress.IPv4Address(a) for a in doc.get("dns2_answers", ["132.163.96.3"])
+            ipaddress.IPv4Address(a) for a in doc.get("dns2_answers", DEFAULT_DNS2_KNOWN_A)
         )
     except ValueError as exc:
         raise ConfigError(f"bad IPv4 address in config: {exc}") from exc
@@ -155,7 +159,7 @@ def load_config(path: Optional[str], concurrency_override: Optional[int] = None)
 
     config = RunConfig(
         targets=targets,
-        dns2_name=doc.get("dns2_name", "time-c-b.nist.gov."),
+        dns2_name=doc.get("dns2_name", DEFAULT_DNS2_NAME),
         dns2_answers=dns2_answers,
         resolvers=tuple(doc.get("resolvers", [])),
         public_resolvers_path=doc.get("public_resolvers"),
@@ -477,7 +481,6 @@ def cmd_classify(args) -> int:
             nat_location=location,
             ping_passed=ping_passed,
             has_nat_hop=seen_nat_hop,
-            local_nat=local_nat,
             home_annotation="home-nat64" in record.tags,
         )
         names = sorted(c.value for c in categories)
@@ -704,6 +707,8 @@ def cmd_simulate(args) -> int:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read scenario: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"scenario {args.scenario} is not UTF-8 text: {exc}") from exc
     else:
         text = ACCEPTANCE_TEMPLATE
     try:

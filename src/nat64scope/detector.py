@@ -114,10 +114,9 @@ def eval_dns_test1(
     probe_id: str,
     timestamp: int,
     responses: Sequence[DnsResponse],
-    known_v4: Collection[ipaddress.IPv4Address] = DNS1_KNOWN_V4,
 ) -> TestRun:
     """Pass when any AAAA answer embeds one of the fixed well-known A records."""
-    return _eval_synthesis(probe_id, timestamp, TestKind.DNS_TEST1, responses, known_v4)
+    return _eval_synthesis(probe_id, timestamp, TestKind.DNS_TEST1, responses, DNS1_KNOWN_V4)
 
 
 def eval_dns_test2(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
@@ -240,7 +240,7 @@ def _validate_test_run(record: TestRun) -> list[str]:
     return problems
 
 
-def _validate_hop(hop: Hop, where: str = "") -> list[str]:
+def _validate_hop(hop: Hop, where: str) -> list[str]:
     problems = []
     if not _is_int(hop.index):
         problems.append(f"{where}hop index {hop.index!r} is not an integer")
@@ -280,37 +280,12 @@ def _validate_path(record: TraceroutePath) -> list[str]:
     return problems
 
 
-def _validate_pair(record: PathPair) -> list[str]:
-    problems = []
-    if record.ipv4.family is not PathFamily.IPV4:
-        problems.append("ipv4 member has wrong family")
-    if record.nat64.family is not PathFamily.NAT64:
-        problems.append("nat64 member has wrong family")
-    if record.ipv4.probe_id != record.nat64.probe_id:
-        problems.append("pair members disagree on probe_id")
-    if record.ipv4.target_v4 != record.nat64.target_v4:
-        problems.append("pair members disagree on target")
-    if record.ipv4.round_index != record.nat64.round_index:
-        problems.append("pair members disagree on round")
-    problems.extend(_validate_path(record.ipv4))
-    problems.extend(_validate_path(record.nat64))
-    return problems
-
-
 def validate(record: object) -> list[str]:
     """Return a list of contract violations; empty when well-formed."""
     if isinstance(record, ProbeRecord):
         return _validate_probe(record)
     if isinstance(record, TestRun):
         return _validate_test_run(record)
-    if isinstance(record, Hop):
-        return _validate_hop(record)
     if isinstance(record, TraceroutePath):
         return _validate_path(record)
-    if isinstance(record, PathPair):
-        return _validate_pair(record)
-    if isinstance(record, Verdict):
-        return ["supporting_runs must be positive"] if record.supporting_runs < 1 else []
-    if isinstance(record, Nat64Prefix):
-        return []  # constructor-enforced
     raise TypeError(f"no validation rules for {type(record).__name__}")

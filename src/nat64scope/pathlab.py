@@ -36,9 +36,11 @@ from .model import (
     TraceroutePath,
 )
 
+#: A target this few hops away on either side points at a TTL anomaly.
+MAX_IMPLAUSIBLE_LENGTH = 3
 
-class NoRunsError(ValueError):
-    """The first path has no bounded blocks of missing hops to match."""
+#: Width, in percentage points, of the missing-hop histogram's bins.
+HISTOGRAM_BIN_PCT = 5.0
 
 
 class CorrelationError(ValueError):
@@ -174,57 +176,9 @@ def has_nat_hop(path: TraceroutePath) -> bool:
     return first_nat_hop(path) is not None
 
 
-def _missing_runs(addresses: Sequence[object]) -> List[Tuple[object, int, object]]:
-    """Maximal blocks of silent hops bounded by responders on both sides."""
-    runs = []
-    i = 0
-    n = len(addresses)
-    while i < n:
-        if addresses[i] is None and i > 0 and addresses[i - 1] is not None:
-            j = i
-            while j < n and addresses[j] is None:
-                j += 1
-            if j < n:
-                runs.append((addresses[i - 1], j - i, addresses[j]))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
-def match_missing_runs(first: TraceroutePath, second: TraceroutePath) -> float:
-    """Fraction of the first path's bounded silent blocks found in the second.
-
-    A block matches when the second path contains, contiguously, the same
-    leading responder, the same number of silent hops, and the same
-    trailing responder. Raises NoRunsError when the first path has no
-    bounded blocks at all.
-    """
-    if first.probe_id != second.probe_id or first.target_v4 != second.target_v4:
-        raise ValueError("paths to compare must share probe and target")
-    seq1 = [hop.address for hop in first.hops]
-    seq2 = [hop.address for hop in second.hops]
-    runs = _missing_runs(seq1)
-    if not runs:
-        raise NoRunsError(f"{first.probe_id}: no bounded missing runs")
-    matched = 0
-    for before, count, after in runs:
-        window = count + 2
-        for start in range(len(seq2) - window + 1):
-            if (
-                seq2[start] == before
-                and seq2[start + window - 1] == after
-                and all(seq2[start + 1 + k] is None for k in range(count))
-            ):
-                matched += 1
-                break
-    return matched / len(runs)
-
-
 def filter_pairs(
     pairs: Sequence[PathPair],
     *,
-    expected_targets: Optional[Collection[str]] = None,
     final_round: Optional[int] = None,
 ) -> Tuple[List[PathPair], List[ExcludedPair]]:
     """Drop pairs that cannot be compared fairly; account for every drop.
@@ -233,19 +187,13 @@ def filter_pairs(
     trailing round, targets that never answered any traceroute, then
     translated paths that never crossed their translator.
     """
-    # Expected targets may be given as text, so coverage compares names;
-    # each distinct target object is named once.
-    names = {t: str(t) for t in {p.nat64.target_v4 for p in pairs}}
-    if expected_targets is None:
-        expected = set(names.values())
-    else:
-        expected = {str(t) for t in expected_targets}
-
-    # Round coverage per (probe, prefix): which targets were paired.
+    # Round coverage per (probe, prefix): which targets were paired. A
+    # round is complete when it paired every target seen in the input.
+    expected = {pair.nat64.target_v4 for pair in pairs}
     coverage: Dict[Tuple[str, Nat64Prefix, int], set] = {}
     for pair in pairs:
         key = (pair.nat64.probe_id, pair.nat64.prefix, pair.nat64.round_index)
-        coverage.setdefault(key, set()).add(names[pair.nat64.target_v4])
+        coverage.setdefault(key, set()).add(pair.nat64.target_v4)
 
     # A target is dead when no path in the whole input ever reached it.
     alive = set()
@@ -412,13 +360,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def flag_ttl_anomalies(
-    metrics: Sequence[Optional[PathMetrics]],
-    max_plausible: int = 3,
-) -> List[bool]:
+def flag_ttl_anomalies(metrics: Sequence[Optional[PathMetrics]]) -> List[bool]:
     """Mark pairs whose target appears implausibly close on either side."""
     return [
-        m is not None and min(m.v4_length, m.nat64_length) <= max_plausible
+        m is not None and min(m.v4_length, m.nat64_length) <= MAX_IMPLAUSIBLE_LENGTH
         for m in metrics
     ]
 
@@ -595,16 +540,16 @@ def aggregate_report(
 
 def missing_hop_histogram(
     metrics: Sequence[Optional[PathMetrics]],
-    bin_width: float = 5.0,
 ) -> List[Tuple[float, float, int, int]]:
     """(low, high, native count, translated count) rows over missing shares."""
-    n_bins = int(math.ceil(100.0 / bin_width))
+    n_bins = int(math.ceil(100.0 / HISTOGRAM_BIN_PCT))
     rows = [
-        [i * bin_width, min((i + 1) * bin_width, 100.0), 0, 0] for i in range(n_bins)
+        [i * HISTOGRAM_BIN_PCT, min((i + 1) * HISTOGRAM_BIN_PCT, 100.0), 0, 0]
+        for i in range(n_bins)
     ]
 
     def slot(pct: float) -> int:
-        return min(int(pct // bin_width), n_bins - 1)
+        return min(int(pct // HISTOGRAM_BIN_PCT), n_bins - 1)
 
     for m in metrics:
         if m is None:

@@ -34,33 +34,3 @@ def oracle_pearson(xs, ys) -> float:
     den = math.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
     return num / den
 
-
-def oracle_run_match(seq1, seq2) -> float:
-    """Brute-force missing-run matching over plain address lists.
-
-    A run is a maximal block of None entries in seq1 with responding
-    neighbours on both sides. It matches when the bracketed block appears
-    contiguously anywhere in seq2.
-    """
-    runs = []
-    i = 0
-    while i < len(seq1):
-        if seq1[i] is None and i > 0 and seq1[i - 1] is not None:
-            j = i
-            while j < len(seq1) and seq1[j] is None:
-                j += 1
-            if j < len(seq1):
-                runs.append(seq1[i - 1 : j + 1])
-            i = j
-        else:
-            i += 1
-    if not runs:
-        raise ValueError("no bounded missing runs")
-    matched = 0
-    for run in runs:
-        size = len(run)
-        for start in range(len(seq2) - size + 1):
-            if seq2[start : start + size] == run:
-                matched += 1
-                break
-    return matched / len(runs)

@@ -252,10 +252,6 @@ class TestCategorize:
         assert ProbeCategory.PUBLIC_RESOLVER_ONLY not in got
 
     def test_public_service(self):
-        got = categorize_probe(
-            DetectionGroup.NAT64_ONLY, NO_FLAGS, uses_public_service=True,
-        )
-        assert ProbeCategory.PUBLIC_SERVICE in got
         flag = DetectionFlags(False, False, False, True)
         got = categorize_probe(DetectionGroup.NAT64_PLUS_DNS64, flag)
         assert ProbeCategory.PUBLIC_SERVICE in got
@@ -289,12 +285,6 @@ class TestCategorize:
             DetectionGroup.NAT64_ONLY, NO_FLAGS, home_annotation=True,
         )
         assert ProbeCategory.HOME_SETUP in got
-        # Local timing alone never assigns the home bucket.
-        got = categorize_probe(
-            DetectionGroup.NAT64_ONLY, NO_FLAGS, local_nat=True,
-        )
-        assert ProbeCategory.HOME_SETUP not in got
-        assert got == frozenset({ProbeCategory.UNKNOWN})
 
     def test_unknown_only_when_empty(self):
         got = categorize_probe(DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS)
@@ -307,9 +297,9 @@ class TestCategorize:
     def test_buckets_overlap(self):
         evidence = IspDns64Evidence(64500, True, RESOLVER, ("p1", "p2"))
         got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS,
+            DetectionGroup.NAT64_PLUS_DNS64, DetectionFlags(public_nat64_only=True),
             evidence=evidence, resolvers_used=[RESOLVER],
-            nat_location=NatLocation.REMOTE, uses_public_service=True,
+            nat_location=NatLocation.REMOTE,
         )
         assert got >= {
             ProbeCategory.ISP_DNS64,

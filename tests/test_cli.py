@@ -14,7 +14,7 @@ from nat64scope.acquire import live
 from nat64scope.acquire.dataset import Dataset, load_dataset, write_dataset
 from nat64scope.acquire.dnswire import DnsResponse, DnsStatus, answer_for
 from nat64scope.addrsynth import synthesize
-from nat64scope.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_OK, main
+from nat64scope.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_config, main
 from nat64scope.detector import DNS1_NAME, STD_PING_TARGET_V4
 from nat64scope.model import Nat64Prefix, RawOutcome, STANDARD_PREFIX, TestKind
 
@@ -107,6 +107,51 @@ class TestSimulate:
         assert exc.value.code == EXIT_CONFIG
 
 
+class TestReportsArePinned:
+    """Every report file of the template world at seed 42, pinned by sha256.
+
+    Two runs agreeing shows determinism; only fixed digests show that a
+    refactor left every report byte as it was.
+    """
+
+    DIGESTS = {
+        "detect": {
+            "detection.json": "da029b9b8c61f90f337070b2e6015b7f416569a0f15085fd09d30fd0851ad2b8",
+            "groups.csv": "c9edfed221e90d2cede55edf60687864b3f113f70a352eba0af951358d85fae0",
+            "test_table.csv": "cf8a5024ac5c41a3b8a408ed54f19cb03291c6a5e36931909faac16bbb17792a",
+        },
+        "classify": {
+            "as_categories.csv": "21e53d33794f8cdb266d9831f07dbf2656439b7641394e68b22f5a600aaba6a6",
+            "categories.csv": "426be76be3491393f8b4d9be3d59ba80a4b99b0065626c5c08fb652c865ad457",
+            "classification.json": "afea76d47ebfc6cda09a2857a05a0179327c2840b38cd37b040eada48643e7b8",
+            "evidence.csv": "e7d5fd7635f75f4083cf2602238fca3a4ef5b00551d91f265000f13850f625a0",
+        },
+        "paths": {
+            "groups.csv": "d934a7a4af1687aff1f44d440ecf3e28f21c64c088f5a44c0cfc6b05aaad5d78",
+            "missing_hop_histogram.csv": "df3f6568f61c908c0dc41f147b517fdf994c89ae51635f5bc6330162300109e6",
+            "pairs.csv": "baecb3d30a0b0140da3f2c24a9dcece8829e212220909985ee3dab89032a9b08",
+            "per_prefix.csv": "dfb8b1b056fe84f698b71d770a8d619bf34b6f6383574e1a79a3cc09fcab6f42",
+            "per_target.csv": "c6f8925369e973b4cdfa0b4a0734fc00be5cdea38138b2e8517133c27056bdb6",
+            "summary.json": "17e33188db2c5a268bc80bcee7ec848e1cb8c4de194a5cc14bafe7fdae63dbc8",
+        },
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_report_bytes(self, tmp_path, command):
+        world = simulate(tmp_path, seed=42)
+        argv = [command, "--from-dataset", str(world / "dataset.ndjson")]
+        if command == "classify":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"ip2as": str(world / "ip2as.tsv")}))
+            argv += ["--config", str(config)]
+        out = tmp_path / command
+        assert run(*argv, "--out", str(out)) == EXIT_OK
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
+        }
+        assert digests == self.DIGESTS[command]
+
+
 class TestDetect:
     def test_offline_outputs(self, tmp_path):
         world = simulate(tmp_path)
@@ -197,6 +242,19 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "two independent witnesses" in err
 
+    def test_local_translator_recorded_per_probe(self, tmp_path):
+        # Translator timing is reported for every probe; in the template
+        # world only the home set-ups answer from a local translator.
+        world = simulate(tmp_path)
+        out = tmp_path / "cls"
+        assert run("classify", "--from-dataset", str(world / "dataset.ndjson"), "--out", str(out)) == EXIT_OK
+        probes = read_json(out / "classification.json")["probes"]
+        assert all("local_nat" in doc for doc in probes.values())
+        local = {p for p, doc in probes.items() if doc["local_nat"] is True}
+        truth = read_json(world / "truth.json")["probes"]
+        assert local == {p for p, doc in truth.items() if doc["home"]}
+        assert len(local) == 2
+
     def test_warns_without_ip2as(self, tmp_path, capsys):
         world = simulate(tmp_path)
         out = tmp_path / "cls"
@@ -250,6 +308,14 @@ class TestPaths:
 
 
 class TestConfig:
+    def test_dns_test2_defaults(self, tmp_path):
+        # With no dns2_* keys the NIST name and its published address apply.
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        for loaded in (load_config(None), load_config(str(config))):
+            assert loaded.dns2_name == "time-c-b.nist.gov."
+            assert loaded.dns2_answers == (ipaddress.IPv4Address("132.163.96.3"),)
+
     def test_unknown_key(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"resolver": ["8.8.8.8"]}))
@@ -294,6 +360,19 @@ class TestConfig:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("config error:") and next(iter(doc)) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--scenario"), ("detect", "--config"), ("atlas-spec", "--config")],
+    )
+    def test_non_utf8_file_is_one_line_config_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"count=1 \xff\n")
+        capsys.readouterr()
+        code = run(*argv, str(bad), "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("config error:") and str(bad) in err
 
 
 def test_zero_concurrency_flag_is_config_error(tmp_path):

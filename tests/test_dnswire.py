@@ -29,6 +29,12 @@ def test_query_round_trip():
     assert msg.answers == ()
 
 
+def test_query_asks_for_recursion_only():
+    wire = build_query("ipv4only.arpa.", TYPE_AAAA, txid=7)
+    # Header flags: RD set; QR, opcode, AA, TC, RA and rcode all clear.
+    assert wire[2:4] == b"\x01\x00"
+
+
 def test_response_round_trip():
     answers = [
         answer_for("ipv4only.arpa.", V6("64:ff9b::c000:aa")),

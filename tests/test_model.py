@@ -6,7 +6,6 @@ from nat64scope.model import (
     Hop,
     Nat64Prefix,
     PathFamily,
-    PathPair,
     PrefixKind,
     ProbeRecord,
     RawOutcome,
@@ -14,8 +13,6 @@ from nat64scope.model import (
     TestKind,
     TestRun,
     TraceroutePath,
-    Verdict,
-    VerdictValue,
     validate,
 )
 
@@ -129,16 +126,6 @@ class TestValidate:
     def test_ipv4_path_must_not_carry_prefix(self):
         bad = make_path(prefix=STANDARD_PREFIX)
         assert any("prefix" in p for p in validate(bad))
-
-    def test_pair_consistency(self):
-        v4 = make_path()
-        nat = make_path(family=PathFamily.NAT64, prefix=STANDARD_PREFIX, rnd=1)
-        problems = validate(PathPair(v4, nat))
-        assert any("round" in p for p in problems)
-
-    def test_verdict(self):
-        assert validate(Verdict(VerdictValue.PASSED, 3)) == []
-        assert validate(Verdict(VerdictValue.PASSED, 0)) != []
 
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):

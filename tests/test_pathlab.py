@@ -6,8 +6,6 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nat64scope.addrsynth import synthesize
 from nat64scope.model import (
@@ -24,7 +22,6 @@ from nat64scope.pathlab import (
     CorrelationError,
     FilterReason,
     NatLocation,
-    NoRunsError,
     PathMetrics,
     aggregate_report,
     attribute_nat64_as,
@@ -34,7 +31,6 @@ from nat64scope.pathlab import (
     flag_ttl_anomalies,
     has_nat_hop,
     locate_nat64,
-    match_missing_runs,
     missing_hop_histogram,
     missing_hop_pct,
     pair_paths,
@@ -44,7 +40,7 @@ from nat64scope.pathlab import (
 )
 from nat64scope.acquire.ip2as import Ip2AsTable
 
-from oracles import oracle_pearson, oracle_run_match
+from oracles import oracle_pearson
 
 CUSTOM = Nat64Prefix.from_cidr("2001:db8:64::/96")
 CUSTOM2 = Nat64Prefix.from_cidr("2001:db8:99::/96")
@@ -175,83 +171,6 @@ class TestPathPredicates:
         assert found is not None and found.index == 2
 
 
-def _path_from_addresses(addresses, probe="p1", target=TARGET):
-    hops = tuple(
-        hop(i + 1, a, 1.0) if a is not None else hop(i + 1, None)
-        for i, a in enumerate(addresses)
-    )
-    return TraceroutePath(probe, PathFamily.IPV4, None, target, 0, hops)
-
-
-class TestMissingRunMatching:
-    def test_identical_paths_match_fully(self):
-        addrs = ["192.0.2.1", None, None, "192.0.2.4", None, "192.0.2.6"]
-        a = _path_from_addresses(addrs)
-        b = _path_from_addresses(addrs)
-        assert match_missing_runs(a, b) == 1.0
-
-    def test_shifted_runs_still_match(self):
-        a = _path_from_addresses(["192.0.2.1", None, "192.0.2.3"])
-        b = _path_from_addresses(["192.0.2.9", "192.0.2.1", None, "192.0.2.3"])
-        assert match_missing_runs(a, b) == 1.0
-
-    def test_run_length_must_agree(self):
-        a = _path_from_addresses(["192.0.2.1", None, "192.0.2.3"])
-        b = _path_from_addresses(["192.0.2.1", None, None, "192.0.2.3"])
-        assert match_missing_runs(a, b) == 0.0
-
-    def test_leading_and_trailing_silence_is_unbounded(self):
-        a = _path_from_addresses([None, "192.0.2.2", None, "192.0.2.4", None])
-        b = _path_from_addresses(["192.0.2.2", None, "192.0.2.4"])
-        # Only the middle block counts and it matches.
-        assert match_missing_runs(a, b) == 1.0
-
-    def test_no_runs_raises(self):
-        a = _path_from_addresses(["192.0.2.1", "192.0.2.2"])
-        b = _path_from_addresses(["192.0.2.1", "192.0.2.2"])
-        with pytest.raises(NoRunsError):
-            match_missing_runs(a, b)
-
-    def test_mismatched_paths_rejected(self):
-        a = _path_from_addresses(["192.0.2.1", None, "192.0.2.3"], probe="p1")
-        b = _path_from_addresses(["192.0.2.1", None, "192.0.2.3"], probe="p2")
-        with pytest.raises(ValueError):
-            match_missing_runs(a, b)
-
-    def test_partial_fraction(self):
-        a = _path_from_addresses(
-            ["192.0.2.1", None, "192.0.2.3", None, None, "192.0.2.6"]
-        )
-        b = _path_from_addresses(["192.0.2.1", None, "192.0.2.3", "192.0.2.6"])
-        assert match_missing_runs(a, b) == 0.5
-
-    @given(
-        st.lists(
-            st.sampled_from(["192.0.2.1", "192.0.2.2", "192.0.2.3", None]),
-            min_size=1,
-            max_size=12,
-        ),
-        st.lists(
-            st.sampled_from(["192.0.2.1", "192.0.2.2", "192.0.2.3", None]),
-            min_size=1,
-            max_size=12,
-        ),
-    )
-    @settings(max_examples=300)
-    def test_agrees_with_brute_force_oracle(self, seq1, seq2):
-        a = _path_from_addresses(seq1)
-        b = _path_from_addresses(seq2)
-        o1 = [None if x is None else ipaddress.ip_address(x) for x in seq1]
-        o2 = [None if x is None else ipaddress.ip_address(x) for x in seq2]
-        try:
-            expected = oracle_run_match(o1, o2)
-        except ValueError:
-            with pytest.raises(NoRunsError):
-                match_missing_runs(a, b)
-        else:
-            assert match_missing_runs(a, b) == expected
-
-
 def _pair(probe="p1", target=TARGET, rnd=0, prefix=CUSTOM, *, nat_hop=True,
           v4_reach=True, nat_reach=True):
     v4 = v4_path(["192.0.2.1"], probe=probe, target=target, rnd=rnd, reach=v4_reach)
@@ -328,15 +247,21 @@ class TestFiltering:
         _, excluded = filter_pairs(pairs)
         assert [e.reason for e in excluded] == [FilterReason.INCOMPLETE_ROUND.value]
 
-    def test_expected_targets_widen_coverage(self):
-        # With an explicit expectation of both targets, a round covering
-        # one of them is incomplete even though the other never appears.
-        pairs = [_pair(target=TARGET)]
-        kept, excluded = filter_pairs(
-            pairs, expected_targets=[str(TARGET), str(TARGET2)]
-        )
-        assert not kept
-        assert [e.reason for e in excluded] == [FilterReason.INCOMPLETE_ROUND.value]
+    def test_target_first_seen_in_a_later_round_makes_earlier_rounds_incomplete(self):
+        # A round is measured against every target in the input, not only
+        # the targets that round happened to pair.
+        pairs = [
+            _pair(target=TARGET, rnd=0),
+            _pair(target=TARGET, rnd=1),
+            _pair(target=TARGET2, rnd=1),
+        ]
+        kept, excluded = filter_pairs(pairs)
+        assert [(p.nat64.round_index, p.nat64.target_v4) for p in kept] == [
+            (1, TARGET), (1, TARGET2),
+        ]
+        assert [(e.pair.nat64.round_index, e.reason) for e in excluded] == [
+            (0, FilterReason.INCOMPLETE_ROUND.value),
+        ]
 
 
 AS_TABLE = Ip2AsTable.from_pairs(
@@ -650,9 +575,12 @@ class TestHistogram:
         assert rows[-1][2] == 1
         assert rows[0][3] == 1
 
-    def test_custom_bin_width(self):
-        rows = missing_hop_histogram([], bin_width=30.0)
-        assert [r[:2] for r in rows] == [(0.0, 30.0), (30.0, 60.0), (60.0, 90.0), (90.0, 100.0)]
+    def test_bins_are_five_points_wide_and_closed_below(self):
+        m = PathMetrics(4, 6, 1.0, 2.0, v4_missing_pct=5.0, nat64_missing_pct=4.99)
+        rows = missing_hop_histogram([m])
+        assert all(high - low == 5.0 for low, high, _, _ in rows)
+        assert rows[0][2:] == (0, 1)
+        assert rows[1][2:] == (1, 0)
 
 
 class TestComputeMetrics:
@@ -733,9 +661,8 @@ class TestGroupingAgainstBruteForce:
         return pairs
 
     @staticmethod
-    def _reference_filter(pairs, expected=None, final_round=None):
-        if expected is None:
-            expected = {str(p.nat64.target_v4) for p in pairs}
+    def _reference_filter(pairs, final_round=None):
+        expected = {str(p.nat64.target_v4) for p in pairs}
         kept, excluded = [], []
         for pair in pairs:
             nat = pair.nat64
@@ -751,7 +678,7 @@ class TestGroupingAgainstBruteForce:
                 and (success(q.ipv4) or success(q.nat64))
                 for q in pairs
             )
-            if covered != set(expected):
+            if covered != expected:
                 reason = FilterReason.INCOMPLETE_ROUND
             elif final_round is not None and nat.round_index == final_round:
                 reason = FilterReason.TRAILING_ROUND
@@ -789,17 +716,9 @@ class TestGroupingAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(4))
     def test_filter_pairs_matches_reference(self, seed):
         pairs = self._world(seed)
-        names = [str(t) for t in self.TARGETS]
-        for kwargs, expected in (
-            ({}, None),
-            ({"final_round": 2}, None),
-            ({"expected_targets": self.TARGETS}, names),
-            ({"expected_targets": names[:2]}, names[:2]),
-        ):
-            kept, excluded = filter_pairs(pairs, **kwargs)
-            ref_kept, ref_excluded = self._reference_filter(
-                pairs, expected, kwargs.get("final_round")
-            )
+        for final_round in (None, 2):
+            kept, excluded = filter_pairs(pairs, final_round=final_round)
+            ref_kept, ref_excluded = self._reference_filter(pairs, final_round)
             assert kept == ref_kept
             assert [(e.pair, e.reason) for e in excluded] == ref_excluded
         reasons = {reason for _, reason in self._reference_filter(pairs)[1]}

@@ -84,12 +84,28 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="cell 3: 257 probes"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "text", ["cell=3 count=65", "cell=3 count=65\ncell=4 count=1 resolver=plain nat=none"]
+    )
+    def test_cell_past_64_probes_would_alias_a_neighbour(self, text):
+        # The 65th probe of cell 3 would get the /64 of cell 4's first probe.
+        with pytest.raises(ScenarioError, match="cell 3: 65 probes"):
+            parse_scenario(text)
+
     def test_largest_cell_number_still_builds(self):
         sim = generate(parse_scenario("cell=255 count=64"), 1)
         assert len(sim.dataset.probes) == 64
         first_hops = {path.hops[0].address for path in sim.dataset.paths
                       if path.family is PathFamily.IPV4}
         assert len(first_hops) == 64
+
+    def test_full_cell_keeps_clear_of_the_next_cell(self):
+        sim = generate(parse_scenario("cell=3 count=64\ncell=4 count=1 resolver=plain nat=none"), 1)
+        probes = sim.dataset.probes.values()
+        assert len({p.network_prefix_v6 for p in probes}) == 65
+        for probe in probes:
+            assert sim.ip2as.lookup(probe.network_prefix_v6.network_address) == probe.asn_v6
+        assert {p.asn_v6 for p in probes} == {65003, 65004}
 
     def test_nprefixes_needs_pool(self):
         with pytest.raises(ScenarioError, match="prefix pool"):
