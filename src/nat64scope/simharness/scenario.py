@@ -82,11 +82,12 @@ _CHOICES = {
 }
 _INTS = ("count", "cell", "nprefixes")
 
-# The generator writes the cell into an IPv4 octet (a probe's first hop is
-# 10.cell.place.254), so it cannot pass 255, and numbers a probe's /64 as
-# 0x1000 + cell*64 + place, so a cell past 64 probes takes a neighbour's.
+# The generator writes the cell and a probe's place in it into IPv4
+# octets (its first hop is 10.cell.place.254), so neither can pass 255.
+# It numbers a probe's /64 as 0x1000 + cell*64 + place, so past 64 probes
+# a cell's /64s run into the next cell's (ROADMAP item 1).
 MAX_CELL = 255
-MAX_PROBES_PER_CELL = 64
+MAX_PROBES_PER_CELL = 256
 
 
 def _parse_cohort(line: str, lineno: int) -> Cohort:

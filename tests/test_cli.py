@@ -1,11 +1,13 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import ipaddress
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +152,19 @@ class TestReportsArePinned:
             path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
         }
         assert digests == self.DIGESTS[command]
+
+
+def test_every_benchmark_trace_point_names_a_program_function():
+    # perfbench/tracing.py wraps program functions by module and name, so a
+    # rename or deletion here would silently drop a layer from traced runs.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        pass
+    assert tracer.missing == set()
 
 
 class TestDetect:

@@ -84,14 +84,6 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="cell 3: 257 probes"):
             parse_scenario(text)
 
-    @pytest.mark.parametrize(
-        "text", ["cell=3 count=65", "cell=3 count=65\ncell=4 count=1 resolver=plain nat=none"]
-    )
-    def test_cell_past_64_probes_would_alias_a_neighbour(self, text):
-        # The 65th probe of cell 3 would get the /64 of cell 4's first probe.
-        with pytest.raises(ScenarioError, match="cell 3: 65 probes"):
-            parse_scenario(text)
-
     def test_largest_cell_number_still_builds(self):
         sim = generate(parse_scenario("cell=255 count=64"), 1)
         assert len(sim.dataset.probes) == 64
