@@ -7,9 +7,11 @@ cross-checks that runs and paths reference known probes.
 
 from __future__ import annotations
 
+import gc
 import ipaddress
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..model import (
@@ -27,6 +29,12 @@ from ..model import (
 )
 
 SCHEMA_VERSION = 1
+
+# One stateless decoder and encoder serve every line. A stripped line
+# needs only the scanner, not ``json.loads``'s type and whitespace checks;
+# ``json.dumps`` would build a new encoder for each record.
+_scan_line = json.JSONDecoder().raw_decode
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class DatasetError(ValueError):
@@ -139,9 +147,25 @@ _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an obj
 
 def _need(value, kind: type, what: str):
     """Return ``value`` when it has the JSON type the codec needs."""
+    if type(value) is kind:
+        return value
     if not isinstance(value, kind) or isinstance(value, bool):
         raise DatasetError([f"{what} must be {_TYPE_NAMES[kind]}"])
     return value
+
+
+_MEMBERS = {enum: {m.value: m for m in enum} for enum in (TestKind, RawOutcome, PathFamily)}
+
+
+def _member(enum: type, value):
+    """``enum(value)`` through a value table; a miss raises the enum's error."""
+    member = _MEMBERS[enum].get(value) if type(value) is str else None
+    return enum(value) if member is None else member
+
+
+#: ``Hop(index, address, rtts_ms)`` from one tuple, without the Python-level
+#: ``__new__`` that named tuples add; about half the cost per hop.
+_new_hop = partial(tuple.__new__, Hop)
 
 
 class _Decoder:
@@ -172,6 +196,14 @@ class _Decoder:
     def prefix(self, doc) -> Optional[Nat64Prefix]:
         if doc is None:
             return None
+        # A table hit only on exact types: 96.0 matches the key of 96 but
+        # must still fail the checks below.
+        if type(doc) is dict:
+            base, length, kind = doc.get("base"), doc.get("length"), doc.get("kind")
+            if type(base) is str and type(length) is int and type(kind) is str:
+                prefix = self._prefixes.get((base, length, kind))
+                if prefix is not None:
+                    return prefix
         _need(doc, dict, "prefix")
         key = (
             _need(doc["base"], str, "prefix base"),
@@ -187,13 +219,24 @@ class _Decoder:
         return prefix
 
     def hops(self, docs) -> Tuple[Hop, ...]:
+        # The hot loop of a load: exact-type tests inline, and ``_need`` or
+        # ``self.address`` only where one fails, to raise their message.
+        addresses = self._addresses
         hops = []
         for doc in _need(docs, list, "hops"):
-            address = _need(doc, dict, "hop")["address"]
-            if address is not None:
-                address = self.address(address, "hop address")
-            rtts = tuple(_need(doc["rtts_ms"], list, "rtts_ms"))
-            hops.append(Hop(doc["index"], address, rtts))
+            if type(doc) is not dict:
+                _need(doc, dict, "hop")
+            text = doc["address"]
+            if text is None:
+                address = None
+            else:
+                address = addresses.get(text) if type(text) is str else None
+                if address is None:
+                    address = self.address(text, "hop address")
+            rtts = doc["rtts_ms"]
+            if type(rtts) is not list:
+                _need(rtts, list, "rtts_ms")
+            hops.append(_new_hop((doc["index"], address, tuple(rtts))))
         return tuple(hops)
 
     def decode(self, doc) -> object:
@@ -215,25 +258,27 @@ class _Decoder:
                     else ipaddress.IPv6Network(_need(network, str, "network_prefix_v6"))
                 ),
             )
+        # Runs and paths are most of a file: their fields go by position,
+        # which costs less than by keyword, in the order the classes list.
         if kind == "test_run":
             used = doc["resolver_used"]
             return TestRun(
-                probe_id=_need(doc["probe_id"], str, "probe_id"),
-                test_kind=TestKind(doc["test_kind"]),
-                timestamp=doc["timestamp"],
-                raw_outcome=RawOutcome(doc["raw_outcome"]),
-                observed_prefix=self.prefix(doc["observed_prefix"]),
-                resolver_used=None if used is None else self.address(used, "resolver_used"),
-                diagnostic=doc.get("diagnostic"),
+                _need(doc["probe_id"], str, "probe_id"),
+                _member(TestKind, doc["test_kind"]),
+                doc["timestamp"],
+                _member(RawOutcome, doc["raw_outcome"]),
+                self.prefix(doc["observed_prefix"]),
+                None if used is None else self.address(used, "resolver_used"),
+                doc.get("diagnostic"),
             )
         if kind == "traceroute":
             return TraceroutePath(
-                probe_id=_need(doc["probe_id"], str, "probe_id"),
-                family=PathFamily(doc["family"]),
-                prefix=self.prefix(doc["prefix"]),
-                target_v4=self.target(doc["target_v4"]),
-                round_index=doc["round"],
-                hops=self.hops(doc["hops"]),
+                _need(doc["probe_id"], str, "probe_id"),
+                _member(PathFamily, doc["family"]),
+                self.prefix(doc["prefix"]),
+                self.target(doc["target_v4"]),
+                doc["round"],
+                self.hops(doc["hops"]),
             )
         raise DatasetError([f"unknown record kind {kind!r}"])
 
@@ -244,10 +289,6 @@ def decode_record(doc: dict) -> object:
     A malformed document raises DatasetError, KeyError or ValueError.
     """
     return _Decoder().decode(doc)
-
-
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
@@ -271,7 +312,22 @@ def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
 
 
 def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
-    """Parse and validate; raises DatasetError naming every offender found."""
+    """Parse and validate; raises DatasetError naming every offender found.
+
+    The cyclic collector is paused meanwhile: a load allocates many small
+    containers, none of them in reference cycles, and the collector would
+    otherwise scan them again and again as they pile up.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(source)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
     own = isinstance(source, str)
     # Undecodable bytes survive reading and are reported per line below.
     handle = (
@@ -311,7 +367,15 @@ def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
                 problems.append(f"line {lineno}: not ASCII")
                 continue
             try:
-                record = decoder.decode(json.loads(line))
+                try:
+                    doc, end = _scan_line(line)
+                except (ValueError, TypeError, RecursionError):
+                    end = -1
+                if end != len(line):
+                    # Trailing data, a failed scan or a line that is not a
+                    # str: ``json.loads`` decodes it or raises its own error.
+                    doc = json.loads(line)
+                record = decoder.decode(doc)
             except DatasetError as exc:
                 problems.extend(f"line {lineno}: {problem}" for problem in exc.problems)
                 continue

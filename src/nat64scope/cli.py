@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -309,6 +308,8 @@ def _system_resolvers() -> Tuple[str, ...]:
 
 
 def _acquire_live(config: RunConfig) -> Dataset:
+    from concurrent.futures import ThreadPoolExecutor
+
     from .acquire import live  # sockets; imported only when measuring
 
     resolver_strs = config.resolvers or _system_resolvers()

@@ -86,8 +86,11 @@ _INTS = ("count", "cell", "nprefixes")
 # octets (its first hop is 10.cell.place.254), so neither can pass 255.
 # It numbers a probe's /64 as 0x1000 + cell*64 + place, so past 64 probes
 # a cell's /64s run into the next cell's (ROADMAP item 1).
+# A pool prefix writes its number in decimal into one 16-bit group
+# (2001:db8:<cell>:<number>::), so the number cannot pass four digits.
 MAX_CELL = 255
 MAX_PROBES_PER_CELL = 256
+MAX_NPREFIXES = 9999
 
 
 def _parse_cohort(line: str, lineno: int) -> Cohort:
@@ -119,8 +122,8 @@ def _parse_cohort(line: str, lineno: int) -> Cohort:
         raise ScenarioError(f"line {lineno}: count must be at least 1")
     if not 0 <= cohort.cell <= MAX_CELL:
         raise ScenarioError(f"line {lineno}: cell must be between 0 and {MAX_CELL}")
-    if cohort.nprefixes < 1:
-        raise ScenarioError(f"line {lineno}: nprefixes must be at least 1")
+    if not 1 <= cohort.nprefixes <= MAX_NPREFIXES:
+        raise ScenarioError(f"line {lineno}: nprefixes must be between 1 and {MAX_NPREFIXES}")
     if cohort.nprefixes > 1 and cohort.prefix not in ("custom", "both"):
         raise ScenarioError(
             f"line {lineno}: nprefixes only makes sense with an operator prefix pool"

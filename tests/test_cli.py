@@ -96,7 +96,14 @@ class TestSimulate:
     def test_missing_scenario_is_config_error(self, tmp_path):
         assert run("simulate", "--scenario", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "x")) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("line", ["cell=256 count=1", "cell=3 count=257"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "cell=256 count=1",
+            "cell=3 count=257",
+            "cell=1 count=1 nprefixes=10000 prefix=custom resolver=dns64",
+        ],
+    )
     def test_unbuildable_cell_is_config_error(self, tmp_path, line):
         scenario = tmp_path / "big.txt"
         scenario.write_text(line + "\n")

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import io
 import ipaddress
 import json
@@ -311,6 +313,130 @@ def test_other_lines_still_checked_after_a_wrong_type():
         "line 4: timestamp must be an integer",
         "line 5: timestamp is negative",
     ]
+
+
+# ------------------------------------------------ fast-path boundaries
+#
+# Loading checks clean lines on exact-type fast paths and hands anything
+# irregular to the general checks. Each case pins the problems the
+# general checks give, so a fast path that lets a line through, or words
+# it differently, fails here.
+
+NAT = (
+    '{"record":"traceroute","probe_id":"p1","family":"nat64",'
+    '"prefix":{"base":"64:ff9b::","length":%s,"kind":"standard"},'
+    '"target_v4":"192.0.2.1","round":0,"hops":[]}'
+)
+
+
+def hops(*entries):
+    """A traceroute line whose hops are (index, address, rtts) JSON texts."""
+    docs = ['{"index":%s,"address":%s,"rtts_ms":%s}' % entry for entry in entries]
+    return PATH % ("[" + ",".join(docs) + "]")
+
+
+ADDR = '"192.0.2.1"'
+
+
+@pytest.mark.parametrize(
+    "lines, problems",
+    [
+        ([hops(("true", ADDR, "[1.0]"))], ["line 3: p1: hop index True is not an integer"]),
+        (
+            [hops(("0", ADDR, "[1.0]"))],
+            [
+                "line 3: hop indices not contiguous at position 1",
+                "line 3: p1: hop index 0 is below 1",
+            ],
+        ),
+        (
+            [hops(("1", ADDR, "[1.0]"), ("3", ADDR, "[2.0]"))],
+            ["line 3: hop indices not contiguous at position 2"],
+        ),
+        (
+            [hops(("1", ADDR, "[1.0]"), ("2", "null", "[]"), ("4", ADDR, "[1.0]"))],
+            ["line 3: hop indices not contiguous at position 3"],
+        ),
+        ([hops(("1", ADDR, "[-1.0]"))], ["line 3: p1: hop 1 has invalid RTT -1.0"]),
+        ([hops(("1", ADDR, "[NaN]"))], ["line 3: p1: hop 1 has invalid RTT nan"]),
+        ([hops(("1", "null", "[1.0]"))], ["line 3: p1: silent hop 1 carries RTTs"]),
+        ([hops(("1", ADDR, '"1.0"'))], ["line 3: rtts_ms must be a list"]),
+        ([PATH % '[{"index":1,"address":null,"rtts_ms":[]},[]]'], ["line 3: hop must be an object"]),
+        (
+            [hops(("true", "null", "[1.0]"), ("2", ADDR, '[-1.0,"x"]'))],
+            [
+                "line 3: p1: hop index True is not an integer",
+                "line 3: p1: silent hop True carries RTTs",
+                "line 3: p1: hop 2 has invalid RTT -1.0",
+                "line 3: p1: hop 2 has invalid RTT 'x'",
+            ],
+        ),
+        (
+            [hops(("1", ADDR, "[1.0]")), hops(("1", "[" + ADDR + "]", "[1.0]"))],
+            ["line 4: hop address must be a string"],
+        ),
+        ([PATH.replace('"ipv4"', '"ipv6"') % "[]"], ["line 3: 'ipv6' is not a valid PathFamily"]),
+        (
+            [PATH.replace('"ipv4"', '["ipv4"]') % "[]"],
+            ["line 3: ['ipv4'] is not a valid PathFamily"],
+        ),
+        (
+            [(RUN % "5").replace('"dns_test1"', '"dns_test3"')],
+            ["line 3: 'dns_test3' is not a valid TestKind"],
+        ),
+        (
+            [(RUN % "5").replace('"dns_test1"', '["dns_test1"]')],
+            ["line 3: ['dns_test1'] is not a valid TestKind"],
+        ),
+        ([(RUN % "5").replace('"fail"', '"maybe"')], ["line 3: 'maybe' is not a valid RawOutcome"]),
+        (
+            [(RUN % "5").replace('"fail"', '["fail"]')],
+            ["line 3: ['fail'] is not a valid RawOutcome"],
+        ),
+        ([NAT % "true"], ["line 3: prefix length must be an integer"]),
+        ([NAT % "96", NAT % "true"], ["line 4: prefix length must be an integer"]),
+        ([NAT % "96", NAT % "96.0"], ["line 4: prefix length must be an integer"]),
+    ],
+)
+def test_irregular_values_get_the_general_checks_messages(lines, problems):
+    with pytest.raises(DatasetError) as info:
+        load_dataset([HEADER, PROBE, *lines])
+    assert info.value.problems == problems
+
+
+def test_integer_rtt_and_cached_prefix_still_load():
+    loaded = load_dataset([HEADER, PROBE, hops(("1", ADDR, "[1]")), NAT % "96", NAT % "96"])
+    assert loaded.paths[0].hops == (Hop(1, V4("192.0.2.1"), (1,)),)
+    assert loaded.paths[1].prefix is loaded.paths[2].prefix is not None
+
+
+@pytest.mark.parametrize(
+    "lines, bad",
+    [
+        ([HEADER, PROBE + "x"], 2),
+        ([HEADER, PROBE, "["], 3),
+        ([HEADER, PROBE, "\ufeff" + PROBE], 3),
+    ],
+)
+def test_unparsable_lines_report_the_json_error(lines, bad):
+    with pytest.raises(ValueError) as expected:
+        json.loads(lines[bad - 1])
+    with pytest.raises(DatasetError) as info:
+        load_dataset(lines)
+    assert info.value.problems == [f"line {bad}: {expected.value}"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("lines", [[HEADER, PROBE], [HEADER, PROBE, "["]])
+def test_load_leaves_the_collector_as_it_found_it(enabled, lines):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(DatasetError):
+            load_dataset(lines)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_non_ascii_bytes_in_a_file_are_reported(tmp_path):

@@ -61,6 +61,13 @@ class TestNat64Prefix:
         assert str(STANDARD_PREFIX) == "64:ff9b::/96"
 
 
+def test_hop_is_a_named_tuple():
+    hop = Hop(2, None)
+    assert hop == (2, None, ()) and hash(hop) == hash((2, None, ()))
+    assert not hop.responded and Hop(1, V4("10.0.0.1")).responded
+    assert hop._replace(index=3).index == 3
+
+
 class TestValidate:
     def test_well_formed_probe(self):
         rec = ProbeRecord(
@@ -114,6 +121,17 @@ class TestValidate:
         assert validate(ok) == []
         broken = make_path(hops=(Hop(1, V4("10.0.0.1"), (1.0,)), Hop(3, None)))
         assert any("contiguous" in p for p in validate(broken))
+
+    def test_hop_checks_take_exact_types(self):
+        addr = V4("10.0.0.1")
+        assert validate(make_path(hops=(Hop(1, addr, (1, 2.5)),))) == []
+        assert validate(make_path(hops=(Hop(True, addr, (1.0,)),))) == [
+            "p1: hop index True is not an integer"
+        ]
+        assert validate(make_path(hops=(Hop(1, addr, (True, 1e308 * 10)),))) == [
+            "p1: hop 1 has invalid RTT True",
+            "p1: hop 1 has invalid RTT inf",
+        ]
 
     def test_silent_hop_with_rtts_flagged(self):
         bad = make_path(hops=(Hop(1, None, (1.0,)),))

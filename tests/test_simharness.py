@@ -99,6 +99,16 @@ class TestScenarioParsing:
             assert sim.ip2as.lookup(probe.network_prefix_v6.network_address) == probe.asn_v6
         assert {p.asn_v6 for p in probes} == {65003, 65004}
 
+    def test_largest_prefix_pool_parses(self):
+        # Parse only: building 9999 prefixes is not needed to check the limit.
+        cohort = parse_scenario("count=1 prefix=custom nprefixes=9999").cohorts[0]
+        assert cohort.nprefixes == 9999
+
+    @pytest.mark.parametrize("count", [0, 10000])
+    def test_prefix_pool_out_of_range(self, count):
+        with pytest.raises(ScenarioError, match="nprefixes must be between 1 and 9999"):
+            parse_scenario(f"count=1 prefix=custom nprefixes={count}")
+
     def test_nprefixes_needs_pool(self):
         with pytest.raises(ScenarioError, match="prefix pool"):
             parse_scenario("count=1 prefix=standard nprefixes=2")
