@@ -30,14 +30,22 @@ from typing import (
 import requests
 
 from ..addrsynth import extract_ipv4, matches_prefix, synthesize
-from ..model import Hop, Nat64Prefix, PathFamily, TestKind, TestRun, TraceroutePath
-from ..model import RawOutcome
+from ..detector import eval_ping_test
+from ..model import Hop, IPAddress, Nat64Prefix, PathFamily, TestRun, TraceroutePath
+from ..pathlab import trace_destination
 from .dnswire import DnsResponse, DnsStatus, MalformedDns, parse_message
-
-IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 ATLAS_API = "https://atlas.ripe.net/api/v2"
 API_KEY_ENV = "NAT64SCOPE_ATLAS_KEY"
+
+#: Extra attempts per page after the first, and the first wait between
+#: attempts; each further wait doubles.
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
+
+#: Packets per ping and per traceroute hop, and the Paris traceroute variant.
+PACKETS = 3
+PARIS = 16
 
 
 class AtlasError(RuntimeError):
@@ -56,22 +64,20 @@ def atlas_fetch(
     measurement_id: int,
     out_path: str,
     *,
-    api_key: Optional[str] = None,
     base_url: str = ATLAS_API,
     session: Optional[requests.Session] = None,
-    max_retries: int = 3,
-    backoff_s: float = 0.5,
     timeout_s: float = 30.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> int:
     """Stream all result pages for a measurement to ``out_path`` verbatim.
 
     Each page is validated as JSON before its raw bytes are appended, so a
-    truncated transfer is retried (up to ``max_retries`` extra attempts
-    with doubling backoff) instead of corrupting the file. Returns the
-    number of result documents persisted.
+    truncated transfer is retried (up to ``MAX_RETRIES`` extra attempts
+    with doubling backoff) instead of corrupting the file. The API key, if
+    any, comes from the ``NAT64SCOPE_ATLAS_KEY`` environment variable.
+    Returns the number of result documents persisted.
     """
-    key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+    key = os.environ.get(API_KEY_ENV)
     headers = {"Authorization": f"Key {key}"} if key else {}
     http = session if session is not None else requests.Session()
     url: Optional[str] = f"{base_url}/measurements/{measurement_id}/results/?format=json"
@@ -81,7 +87,7 @@ def atlas_fetch(
             body: Optional[bytes] = None
             parsed = None
             failure: Optional[str] = None
-            for attempt in range(max_retries + 1):
+            for attempt in range(MAX_RETRIES + 1):
                 try:
                     reply = http.get(url, headers=headers, timeout=timeout_s)
                 except requests.RequestException as exc:
@@ -99,8 +105,8 @@ def atlas_fetch(
                         else:
                             body = reply.content
                             break
-                if attempt < max_retries:
-                    sleep(backoff_s * (2**attempt))
+                if attempt < MAX_RETRIES:
+                    sleep(BACKOFF_S * (2**attempt))
             if body is None:
                 raise AtlasError(f"giving up on {url}: {failure}")
             sink.write(body)
@@ -165,17 +171,8 @@ class PingObservation:
     def to_test_run(self) -> TestRun:
         if self.prefix is None:
             raise SchemaViolation("ping without a translation prefix has no test kind")
-        kind = TestKind.ping_for(self.prefix)
-        if self.rtts_ms:
-            return TestRun(
-                self.probe_id, kind, self.timestamp, RawOutcome.PASS,
-                observed_prefix=self.prefix,
-            )
-        return TestRun(
-            self.probe_id, kind, self.timestamp, RawOutcome.FAIL,
-            observed_prefix=self.prefix,
-            diagnostic=f"0 of {self.sent} replies",
-        )
+        lost = (None,) * (self.sent - len(self.rtts_ms))
+        return eval_ping_test(self.probe_id, self.timestamp, self.prefix, self.rtts_ms + lost)
 
 
 ParsedAtlas = Union[TraceroutePath, PingObservation, Tuple[DnsObservation, ...]]
@@ -333,7 +330,7 @@ def unparse_atlas(parsed: ParsedAtlas, timestamp: Optional[int] = None) -> dict:
     if isinstance(parsed, TraceroutePath):
         return {
             "af": 4 if parsed.family is PathFamily.IPV4 else 6,
-            "dst_addr": str(_traceroute_dst(parsed)),
+            "dst_addr": str(trace_destination(parsed)),
             "prb_id": _int_probe(parsed.probe_id),
             "result": [
                 {
@@ -383,21 +380,12 @@ def unparse_atlas(parsed: ParsedAtlas, timestamp: Optional[int] = None) -> dict:
     raise SchemaViolation(f"cannot rebuild {type(parsed).__name__}")
 
 
-def _traceroute_dst(path: TraceroutePath) -> IPAddress:
-    if path.family is PathFamily.IPV4:
-        return path.target_v4
-    return synthesize(path.prefix, path.target_v4)
-
-
 def measurement_definitions(
     *,
     dns2_name: str,
     ping_target_v4: ipaddress.IPv4Address,
     traceroute_targets: Sequence[ipaddress.IPv4Address],
     prefixes: Sequence[Nat64Prefix],
-    packets: int = 3,
-    paris: int = 16,
-    description: str = "nat64scope",
 ) -> List[dict]:
     """Measurement definitions covering all four tests plus path tracing.
 
@@ -414,7 +402,7 @@ def measurement_definitions(
             "query_argument": "ipv4only.arpa.",
             "use_probe_resolver": True,
             "udp_payload_size": 512,
-            "description": f"{description} dns ipv4only.arpa",
+            "description": "nat64scope dns ipv4only.arpa",
         },
         {
             "type": "dns",
@@ -424,7 +412,7 @@ def measurement_definitions(
             "query_argument": dns2_name,
             "use_probe_resolver": True,
             "udp_payload_size": 512,
-            "description": f"{description} dns {dns2_name.rstrip('.')}",
+            "description": f"nat64scope dns {dns2_name.rstrip('.')}",
         },
     ]
     for prefix in prefixes:
@@ -433,8 +421,8 @@ def measurement_definitions(
                 "type": "ping",
                 "af": 6,
                 "target": str(synthesize(prefix, ping_target_v4)),
-                "packets": packets,
-                "description": f"{description} ping {prefix}",
+                "packets": PACKETS,
+                "description": f"nat64scope ping {prefix}",
             }
         )
     for target in traceroute_targets:
@@ -444,9 +432,9 @@ def measurement_definitions(
                 "af": 4,
                 "target": str(target),
                 "protocol": "UDP",
-                "paris": paris,
-                "packets": packets,
-                "description": f"{description} trace {target}",
+                "paris": PARIS,
+                "packets": PACKETS,
+                "description": f"nat64scope trace {target}",
             }
         )
         for prefix in prefixes:
@@ -456,9 +444,9 @@ def measurement_definitions(
                     "af": 6,
                     "target": str(synthesize(prefix, target)),
                     "protocol": "UDP",
-                    "paris": paris,
-                    "packets": packets,
-                    "description": f"{description} trace {target} via {prefix}",
+                    "paris": PARIS,
+                    "packets": PACKETS,
+                    "description": f"nat64scope trace {target} via {prefix}",
                 }
             )
     return defs

@@ -11,9 +11,9 @@ import enum
 import ipaddress
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
-IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
+from ..model import IPAddress
 
 TYPE_A = 1
 TYPE_AAAA = 28
@@ -161,10 +161,10 @@ def build_response(
     return bytes(out)
 
 
-def answer_for(name: str, address: IPAddress, ttl: int = 300) -> DnsAnswer:
-    """Build an A or AAAA answer record for an address."""
+def answer_for(name: str, address: IPAddress) -> DnsAnswer:
+    """Build an A or AAAA answer record for an address, with a 300 s TTL."""
     rdtype = TYPE_A if isinstance(address, ipaddress.IPv4Address) else TYPE_AAAA
-    return DnsAnswer(canonical_name(name), rdtype, ttl, address.packed, address)
+    return DnsAnswer(canonical_name(name), rdtype, 300, address.packed, address)
 
 
 def _parse_rdata(rdtype: int, rdata: bytes) -> Optional[IPAddress]:

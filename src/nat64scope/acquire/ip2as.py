@@ -11,7 +11,8 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
+from ..model import IPAddress
+
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
 

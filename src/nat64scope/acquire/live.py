@@ -1,9 +1,7 @@
-"""Live measurement drivers: DNS queries, ICMP echo, UDP traceroute.
+"""Live measurement drivers: DNS queries and ICMPv6 echo.
 
 Everything here degrades cleanly when run without privileges or network:
-errors surface as typed exceptions and never as partial records. The
-traceroute and echo loops accept injected probe callables so the whole
-pipeline can run against simulated topologies.
+errors surface as typed exceptions and never as partial records.
 """
 
 from __future__ import annotations
@@ -16,10 +14,9 @@ import socket
 import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from ..model import Hop, Nat64Prefix, PathFamily, TraceroutePath
-from ..addrsynth import extract_ipv4
+from ..model import IPAddress
 from .dnswire import (
     DnsResponse,
     DnsStatus,
@@ -28,8 +25,6 @@ from .dnswire import (
     canonical_name,
     parse_message,
 )
-
-IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 
 class ProbePermissionError(PermissionError):
@@ -109,7 +104,6 @@ def icmp_echo(
     *,
     count: int = 3,
     timeout_s: float = 1.0,
-    interval_s: float = 0.0,
 ) -> Tuple[EchoReply, ...]:
     """Send ``count`` echo requests; always returns one entry per request."""
     ident = os.getpid() & 0xFFFF
@@ -141,158 +135,4 @@ def icmp_echo(
                 if r_seq == seq:
                     rtt = (time.monotonic() - sent) * 1000.0
             replies.append(EchoReply(seq, rtt))
-            if interval_s and seq + 1 < count:
-                time.sleep(interval_s)
     return tuple(replies)
-
-
-#: A prober answers one (ttl, packet_index) probe with (hop address, rtt ms),
-#: either of which may be None for silence or a missing timestamp.
-Prober = Callable[[int, int], Tuple[Optional[IPAddress], Optional[float]]]
-
-
-class _UdpProber:
-    """Classic UDP high-port probing with a fixed flow identity.
-
-    Source and destination ports stay constant across packets so per-flow
-    load balancers keep every probe on one path.
-    """
-
-    def __init__(self, target: IPAddress, port: int, timeout_s: float):
-        self.target = target
-        self.port = port
-        self.timeout_s = timeout_s
-        if target.version == 4:
-            send_family, icmp_proto = socket.AF_INET, socket.IPPROTO_ICMP
-            self._ttl_opt = (socket.IPPROTO_IP, socket.IP_TTL)
-        else:
-            send_family, icmp_proto = socket.AF_INET6, socket.IPPROTO_ICMPV6
-            self._ttl_opt = (socket.IPPROTO_IPV6, socket.IPV6_UNICAST_HOPS)
-        try:
-            self.send_sock = socket.socket(send_family, socket.SOCK_DGRAM)
-            self.recv_sock = socket.socket(send_family, socket.SOCK_RAW, icmp_proto)
-        except PermissionError as exc:
-            raise ProbePermissionError(
-                "raw ICMP receive socket required for traceroute"
-            ) from exc
-        self.send_sock.bind(("", 0))
-        self.src_port = self.send_sock.getsockname()[1]
-
-    def close(self) -> None:
-        self.send_sock.close()
-        self.recv_sock.close()
-
-    def _match_v4(self, wire: bytes) -> Optional[ipaddress.IPv4Address]:
-        """Return the reporting hop when an ICMP error quotes our flow."""
-        if len(wire) < 20:
-            return None
-        ihl = (wire[0] & 0xF) * 4
-        source = ipaddress.IPv4Address(wire[12:16])
-        icmp = wire[ihl:]
-        if len(icmp) < 8 or icmp[0] not in (11, 3):  # time exceeded, unreachable
-            return None
-        inner = icmp[8:]  # quoted IPv4 header + leading UDP bytes
-        if len(inner) < 24:
-            return None
-        inner_ihl = (inner[0] & 0xF) * 4
-        udp = inner[inner_ihl:]
-        if len(udp) < 4:
-            return None
-        sport, dport = struct.unpack_from("!HH", udp, 0)
-        return source if (sport, dport) == (self.src_port, self.port) else None
-
-    def _quotes_flow_v6(self, wire: bytes) -> bool:
-        # The kernel strips the outer IPv6 header on raw ICMPv6 sockets.
-        if len(wire) < 8 or wire[0] not in (3, 1):  # time exceeded, unreachable
-            return False
-        inner = wire[8:]  # quoted IPv6 header + leading UDP bytes
-        if len(inner) < 44:
-            return False
-        sport, dport = struct.unpack_from("!HH", inner, 40)
-        return (sport, dport) == (self.src_port, self.port)
-
-    def __call__(self, ttl: int, packet_index: int) -> Tuple[Optional[IPAddress], Optional[float]]:
-        self.send_sock.setsockopt(*self._ttl_opt, ttl)
-        sent = time.monotonic()
-        try:
-            self.send_sock.sendto(b"nat64scope", (str(self.target), self.port))
-        except OSError as exc:
-            if exc.errno in (101, 113):
-                raise NoRouteError(str(exc)) from exc
-            raise
-        deadline = sent + self.timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None, None
-            ready, _, _ = select.select([self.recv_sock], [], [], remaining)
-            if not ready:
-                return None, None
-            wire, peer = self.recv_sock.recvfrom(4096)
-            if self.target.version == 4:
-                hop: Optional[IPAddress] = self._match_v4(wire)
-            elif self._quotes_flow_v6(wire):
-                hop = ipaddress.IPv6Address(peer[0])
-            else:
-                hop = None
-            if hop is not None:
-                return hop, (time.monotonic() - sent) * 1000.0
-
-
-def udp_traceroute(
-    target: IPAddress,
-    *,
-    probe_id: str,
-    prefix: Optional[Nat64Prefix] = None,
-    round_index: int = 0,
-    max_ttl: int = 32,
-    packets_per_hop: int = 3,
-    timeout_s: float = 4.0,
-    port: int = 33434,
-    prober: Optional[Prober] = None,
-) -> TraceroutePath:
-    """Trace toward ``target``, stopping once a hop answers as the target.
-
-    An IPv6 target must come with the translation prefix it was built
-    from, so the resulting path knows its IPv4 destination. Hops are
-    contiguous from TTL 1; silent TTLs become address-less hops.
-    """
-    if target.version == 6:
-        if prefix is None:
-            raise ValueError("an IPv6 target needs its translation prefix")
-        family = PathFamily.NAT64
-        target_v4 = extract_ipv4(target, prefix)
-    else:
-        family = PathFamily.IPV4
-        target_v4 = target
-        prefix = None
-
-    own = None
-    if prober is None:
-        own = _UdpProber(target, port, timeout_s)
-        prober = own
-    hops: List[Hop] = []
-    try:
-        for ttl in range(1, max_ttl + 1):
-            address: Optional[IPAddress] = None
-            rtts: List[float] = []
-            for packet in range(packets_per_hop):
-                hop_addr, rtt = prober(ttl, packet)
-                if hop_addr is not None and address is None:
-                    address = hop_addr
-                if rtt is not None:
-                    rtts.append(rtt)
-            hops.append(Hop(ttl, address, tuple(rtts) if address is not None else ()))
-            if address == target:
-                break
-    finally:
-        if own is not None:
-            own.close()
-    return TraceroutePath(
-        probe_id=probe_id,
-        family=family,
-        prefix=prefix,
-        target_v4=target_v4,
-        round_index=round_index,
-        hops=tuple(hops),
-    )

@@ -352,8 +352,8 @@ def _acquire_live(config: RunConfig) -> Dataset:
             for _ in range(config.repeat):
                 now = int(time.time())
                 try:
-                    replies = live.icmp_echo(target)
-                    dataset.runs.append(eval_ping_test(probe_id, now, prefix, replies))
+                    rtts = [reply.rtt_ms for reply in live.icmp_echo(target)]
+                    dataset.runs.append(eval_ping_test(probe_id, now, prefix, rtts))
                 except live.NoRouteError as exc:
                     dataset.runs.append(
                         TestRun(
@@ -418,7 +418,8 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
         if by_prefix:
             # Prefixes rarely disagree; the first one kept, by text, wins.
             first = min(by_prefix, key=str)
-            if ip2as is not None and record.asn_v6 is not None:
+            # Locating the translator compares it with both probe ASes.
+            if ip2as is not None and record.asn_v4 is not None and record.asn_v6 is not None:
                 attribution = attribute_nat64_as(by_prefix[first], first, ip2as, record)
                 location = locate_nat64(attribution.asn, record)
             try:

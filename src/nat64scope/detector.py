@@ -133,16 +133,14 @@ def eval_ping_test(
     probe_id: str,
     timestamp: int,
     prefix: Nat64Prefix,
-    replies: Sequence["object"],
+    rtts_ms: Sequence[Optional[float]],
 ) -> TestRun:
     """Pass when any echo reply came back from the synthesized target.
 
-    ``replies`` is a sequence of objects with an ``rtt_ms`` attribute that
-    is None for lost packets (see acquire.live.EchoReply).
+    ``rtts_ms`` holds one entry per echo request sent, None for a lost one.
     """
     kind = TestKind.ping_for(prefix)
-    received = sum(1 for r in replies if getattr(r, "rtt_ms") is not None)
-    if received:
+    if any(rtt is not None for rtt in rtts_ms):
         return TestRun(probe_id, kind, timestamp, RawOutcome.PASS, observed_prefix=prefix)
     return TestRun(
         probe_id,
@@ -150,7 +148,7 @@ def eval_ping_test(
         timestamp,
         RawOutcome.FAIL,
         observed_prefix=prefix,
-        diagnostic=f"0 of {len(replies)} replies",
+        diagnostic=f"0 of {len(rtts_ms)} replies",
     )
 
 

@@ -194,7 +194,7 @@ def _validate_probe(record: ProbeRecord) -> list[str]:
         problems.append("probe_id is empty")
     for name in ("asn_v4", "asn_v6"):
         asn = getattr(record, name)
-        if asn is not None and (not isinstance(asn, int) or asn <= 0):
+        if asn is not None and (not _is_int(asn) or asn <= 0):
             problems.append(f"{name} must be a positive integer or None")
     for resolver in record.resolvers:
         if not isinstance(resolver, (ipaddress.IPv4Address, ipaddress.IPv6Address)):

@@ -21,13 +21,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from .addrsynth import matches_prefix, synthesize
 from .acquire.ip2as import Ip2AsTable
 from .model import (
     Hop,
+    IPAddress,
     Nat64Prefix,
     PathFamily,
     PathPair,
@@ -126,7 +126,9 @@ def pair_paths(
     return pairs, unpaired
 
 
-def _wanted_target(path: TraceroutePath) -> Union[ipaddress.IPv4Address, ipaddress.IPv6Address]:
+def trace_destination(path: TraceroutePath) -> IPAddress:
+    """The address the traceroute was sent to: the IPv4 target itself, or
+    for a translated path, the target embedded under the path's prefix."""
     if path.family is PathFamily.IPV4:
         return path.target_v4
     return synthesize(path.prefix, path.target_v4)
@@ -138,7 +140,7 @@ def success(path: TraceroutePath) -> bool:
 
 
 def _target_hop_index(path: TraceroutePath) -> Optional[int]:
-    wanted = _wanted_target(path)
+    wanted = trace_destination(path)
     for hop in path.hops:
         if hop.address == wanted:
             return hop.index

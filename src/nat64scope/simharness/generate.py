@@ -19,7 +19,7 @@ from .. import catalogs
 from ..acquire.dataset import Dataset
 from ..acquire.ip2as import Ip2AsTable
 from ..addrsynth import synthesize
-from ..detector import DetectionFlags, DetectionGroup
+from ..detector import DetectionFlags, DetectionGroup, eval_ping_test
 from ..model import (
     Hop,
     IPAddress,
@@ -366,21 +366,10 @@ def _runs_for(plan: _Plan) -> List[TestRun]:
                 )
     working = plan.cohort.nat == "working"
     for k, prefix in enumerate(plan.attempts):
-        passes = working and prefix in plan.served
-        kind = TestKind.ping_for(prefix)
+        # Three echoes per test: a served prefix answers each, any other none.
+        rtts = (1.0, 1.0, 1.0) if working and prefix in plan.served else (None, None, None)
         for rep in (0, 5):
-            when = t0 + 20 + 10 * k + rep
-            if passes:
-                runs.append(
-                    TestRun(plan.probe_id, kind, when, RawOutcome.PASS, observed_prefix=prefix)
-                )
-            else:
-                runs.append(
-                    TestRun(
-                        plan.probe_id, kind, when, RawOutcome.FAIL,
-                        observed_prefix=prefix, diagnostic="0 of 3 replies",
-                    )
-                )
+            runs.append(eval_ping_test(plan.probe_id, t0 + 20 + 10 * k + rep, prefix, rtts))
     return runs
 
 

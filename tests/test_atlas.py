@@ -11,7 +11,9 @@ import pytest
 from nat64scope.acquire.atlas import (
     AtlasError,
     AtlasNotFound,
+    BACKOFF_S,
     DnsObservation,
+    MAX_RETRIES,
     PingObservation,
     SchemaViolation,
     atlas_fetch,
@@ -336,12 +338,17 @@ def scripted_server():
 
 
 class TestFetch:
-    def test_single_page_written_verbatim(self, scripted_server, tmp_path):
+    @pytest.fixture(autouse=True)
+    def no_api_key(self, monkeypatch):
+        monkeypatch.delenv("NAT64SCOPE_ATLAS_KEY", raising=False)
+
+    def test_single_page_written_verbatim(self, scripted_server, tmp_path, monkeypatch):
         base, handler = scripted_server
         body = b'[{"type": "ping",   "prb_id": 1}, {"type": "ping", "prb_id": 2}]'
         handler.script["/measurements/77/results/"] = [(200, body)]
         out = tmp_path / "m77.json"
-        count = atlas_fetch(77, str(out), base_url=base, api_key="sekrit")
+        monkeypatch.setenv("NAT64SCOPE_ATLAS_KEY", "sekrit")
+        count = atlas_fetch(77, str(out), base_url=base)
         assert count == 2
         assert out.read_bytes() == body + b"\n"
         assert handler.requests_seen[0][1] == "Key sekrit"
@@ -354,7 +361,7 @@ class TestFetch:
         handler.script["/measurements/78/results/"] = [(200, page1)]
         handler.script["/page2"] = [(200, page2)]
         out = tmp_path / "m78.json"
-        count = atlas_fetch(78, str(out), base_url=base, api_key=None)
+        count = atlas_fetch(78, str(out), base_url=base)
         assert count == 2
         assert out.read_bytes() == page1 + b"\n" + page2 + b"\n"
         docs = list(iter_result_documents(str(out)))
@@ -370,13 +377,10 @@ class TestFetch:
         ]
         delays = []
         out = tmp_path / "m79.json"
-        count = atlas_fetch(
-            79, str(out), base_url=base, api_key=None,
-            backoff_s=0.25, sleep=delays.append,
-        )
+        count = atlas_fetch(79, str(out), base_url=base, sleep=delays.append)
         assert count == 1
         assert out.read_bytes() == good + b"\n"
-        assert delays == [0.25, 0.5]  # doubling backoff
+        assert delays == [BACKOFF_S, 2 * BACKOFF_S]  # doubling backoff
 
     def test_gives_up_after_retries(self, scripted_server, tmp_path):
         base, handler = scripted_server
@@ -385,16 +389,15 @@ class TestFetch:
         ]
         with pytest.raises(AtlasError, match="HTTP 503"):
             atlas_fetch(
-                80, str(tmp_path / "m80.json"), base_url=base, api_key=None,
-                max_retries=3, sleep=lambda s: None,
+                80, str(tmp_path / "m80.json"), base_url=base, sleep=lambda s: None,
             )
-        assert len(handler.requests_seen) == 4
+        assert len(handler.requests_seen) == MAX_RETRIES + 1
 
     def test_404_is_not_found(self, scripted_server, tmp_path):
         base, handler = scripted_server
         handler.script["/measurements/81/results/"] = [(404, b"gone")]
         with pytest.raises(AtlasNotFound):
-            atlas_fetch(81, str(tmp_path / "m81.json"), base_url=base, api_key=None)
+            atlas_fetch(81, str(tmp_path / "m81.json"), base_url=base)
 
     def test_key_from_environment(self, scripted_server, tmp_path, monkeypatch):
         base, handler = scripted_server

@@ -255,6 +255,26 @@ class TestClassify:
     def test_requires_dataset(self, tmp_path):
         assert run("classify", "--out", str(tmp_path / "x")) == EXIT_CONFIG
 
+    def test_probe_without_ipv4_as_is_not_located(self, tmp_path):
+        # A null AS number is valid; the translator's location then stays
+        # unknown instead of stopping the command.
+        world = simulate(tmp_path)
+        dataset = tmp_path / "no_v4_as.ndjson"
+        text = (world / "dataset.ndjson").read_text()
+        probe = '"asn_v4":65001,"asn_v6":65001,"network_prefix_v6":"2001:db8:1040::/64"'
+        assert text.count(probe) == 1
+        dataset.write_text(text.replace(probe, probe.replace('"asn_v4":65001', '"asn_v4":null')))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ip2as": str(world / "ip2as.tsv")}))
+        out = tmp_path / "cls"
+        assert run(
+            "classify", "--from-dataset", str(dataset), "--config", str(config),
+            "--out", str(out),
+        ) == EXIT_OK
+        probes = read_json(out / "classification.json")["probes"]
+        assert probes["sim001"]["nat_location"] is None
+        assert probes["sim002"]["nat_location"] == "all_equal"
+
     def test_single_witness_warning(self, tmp_path, capsys):
         scenario = tmp_path / "one.txt"
         scenario.write_text("count=1 resolver=dns64 nat=working\n")

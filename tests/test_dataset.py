@@ -296,6 +296,10 @@ RUN = (
         ),
         ([HEADER, PROBE.replace('"p1"', '["p1"]')], "line 2: probe_id must be a string"),
         ([HEADER, PROBE.replace(',"tags":[]', "")], "line 2: missing field 'tags'"),
+        (
+            [HEADER, PROBE.replace('"asn_v4":1', '"asn_v4":true')],
+            "line 2: asn_v4 must be a positive integer or None",
+        ),
     ],
 )
 def test_wrong_types_are_one_problem_each(lines, problem):

@@ -1,4 +1,4 @@
-"""Live probing drivers, exercised against local mocks and scripted probers."""
+"""Live probing drivers, exercised against local mocks."""
 
 import ipaddress
 import socket
@@ -19,13 +19,11 @@ from nat64scope.acquire.live import (
     _open_icmp6_socket,
     dns_query,
     icmp_echo,
-    udp_traceroute,
 )
 from nat64scope.addrsynth import synthesize
-from nat64scope.model import Nat64Prefix, PathFamily
+from nat64scope.model import Nat64Prefix
 
 PREFIX = Nat64Prefix.from_cidr("2001:db8:64::/96")
-TARGET = ipaddress.IPv4Address("198.51.100.10")
 
 
 class MockResolver:
@@ -133,84 +131,6 @@ class TestDnsQuery:
             )
         assert response.status is DnsStatus.TIMEOUT
         assert response.answers == ()
-
-
-def scripted_prober(script):
-    """Map (ttl) -> (address string or None, rtt) lookups into a Prober."""
-
-    def prober(ttl, packet_index):
-        addr, rtt = script.get(ttl, (None, None))
-        address = ipaddress.ip_address(addr) if addr else None
-        return address, rtt
-
-    return prober
-
-
-class TestUdpTraceroute:
-    def test_stops_at_target(self):
-        script = {
-            1: ("192.0.2.1", 0.5),
-            2: (None, None),
-            3: (str(TARGET), 8.0),
-            4: ("192.0.2.99", 9.0),  # must never be asked
-        }
-        path = udp_traceroute(
-            TARGET, probe_id="p1", prober=scripted_prober(script), packets_per_hop=2,
-        )
-        assert path.family is PathFamily.IPV4
-        assert path.prefix is None
-        assert len(path.hops) == 3
-        assert path.hops[1].address is None and path.hops[1].rtts_ms == ()
-        assert path.hops[2].address == TARGET
-        assert path.hops[2].rtts_ms == (8.0, 8.0)
-
-    def test_translated_target_carries_prefix(self):
-        wanted = synthesize(PREFIX, TARGET)
-        script = {1: (str(wanted), 3.0)}
-        path = udp_traceroute(
-            wanted, probe_id="p1", prefix=PREFIX, round_index=4,
-            prober=scripted_prober(script),
-        )
-        assert path.family is PathFamily.NAT64
-        assert path.prefix == PREFIX
-        assert path.target_v4 == TARGET
-        assert path.round_index == 4
-        assert len(path.hops) == 1
-
-    def test_v6_target_without_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            udp_traceroute(
-                ipaddress.ip_address("2001:db8::1"), probe_id="p1",
-                prober=scripted_prober({}),
-            )
-
-    def test_max_ttl_exhaustion(self):
-        path = udp_traceroute(
-            TARGET, probe_id="p1", max_ttl=5, prober=scripted_prober({}),
-        )
-        assert len(path.hops) == 5
-        assert all(h.address is None for h in path.hops)
-
-    def test_first_address_wins_but_all_rtts_kept(self):
-        answers = iter([("192.0.2.1", 1.0), ("192.0.2.2", 2.0), (str(TARGET), 3.0)])
-
-        def prober(ttl, packet_index):
-            addr, rtt = next(answers)
-            return ipaddress.ip_address(addr), rtt
-
-        path = udp_traceroute(
-            TARGET, probe_id="p1", max_ttl=1, packets_per_hop=3, prober=prober,
-        )
-        hop = path.hops[0]
-        assert str(hop.address) == "192.0.2.1"
-        assert hop.rtts_ms == (1.0, 2.0, 3.0)
-
-    def test_hop_indices_contiguous(self):
-        script = {2: ("192.0.2.2", 1.0), 5: (str(TARGET), 2.0)}
-        path = udp_traceroute(
-            TARGET, probe_id="p1", prober=scripted_prober(script), packets_per_hop=1,
-        )
-        assert [h.index for h in path.hops] == [1, 2, 3, 4, 5]
 
 
 class TestIcmpEcho:

@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nat64scope.acquire.dataset import load_dataset, write_dataset
 from nat64scope.acquire.dnswire import TYPE_AAAA
@@ -28,6 +29,7 @@ from nat64scope.simharness import (
     parse_scenario,
     truth_to_doc,
 )
+from nat64scope.simharness import scenario as scenario_module
 
 
 def template():
@@ -177,6 +179,32 @@ def _dataset_bytes(sim):
     buf = io.StringIO()
     write_dataset(sim.dataset, buf)
     return buf.getvalue()
+
+
+@st.composite
+def cohort_lines(draw):
+    # Every value stays reachable, but each key leans towards its default
+    # (listed first), or nearly every drawn scenario would be refused.
+    fields = {
+        key: draw(st.one_of(st.just(values[0]), st.sampled_from(values)))
+        for key, values in scenario_module._CHOICES.items()
+    }
+    fields["count"] = draw(st.integers(1, 3))
+    fields["cell"] = draw(st.integers(0, 3))
+    fields["nprefixes"] = draw(st.integers(1, 3))
+    return " ".join(f"{key}={value}" for key, value in fields.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(cohort_lines(), min_size=1, max_size=3), seed=st.integers(0, 2**16))
+def test_scenario_is_refused_or_builds_a_loadable_world(lines, seed):
+    try:
+        scenario = parse_scenario("\n".join(lines))
+    except ScenarioError:
+        return
+    sim = generate(scenario, seed)
+    loaded = load_dataset(io.StringIO(_dataset_bytes(sim)))
+    assert len(loaded.probes) == scenario.probe_count
 
 
 class TestLazyNames:
