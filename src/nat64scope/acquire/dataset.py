@@ -7,7 +7,6 @@ cross-checks that runs and paths reference known probes.
 
 from __future__ import annotations
 
-import gc
 import ipaddress
 import json
 from dataclasses import dataclass, field
@@ -314,20 +313,11 @@ def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
 def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
     """Parse and validate; raises DatasetError naming every offender found.
 
-    The cyclic collector is paused meanwhile: a load allocates many small
-    containers, none of them in reference cycles, and the collector would
-    otherwise scan them again and again as they pile up.
+    A load allocates many small containers, none of them in reference
+    cycles, which the cyclic collector would scan again and again as they
+    pile up. ``cli.main`` pauses the collector for the whole command; a
+    caller loading a large file may want to do the same.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _load(source)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _load(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
     own = isinstance(source, str)
     # Undecodable bytes survive reading and are reported per line below.
     handle = (

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import ipaddress
 from importlib import resources
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .classifier import ASCategory
 from .model import IPAddress, Nat64Prefix
 
 
@@ -46,6 +47,26 @@ def load_public_prefixes(path: Optional[str] = None) -> Tuple[Nat64Prefix, ...]:
     return tuple(Nat64Prefix.from_cidr(line) for line in _data_lines(text))
 
 
-def packaged_as_categories_path() -> str:
-    """Filesystem path of the shipped AS category table."""
-    return str(resources.files("nat64scope").joinpath("data", "as_categories.txt"))
+def load_as_categories(path: Optional[str] = None) -> Dict[int, ASCategory]:
+    """The ``asn,category`` mapping that labels translator ASes."""
+    if path is None:
+        text = _packaged("as_categories.txt")
+    else:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    source = path or "as_categories.txt"
+    mapping: Dict[int, ASCategory] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        parts = [p.strip() for p in stripped.split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"{source}:{lineno}: expected 'asn,category'")
+        try:
+            asn = int(parts[0])
+            category = ASCategory(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from exc
+        mapping[asn] = category
+    return mapping

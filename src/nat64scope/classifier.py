@@ -208,26 +208,6 @@ def categorize_probe(
     return frozenset(cats)
 
 
-def load_as_categories(path: str) -> Dict[int, ASCategory]:
-    """Read the user-editable ``asn,category`` mapping file."""
-    mapping: Dict[int, ASCategory] = {}
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = [p.strip() for p in text.split(",")]
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'asn,category'")
-            try:
-                asn = int(parts[0])
-                category = ASCategory(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            mapping[asn] = category
-    return mapping
-
-
 def as_category(asn: Optional[int], mapping: Mapping[int, ASCategory]) -> ASCategory:
     if asn is None:
         return ASCategory.UNKNOWN

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import ipaddress
 import json
 import os
@@ -30,7 +31,6 @@ from .classifier import (
     detect_isp_dns64,
     detect_local_nat64,
     group_runs_by_as,
-    load_as_categories,
 )
 from .detector import (
     DEFAULT_DNS2_KNOWN_A,
@@ -498,8 +498,9 @@ def cmd_classify(args) -> int:
             "asn_v6": record.asn_v6,
         }
 
-    as_cat_path = config.as_categories_path or catalogs.packaged_as_categories_path()
-    mapping = _read_input("as_categories", as_cat_path, load_as_categories)
+    mapping = _read_input(
+        "as_categories", config.as_categories_path, catalogs.load_as_categories
+    )
     as_counts = count_as_categories(nat64_asns, mapping)
 
     _write_json(
@@ -768,6 +769,17 @@ def cmd_atlas_spec(args) -> int:
 # ------------------------------------------------------------------ main
 
 
+def _round_index(text: str) -> int:
+    """A round number from the command line; a negative one is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nat64scope",
@@ -801,7 +813,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--final-round",
-        type=int,
+        type=_round_index,
         default=None,
         help="treat this round index as the trailing, droppable one",
     )
@@ -825,6 +837,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A command is one short process over acyclic records: the cyclic
+    # collector would only rescan them as they pile up, and free nothing.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -833,6 +849,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PermissionError as exc:  # a probe socket or an output file refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

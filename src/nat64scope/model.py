@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
@@ -39,6 +39,10 @@ class Nat64Prefix:
     base: ipaddress.IPv6Address
     length: int
     kind: PrefixKind
+    # Reports name a prefix and dicts key on it per record, while a load
+    # builds only a handful: both are computed once, at construction.
+    _text: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.base, ipaddress.IPv6Address):
@@ -50,6 +54,8 @@ class Nat64Prefix:
         standard = self.base == WELL_KNOWN_BASE and self.length == WELL_KNOWN_LENGTH
         if standard != (self.kind is PrefixKind.STANDARD):
             raise ValueError("kind does not match the well-known prefix test")
+        object.__setattr__(self, "_text", f"{self.base}/{self.length}")
+        object.__setattr__(self, "_hash", hash((self.base, self.length, self.kind)))
 
     @classmethod
     def from_cidr(cls, text: str) -> "Nat64Prefix":
@@ -62,7 +68,15 @@ class Nat64Prefix:
         return cls(base, length, kind)
 
     def __str__(self) -> str:
-        return f"{self.base}/{self.length}"
+        return self._text
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: a hash is only valid in the
+        # process that computed it.
+        return type(self), (self.base, self.length, self.kind)
 
 
 STANDARD_PREFIX = Nat64Prefix(WELL_KNOWN_BASE, WELL_KNOWN_LENGTH, PrefixKind.STANDARD)

@@ -455,7 +455,10 @@ def aggregate_report(
     metrics: Optional[Sequence[Optional[PathMetrics]]] = None,
     groupings: Optional[Mapping[str, Collection[str]]] = None,
 ) -> AggregateStats:
-    """Summarize success rates and per-pair metrics across the dataset."""
+    """Summarize success rates and per-pair metrics across the dataset.
+
+    ``metrics``, when given, holds ``path_metrics`` of each pair in order.
+    """
     if metrics is None:
         metrics = compute_metrics(pairs)
     if len(metrics) != len(pairs):
@@ -488,8 +491,10 @@ def aggregate_report(
     except CorrelationError:
         r = None
 
-    ok4 = [success(p.ipv4) for p in pairs]
-    ok6 = [success(p.nat64) for p in pairs]
+    # A pair has metrics only when both its paths reached the target; the
+    # paths are rescanned only for pairs without.
+    ok4 = [m is not None or success(p.ipv4) for p, m in zip(pairs, metrics)]
+    ok6 = [m is not None or success(p.nat64) for p, m in zip(pairs, metrics)]
 
     def rates(indices: Sequence[int]) -> SuccessRates:
         return _rates([ok4[i] for i in indices], [ok6[i] for i in indices])

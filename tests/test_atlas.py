@@ -335,6 +335,7 @@ def scripted_server():
     yield base, handler
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 class TestFetch:

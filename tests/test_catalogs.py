@@ -23,10 +23,7 @@ class TestPackagedCatalogs:
         assert len(set(prefixes)) == len(prefixes)
 
     def test_as_categories_path_loads(self):
-        from nat64scope.classifier import load_as_categories
-
-        mapping = load_as_categories(catalogs.packaged_as_categories_path())
-        assert mapping
+        assert catalogs.load_as_categories()
 
 
 class TestFileOverrides:

@@ -4,6 +4,7 @@ import ipaddress
 
 import pytest
 
+from nat64scope.catalogs import load_as_categories
 from nat64scope.classifier import (
     ASCategory,
     IspDns64Evidence,
@@ -16,7 +17,6 @@ from nat64scope.classifier import (
     detect_isp_dns64,
     detect_local_nat64,
     group_runs_by_as,
-    load_as_categories,
 )
 from nat64scope.detector import DetectionFlags, DetectionGroup
 from nat64scope.model import (

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,66 @@ class TestReportsArePinned:
             path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
         }
         assert digests == self.DIGESTS[command]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("dataset_line", ["", "["], ids=["exit0", "exit2"])
+def test_main_pauses_the_collector_and_leaves_it_as_found(
+    tmp_path, monkeypatch, enabled, dataset_line
+):
+    dataset = tmp_path / "d.ndjson"
+    write_dataset(Dataset(), str(dataset))
+    with open(dataset, "a", encoding="ascii") as handle:
+        handle.write(dataset_line)
+    seen = []
+
+    def load(source):
+        seen.append(gc.isenabled())
+        return load_dataset(source)
+
+    monkeypatch.setattr("nat64scope.cli.load_dataset", load)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = run("detect", "--from-dataset", str(dataset), "--out", str(tmp_path / "x"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == (EXIT_CONFIG if dataset_line else EXIT_OK)
+    assert seen == [False]
+
+
+def test_classify_runs_from_a_zipped_package(tmp_path):
+    # The shipped catalogs are read as resources, not as files on disk.
+    package = Path(nat64scope.__file__).resolve().parent
+    archive = tmp_path / "pkg.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zipped.write(path, Path("nat64scope") / path.relative_to(package))
+    code = (
+        "import sys, nat64scope; from nat64scope.cli import main; "
+        "assert nat64scope.__file__.startswith(sys.argv[1]); sys.exit(main(sys.argv[2:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(archive)}
+
+    def zipped_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", code, str(archive), *argv],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+        )
+
+    world = tmp_path / "world"
+    done = zipped_run("simulate", "--out", str(world))
+    assert done.returncode == EXIT_OK, done.stderr
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ip2as": str(world / "ip2as.tsv")}))
+    argv = ["classify", "--from-dataset", str(world / "dataset.ndjson"), "--config", str(config)]
+    done = zipped_run(*argv, "--out", str(tmp_path / "zipped"))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert run(*argv, "--out", str(tmp_path / "unzipped")) == EXIT_OK
+    name = "classification.json"
+    assert (tmp_path / "zipped" / name).read_bytes() == (tmp_path / "unzipped" / name).read_bytes()
 
 
 def test_every_benchmark_trace_point_names_a_program_function():
@@ -347,6 +409,26 @@ class TestPaths:
 
     def test_requires_dataset(self, tmp_path):
         assert run("paths", "--out", str(tmp_path / "x")) == EXIT_CONFIG
+
+    def test_negative_final_round_is_usage_error(self, tmp_path, capsys):
+        world = simulate(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "paths", "--from-dataset", str(world / "dataset.ndjson"),
+                "--final-round", "-1", "--out", str(tmp_path / "x"),
+            )
+        assert exc.value.code == EXIT_CONFIG
+        assert "--final-round" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_final_round_no_pair_has_drops_nothing(self, tmp_path):
+        world = simulate(tmp_path)
+        out = tmp_path / "paths"
+        assert run(
+            "paths", "--from-dataset", str(world / "dataset.ndjson"),
+            "--final-round", "99", "--out", str(out),
+        ) == EXIT_OK
+        assert "TrailingRound" not in read_json(out / "summary.json")["accounting"]["excluded"]
 
 
 class TestConfig:

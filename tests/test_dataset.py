@@ -1,5 +1,3 @@
-import contextlib
-import gc
 import io
 import ipaddress
 import json
@@ -428,19 +426,6 @@ def test_unparsable_lines_report_the_json_error(lines, bad):
     with pytest.raises(DatasetError) as info:
         load_dataset(lines)
     assert info.value.problems == [f"line {bad}: {expected.value}"]
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("lines", [[HEADER, PROBE], [HEADER, PROBE, "["]])
-def test_load_leaves_the_collector_as_it_found_it(enabled, lines):
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        with contextlib.suppress(DatasetError):
-            load_dataset(lines)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
 
 
 def test_non_ascii_bytes_in_a_file_are_reported(tmp_path):

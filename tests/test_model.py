@@ -1,7 +1,13 @@
 import ipaddress
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
+from nat64scope.acquire.dataset import decode_record
+from nat64scope.addrsynth import derive_prefix_from_answer, synthesize
 from nat64scope.model import (
     Hop,
     Nat64Prefix,
@@ -59,6 +65,59 @@ class TestNat64Prefix:
 
     def test_str(self):
         assert str(STANDARD_PREFIX) == "64:ff9b::/96"
+
+    @pytest.mark.parametrize("text", ["64:ff9b::/96", "2001:db8:64::/96", "2001:db8::/32"])
+    def test_equal_prefixes_built_four_ways_agree(self, text):
+        base_text, _, length_text = text.partition("/")
+        base, length = V6(base_text), int(length_text)
+        kind = PrefixKind.STANDARD if text == "64:ff9b::/96" else PrefixKind.CUSTOM
+        path = decode_record({
+            "record": "traceroute", "probe_id": "p1", "family": "nat64",
+            "prefix": {"base": base_text, "length": length, "kind": kind.value},
+            "target_v4": "192.0.2.1", "round": 0, "hops": [],
+        })
+        first = Nat64Prefix(base, length, kind)
+        known = V4("192.0.2.33")
+        built = [
+            first,
+            Nat64Prefix.from_cidr(text),
+            path.prefix,
+            derive_prefix_from_answer(synthesize(first, known), [known]),
+        ]
+        for other in built[1:]:
+            assert str(other) == str(first) == text
+            assert hash(other) == hash(first)
+            assert other == first
+        table = {prefix: n for n, prefix in enumerate(built)}
+        assert len(table) == 1
+        assert [table[prefix] for prefix in built] == [3, 3, 3, 3]
+
+    def test_repr_is_unchanged(self):
+        assert repr(STANDARD_PREFIX) == (
+            "Nat64Prefix(base=IPv6Address('64:ff9b::'), length=96, "
+            "kind=<PrefixKind.STANDARD: 'standard'>)"
+        )
+
+    def test_pickle_round_trip(self):
+        prefixes = [STANDARD_PREFIX, Nat64Prefix.from_cidr("2001:db8::/48")]
+        for prefix in prefixes:
+            copy = pickle.loads(pickle.dumps(prefix))
+            assert copy == prefix and hash(copy) == hash(prefix) and str(copy) == str(prefix)
+            assert {prefix: 1}[copy] == 1
+        # Another process hashes strings with another seed; the stored hash
+        # must not travel with the pickle.
+        code = (
+            "import pickle, sys; from nat64scope.model import Nat64Prefix; "
+            "ps = pickle.loads(sys.stdin.buffer.read()); "
+            "print(all(hash(p) == hash(Nat64Prefix(p.base, p.length, p.kind)) for p in ps))"
+        )
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(prefixes), env=env,
+            capture_output=True, check=True,
+        )
+        assert done.stdout.strip() == b"True"
 
 
 def test_hop_is_a_named_tuple():

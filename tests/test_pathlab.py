@@ -657,6 +657,16 @@ class TestGroupingAgainstBruteForce:
                             TraceroutePath(probe, PathFamily.NAT64, pfx, target, rnd,
                                            self._hops(rng, nat_hops))
                         )
+        # One pair reaches its target on both sides, at a hop without RTTs:
+        # it has no metrics but still counts as a success on both sides.
+        target = self.TARGETS[0]
+        first = Hop(1, ipaddress.ip_address("192.0.2.1"), (1.0,))
+        paths += [
+            TraceroutePath("p24", PathFamily.IPV4, None, target, 3,
+                           (first, Hop(2, target, ()))),
+            TraceroutePath("p24", PathFamily.NAT64, STANDARD_PREFIX, target, 3,
+                           (first, Hop(2, synthesize(STANDARD_PREFIX, target), ()))),
+        ]
         pairs, _ = pair_paths(paths)
         return pairs
 
@@ -734,6 +744,9 @@ class TestGroupingAgainstBruteForce:
             if m is not None:
                 assert m.v4_missing_pct == missing_hop_pct(pair.ipv4)
                 assert m.nat64_missing_pct == missing_hop_pct(pair.nat64)
+        (timeless,) = [i for i, p in enumerate(pairs) if p.nat64.round_index == 3]
+        assert metrics[timeless] is None
+        assert success(pairs[timeless].ipv4) and success(pairs[timeless].nat64)
         report = aggregate_report(pairs, metrics, self.GROUPINGS)
 
         def rates(r):
