@@ -1,28 +1,1 @@
 """Toolkit for detecting NAT64/DNS64 deployments and measuring their path cost."""
-
-from .model import (
-    Hop,
-    Nat64Prefix,
-    PathFamily,
-    PathPair,
-    PrefixKind,
-    ProbeRecord,
-    RawOutcome,
-    STANDARD_PREFIX,
-    TestKind,
-    TestRun,
-    TraceroutePath,
-    Verdict,
-    VerdictValue,
-    validate,
-)
-from .addrsynth import (
-    NoEmbeddingFound,
-    PrefixMismatch,
-    derive_prefix_from_answer,
-    extract_ipv4,
-    matches_prefix,
-    synthesize,
-)
-
-__version__ = "0.1.0"

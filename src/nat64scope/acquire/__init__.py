@@ -1,39 +1,1 @@
 """Data acquisition: wire formats, dataset files, IP-to-AS mapping, probing."""
-
-from .dataset import Dataset, DatasetError, load_dataset, write_dataset
-from .dnswire import (
-    CLASS_IN,
-    TYPE_A,
-    TYPE_AAAA,
-    DnsAnswer,
-    DnsMessage,
-    DnsResponse,
-    DnsStatus,
-    MalformedDns,
-    build_query,
-    build_response,
-    canonical_name,
-    parse_message,
-)
-from .ip2as import Ip2AsError, Ip2AsTable
-
-__all__ = [
-    "CLASS_IN",
-    "TYPE_A",
-    "TYPE_AAAA",
-    "Dataset",
-    "DatasetError",
-    "DnsAnswer",
-    "DnsMessage",
-    "DnsResponse",
-    "DnsStatus",
-    "Ip2AsError",
-    "Ip2AsTable",
-    "MalformedDns",
-    "build_query",
-    "build_response",
-    "canonical_name",
-    "load_dataset",
-    "parse_message",
-    "write_dataset",
-]

@@ -43,6 +43,9 @@ API_KEY_ENV = "NAT64SCOPE_ATLAS_KEY"
 MAX_RETRIES = 3
 BACKOFF_S = 0.5
 
+#: Seconds one page request may take.
+TIMEOUT_S = 30.0
+
 #: Packets per ping and per traceroute hop, and the Paris traceroute variant.
 PACKETS = 3
 PARIS = 16
@@ -66,7 +69,6 @@ def atlas_fetch(
     *,
     base_url: str = ATLAS_API,
     session: Optional[requests.Session] = None,
-    timeout_s: float = 30.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> int:
     """Stream all result pages for a measurement to ``out_path`` verbatim.
@@ -89,7 +91,7 @@ def atlas_fetch(
             failure: Optional[str] = None
             for attempt in range(MAX_RETRIES + 1):
                 try:
-                    reply = http.get(url, headers=headers, timeout=timeout_s)
+                    reply = http.get(url, headers=headers, timeout=TIMEOUT_S)
                 except requests.RequestException as exc:
                     failure = f"transport: {exc}"
                 else:

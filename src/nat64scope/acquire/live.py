@@ -1,6 +1,7 @@
-"""Live measurement drivers: DNS queries and ICMPv6 echo.
+"""Live measurement from this host: DNS queries, ICMPv6 echo, and the loop
+that runs the detection tests with them.
 
-Everything here degrades cleanly when run without privileges or network:
+The drivers degrade cleanly when run without privileges or network:
 errors surface as typed exceptions and never as partial records.
 """
 
@@ -12,12 +13,24 @@ import random
 import select
 import socket
 import struct
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Collection, List, Optional, Sequence, Tuple, Union
 
-from ..model import IPAddress
+from ..addrsynth import synthesize
+from ..detector import (
+    DNS1_NAME,
+    eval_dns_test1,
+    eval_dns_test2,
+    eval_ping_test,
+    select_custom_ping_candidates,
+)
+from ..model import IPAddress, ProbeRecord, RawOutcome, STANDARD_PREFIX, TestKind, TestRun
+from .dataset import Dataset
 from .dnswire import (
+    TYPE_AAAA,
     DnsResponse,
     DnsStatus,
     MalformedDns,
@@ -136,3 +149,69 @@ def icmp_echo(
                     rtt = (time.monotonic() - sent) * 1000.0
             replies.append(EchoReply(seq, rtt))
     return tuple(replies)
+
+
+def system_resolvers() -> Tuple[str, ...]:
+    """The nameservers named in this host's ``/etc/resolv.conf``."""
+    found: List[str] = []
+    try:
+        with open("/etc/resolv.conf", "r", encoding="ascii", errors="replace") as handle:
+            for line in handle:
+                parts = line.split()
+                if len(parts) >= 2 and parts[0] == "nameserver":
+                    found.append(parts[1])
+    except OSError:
+        pass
+    return tuple(found)
+
+
+def measure(
+    resolvers: Sequence[IPAddress],
+    dns2_name: str,
+    dns2_answers: Collection[ipaddress.IPv4Address],
+    anchor: ipaddress.IPv4Address,
+    repeat: int,
+) -> Dataset:
+    """Run the detection tests from this host as the one probe ``local``.
+
+    Each of ``repeat`` rounds sends both DNS tests to every resolver at
+    once. Then every candidate prefix is echoed ``repeat`` times toward
+    ``anchor`` embedded under it. An interrupt keeps the runs so far.
+    """
+    probe_id = "local"
+    started = int(time.time())
+    dataset = Dataset(capture_window=(started, started))
+    dataset.add_probe(ProbeRecord(probe_id, None, None, resolvers=resolvers))
+
+    try:
+        # A round waits for all of its queries, so they are its parallelism.
+        with ThreadPoolExecutor(max_workers=2 * len(resolvers)) as pool:
+            for _ in range(repeat):
+                futures1 = [pool.submit(dns_query, r, DNS1_NAME, TYPE_AAAA) for r in resolvers]
+                futures2 = [pool.submit(dns_query, r, dns2_name, TYPE_AAAA) for r in resolvers]
+                responses1 = [f.result() for f in futures1]
+                responses2 = [f.result() for f in futures2]
+                now = int(time.time())
+                dataset.runs.append(eval_dns_test1(probe_id, now, responses1))
+                dataset.runs.append(eval_dns_test2(probe_id, now, responses2, dns2_answers))
+        # Acquisition barrier: ping candidates depend on every DNS answer.
+        # With one probe, every prefix its DNS tests revealed is its own.
+        revealed = select_custom_ping_candidates(dataset.probes, dataset.runs)
+        for prefix in (STANDARD_PREFIX, *revealed):
+            target = synthesize(prefix, anchor)
+            for _ in range(repeat):
+                now = int(time.time())
+                try:
+                    rtts = [reply.rtt_ms for reply in icmp_echo(target)]
+                    dataset.runs.append(eval_ping_test(probe_id, now, prefix, rtts))
+                except NoRouteError as exc:
+                    dataset.runs.append(
+                        TestRun(
+                            probe_id, TestKind.ping_for(prefix), now, RawOutcome.FAIL,
+                            observed_prefix=prefix, diagnostic=f"no route: {exc}",
+                        )
+                    )
+    except KeyboardInterrupt:
+        print("interrupted; keeping partial results", file=sys.stderr)
+    dataset.capture_window = (started, int(time.time()))
+    return dataset

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ipaddress
 from typing import Collection, Iterable
 
-from .model import ALLOWED_PREFIX_LENGTHS, Nat64Prefix, PrefixKind
+from .model import ALLOWED_PREFIX_LENGTHS, Nat64Prefix
 
 __all__ = [
     "NoEmbeddingFound",
@@ -107,10 +107,7 @@ def derive_prefix_from_answer(
         if candidate not in known:
             continue
         base = ipaddress.IPv6Address(addr_int >> (128 - length) << (128 - length))
-        standard = str(base) == "64:ff9b::" and length == 96
-        prefix = Nat64Prefix(
-            base, length, PrefixKind.STANDARD if standard else PrefixKind.CUSTOM
-        )
+        prefix = Nat64Prefix.of(base, length)
         if int(synthesize(prefix, ipaddress.IPv4Address(candidate))) == addr_int:
             return prefix
     raise NoEmbeddingFound(f"{addr} embeds none of {len(known)} expected addresses")

@@ -14,8 +14,12 @@ from .classifier import ASCategory
 from .model import IPAddress, Nat64Prefix
 
 
-def _packaged(name: str) -> str:
-    return resources.files("nat64scope").joinpath("data", name).read_text("ascii")
+def _read(path: Optional[str], packaged_name: str) -> str:
+    """The text of ``path``, or of the packaged copy when no path is given."""
+    if path is None:
+        return resources.files("nat64scope").joinpath("data", packaged_name).read_text("ascii")
+    with open(path, "r", encoding="ascii") as handle:
+        return handle.read()
 
 
 def _data_lines(text: str) -> List[str]:
@@ -29,31 +33,19 @@ def _data_lines(text: str) -> List[str]:
 
 def load_public_resolvers(path: Optional[str] = None) -> Tuple[IPAddress, ...]:
     """Addresses of public resolvers that synthesize AAAA records."""
-    if path is None:
-        text = _packaged("public_resolvers.txt")
-    else:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
+    text = _read(path, "public_resolvers.txt")
     return tuple(ipaddress.ip_address(line) for line in _data_lines(text))
 
 
 def load_public_prefixes(path: Optional[str] = None) -> Tuple[Nat64Prefix, ...]:
     """Translation prefixes of openly usable gateways."""
-    if path is None:
-        text = _packaged("public_nat64.txt")
-    else:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
+    text = _read(path, "public_nat64.txt")
     return tuple(Nat64Prefix.from_cidr(line) for line in _data_lines(text))
 
 
 def load_as_categories(path: Optional[str] = None) -> Dict[int, ASCategory]:
     """The ``asn,category`` mapping that labels translator ASes."""
-    if path is None:
-        text = _packaged("as_categories.txt")
-    else:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
+    text = _read(path, "as_categories.txt")
     source = path or "as_categories.txt"
     mapping: Dict[int, ASCategory] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -15,15 +15,12 @@ import ipaddress
 import json
 import os
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalogs
 from .acquire.dataset import Dataset, load_dataset, write_dataset
-from .acquire.dnswire import TYPE_AAAA
 from .acquire.ip2as import Ip2AsTable
-from .addrsynth import synthesize
 from .classifier import (
     NoNatHopError,
     categorize_probe,
@@ -35,28 +32,19 @@ from .classifier import (
 from .detector import (
     DEFAULT_DNS2_KNOWN_A,
     DEFAULT_DNS2_NAME,
-    DNS1_NAME,
     DetectionReport,
     STD_PING_TARGET_V4,
     detect_dataset,
-    eval_dns_test1,
-    eval_dns_test2,
-    eval_ping_test,
-    select_custom_ping_candidates,
 )
 from .model import (
     IPAddress,
     Nat64Prefix,
     PathFamily,
-    ProbeRecord,
-    RawOutcome,
     STANDARD_PREFIX,
     TestKind,
-    TestRun,
     VerdictValue,
 )
 from .pathlab import (
-    AggregateStats,
     NatLocation,
     aggregate_report,
     attribute_nat64_as,
@@ -91,7 +79,6 @@ class RunConfig:
     ip2as_path: Optional[str]
     as_categories_path: Optional[str]
     repeat: int
-    concurrency: int
 
 
 _CONFIG_KEYS = {
@@ -104,11 +91,10 @@ _CONFIG_KEYS = {
     "ip2as",
     "as_categories",
     "repeat",
-    "concurrency",
 }
 
 
-def load_config(path: Optional[str], concurrency_override: Optional[int] = None) -> RunConfig:
+def load_config(path: Optional[str]) -> RunConfig:
     doc: dict = {}
     if path is not None:
         try:
@@ -148,13 +134,8 @@ def load_config(path: Optional[str], concurrency_override: Optional[int] = None)
         raise ConfigError("targets must not be empty")
 
     repeat = doc.get("repeat", 2)
-    concurrency = (
-        doc.get("concurrency", 4) if concurrency_override is None else concurrency_override
-    )
     if type(repeat) is not int or repeat < 1:
         raise ConfigError("repeat must be a positive integer")
-    if type(concurrency) is not int or concurrency < 1:
-        raise ConfigError("concurrency must be a positive integer")
 
     config = RunConfig(
         targets=targets,
@@ -166,7 +147,6 @@ def load_config(path: Optional[str], concurrency_override: Optional[int] = None)
         ip2as_path=doc.get("ip2as"),
         as_categories_path=doc.get("as_categories"),
         repeat=repeat,
-        concurrency=concurrency,
     )
     for name, referenced in (
         ("public_resolvers", config.public_resolvers_path),
@@ -224,7 +204,7 @@ def _analyze(args, live: bool = False) -> Analysis:
     directory and runs detection. With ``live`` and no dataset given,
     it measures from this host instead and records what it measured.
     """
-    config = load_config(args.config, getattr(args, "concurrency", None))
+    config = load_config(args.config)
     public_prefixes, public_resolvers = _load_catalogs(config)
     if args.from_dataset:
         dataset = _read_input("dataset", args.from_dataset, load_dataset)
@@ -294,77 +274,19 @@ def _detection_doc(report: DetectionReport) -> dict:
     }
 
 
-def _system_resolvers() -> Tuple[str, ...]:
-    found: List[str] = []
-    try:
-        with open("/etc/resolv.conf", "r", encoding="ascii", errors="replace") as handle:
-            for line in handle:
-                parts = line.split()
-                if len(parts) >= 2 and parts[0] == "nameserver":
-                    found.append(parts[1])
-    except OSError:
-        pass
-    return tuple(found)
-
-
 def _acquire_live(config: RunConfig) -> Dataset:
-    from concurrent.futures import ThreadPoolExecutor
-
     from .acquire import live  # sockets; imported only when measuring
 
-    resolver_strs = config.resolvers or _system_resolvers()
+    resolver_strs = config.resolvers or live.system_resolvers()
     if not resolver_strs:
         raise ConfigError("no resolvers configured and none found in /etc/resolv.conf")
     try:
         resolvers = tuple(ipaddress.ip_address(r) for r in resolver_strs)
     except ValueError as exc:
         raise ConfigError(f"bad resolver address: {exc}") from exc
-
-    probe_id = "local"
-    started = int(time.time())
-    dataset = Dataset(capture_window=(started, started))
-    dataset.add_probe(ProbeRecord(probe_id, None, None, resolvers=resolvers))
-
-    try:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            for _ in range(config.repeat):
-                futures1 = [
-                    pool.submit(live.dns_query, r, DNS1_NAME, TYPE_AAAA) for r in resolvers
-                ]
-                futures2 = [
-                    pool.submit(live.dns_query, r, config.dns2_name, TYPE_AAAA)
-                    for r in resolvers
-                ]
-                responses1 = [f.result() for f in futures1]
-                responses2 = [f.result() for f in futures2]
-                now = int(time.time())
-                dataset.runs.append(eval_dns_test1(probe_id, now, responses1))
-                dataset.runs.append(
-                    eval_dns_test2(probe_id, now, responses2, config.dns2_answers)
-                )
-        # Acquisition barrier: ping candidates depend on every DNS answer.
-        # With one probe, every prefix its DNS tests revealed is its own.
-        revealed = select_custom_ping_candidates(dataset.probes, dataset.runs)
-        candidates = [STANDARD_PREFIX, *revealed]
-        anchor = config.targets[0]
-        for prefix in candidates:
-            target = synthesize(prefix, anchor)
-            for _ in range(config.repeat):
-                now = int(time.time())
-                try:
-                    rtts = [reply.rtt_ms for reply in live.icmp_echo(target)]
-                    dataset.runs.append(eval_ping_test(probe_id, now, prefix, rtts))
-                except live.NoRouteError as exc:
-                    dataset.runs.append(
-                        TestRun(
-                            probe_id, TestKind.ping_for(prefix), now, RawOutcome.FAIL,
-                            observed_prefix=prefix, diagnostic=f"no route: {exc}",
-                        )
-                    )
-    except KeyboardInterrupt:
-        print("interrupted; keeping partial results", file=sys.stderr)
-    dataset.capture_window = (started, int(time.time()))
-    return dataset
+    return live.measure(
+        resolvers, config.dns2_name, config.dns2_answers, config.targets[0], config.repeat
+    )
 
 
 def cmd_detect(args) -> int:
@@ -554,43 +476,6 @@ def cmd_classify(args) -> int:
 # ----------------------------------------------------------------- paths
 
 
-def _summary_doc(summary) -> Optional[dict]:
-    if summary is None:
-        return None
-    return {"n": summary.n, "mean": summary.mean, "sd": summary.sd, "median": summary.median}
-
-
-def _rates_doc(rates) -> dict:
-    return {
-        "n_pairs": rates.n_pairs,
-        "v4_pct": rates.v4_pct,
-        "nat64_pct": rates.nat64_pct,
-        "both_pct": rates.both_pct,
-    }
-
-
-def stats_to_doc(stats: AggregateStats) -> dict:
-    """The aggregate report in the same shape the oracle emits."""
-    return {
-        "success": _rates_doc(stats.success),
-        "metrics": {name: _summary_doc(s) for name, s in stats.metrics.items()},
-        "mean_of_pair_pcts": dict(stats.mean_of_pair_pcts),
-        "pct_of_means": dict(stats.pct_of_means),
-        "pearson_r": stats.pearson_r,
-        "ttl_anomaly_pairs": stats.ttl_anomaly_pairs,
-        "groups": {
-            name: {
-                "success": _rates_doc(g.success),
-                "length_diff": _summary_doc(g.length_diff),
-                "rtt_diff_ms": _summary_doc(g.rtt_diff_ms),
-            }
-            for name, g in stats.groups.items()
-        },
-        "per_target": {name: _rates_doc(r) for name, r in stats.per_target.items()},
-        "per_prefix": {name: _summary_doc(s) for name, s in stats.per_prefix.items()},
-    }
-
-
 def cmd_paths(args) -> int:
     analysis = _analyze(args)
     dataset, out = analysis.dataset, analysis.out
@@ -624,7 +509,8 @@ def cmd_paths(args) -> int:
                 "excluded": dict(sorted(exclusions.items())),
                 "ttl_anomaly_excluded": ttl_excluded,
             },
-            "stats": stats_to_doc(stats),
+            # The aggregate report in the same shape the oracle emits.
+            "stats": asdict(stats),
         },
     )
 
@@ -740,9 +626,8 @@ def cmd_atlas_fetch(args) -> int:
 
     out = _out_dir(args)
     path = os.path.join(out, f"measurement-{args.measurement}.ndjson")
-    extra = {"base_url": args.base_url} if args.base_url else {}
     try:
-        count = atlas.atlas_fetch(args.measurement, path, **extra)
+        count = atlas.atlas_fetch(args.measurement, path)
     except atlas.AtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -795,9 +680,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", parents=[configured], help="run or replay the detection tests")
     p.add_argument("--from-dataset", help="analyze a recorded dataset instead of measuring")
-    p.add_argument(
-        "--concurrency", type=int, help="overrides the config's concurrency budget"
-    )
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("classify", parents=[configured], help="bucket detected probes")
@@ -826,7 +708,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas-fetch", parents=[common], help="download measurement results")
     p.add_argument("--measurement", type=int, required=True)
-    p.add_argument("--base-url", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_atlas_fetch)
 
     p = sub.add_parser("atlas-spec", parents=[configured], help="emit measurement definitions")

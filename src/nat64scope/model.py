@@ -58,14 +58,16 @@ class Nat64Prefix:
         object.__setattr__(self, "_hash", hash((self.base, self.length, self.kind)))
 
     @classmethod
+    def of(cls, base: ipaddress.IPv6Address, length: int) -> "Nat64Prefix":
+        """The prefix ``base/length``, its kind derived from the well-known test."""
+        standard = base == WELL_KNOWN_BASE and length == WELL_KNOWN_LENGTH
+        return cls(base, length, PrefixKind.STANDARD if standard else PrefixKind.CUSTOM)
+
+    @classmethod
     def from_cidr(cls, text: str) -> "Nat64Prefix":
         """Parse ``base/length`` notation, deriving the kind."""
         base_text, _, length_text = text.partition("/")
-        base = ipaddress.IPv6Address(base_text)
-        length = int(length_text)
-        standard = base == WELL_KNOWN_BASE and length == WELL_KNOWN_LENGTH
-        kind = PrefixKind.STANDARD if standard else PrefixKind.CUSTOM
-        return cls(base, length, kind)
+        return cls.of(ipaddress.IPv6Address(base_text), int(length_text))
 
     def __str__(self) -> str:
         return self._text
@@ -166,10 +168,6 @@ class Hop(NamedTuple):
     index: int
     address: Optional[IPAddress]
     rtts_ms: Tuple[float, ...] = ()
-
-    @property
-    def responded(self) -> bool:
-        return self.address is not None
 
 
 @dataclass(frozen=True, slots=True)

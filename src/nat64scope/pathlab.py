@@ -54,10 +54,6 @@ class NatLocation(enum.Enum):
     NAT_IN_V6_AS = "nat_in_v6_as"
     REMOTE = "remote"
 
-    @property
-    def is_local(self) -> bool:
-        return self is not NatLocation.REMOTE
-
 
 class FilterReason(enum.Enum):
     NO_NAT_HOP = "NoNatHop"
@@ -319,7 +315,8 @@ def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
     """Lengths, target RTTs, and missing shares; None unless both succeeded.
 
     Length is the hop index of the first target hop; RTT is the mean of
-    that hop's packet RTTs. A target hop without timing information makes
+    that hop's packet RTTs. A target hop without timing information, or
+    an IPv4 one averaging 0 ms (its RTT percentage is undefined), makes
     the pair unusable for metrics.
     """
     idx4 = _target_hop_index(pair.ipv4)
@@ -330,10 +327,13 @@ def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
     hop6 = pair.nat64.hops[idx6 - 1]
     if not hop4.rtts_ms or not hop6.rtts_ms:
         return None
+    v4_rtt_ms = statistics.fmean(hop4.rtts_ms)
+    if v4_rtt_ms == 0.0:
+        return None
     return PathMetrics(
         v4_length=idx4,
         nat64_length=idx6,
-        v4_rtt_ms=statistics.fmean(hop4.rtts_ms),
+        v4_rtt_ms=v4_rtt_ms,
         nat64_rtt_ms=statistics.fmean(hop6.rtts_ms),
         v4_missing_pct=_silent_pct(pair.ipv4, idx4),
         nat64_missing_pct=_silent_pct(pair.nat64, idx6),

@@ -65,12 +65,15 @@ def _pair_row(pair: PathPair) -> Optional[Tuple[float, ...]]:
     hop6 = pair.nat64.hops[i6 - 1]
     if not hop4.rtts_ms or not hop6.rtts_ms:
         return None
+    rtt4 = float(np.mean(hop4.rtts_ms))
+    if rtt4 == 0.0:  # no RTT percentage exists
+        return None
     silent4 = sum(1 for hop in pair.ipv4.hops[:i4] if hop.address is None)
     silent6 = sum(1 for hop in pair.nat64.hops[:i6] if hop.address is None)
     return (
         float(i4),
         float(i6),
-        float(np.mean(hop4.rtts_ms)),
+        rtt4,
         float(np.mean(hop6.rtts_ms)),
         100.0 * silent4 / i4,
         100.0 * silent6 / i6,

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import zipfile
 from pathlib import Path
 
@@ -20,7 +21,18 @@ from nat64scope.acquire.dnswire import DnsResponse, DnsStatus, answer_for
 from nat64scope.addrsynth import synthesize
 from nat64scope.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_config, main
 from nat64scope.detector import DNS1_NAME, STD_PING_TARGET_V4
-from nat64scope.model import Nat64Prefix, RawOutcome, STANDARD_PREFIX, TestKind
+from nat64scope.model import (
+    Hop,
+    Nat64Prefix,
+    PathFamily,
+    ProbeRecord,
+    RawOutcome,
+    STANDARD_PREFIX,
+    TestKind,
+    TraceroutePath,
+)
+from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
+from nat64scope.simharness import compare, oracle_stats
 
 
 def run(*argv):
@@ -421,6 +433,32 @@ class TestPaths:
         assert "--final-round" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_zero_ipv4_rtt_pair_is_kept_without_metrics(self, tmp_path):
+        # The RTT percentage divides by the IPv4 target RTT: 0 ms leaves it undefined.
+        target = ipaddress.IPv4Address("198.51.100.10")
+        v6 = ipaddress.IPv6Address
+        dataset = Dataset()
+        dataset.add_probe(ProbeRecord("p1", 64500, 64500))
+        dataset.paths += [
+            TraceroutePath("p1", PathFamily.IPV4, None, target, 0, (
+                Hop(1, ipaddress.IPv4Address("10.0.0.1"), (0.0,)), Hop(2, target, (0.0,)),
+            )),
+            TraceroutePath("p1", PathFamily.NAT64, STANDARD_PREFIX, target, 0, (
+                Hop(1, v6("64:ff9b::a00:1"), (1.0,)), Hop(2, v6("64:ff9b::c633:640a"), (2.0,)),
+            )),
+        ]
+        path = tmp_path / "zero.ndjson"
+        write_dataset(dataset, str(path))
+        out = tmp_path / "paths"
+        assert run("paths", "--from-dataset", str(path), "--out", str(out)) == EXIT_OK
+        doc = read_json(out / "summary.json")
+        assert doc["accounting"]["pairs"] == doc["accounting"]["kept"] == 1
+        assert doc["stats"]["metrics"] == {}
+        assert read_csv(out / "pairs.csv")[1] == ["p1", str(target), "64:ff9b::/96", "0"] + [""] * 6
+
+        kept, _ = filter_pairs(pair_paths(load_dataset(str(path)).paths)[0])
+        assert compare(aggregate_report(kept), oracle_stats(kept)) == []
+
     def test_final_round_no_pair_has_drops_nothing(self, tmp_path):
         world = simulate(tmp_path)
         out = tmp_path / "paths"
@@ -442,8 +480,9 @@ class TestConfig:
 
     def test_unknown_key(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"resolver": ["8.8.8.8"]}))
-        assert run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "x")) == EXIT_CONFIG
+        for doc in ({"resolver": ["8.8.8.8"]}, {"concurrency": 4}):
+            config.write_text(json.dumps(doc))
+            assert run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "x")) == EXIT_CONFIG
 
     def test_missing_referenced_file(self, tmp_path):
         config = tmp_path / "config.json"
@@ -499,14 +538,17 @@ class TestConfig:
         assert err.count("\n") == 1 and err.startswith("config error:") and str(bad) in err
 
 
-def test_zero_concurrency_flag_is_config_error(tmp_path):
-    # With a dataset given, nothing is measured even if the flag were accepted.
-    dataset = tmp_path / "empty.ndjson"
-    write_dataset(Dataset(), str(dataset))
-    code = run(
-        "detect", "--concurrency", "0", "--from-dataset", str(dataset), "--out", str(tmp_path / "x")
-    )
-    assert code == EXIT_CONFIG
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("detect", "--concurrency", "1", "--from-dataset", "d.ndjson"),
+        ("atlas-fetch", "--measurement", "1", "--base-url", "X"),
+    ],
+)
+def test_removed_flags_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", str(tmp_path / "x"))
+    assert exc.value.code == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("under", [False, True])
@@ -600,7 +642,7 @@ class TestLiveDetect:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"resolvers": ["2001:db8::53"], "repeat": 2}))
         out = tmp_path / "live"
-        assert run("detect", "--config", str(config), "--concurrency", "1", "--out", str(out)) == EXIT_OK
+        assert run("detect", "--config", str(config), "--out", str(out)) == EXIT_OK
 
         candidates = [STANDARD_PREFIX, self.PREFIX_A, self.PREFIX_B]
         assert echoed == [synthesize(p, self.ANCHOR) for p in candidates for _ in range(2)]
@@ -615,6 +657,26 @@ class TestLiveDetect:
             assert ping.test_kind is TestKind.CUSTOM_PREFIX_PING
             assert ping.raw_outcome is RawOutcome.PASS
         assert (out / "detection.json").is_file()
+
+    def test_each_round_sends_all_its_queries_at_once(self, tmp_path, monkeypatch):
+        # Three resolvers, two tests: a round completes only with six in flight.
+        barrier = threading.Barrier(6, timeout=2)
+
+        def waiting_dns_query(resolver, qname, qtype, **kwargs):
+            barrier.wait()
+            return self.fake_dns_query(resolver, qname, qtype, **kwargs)
+
+        monkeypatch.setattr(live, "dns_query", waiting_dns_query)
+        monkeypatch.setattr(live, "icmp_echo", lambda target, **_: (live.EchoReply(0, 1.5),))
+        config = tmp_path / "config.json"
+        resolvers = ["2001:db8::53", "2001:db8::54", "192.0.2.53"]
+        config.write_text(json.dumps({"resolvers": resolvers, "repeat": 2}))
+        out = tmp_path / "live"
+        assert run("detect", "--config", str(config), "--out", str(out)) == EXIT_OK
+        dataset = load_dataset(str(out / "dataset.ndjson"))
+        assert [r.test_kind for r in dataset.runs if r.test_kind.is_dns] == [
+            TestKind.DNS_TEST1, TestKind.DNS_TEST2
+        ] * 2
 
     def test_refused_probe_socket_is_one_line_error(self, tmp_path, monkeypatch, capsys):
         def refused(target, **_):

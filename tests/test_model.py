@@ -123,7 +123,6 @@ class TestNat64Prefix:
 def test_hop_is_a_named_tuple():
     hop = Hop(2, None)
     assert hop == (2, None, ()) and hash(hop) == hash((2, None, ()))
-    assert not hop.responded and Hop(1, V4("10.0.0.1")).responded
     assert hop._replace(index=3).index == 3
 
 

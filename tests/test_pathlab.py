@@ -342,17 +342,14 @@ class TestLocation:
     def test_all_equal(self):
         probe = ProbeRecord("p", asn_v4=64500, asn_v6=64500)
         assert locate_nat64(64500, probe) is NatLocation.ALL_EQUAL
-        assert NatLocation.ALL_EQUAL.is_local
 
     def test_in_v6_as(self):
         probe = ProbeRecord("p", asn_v4=64500, asn_v6=64501)
         assert locate_nat64(64501, probe) is NatLocation.NAT_IN_V6_AS
-        assert NatLocation.NAT_IN_V6_AS.is_local
 
     def test_remote(self):
         probe = ProbeRecord("p", asn_v4=64500, asn_v6=64501)
         assert locate_nat64(64999, probe) is NatLocation.REMOTE
-        assert not NatLocation.REMOTE.is_local
 
     def test_matching_v4_only_is_remote(self):
         probe = ProbeRecord("p", asn_v4=64500, asn_v6=64501)
