@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalogs
 from .acquire.dataset import Dataset, load_dataset, write_dataset
+from .acquire.dnswire import MalformedDns, encode_name
 from .acquire.ip2as import Ip2AsTable
 from .classifier import (
     NoNatHopError,
@@ -116,6 +117,10 @@ def load_config(path: Optional[str]) -> RunConfig:
                 raise ConfigError(f"{path}: {key} must be a file path")
         if not isinstance(doc.get("dns2_name", ""), str):
             raise ConfigError(f"{path}: dns2_name must be a string")
+        try:
+            encode_name(doc.get("dns2_name", ""))
+        except (MalformedDns, UnicodeEncodeError) as exc:
+            raise ConfigError(f"{path}: dns2_name is not a DNS name: {exc}") from exc
         for key in ("targets", "dns2_answers", "resolvers"):
             value = doc.get(key, [])
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -181,7 +186,9 @@ def _load_catalogs(config: RunConfig):
 def _out_dir(args) -> str:
     try:
         os.makedirs(args.out, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:  # a file is in the way
+    except PermissionError:  # refused by the system: exit 1, as in main
+        raise
+    except OSError as exc:  # a file in the way, an empty or overlong name
         raise ConfigError(f"cannot make output directory {args.out}: {exc.strerror}") from exc
     return args.out
 

@@ -204,6 +204,13 @@ def _validate_probe(record: ProbeRecord) -> list[str]:
     problems = []
     if not record.probe_id:
         problems.append("probe_id is empty")
+    else:
+        try:
+            # A lone surrogate loads from a JSON escape but cannot be
+            # written to a report; runs and paths name a known probe.
+            record.probe_id.encode("utf-8")
+        except UnicodeEncodeError:
+            problems.append("probe_id is not valid Unicode text")
     for name in ("asn_v4", "asn_v6"):
         asn = getattr(record, name)
         if asn is not None and (not _is_int(asn) or asn <= 0):

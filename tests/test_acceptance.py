@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import pytest
 
-from nat64scope.acquire.atlas import iter_result_documents, parse_atlas, unparse_atlas
 from nat64scope.addrsynth import (
     NoEmbeddingFound,
     derive_prefix_from_answer,
@@ -41,13 +40,9 @@ from nat64scope.pathlab import (
     aggregate_report,
     attribute_nat64_as,
     filter_pairs,
-    first_nat_hop,
-    has_nat_hop,
     locate_nat64,
-    missing_hop_pct,
     pair_paths,
     pearson,
-    success,
 )
 from nat64scope.simharness import (
     ACCEPTANCE_TEMPLATE,
@@ -58,7 +53,6 @@ from nat64scope.simharness import (
     parse_scenario,
 )
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 LENGTHS = tuple(sorted(ALLOWED_PREFIX_LENGTHS))
 
 # Byte offsets of the embedded IPv4 address per prefix length, written
@@ -343,42 +337,6 @@ def test_criterion_08_pearson_sanity():
 
     elapsed = time.perf_counter() - start
     report(8, elapsed, "±1.0 exact, constant-series errors, 1000 random agreements at 1e-12")
-
-
-def test_criterion_09_atlas_replay():
-    start = time.perf_counter()
-    with open(os.path.join(FIXTURES, "atlas_expected.json"), "r", encoding="utf-8") as handle:
-        want = json.load(handle)
-
-    (dns_doc,) = iter_result_documents(os.path.join(FIXTURES, "atlas_dns.json"))
-    observations = parse_atlas(dns_doc, default_qname="ipv4only.arpa.")
-    assert len(observations) == want["dns"]["observations"]
-    assert observations[0].response.status.value == want["dns"]["first"]["status"]
-    assert [str(a) for a in observations[0].response.addresses()] == want["dns"]["first"]["addresses"]
-    assert observations[1].response.status.value == want["dns"]["second"]["status"]
-    rebuilt = unparse_atlas(observations, timestamp=1700000100)
-    assert parse_atlas(rebuilt, default_qname="ipv4only.arpa.") == observations
-
-    (ping_doc,) = iter_result_documents(os.path.join(FIXTURES, "atlas_ping.json"))
-    ping = parse_atlas(ping_doc, prefixes=(STANDARD_PREFIX,))
-    assert list(ping.rtts_ms) == want["ping"]["rtts"]
-    assert ping.sent == want["ping"]["sent"]
-    assert parse_atlas(unparse_atlas(ping), prefixes=(STANDARD_PREFIX,)) == ping
-
-    docs = list(iter_result_documents(os.path.join(FIXTURES, "atlas_traceroute.json")))
-    for doc, row in zip(docs, want["traceroute"]):
-        path = parse_atlas(doc, prefixes=(STANDARD_PREFIX,))
-        assert len(path.hops) == row["hops"]
-        assert success(path) == row["reached"]
-        assert sum(1 for h in path.hops if h.address is None) == row["silent_hops"]
-        assert missing_hop_pct(path) == row["missing_pct"]
-        assert has_nat_hop(path) == row["nat_hop"]
-        if row["nat_hop"]:
-            assert first_nat_hop(path).index == row["first_nat_hop"]
-        assert parse_atlas(unparse_atlas(path), prefixes=(STANDARD_PREFIX,)) == path
-
-    elapsed = time.perf_counter() - start
-    report(9, elapsed, "3 fixture kinds lossless, counts match the sidecar")
 
 
 def _run_pipeline(base):

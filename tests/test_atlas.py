@@ -1,306 +1,27 @@
-"""Result-document parsing, lossless rebuilds, and the fetch loop."""
+"""The fetch loop and the measurement definitions."""
 
-import base64
 import ipaddress
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from nat64scope.acquire.atlas import (
     AtlasError,
     AtlasNotFound,
     BACKOFF_S,
-    DnsObservation,
     MAX_RETRIES,
-    PingObservation,
-    SchemaViolation,
     atlas_fetch,
-    iter_result_documents,
     measurement_definitions,
-    parse_atlas,
-    unparse_atlas,
-)
-from nat64scope.acquire.dnswire import (
-    DnsStatus,
-    TYPE_AAAA,
-    answer_for,
-    build_response,
 )
 from nat64scope.addrsynth import synthesize
-from nat64scope.model import Nat64Prefix, PathFamily, RawOutcome, TestKind
+from nat64scope.model import Nat64Prefix
 
 PREFIX = Nat64Prefix.from_cidr("2001:db8:64::/96")
 STD = Nat64Prefix.from_cidr("64:ff9b::/96")
 TARGET = ipaddress.IPv4Address("198.51.100.10")
-
-
-def traceroute_doc(dst, hops, prb=1011, af=None):
-    return {
-        "af": af if af is not None else ipaddress.ip_address(dst).version,
-        "dst_addr": dst,
-        "prb_id": prb,
-        "result": hops,
-        "timestamp": 1700000000,
-        "type": "traceroute",
-    }
-
-
-class TestParseTraceroute:
-    def test_native_path(self):
-        doc = traceroute_doc(
-            str(TARGET),
-            [
-                {"hop": 1, "result": [{"from": "192.0.2.1", "rtt": 1.1},
-                                      {"from": "192.0.2.1", "rtt": 1.3}]},
-                {"hop": 2, "result": [{"x": "*"}, {"x": "*"}, {"x": "*"}]},
-                {"hop": 3, "result": [{"from": str(TARGET), "rtt": 7.4}]},
-            ],
-        )
-        path = parse_atlas(doc, prefixes=[PREFIX], round_index=2)
-        assert path.family is PathFamily.IPV4
-        assert path.prefix is None
-        assert path.target_v4 == TARGET
-        assert path.round_index == 2
-        assert path.probe_id == "1011"
-        assert [h.index for h in path.hops] == [1, 2, 3]
-        assert path.hops[0].rtts_ms == (1.1, 1.3)
-        assert path.hops[1].address is None and path.hops[1].rtts_ms == ()
-        assert path.hops[2].address == TARGET
-
-    def test_translated_path(self):
-        dst = str(synthesize(PREFIX, TARGET))
-        doc = traceroute_doc(
-            dst,
-            [
-                {"hop": 1, "result": [{"from": "2001:db8:aaaa::1", "rtt": 0.5}]},
-                {"hop": 2, "result": [{"from": dst, "rtt": 9.0}]},
-            ],
-        )
-        path = parse_atlas(doc, prefixes=[PREFIX, STD])
-        assert path.family is PathFamily.NAT64
-        assert path.prefix == PREFIX
-        assert path.target_v4 == TARGET
-
-    def test_unknown_prefix_rejected(self):
-        doc = traceroute_doc("2001:db8:9999::1", [])
-        with pytest.raises(SchemaViolation):
-            parse_atlas(doc, prefixes=[PREFIX])
-
-    def test_gap_hops_filled_as_silent(self):
-        doc = traceroute_doc(
-            str(TARGET),
-            [
-                {"hop": 1, "result": [{"from": "192.0.2.1", "rtt": 1.0}]},
-                {"hop": 4, "result": [{"from": str(TARGET), "rtt": 4.0}]},
-            ],
-        )
-        path = parse_atlas(doc, prefixes=[])
-        assert [h.index for h in path.hops] == [1, 2, 3, 4]
-        assert path.hops[1].address is None and path.hops[2].address is None
-
-    def test_late_error_packet_keeps_first_address(self):
-        doc = traceroute_doc(
-            str(TARGET),
-            [
-                {"hop": 1, "result": [{"from": "192.0.2.1", "rtt": 1.0},
-                                      {"from": "192.0.2.99", "rtt": 2.0}]},
-                {"hop": 2, "result": [{"from": str(TARGET), "rtt": 3.0}]},
-            ],
-        )
-        path = parse_atlas(doc, prefixes=[])
-        assert str(path.hops[0].address) == "192.0.2.1"
-        assert path.hops[0].rtts_ms == (1.0, 2.0)
-
-    def test_malformed_hop_rejected(self):
-        doc = traceroute_doc(str(TARGET), [{"result": [{"x": "*"}]}])
-        with pytest.raises(SchemaViolation):
-            parse_atlas(doc, prefixes=[])
-
-
-class TestParsePing:
-    def test_pass(self):
-        dst = str(synthesize(PREFIX, TARGET))
-        doc = {
-            "af": 6, "dst_addr": dst, "prb_id": 1011,
-            "result": [{"rtt": 10.0}, {"rtt": 11.5}, {"x": "*"}],
-            "timestamp": 1700000000, "type": "ping",
-        }
-        obs = parse_atlas(doc, prefixes=[PREFIX])
-        assert isinstance(obs, PingObservation)
-        assert obs.prefix == PREFIX
-        assert obs.rtts_ms == (10.0, 11.5)
-        assert obs.sent == 3
-        run = obs.to_test_run()
-        assert run.test_kind is TestKind.CUSTOM_PREFIX_PING
-        assert run.raw_outcome is RawOutcome.PASS
-        assert run.observed_prefix == PREFIX
-
-    def test_all_lost_is_fail(self):
-        dst = str(synthesize(STD, TARGET))
-        doc = {
-            "af": 6, "dst_addr": dst, "prb_id": 1011,
-            "result": [{"x": "*"}, {"x": "*"}, {"x": "*"}],
-            "timestamp": 1700000000, "type": "ping",
-        }
-        obs = parse_atlas(doc, prefixes=[STD])
-        run = obs.to_test_run()
-        assert run.test_kind is TestKind.STD_PREFIX_PING
-        assert run.raw_outcome is RawOutcome.FAIL
-        assert run.diagnostic == "0 of 3 replies"
-
-    def test_native_ping_has_no_test_kind(self):
-        doc = {
-            "af": 4, "dst_addr": str(TARGET), "prb_id": 1011,
-            "result": [{"rtt": 5.0}],
-            "timestamp": 1700000000, "type": "ping",
-        }
-        obs = parse_atlas(doc, prefixes=[PREFIX])
-        assert obs.prefix is None
-        with pytest.raises(SchemaViolation):
-            obs.to_test_run()
-
-
-def dns_doc(abuf_b64, resolver="2001:db8:53::1", prb=1011):
-    return {
-        "prb_id": prb,
-        "resultset": [
-            {
-                "dst_addr": resolver,
-                "result": {"ANCOUNT": 1, "abuf": abuf_b64},
-                "time": 1700000001,
-            }
-        ],
-        "timestamp": 1700000000,
-        "type": "dns",
-    }
-
-
-def make_abuf(qname="ipv4only.arpa.", address="2001:db8:64::c000:aa"):
-    answers = (answer_for(qname, ipaddress.ip_address(address)),)
-    wire = build_response(0x1234, qname, TYPE_AAAA, answers)
-    return base64.b64encode(wire).decode("ascii")
-
-
-class TestParseDns:
-    def test_answer_decoded(self):
-        doc = dns_doc(make_abuf())
-        observations = parse_atlas(doc)
-        assert len(observations) == 1
-        obs = observations[0]
-        assert isinstance(obs, DnsObservation)
-        assert obs.response.status is DnsStatus.NOERROR
-        assert obs.response.qname == "ipv4only.arpa."
-        assert obs.response.addresses() == (
-            ipaddress.ip_address("2001:db8:64::c000:aa"),
-        )
-        assert obs.timestamp == 1700000001
-        assert str(obs.response.resolver) == "2001:db8:53::1"
-
-    def test_timeout_entry(self):
-        doc = {
-            "prb_id": 1011,
-            "resultset": [
-                {"dst_addr": "2001:db8:53::1", "error": {"timeout": 5000},
-                 "time": 1700000002}
-            ],
-            "timestamp": 1700000000,
-            "type": "dns",
-        }
-        observations = parse_atlas(doc, default_qname="ipv4only.arpa.")
-        assert observations[0].response.status is DnsStatus.TIMEOUT
-        assert observations[0].abuf_b64 is None
-
-    def test_garbage_abuf_is_malformed(self):
-        doc = dns_doc(base64.b64encode(b"\x00\x01").decode("ascii"))
-        observations = parse_atlas(doc)
-        assert observations[0].response.status is DnsStatus.MALFORMED
-
-    def test_flat_document_without_resultset(self):
-        doc = {
-            "prb_id": 1011,
-            "dst_addr": "2001:db8:53::1",
-            "result": {"ANCOUNT": 1, "abuf": make_abuf()},
-            "timestamp": 1700000000,
-            "type": "dns",
-        }
-        observations = parse_atlas(doc)
-        assert len(observations) == 1
-        assert observations[0].response.status is DnsStatus.NOERROR
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SchemaViolation):
-            parse_atlas({"type": "sslcert", "prb_id": 1})
-
-
-class TestRoundTrip:
-    def test_traceroute(self):
-        doc = traceroute_doc(
-            str(TARGET),
-            [
-                {"hop": 1, "result": [{"from": "192.0.2.1", "rtt": 1.1}]},
-                {"hop": 2, "result": [{"x": "*"}, {"x": "*"}, {"x": "*"}]},
-                {"hop": 3, "result": [{"from": str(TARGET), "rtt": 7.4}]},
-            ],
-        )
-        path = parse_atlas(doc, prefixes=[])
-        assert unparse_atlas(path, timestamp=1700000000) == doc
-
-    def test_translated_traceroute(self):
-        dst = str(synthesize(PREFIX, TARGET))
-        doc = traceroute_doc(
-            dst,
-            [{"hop": 1, "result": [{"from": dst, "rtt": 2.0}]}],
-        )
-        path = parse_atlas(doc, prefixes=[PREFIX])
-        assert unparse_atlas(path, timestamp=1700000000) == doc
-
-    def test_ping(self):
-        doc = {
-            "af": 6,
-            "dst_addr": str(synthesize(PREFIX, TARGET)),
-            "prb_id": 1011,
-            "result": [{"rtt": 10.0}, {"rtt": 11.5}, {"x": "*"}],
-            "timestamp": 1700000000,
-            "type": "ping",
-        }
-        obs = parse_atlas(doc, prefixes=[PREFIX])
-        assert unparse_atlas(obs) == doc
-
-    def test_dns_preserves_answer_bytes(self):
-        doc = dns_doc(make_abuf())
-        observations = parse_atlas(doc)
-        rebuilt = unparse_atlas(observations, timestamp=1700000000)
-        assert rebuilt == doc
-        again = parse_atlas(rebuilt)
-        assert again == observations
-
-
-class TestIterDocuments:
-    def test_json_array(self, tmp_path):
-        path = tmp_path / "results.json"
-        docs = [{"type": "ping", "prb_id": i} for i in range(3)]
-        path.write_text(json.dumps(docs))
-        assert list(iter_result_documents(str(path))) == docs
-
-    def test_ndjson(self, tmp_path):
-        path = tmp_path / "results.ndjson"
-        docs = [{"type": "ping", "prb_id": i} for i in range(3)]
-        path.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
-        assert list(iter_result_documents(str(path))) == docs
-
-    def test_concatenated_pages(self, tmp_path):
-        path = tmp_path / "pages.json"
-        page1 = {"results": [{"prb_id": 1}], "next": "x"}
-        page2 = {"results": [{"prb_id": 2}, {"prb_id": 3}], "next": None}
-        path.write_text(json.dumps(page1) + "\n" + json.dumps(page2) + "\n")
-        assert [d["prb_id"] for d in iter_result_documents(str(path))] == [1, 2, 3]
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text("\n")
-        assert list(iter_result_documents(str(path))) == []
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -365,8 +86,8 @@ class TestFetch:
         count = atlas_fetch(78, str(out), base_url=base)
         assert count == 2
         assert out.read_bytes() == page1 + b"\n" + page2 + b"\n"
-        docs = list(iter_result_documents(str(out)))
-        assert [d["prb_id"] for d in docs] == [1, 2]
+        pages = [json.loads(line) for line in out.read_bytes().splitlines()]
+        assert [d["prb_id"] for page in pages for d in page["results"]] == [1, 2]
 
     def test_retry_after_transient_errors(self, scripted_server, tmp_path):
         base, handler = scripted_server
@@ -407,6 +128,57 @@ class TestFetch:
         atlas_fetch(82, str(tmp_path / "m82.json"), base_url=base)
         assert handler.requests_seen[0][1] == "Key envkey"
 
+    def test_transport_error_is_retried(self, tmp_path):
+        class FlakySession:
+            calls = 0
+
+            def get(self, url, headers, timeout):
+                FlakySession.calls += 1
+                if FlakySession.calls == 1:
+                    raise requests.ConnectionError("reset by peer")
+                reply = requests.Response()
+                reply.status_code = 200
+                reply._content = b'[{"prb_id": 3}]'
+                return reply
+
+        delays = []
+        out = tmp_path / "m83.json"
+        count = atlas_fetch(83, str(out), session=FlakySession(), sleep=delays.append)
+        assert count == 1 and FlakySession.calls == 2
+        assert out.read_bytes() == b'[{"prb_id": 3}]\n'
+        assert delays == [BACKOFF_S]
+
+    def test_bad_json_on_every_attempt_gives_up(self, scripted_server, tmp_path):
+        base, handler = scripted_server
+        handler.script["/measurements/84/results/"] = [(200, b"{truncated")]
+        with pytest.raises(AtlasError, match="bad JSON"):
+            atlas_fetch(84, str(tmp_path / "m84.json"), base_url=base, sleep=lambda s: None)
+        assert len(handler.requests_seen) == MAX_RETRIES + 1
+
+    def test_404_is_not_retried(self, scripted_server, tmp_path):
+        base, handler = scripted_server
+        handler.script["/measurements/85/results/"] = [(404, b"gone")]
+        delays = []
+        with pytest.raises(AtlasNotFound, match="measurement 85"):
+            atlas_fetch(85, str(tmp_path / "m85.json"), base_url=base, sleep=delays.append)
+        assert len(handler.requests_seen) == 1 and delays == []
+
+    def test_single_document_page_counts_one(self, scripted_server, tmp_path):
+        base, handler = scripted_server
+        body = b'{"type": "ping", "prb_id": 4}'
+        handler.script["/measurements/86/results/"] = [(200, body)]
+        out = tmp_path / "m86.json"
+        assert atlas_fetch(86, str(out), base_url=base) == 1
+        assert out.read_bytes() == body + b"\n"
+
+    def test_page_ending_in_newline_is_not_doubled(self, scripted_server, tmp_path):
+        base, handler = scripted_server
+        body = b'[{"prb_id": 5}]\n'
+        handler.script["/measurements/87/results/"] = [(200, body)]
+        out = tmp_path / "m87.json"
+        assert atlas_fetch(87, str(out), base_url=base) == 1
+        assert out.read_bytes() == body
+
 
 class TestDefinitions:
     def test_shape(self):
@@ -444,3 +216,43 @@ class TestDefinitions:
         assert {d["af"] for d in traces} == {4, 6}
         v6 = [d for d in traces if d["af"] == 6]
         assert v6[0]["target"] == str(synthesize(PREFIX, TARGET))
+
+    def test_no_prefixes_gives_dns_and_native_traces_only(self):
+        defs = measurement_definitions(
+            dns2_name="sub.example.net.",
+            ping_target_v4=ipaddress.IPv4Address("91.201.7.243"),
+            traceroute_targets=[TARGET, ipaddress.IPv4Address("192.0.2.7")],
+            prefixes=[],
+        )
+        assert [(d["type"], d["af"]) for d in defs] == [
+            ("dns", 6), ("dns", 6), ("traceroute", 4), ("traceroute", 4),
+        ]
+        assert [d["target"] for d in defs[2:]] == ["198.51.100.10", "192.0.2.7"]
+
+    def test_one_ping_per_prefix_at_the_synthesized_anchor(self):
+        anchor = ipaddress.IPv4Address("91.201.7.243")
+        defs = measurement_definitions(
+            dns2_name="sub.example.net.",
+            ping_target_v4=anchor,
+            traceroute_targets=[],
+            prefixes=[STD, PREFIX],
+        )
+        pings = [d for d in defs if d["type"] == "ping"]
+        assert [d["target"] for d in pings] == [
+            str(synthesize(STD, anchor)), str(synthesize(PREFIX, anchor)),
+        ]
+        assert all(d["af"] == 6 and d["packets"] == 3 for d in pings)
+        assert [d["description"] for d in pings] == [
+            f"nat64scope ping {STD}", f"nat64scope ping {PREFIX}",
+        ]
+
+    def test_dns_description_drops_the_root_dot(self):
+        defs = measurement_definitions(
+            dns2_name="sub.example.net.",
+            ping_target_v4=ipaddress.IPv4Address("91.201.7.243"),
+            traceroute_targets=[],
+            prefixes=[],
+        )
+        assert [d["description"] for d in defs] == [
+            "nat64scope dns ipv4only.arpa", "nat64scope dns sub.example.net",
+        ]

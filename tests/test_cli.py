@@ -513,6 +513,8 @@ class TestConfig:
             {"resolvers": [5]},
             {"targets": 5},
             {"repeat": True},
+            {"dns2_name": "a" * 64 + ".example."},
+            {"dns2_name": "exämple.com."},
         ],
     )
     def test_wrong_value_type_is_one_line_config_error(self, tmp_path, capsys, doc):
@@ -523,6 +525,15 @@ class TestConfig:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("config error:") and next(iter(doc)) in err
+
+    @pytest.mark.parametrize("name", ["a" * 63 + ".example.", "sub.example.net"])
+    def test_dns2_name_within_the_rules_is_queried(self, tmp_path, name):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dns2_name": name}))
+        out = tmp_path / "spec"
+        assert run("atlas-spec", "--config", str(config), "--out", str(out)) == EXIT_OK
+        queried = [d["query_argument"] for d in read_json(out / "atlas_spec.json") if d["type"] == "dns"]
+        assert queried == ["ipv4only.arpa.", name]
 
     @pytest.mark.parametrize(
         "argv",
@@ -551,15 +562,32 @@ def test_removed_flags_are_usage_errors(tmp_path, argv):
     assert exc.value.code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("under", [False, True])
-def test_out_naming_a_file_is_one_line_config_error(tmp_path, capsys, under):
+# False: --out names a regular file; True: a path beneath one.
+@pytest.mark.parametrize("case", [False, True, "empty", "overlong"])
+def test_out_naming_a_file_is_one_line_config_error(tmp_path, capsys, case):
     blocker = tmp_path / "a-file"
     blocker.write_text("")
-    out = blocker / "sub" if under else blocker
+    out = {
+        False: blocker,
+        True: blocker / "sub",
+        "empty": "",
+        "overlong": tmp_path / ("x" * 300),
+    }[case]
     capsys.readouterr()
     assert run("simulate", "--out", str(out)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:") and str(out) in err
+
+
+def test_out_refused_by_the_system_stays_exit_1(tmp_path, capsys, monkeypatch):
+    def refuse(path, exist_ok=False):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "makedirs", refuse)
+    capsys.readouterr()
+    assert run("atlas-spec", "--out", str(tmp_path / "x")) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "Permission denied" in err
 
 
 class TestInputErrors:
@@ -598,6 +626,136 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and str(bad) in err
+
+    def test_probe_id_that_is_not_text_is_one_line_config_error(self, tmp_path, capsys):
+        # "\ud800" is a lone surrogate: the file stays ASCII and loads, but
+        # the name cannot be written to a UTF-8 report.
+        world = simulate(tmp_path)
+        dataset = tmp_path / "renamed.ndjson"
+        text = (world / "dataset.ndjson").read_text()
+        dataset.write_text(text.replace('"sim001"', '"sim\\ud800"'))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ip2as": str(world / "ip2as.tsv")}))
+        for command in ("detect", "classify", "paths"):
+            capsys.readouterr()
+            code = run(
+                command, "--from-dataset", str(dataset), "--config", str(config),
+                "--out", str(tmp_path / command),
+            )
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG, command
+            assert err.count("\n") == 1 and "probe_id is not valid Unicode text" in err
+
+
+class TestErrorContract:
+    """Every single-field mutation of a tiny dataset ends in exit 0 or 2, never a raise."""
+
+    STD = {"base": "64:ff9b::", "kind": "standard", "length": 96}
+    HEADER = {"capture_window": [1700000000, 1700000100], "record": "header", "schema": 1}
+    PROBE = {
+        "asn_v4": 65001, "asn_v6": 65001, "network_prefix_v6": "2001:db8:1040::/64",
+        "probe_id": "p1", "record": "probe", "resolvers": ["2001:db8:5301::53"], "tags": [],
+    }
+    DNS_RUN = {
+        "diagnostic": None, "observed_prefix": STD, "probe_id": "p1", "raw_outcome": "pass",
+        "record": "test_run", "resolver_used": "2001:db8:5301::53", "test_kind": "dns_test1",
+        "timestamp": 1700000000,
+    }
+    DNS2_RUN = {**DNS_RUN, "test_kind": "dns_test2", "timestamp": 1700000010}
+    PING_RUN = {
+        **DNS_RUN, "resolver_used": None, "test_kind": "std_prefix_ping", "timestamp": 1700000020,
+    }
+    V4_PATH = {
+        "family": "ipv4",
+        "hops": [
+            {"address": "10.1.0.254", "index": 1, "rtts_ms": [0.7, 0.8]},
+            {"address": "203.0.113.8", "index": 2, "rtts_ms": [1.4, 1.5]},
+            {"address": None, "index": 3, "rtts_ms": []},
+            {"address": "198.51.100.10", "index": 4, "rtts_ms": [4.9, 5.0]},
+        ],
+        "prefix": None, "probe_id": "p1", "record": "traceroute", "round": 0,
+        "target_v4": "198.51.100.10",
+    }
+    NAT64_PATH = {
+        "family": "nat64",
+        "hops": [
+            {"address": "2001:db8:1040::1", "index": 1, "rtts_ms": [0.4, 0.5]},
+            {"address": "64:ff9b::c000:202", "index": 2, "rtts_ms": [8.0, 8.1]},
+            {"address": "64:ff9b::cb00:7108", "index": 3, "rtts_ms": [8.7, 8.8]},
+            {"address": "64:ff9b::cb00:7109", "index": 4, "rtts_ms": [9.4, 9.5]},
+            {"address": "64:ff9b::c633:640a", "index": 5, "rtts_ms": [12.2, 12.3]},
+        ],
+        "prefix": STD, "probe_id": "p1", "record": "traceroute", "round": 0,
+        "target_v4": "198.51.100.10",
+    }
+    RECORDS = (HEADER, PROBE, DNS_RUN, DNS2_RUN, PING_RUN, V4_PATH, NAT64_PATH)
+    VALUES = (
+        None, True, 0, -1, 1.5, 1e308, "", "x", [], {}, [1], {"a": 1}, 10**30,
+        "192.0.2.1", "2001:db8::1", "2001:db8::/32",
+    )
+
+    # Where each mutated field lives, by record kind.
+    TARGETS = {
+        "header": lambda docs: docs[0],
+        "probe": lambda docs: docs[1],
+        "dns": lambda docs: docs[2],
+        "ping": lambda docs: docs[4],
+        "v4": lambda docs: docs[5],
+        "nat64": lambda docs: docs[6],
+        "hop": lambda docs: docs[6]["hops"][1],  # the first translated hop
+        "prefix": lambda docs: docs[6]["prefix"],
+    }
+
+    def mutations(self, where):
+        """(name, records) for each field of one record kind set to each value."""
+        if where == "surrogate":
+            renamed = json.loads(json.dumps(self.RECORDS).replace('"p1"', '"\\ud800"'))
+            yield "probe renamed to a lone surrogate", renamed
+            return
+        pick = self.TARGETS[where]
+        for field in sorted(pick(self.RECORDS)):
+            for value in self.VALUES:
+                docs = json.loads(json.dumps(self.RECORDS))
+                pick(docs)[field] = value
+                yield f"{where}.{field}={value!r}", docs
+
+    @pytest.mark.parametrize("where", [*TARGETS, "surrogate"])
+    def test_every_mutation_is_exit_0_or_2(self, tmp_path, capsys, where):
+        ip2as = tmp_path / "ip2as.tsv"
+        ip2as.write_text("10.1.0.0/24 65001\n192.0.2.0/24 64500\n198.51.100.0/24 64501\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ip2as": str(ip2as)}))
+        dataset = tmp_path / "dataset.ndjson"
+        commands = (
+            ("detect",),
+            ("classify", "--config", str(config)),
+            ("paths", "--exclude-ttl-anomaly"),
+        )
+        failures = []
+        capsys.readouterr()
+        for k, (name, docs) in enumerate(self.mutations(where)):
+            dataset.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+            try:
+                load_dataset(str(dataset))
+                chosen = commands
+            except ValueError:
+                # Refused at load, which the three commands share before
+                # anything of their own: one of them in turn checks the exit.
+                chosen = (commands[k % len(commands)],)
+            for command in chosen:
+                argv = (*command, "--from-dataset", str(dataset), "--out", str(tmp_path / "out"))
+                try:
+                    code = run(*argv)
+                except Exception as exc:  # noqa: BLE001 - the contract under test
+                    failures.append(f"{name}: {command[0]} raised {exc!r}")
+                    capsys.readouterr()
+                    continue
+                err = capsys.readouterr().err
+                if code not in (EXIT_OK, EXIT_CONFIG):
+                    failures.append(f"{name}: {command[0]} exit {code}")
+                elif code == EXIT_CONFIG and err.count("\n") != 1:
+                    failures.append(f"{name}: {command[0]} printed {err!r}")
+        assert failures == []
 
 
 class TestAtlasSpec:

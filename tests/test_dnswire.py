@@ -12,6 +12,7 @@ from nat64scope.acquire.dnswire import (
     build_query,
     build_response,
     canonical_name,
+    encode_name,
     parse_message,
 )
 
@@ -102,6 +103,18 @@ def test_truncated_answer_rejected():
     wire = build_response(3, "a.example.", TYPE_AAAA, answers)
     with pytest.raises(MalformedDns):
         parse_message(wire[:-4])
+
+
+def test_longest_label_round_trips():
+    name = "a" * 63 + ".example."
+    assert encode_name(name)[0] == 63
+    assert parse_message(build_query(name, TYPE_AAAA, txid=1)).qname == name
+
+
+@pytest.mark.parametrize("name", ["a" * 64 + ".example.", "exämple.com."])
+def test_name_that_cannot_be_a_label_rejected(name):
+    with pytest.raises((MalformedDns, UnicodeEncodeError)):
+        encode_name(name)
 
 
 dns_labels = st.lists(

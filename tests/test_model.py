@@ -138,6 +138,15 @@ class TestValidate:
         )
         assert validate(rec) == []
 
+    def test_probe_id_that_is_not_text_flagged(self):
+        # A lone surrogate loads from a JSON escape but has no UTF-8 form.
+        assert validate(ProbeRecord("p\ud800", asn_v4=None, asn_v6=None)) == [
+            "probe_id is not valid Unicode text"
+        ]
+
+    def test_non_ascii_probe_id_ok(self):
+        assert validate(ProbeRecord("prüf-1", asn_v4=None, asn_v6=None)) == []
+
     def test_bad_asn(self):
         rec = ProbeRecord("p1", asn_v4=-4, asn_v6=None)
         assert any("asn_v4" in p for p in validate(rec))
