@@ -10,7 +10,7 @@ from __future__ import annotations
 import ipaddress
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..model import (
@@ -24,6 +24,8 @@ from ..model import (
     TestKind,
     TestRun,
     TraceroutePath,
+    _hops_are_clean,
+    _new_hop,
     validate,
 )
 
@@ -62,83 +64,97 @@ class Dataset:
         self.probes[probe.probe_id] = probe
 
 
-class _Encoder:
-    """Builds JSON documents from records, formatting each distinct value once.
+# One template per record kind, keys in sorted order, and two ways to
+# fill a slot: a value of the exact type the slot expects is formatted
+# directly, any other by ``_dump``. Either way a line is the ``_dump`` of
+# the record's document.
+_PROBE = ('{"asn_v4":%s,"asn_v6":%s,"network_prefix_v6":%s,"probe_id":%s,'
+          '"record":"probe","resolvers":[%s],"tags":%s}\n')
+_TEST_RUN = ('{"diagnostic":%s,"observed_prefix":%s,"probe_id":%s,"raw_outcome":"%s",'
+             '"record":"test_run","resolver_used":%s,"test_kind":"%s","timestamp":%s}\n')
+_TRACEROUTE = ('{"family":"%s","hops":[%s],"prefix":%s,"probe_id":%s,'
+               '"record":"traceroute","round":%s,"target_v4":%s}\n')
+_HOP = '{"address":%s,"index":%s,"rtts_ms":%s}'
 
-    The mirror of ``_Decoder``: one encoder serves one write and its
-    tables go with it. Tables key on the objects, which tell ``0.0.0.1``
-    from ``::1`` although both are the integer 1.
+
+def _int_text(value) -> str:
+    return "%d" % value if type(value) is int else _dump(value)
+
+
+def _str_text(value) -> str:
+    return _quote(value) if type(value) is str else _dump(value)
+
+
+class _Texts(dict):
+    """The JSON text of each address and prefix one write meets, made once.
+
+    Keys are the objects, which tell ``0.0.0.1`` from ``::1`` although
+    both are the integer 1.
     """
 
-    def __init__(self) -> None:
-        self._addresses: Dict[IPAddress, str] = {}
-        self._prefixes: Dict[Nat64Prefix, dict] = {}
-
-    def address(self, address: Optional[IPAddress]) -> Optional[str]:
-        if address is None:
-            return None
-        text = self._addresses.get(address)
-        if text is None:
-            text = self._addresses[address] = str(address)
+    def __missing__(self, value) -> str:
+        if value is None:
+            text = "null"
+        elif isinstance(value, Nat64Prefix):
+            text = _dump(
+                {"base": str(value.base), "length": value.length, "kind": value.kind.value}
+            )
+        else:  # ``_quote`` escapes an IPv6 scope's text as ``_dump`` would
+            text = _quote(str(value))
+        self[value] = text
         return text
 
-    def prefix(self, prefix: Optional[Nat64Prefix]) -> Optional[dict]:
-        if prefix is None:
-            return None
-        doc = self._prefixes.get(prefix)
-        if doc is None:
-            doc = self._prefixes[prefix] = {
-                "base": str(prefix.base), "length": prefix.length, "kind": prefix.kind.value
-            }
-        return doc
 
-    def encode(self, record: object) -> dict:
-        if isinstance(record, ProbeRecord):
-            return {
-                "record": "probe",
-                "probe_id": record.probe_id,
-                "asn_v4": record.asn_v4,
-                "asn_v6": record.asn_v6,
-                "resolvers": [self.address(r) for r in record.resolvers],
-                "tags": list(record.tags),
-                "network_prefix_v6": (
-                    str(record.network_prefix_v6) if record.network_prefix_v6 else None
-                ),
-            }
-        if isinstance(record, TestRun):
-            return {
-                "record": "test_run",
-                "probe_id": record.probe_id,
-                "test_kind": record.test_kind.value,
-                "timestamp": record.timestamp,
-                "raw_outcome": record.raw_outcome.value,
-                "observed_prefix": self.prefix(record.observed_prefix),
-                "resolver_used": self.address(record.resolver_used),
-                "diagnostic": record.diagnostic,
-            }
-        if isinstance(record, TraceroutePath):
-            return {
-                "record": "traceroute",
-                "probe_id": record.probe_id,
-                "family": record.family.value,
-                "prefix": self.prefix(record.prefix),
-                "target_v4": self.address(record.target_v4),
-                "round": record.round_index,
-                "hops": [
-                    {
-                        "index": hop.index,
-                        "address": self.address(hop.address),
-                        "rtts_ms": list(hop.rtts_ms),
-                    }
-                    for hop in record.hops
-                ],
-            }
-        raise TypeError(f"cannot encode {type(record).__name__}")
+def _line(record: object, texts: _Texts) -> str:
+    """One record's line, newline included."""
+    if isinstance(record, TraceroutePath):
+        hops = record.hops
+        # Clean hops hold exact ints and finite floats, whose reprs are
+        # their JSON text; bools, int RTTs, NaN and the like go to ``_dump``.
+        if _hops_are_clean(hops):
+            hop_texts = [
+                _HOP % (texts[address], index, "[%s]" % ",".join(map(repr, rtts)))
+                for index, address, rtts in hops
+            ]
+        else:
+            hop_texts = [
+                _HOP % (texts[address], _dump(index), _dump(list(rtts)))
+                for index, address, rtts in hops
+            ]
+        return _TRACEROUTE % (
+            record.family.value,
+            ",".join(hop_texts),
+            texts[record.prefix],
+            _str_text(record.probe_id),
+            _int_text(record.round_index),
+            texts[record.target_v4],
+        )
+    if isinstance(record, TestRun):
+        return _TEST_RUN % (
+            _str_text(record.diagnostic),
+            texts[record.observed_prefix],
+            _str_text(record.probe_id),
+            record.raw_outcome.value,
+            texts[record.resolver_used],
+            record.test_kind.value,
+            _int_text(record.timestamp),
+        )
+    if isinstance(record, ProbeRecord):
+        network = record.network_prefix_v6
+        return _PROBE % (
+            _int_text(record.asn_v4),
+            _int_text(record.asn_v6),
+            _dump(str(network) if network else None),
+            _str_text(record.probe_id),
+            ",".join([texts[resolver] for resolver in record.resolvers]),
+            _dump(list(record.tags)),
+        )
+    raise TypeError(f"cannot encode {type(record).__name__}")
 
 
 def encode_record(record: object) -> dict:
     """Map one model record to its JSON document."""
-    return _Encoder().encode(record)
+    return json.loads(_line(record, _Texts()))
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
@@ -160,11 +176,6 @@ def _member(enum: type, value):
     """``enum(value)`` through a value table; a miss raises the enum's error."""
     member = _MEMBERS[enum].get(value) if type(value) is str else None
     return enum(value) if member is None else member
-
-
-#: ``Hop(index, address, rtts_ms)`` from one tuple, without the Python-level
-#: ``__new__`` that named tuples add; about half the cost per hop.
-_new_hop = partial(tuple.__new__, Hop)
 
 
 class _Decoder:
@@ -301,10 +312,10 @@ def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
             "capture_window": list(dataset.capture_window) if dataset.capture_window else None,
         }
         handle.write(_dump(header) + "\n")
-        encoder = _Encoder()
+        texts = _Texts()
         for records in (dataset.probes.values(), dataset.runs, dataset.paths):
             for record in records:
-                handle.write(_dump(encoder.encode(record)) + "\n")
+                handle.write(_line(record, texts))
     finally:
         if own:
             handle.close()

@@ -24,6 +24,9 @@ _FLAG_QR = 0x8000
 _FLAG_RD = 0x0100
 _FLAG_RA = 0x0080
 
+#: A whole name in wire form, length bytes and root label included (RFC 1035).
+MAX_NAME_BYTES = 255
+
 
 class MalformedDns(ValueError):
     """The byte string is not a well-formed DNS message."""
@@ -65,6 +68,8 @@ def encode_name(name: str) -> bytes:
         out.append(len(raw))
         out.extend(raw)
     out.append(0)
+    if len(out) > MAX_NAME_BYTES:
+        raise MalformedDns(f"name too long: {len(out)} bytes in wire form, limit {MAX_NAME_BYTES}")
     return bytes(out)
 
 

@@ -11,7 +11,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple, Union
 
-from ..model import IPAddress
+from ..model import MAX_ASN, IPAddress
 
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
@@ -28,8 +28,8 @@ class Ip2AsTable:
     _lengths: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
     def add(self, network: Union[IPNetwork, str], asn: int) -> None:
-        if asn <= 0:
-            raise Ip2AsError(f"AS number must be positive, got {asn}")
+        if not 1 <= asn <= MAX_ASN:
+            raise Ip2AsError(f"AS number must be in 1..{MAX_ASN}, got {asn}")
         if isinstance(network, str):
             network = ipaddress.ip_network(network)
         key = (network.version, network.prefixlen)
@@ -63,11 +63,9 @@ class Ip2AsTable:
                 if len(parts) != 2:
                     raise Ip2AsError(f"{path}:{lineno}: expected 'prefix asn': {text!r}")
                 try:
-                    network = ipaddress.ip_network(parts[0])
-                    asn = int(parts[1])
+                    table.add(ipaddress.ip_network(parts[0]), int(parts[1]))
                 except ValueError as exc:
                     raise Ip2AsError(f"{path}:{lineno}: {exc}") from exc
-                table.add(network, asn)
         return table
 
     def lookup(self, address: IPAddress) -> Optional[int]:

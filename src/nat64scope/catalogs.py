@@ -11,7 +11,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from .classifier import ASCategory
-from .model import IPAddress, Nat64Prefix
+from .model import MAX_ASN, IPAddress, Nat64Prefix
 
 
 def _read(path: Optional[str], packaged_name: str) -> str:
@@ -60,5 +60,7 @@ def load_as_categories(path: Optional[str] = None) -> Dict[int, ASCategory]:
             category = ASCategory(parts[1])
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from exc
+        if not 1 <= asn <= MAX_ASN:
+            raise ValueError(f"{source}:{lineno}: AS number must be in 1..{MAX_ASN}, got {asn}")
         mapping[asn] = category
     return mapping

@@ -364,6 +364,14 @@ def cmd_classify(args) -> int:
     config, dataset, report, out = (
         analysis.config, analysis.dataset, analysis.report, analysis.out
     )
+    # Both tables are read before any warning, so a bad one ends the
+    # command with its one-line error alone.
+    ip2as: Optional[Ip2AsTable] = None
+    if config.ip2as_path is not None:
+        ip2as = _read_input("ip2as", config.ip2as_path, Ip2AsTable.load)
+    mapping = _read_input(
+        "as_categories", config.as_categories_path, catalogs.load_as_categories
+    )
     evidence = detect_isp_dns64(
         group_runs_by_as(dataset.runs, dataset.probes), dataset.probes
     )
@@ -375,10 +383,7 @@ def cmd_classify(args) -> int:
             file=sys.stderr,
         )
 
-    ip2as: Optional[Ip2AsTable] = None
-    if config.ip2as_path is not None:
-        ip2as = _read_input("ip2as", config.ip2as_path, Ip2AsTable.load)
-    else:
+    if ip2as is None:
         print(
             "warning: no ip2as table configured; translator locations "
             "and remote/local buckets are unavailable",
@@ -427,9 +432,6 @@ def cmd_classify(args) -> int:
             "asn_v6": record.asn_v6,
         }
 
-    mapping = _read_input(
-        "as_categories", config.as_categories_path, catalogs.load_as_categories
-    )
     as_counts = count_as_categories(nat64_asns, mapping)
 
     _write_json(

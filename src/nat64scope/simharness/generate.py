@@ -32,6 +32,7 @@ from ..model import (
     TestKind,
     TestRun,
     TraceroutePath,
+    _new_hop,
 )
 from ..pathlab import NatLocation
 from .scenario import Cohort, Scenario
@@ -268,8 +269,9 @@ def _truth_location(plan: _Plan) -> Optional[NatLocation]:
     return NatLocation.NAT_IN_V6_AS
 
 
-def _rtts(base: float, round_index: int) -> Tuple[float, ...]:
-    return tuple(base + off + 0.02 * round_index for off in _PACKET_OFFSETS)
+def _rtts(base: float, step: float) -> Tuple[float, float, float]:
+    first, second, third = _PACKET_OFFSETS
+    return (base + first + step, base + second + step, base + third + step)
 
 
 def _transit_v4(n: int, position: int) -> ipaddress.IPv4Address:
@@ -280,7 +282,8 @@ def _transit_v4(n: int, position: int) -> ipaddress.IPv4Address:
 _Layout = Tuple[Tuple[int, Optional[IPAddress], float], ...]
 
 
-def _v4_layout(plan: _Plan, target: ipaddress.IPv4Address, rng: random.Random) -> _Layout:
+def _v4_layout(plan: _Plan, first: ipaddress.IPv4Address, target: ipaddress.IPv4Address,
+               rng: random.Random) -> _Layout:
     """Draw one (probe, target) shape from ``rng`` and lay out its native path."""
     anomaly = plan.cohort.anomaly == "ttl"
     length = 2 if anomaly else 5 + rng.randrange(3)
@@ -289,7 +292,6 @@ def _v4_layout(plan: _Plan, target: ipaddress.IPv4Address, rng: random.Random) -
         # Interior hop with responders on both sides, so the silence is a
         # bounded run for the path comparison logic.
         silent = rng.randrange(3, length)
-    first = ipaddress.IPv4Address(f"10.{plan.cohort.cell}.{plan.cell_index}.254")
     layout = []
     for h in range(1, length + 1):
         if h == silent:
@@ -304,24 +306,19 @@ def _v4_layout(plan: _Plan, target: ipaddress.IPv4Address, rng: random.Random) -
     return tuple(layout)
 
 
-def _nat64_layout(plan: _Plan, prefix: Nat64Prefix, v4: _Layout) -> _Layout:
-    """The translated path: the native hops past the first, behind the translator."""
+def _nat64_layout(plan: _Plan, prefix: Nat64Prefix, v4: _Layout, pre: _Layout,
+                  anchor: ipaddress.IPv4Address) -> _Layout:
+    """The translated path: the hops ``pre`` before the translator, which
+    embeds ``anchor``, then the native hops past the first behind it."""
     cohort = plan.cohort
-    cell = cohort.cell
     natpos = _NAT_POSITION[cohort.location]
     nat_base = _NAT_BASE_MS[cohort.location]
-    pre = (
-        f"2001:db8:{plan.net_group:x}::1",
-        f"2001:db8:{0x100 + cell:x}::2",
-        f"2001:db8:{0x200 + cell:x}::3",
-    )[: natpos - 1]
-    layout = [(h, ipaddress.IPv6Address(text), 0.4 * h) for h, text in enumerate(pre, start=1)]
+    layout = list(pre)
     if cohort.icmp == "opaque":
         # The translator forwards traffic but swallows hop errors from its
         # far side, so everything from its position on stays dark.
         return tuple(layout + [(h, None, 0.0) for h in range(natpos, natpos + 3)])
-    nat_hop = synthesize(prefix, ipaddress.IPv4Address(f"192.0.2.{cell % 250 + 1}"))
-    layout.append((natpos, nat_hop, nat_base))
+    layout.append((natpos, synthesize(prefix, anchor), nat_base))
     if cohort.nat == "broken":
         return tuple(layout + [(h, None, 0.0) for h in range(natpos + 1, natpos + 3)])
     for h, addr, _ in v4[1:]:
@@ -333,11 +330,28 @@ def _nat64_layout(plan: _Plan, prefix: Nat64Prefix, v4: _Layout) -> _Layout:
     return tuple(layout)
 
 
-def _hops(layout: _Layout, round_index: int) -> Tuple[Hop, ...]:
-    return tuple(
-        Hop(h, addr, () if addr is None else _rtts(base, round_index))
-        for h, addr, base in layout
+def _fixed_hops(plan: _Plan) -> Tuple[ipaddress.IPv4Address, _Layout, ipaddress.IPv4Address]:
+    """The probe's first native hop, its hops before the translator and the
+    translator's IPv4 side: the same in all of its paths, so parsed once."""
+    cell = plan.cohort.cell
+    pre = (
+        f"2001:db8:{plan.net_group:x}::1",
+        f"2001:db8:{0x100 + cell:x}::2",
+        f"2001:db8:{0x200 + cell:x}::3",
+    )[: _NAT_POSITION[plan.cohort.location] - 1]
+    return (
+        ipaddress.IPv4Address(f"10.{cell}.{plan.cell_index}.254"),
+        tuple((h, ipaddress.IPv6Address(text), 0.4 * h) for h, text in enumerate(pre, start=1)),
+        ipaddress.IPv4Address(f"192.0.2.{cell % 250 + 1}"),
     )
+
+
+def _hops(layout: _Layout, round_index: int) -> Tuple[Hop, ...]:
+    step = 0.02 * round_index
+    return tuple([
+        _new_hop((h, addr, () if addr is None else _rtts(base, step)))
+        for h, addr, base in layout
+    ])
 
 
 def _runs_for(plan: _Plan) -> List[TestRun]:
@@ -441,12 +455,13 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
             continue
         # Shapes come from rng one per target, in target order, before any
         # round: every seeded world's bytes depend on that order.
+        first, pre, anchor = _fixed_hops(plan)
         layouts = []
         for target in SIM_TARGETS:
-            v4 = _v4_layout(plan, target, rng)
+            v4 = _v4_layout(plan, first, target, rng)
             layouts.append((PathFamily.IPV4, None, target, v4))
             layouts.extend(
-                (PathFamily.NAT64, prefix, target, _nat64_layout(plan, prefix, v4))
+                (PathFamily.NAT64, prefix, target, _nat64_layout(plan, prefix, v4, pre, anchor))
                 for prefix in plan.path_prefixes
             )
         for round_index in range(SIM_ROUNDS):

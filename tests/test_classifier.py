@@ -1,6 +1,7 @@
 """ISP DNS64 evidence, translator locality, and category bucketing."""
 
 import ipaddress
+import re
 
 import pytest
 
@@ -336,6 +337,13 @@ class TestAsCategories:
             load_as_categories(str(path))
         path.write_text("64500,XX\n")
         with pytest.raises(ValueError):
+            load_as_categories(str(path))
+
+    @pytest.mark.parametrize("asn", ["0", "-1", "4294967296"])
+    def test_load_rejects_as_numbers_outside_four_octets(self, tmp_path, asn):
+        path = tmp_path / "cats.txt"
+        path.write_text(f"4294967295,H\n{asn},OI\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: AS number must be in 1..4294967295")):
             load_as_categories(str(path))
 
     def test_counts(self):

@@ -377,6 +377,32 @@ class TestClassify:
         assert run("classify", "--from-dataset", str(world / "dataset.ndjson"), "--out", str(out)) == EXIT_OK
         assert "ip2as" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,text,line",
+        [
+            ("as_categories", "64500,OI\n-1,OI\n", 2),
+            ("as_categories", "4294967296,H\n", 1),
+            ("ip2as", "10.0.0.0/8 99999999999999999999\n", 1),
+            ("ip2as", "10.0.0.0/8 0\n", 1),
+        ],
+    )
+    def test_bad_table_is_the_only_stderr_line(self, tmp_path, capsys, key, text, line):
+        # No ip2as in the as_categories cases: its warning must not come first.
+        world = simulate(tmp_path)
+        table = tmp_path / "table.txt"
+        table.write_text(text)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: str(table)}))
+        capsys.readouterr()
+        code = run(
+            "classify", "--from-dataset", str(world / "dataset.ndjson"), "--config", str(config),
+            "--out", str(tmp_path / "cls"),
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert f"{table}:{line}: AS number must be in 1..4294967295" in err
+
 
 class TestPaths:
     def test_summary_accounting(self, tmp_path):
@@ -515,6 +541,7 @@ class TestConfig:
             {"repeat": True},
             {"dns2_name": "a" * 64 + ".example."},
             {"dns2_name": "exämple.com."},
+            {"dns2_name": ".".join(["a" * 63] * 5) + "."},
         ],
     )
     def test_wrong_value_type_is_one_line_config_error(self, tmp_path, capsys, doc):
@@ -526,7 +553,9 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("config error:") and next(iter(doc)) in err
 
-    @pytest.mark.parametrize("name", ["a" * 63 + ".example.", "sub.example.net"])
+    @pytest.mark.parametrize(
+        "name", ["a" * 63 + ".example.", "sub.example.net", ".".join(["a" * 63] * 3 + ["b" * 61]) + "."]
+    )
     def test_dns2_name_within_the_rules_is_queried(self, tmp_path, name):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dns2_name": name}))

@@ -1,6 +1,7 @@
 import io
 import ipaddress
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from nat64scope.model import (
     Hop,
     Nat64Prefix,
     PathFamily,
+    PrefixKind,
     ProbeRecord,
     RawOutcome,
     STANDARD_PREFIX,
@@ -24,6 +26,7 @@ from nat64scope.model import (
     TestRun,
     TraceroutePath,
 )
+from oracles import oracle_document
 
 V4 = ipaddress.IPv4Address
 V6 = ipaddress.IPv6Address
@@ -254,6 +257,123 @@ def test_encode_record_equals_the_written_line():
     assert len(lines) == len(records)
     for line, record in zip(lines, records):
         assert json.dumps(encode_record(record), sort_keys=True, separators=(",", ":")) == line
+
+
+# ------------------------------------------------ writing against the reference
+
+
+class Tally(int):
+    """An int subclass: JSON writes its number, as for a plain int."""
+
+
+# Quotes, backslashes, control, non-ASCII and lone surrogate characters,
+# which each take an escape in JSON text.
+odd_text = st.text(
+    st.one_of(st.characters(), st.sampled_from(['"', "\\", "\x00", "é", "\ud800", "\udfff"])),
+    max_size=6,
+)
+any_ints = st.one_of(st.integers(), st.booleans(), st.integers().map(Tally))
+any_addresses = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1).map(V4),
+    st.integers(min_value=0, max_value=2**128 - 1).map(V6),
+    st.just(V6('fe80::1%"é')),
+    odd_text.filter(lambda scope: scope and not {"%", "/"} & set(scope)).map(
+        lambda scope: V6(f"fe80::1%{scope}")
+    ),
+)
+any_prefixes = st.sampled_from([
+    STANDARD_PREFIX,
+    Nat64Prefix(V6("2001:db8:64::"), 96, PrefixKind.CUSTOM),
+    Nat64Prefix(V6("2001:db8::"), 32, PrefixKind.CUSTOM),
+])
+# -0.0 passes the clean-hop test, and its repr keeps the sign.
+clean_rtts = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.just(-0.0))
+any_rtts = st.one_of(
+    clean_rtts,
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+@st.composite
+def any_hops(draw):
+    contiguous = draw(st.booleans())
+    clean = draw(st.booleans())
+    hops = []
+    for position in range(1, draw(st.integers(min_value=0, max_value=5)) + 1):
+        address = draw(st.one_of(st.none(), any_addresses))
+        # A clean path's silent hops carry no RTTs; any other's may.
+        rtts = () if clean and address is None else tuple(
+            draw(st.lists(clean_rtts if clean else any_rtts, max_size=3))
+        )
+        hops.append(Hop(position if contiguous else draw(any_ints), address, rtts))
+    return tuple(hops)
+
+
+@st.composite
+def any_datasets(draw):
+    ds = Dataset()
+    for probe in draw(st.lists(
+        st.builds(
+            ProbeRecord,
+            probe_id=odd_text,
+            asn_v4=st.one_of(st.none(), any_ints),
+            asn_v6=st.one_of(st.none(), any_ints),
+            resolvers=st.lists(any_addresses, max_size=2).map(tuple),
+            tags=st.lists(odd_text, max_size=2).map(tuple),
+            network_prefix_v6=st.one_of(
+                st.none(),
+                st.integers(min_value=0, max_value=2**64 - 1).map(
+                    lambda n: ipaddress.IPv6Network((n << 64, 64))
+                ),
+            ),
+        ),
+        max_size=3,
+        unique_by=lambda probe: probe.probe_id,
+    )):
+        ds.add_probe(probe)
+    ds.runs = draw(st.lists(
+        st.builds(
+            TestRun,
+            probe_id=odd_text,
+            test_kind=st.sampled_from(TestKind),
+            timestamp=any_ints,
+            raw_outcome=st.sampled_from(RawOutcome),
+            observed_prefix=st.one_of(st.none(), any_prefixes),
+            resolver_used=st.one_of(st.none(), any_addresses),
+            diagnostic=st.one_of(st.none(), odd_text),
+        ),
+        max_size=3,
+    ))
+    # Family and prefix are drawn apart, so an ipv4 path with a prefix
+    # and a nat64 path without one are written too.
+    ds.paths = draw(st.lists(
+        st.builds(
+            TraceroutePath,
+            probe_id=odd_text,
+            family=st.sampled_from(PathFamily),
+            prefix=st.one_of(st.none(), any_prefixes),
+            target_v4=any_addresses,
+            round_index=any_ints,
+            hops=any_hops(),
+        ),
+        max_size=3,
+    ))
+    ds.capture_window = draw(st.one_of(st.none(), st.tuples(st.integers(), st.integers())))
+    return ds
+
+
+@settings(deadline=None)
+@given(any_datasets())
+def test_written_lines_equal_the_reference_documents(ds):
+    buffer = io.StringIO()
+    write_dataset(ds, buffer)
+    lines = buffer.getvalue().split("\n")
+    records = [*ds.probes.values(), *ds.runs, *ds.paths]
+    assert len(lines) == len(records) + 2 and lines[-1] == ""
+    for line, record in zip(lines[1:], records):
+        assert line == json.dumps(oracle_document(record), sort_keys=True, separators=(",", ":"))
 
 
 # ------------------------------------------------ malformed input

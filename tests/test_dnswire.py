@@ -117,6 +117,14 @@ def test_name_that_cannot_be_a_label_rejected(name):
         encode_name(name)
 
 
+def test_name_longer_than_255_bytes_in_wire_form_rejected():
+    assert len(encode_name(".".join(["a" * 63] * 3 + ["b" * 61]))) == 255
+    with pytest.raises(MalformedDns, match="256 bytes"):
+        encode_name(".".join(["a" * 63] * 3 + ["b" * 62]))
+    with pytest.raises(MalformedDns, match="321 bytes"):
+        encode_name(".".join(["a" * 63] * 5))
+
+
 dns_labels = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12),
     min_size=1,

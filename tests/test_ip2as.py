@@ -1,5 +1,6 @@
 import ipaddress
 import random
+import re
 
 import pytest
 
@@ -68,6 +69,16 @@ def test_bad_lines_rejected(tmp_path, line):
 def test_nonpositive_as_rejected():
     with pytest.raises(Ip2AsError):
         Ip2AsTable.from_pairs([(NET("10.0.0.0/8"), 0)])
+
+
+@pytest.mark.parametrize("asn", ["0", "-5", "4294967296", "99999999999999999999"])
+def test_as_number_outside_four_octets_rejected_with_its_line(tmp_path, asn):
+    source = tmp_path / "table.txt"
+    source.write_text(f"10.0.0.0/8 4294967295\n11.0.0.0/8 {asn}\n")
+    with pytest.raises(Ip2AsError, match=re.escape(f"{source}:2: AS number must be in 1..4294967295")):
+        Ip2AsTable.load(str(source))
+    source.write_text("10.0.0.0/8 4294967295\n")
+    assert Ip2AsTable.load(str(source)).lookup(V4("10.1.2.3")) == 4294967295
 
 
 def test_matches_linear_scan_oracle():
