@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ipaddress
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -26,6 +25,8 @@ from ..model import (
     TraceroutePath,
     _hops_are_clean,
     _new_hop,
+    _new_path,
+    _new_probe,
     validate,
 )
 
@@ -48,15 +49,18 @@ class DatasetError(ValueError):
         super().__init__(f"{len(problems)} problem(s): {shown}{more}")
 
 
-@dataclass
 class Dataset:
     """Everything one capture produced, keyed for the analysis stages."""
 
-    probes: "dict[str, ProbeRecord]" = field(default_factory=dict)
-    runs: List[TestRun] = field(default_factory=list)
-    paths: List[TraceroutePath] = field(default_factory=list)
-    capture_window: Optional[Tuple[int, int]] = None
-    schema: int = SCHEMA_VERSION
+    __slots__ = ("probes", "runs", "paths", "capture_window", "schema")
+
+    def __init__(self, probes=None, runs=None, paths=None,
+                 capture_window: Optional[Tuple[int, int]] = None, schema: int = SCHEMA_VERSION):
+        self.probes: Dict[str, ProbeRecord] = {} if probes is None else probes
+        self.runs: List[TestRun] = [] if runs is None else runs
+        self.paths: List[TraceroutePath] = [] if paths is None else paths
+        self.capture_window = capture_window
+        self.schema = schema
 
     def add_probe(self, probe: ProbeRecord) -> None:
         if probe.probe_id in self.probes:
@@ -108,7 +112,7 @@ class _Texts(dict):
 def _line(record: object, texts: _Texts) -> str:
     """One record's line, newline included."""
     if isinstance(record, TraceroutePath):
-        hops = record.hops
+        probe_id, family, prefix, target_v4, round_index, hops = record
         # Clean hops hold exact ints and finite floats, whose reprs are
         # their JSON text; bools, int RTTs, NaN and the like go to ``_dump``.
         if _hops_are_clean(hops):
@@ -122,32 +126,33 @@ def _line(record: object, texts: _Texts) -> str:
                 for index, address, rtts in hops
             ]
         return _TRACEROUTE % (
-            record.family.value,
+            family.value,
             ",".join(hop_texts),
-            texts[record.prefix],
-            _str_text(record.probe_id),
-            _int_text(record.round_index),
-            texts[record.target_v4],
+            texts[prefix],
+            _str_text(probe_id),
+            _int_text(round_index),
+            texts[target_v4],
         )
     if isinstance(record, TestRun):
+        probe_id, kind, timestamp, outcome, prefix, resolver_used, diagnostic = record
         return _TEST_RUN % (
-            _str_text(record.diagnostic),
-            texts[record.observed_prefix],
-            _str_text(record.probe_id),
-            record.raw_outcome.value,
-            texts[record.resolver_used],
-            record.test_kind.value,
-            _int_text(record.timestamp),
+            _str_text(diagnostic),
+            texts[prefix],
+            _str_text(probe_id),
+            outcome.value,
+            texts[resolver_used],
+            kind.value,
+            _int_text(timestamp),
         )
     if isinstance(record, ProbeRecord):
-        network = record.network_prefix_v6
+        probe_id, asn_v4, asn_v6, resolvers, tags, network = record
         return _PROBE % (
-            _int_text(record.asn_v4),
-            _int_text(record.asn_v6),
+            _int_text(asn_v4),
+            _int_text(asn_v6),
             _dump(str(network) if network else None),
-            _str_text(record.probe_id),
-            ",".join([texts[resolver] for resolver in record.resolvers]),
-            _dump(list(record.tags)),
+            _str_text(probe_id),
+            ",".join([texts[resolver] for resolver in resolvers]),
+            _dump(list(tags)),
         )
     raise TypeError(f"cannot encode {type(record).__name__}")
 
@@ -253,23 +258,20 @@ class _Decoder:
         kind = _need(doc, dict, "record").get("record")
         if kind == "probe":
             network = doc["network_prefix_v6"]
-            return ProbeRecord(
-                probe_id=_need(doc["probe_id"], str, "probe_id"),
-                asn_v4=doc["asn_v4"],
-                asn_v6=doc["asn_v6"],
-                resolvers=tuple(
+            return _new_probe((
+                _need(doc["probe_id"], str, "probe_id"),
+                doc["asn_v4"],
+                doc["asn_v6"],
+                tuple(
                     self.address(r, "resolver")
                     for r in _need(doc["resolvers"], list, "resolvers")
                 ),
-                tags=tuple(_need(doc["tags"], list, "tags")),
-                network_prefix_v6=(
-                    None
-                    if network is None
-                    else ipaddress.IPv6Network(_need(network, str, "network_prefix_v6"))
-                ),
-            )
-        # Runs and paths are most of a file: their fields go by position,
-        # which costs less than by keyword, in the order the classes list.
+                tuple(_need(doc["tags"], list, "tags")),
+                None
+                if network is None
+                else ipaddress.IPv6Network(_need(network, str, "network_prefix_v6")),
+            ))
+        # Fields go by position, in the order the classes list them.
         if kind == "test_run":
             used = doc["resolver_used"]
             return TestRun(
@@ -282,14 +284,14 @@ class _Decoder:
                 doc.get("diagnostic"),
             )
         if kind == "traceroute":
-            return TraceroutePath(
+            return _new_path((
                 _need(doc["probe_id"], str, "probe_id"),
                 _member(PathFamily, doc["family"]),
                 self.prefix(doc["prefix"]),
                 self.target(doc["target_v4"]),
                 doc["round"],
                 self.hops(doc["hops"]),
-            )
+            ))
         raise DatasetError([f"unknown record kind {kind!r}"])
 
 
@@ -388,15 +390,14 @@ def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
                 continue
             for violation in validate(record):
                 problems.append(f"line {lineno}: {violation}")
-            if isinstance(record, ProbeRecord):
-                if record.probe_id in dataset.probes:
-                    problems.append(f"line {lineno}: duplicate probe {record.probe_id}")
-                else:
-                    dataset.probes[record.probe_id] = record
+            if isinstance(record, TraceroutePath):
+                dataset.paths.append(record)
             elif isinstance(record, TestRun):
                 dataset.runs.append(record)
-            elif isinstance(record, TraceroutePath):
-                dataset.paths.append(record)
+            elif record.probe_id in dataset.probes:
+                problems.append(f"line {lineno}: duplicate probe {record.probe_id}")
+            else:
+                dataset.probes[record.probe_id] = record
     finally:
         if own:
             handle.close()

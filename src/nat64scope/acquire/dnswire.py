@@ -10,8 +10,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 import struct
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..model import IPAddress
 
@@ -105,8 +104,7 @@ def _decode_name(wire: bytes, offset: int) -> Tuple[str, int]:
     return name, here if here is not None else offset
 
 
-@dataclass(frozen=True, slots=True)
-class DnsAnswer:
+class DnsAnswer(NamedTuple):
     """One answer record; address is filled for A/AAAA rdata."""
 
     name: str
@@ -116,8 +114,7 @@ class DnsAnswer:
     address: Optional[IPAddress] = None
 
 
-@dataclass(frozen=True, slots=True)
-class DnsMessage:
+class DnsMessage(NamedTuple):
     txid: int
     is_response: bool
     rcode: int
@@ -130,8 +127,7 @@ class DnsMessage:
         return _RCODE_STATUS.get(self.rcode, DnsStatus.OTHER)
 
 
-@dataclass(frozen=True, slots=True)
-class DnsResponse:
+class DnsResponse(NamedTuple):
     """What one resolver said when asked one question."""
 
     resolver: Optional[IPAddress]

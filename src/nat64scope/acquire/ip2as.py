@@ -8,7 +8,6 @@ rebuilt table never depends on input order.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..model import MAX_ASN, IPAddress
@@ -20,12 +19,14 @@ class Ip2AsError(ValueError):
     """The mapping file has a line that is not ``prefix asn``."""
 
 
-@dataclass
 class Ip2AsTable:
     """Per-family, per-length buckets of masked network integers."""
 
-    _tables: Dict[Tuple[int, int], Dict[int, int]] = field(default_factory=dict)
-    _lengths: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    __slots__ = ("_tables", "_lengths")
+
+    def __init__(self) -> None:
+        self._tables: Dict[Tuple[int, int], Dict[int, int]] = {}
+        self._lengths: Dict[int, Tuple[int, ...]] = {}
 
     def add(self, network: Union[IPNetwork, str], asn: int) -> None:
         if not 1 <= asn <= MAX_ASN:

@@ -16,8 +16,7 @@ import struct
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Collection, List, Optional, Sequence, Tuple, Union
+from typing import Collection, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..addrsynth import synthesize
 from ..detector import (
@@ -48,8 +47,7 @@ class NoRouteError(OSError):
     """No route toward the target: the address family likely has no uplink."""
 
 
-@dataclass(frozen=True, slots=True)
-class EchoReply:
+class EchoReply(NamedTuple):
     """One echo attempt; rtt_ms is None when no reply arrived in time."""
 
     seq: int

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import statistics
-from dataclasses import dataclass
 from typing import (
     Collection,
     Dict,
@@ -17,6 +16,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -61,8 +61,7 @@ class ASCategory(enum.Enum):
     UNKNOWN = "U"
 
 
-@dataclass(frozen=True, slots=True)
-class IspDns64Evidence:
+class IspDns64Evidence(NamedTuple):
     """Cross-probe DNS agreement within one AS."""
 
     asn: int
@@ -86,16 +85,17 @@ def detect_isp_dns64(
     """
     out: Dict[int, IspDns64Evidence] = {}
     for asn in sorted(runs_by_as):
-        passing = [
-            run
-            for run in runs_by_as[asn]
-            if run.test_kind.is_dns
-            and run.raw_outcome is RawOutcome.PASS
-            and run.resolver_used is not None
-        ]
+        # Passing DNS runs through a known resolver: who asked which
+        # resolver, and which prefixes came back.
         by_resolver: Dict[IPAddress, set] = {}
-        for run in passing:
-            by_resolver.setdefault(run.resolver_used, set()).add(run.probe_id)
+        prefixes = set()
+        for run in runs_by_as[asn]:
+            resolver = run.resolver_used  # None on every ping run
+            if (resolver is not None and run.raw_outcome is RawOutcome.PASS
+                    and run.test_kind.is_dns):
+                by_resolver.setdefault(resolver, set()).add(run.probe_id)
+                if run.observed_prefix is not None:
+                    prefixes.add(run.observed_prefix)
 
         found_resolver = None
         witnesses: Tuple[str, ...] = ()
@@ -111,9 +111,6 @@ def detect_isp_dns64(
                 witnesses = tuple(sorted(probe_ids))
                 break
 
-        prefixes = {
-            run.observed_prefix for run in passing if run.observed_prefix is not None
-        }
         similar = False
         seen_stems = {}
         for prefix in prefixes:
@@ -137,12 +134,12 @@ def group_runs_by_as(
     runs: Iterable[TestRun], probes: Mapping[str, ProbeRecord]
 ) -> Dict[int, List[TestRun]]:
     """Helper shaping detector output for detect_isp_dns64."""
+    asn_of = {probe_id: record.asn_v6 for probe_id, record in probes.items()}
     grouped: Dict[int, List[TestRun]] = {}
     for run in runs:
-        record = probes.get(run.probe_id)
-        if record is None or record.asn_v6 is None:
-            continue
-        grouped.setdefault(record.asn_v6, []).append(run)
+        asn = asn_of.get(run.probe_id)
+        if asn is not None:
+            grouped.setdefault(asn, []).append(run)
     return grouped
 
 

@@ -15,8 +15,7 @@ import ipaddress
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import catalogs
 from .acquire.dataset import Dataset, load_dataset, write_dataset
@@ -67,8 +66,7 @@ class ConfigError(ValueError):
     """The command cannot start with the given configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """File-level knobs shared by all commands."""
 
     targets: Tuple[ipaddress.IPv4Address, ...]
@@ -193,8 +191,7 @@ def _out_dir(args) -> str:
     return args.out
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """What the analysis commands start from: inputs read once, detection run once."""
 
     config: RunConfig
@@ -235,6 +232,16 @@ def _write_json(path: str, doc) -> None:
         handle.write("\n")
 
 
+def _to_doc(value):
+    """``value`` with each record, however nested, as a JSON object: given to
+    ``json.dump`` as it is, a named tuple would become an array."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _to_doc(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, dict):
+        return {key: _to_doc(item) for key, item in value.items()}
+    return value
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -248,30 +255,24 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 def _verdict_doc(verdict) -> Optional[dict]:
     if verdict is None:
         return None
-    return {"value": verdict.value.value, "supporting_runs": verdict.supporting_runs}
+    value, supporting_runs = verdict
+    return {"value": value.value, "supporting_runs": supporting_runs}
 
 
 def _detection_doc(report: DetectionReport) -> dict:
     return {
         "probes": {
             pid: {
-                "group": det.group.value,
-                "flags": {
-                    "uses_public_resolver": det.flags.uses_public_resolver,
-                    "likely_accidental": det.flags.likely_accidental,
-                    "rfc8880_style": det.flags.rfc8880_style,
-                    "public_nat64_only": det.flags.public_nat64_only,
-                },
-                "dns1": _verdict_doc(det.dns1),
-                "dns2": _verdict_doc(det.dns2),
-                "pings": {
-                    str(prefix): _verdict_doc(verdict)
-                    for prefix, verdict in det.pings.items()
-                },
-                "dns1_prefixes": [str(p) for p in det.dns1_prefixes],
-                "diagnostic": det.diagnostic,
+                "group": group.value,
+                "flags": flags._asdict(),
+                "dns1": _verdict_doc(dns1),
+                "dns2": _verdict_doc(dns2),
+                "pings": {str(prefix): _verdict_doc(verdict) for prefix, verdict in pings.items()},
+                "dns1_prefixes": [str(p) for p in dns1_prefixes],
+                "diagnostic": diagnostic,
             }
-            for pid, det in sorted(report.probes.items())
+            for pid, (_, dns1, dns2, pings, dns1_prefixes, group, flags, diagnostic)
+            in sorted(report.probes.items())
         },
         "group_counts": {g.value: n for g, n in report.group_counts.items()},
         "test_table": {
@@ -297,8 +298,7 @@ def _acquire_live(config: RunConfig) -> Dataset:
 
 
 def cmd_detect(args) -> int:
-    analysis = _analyze(args, live=True)
-    report, out = analysis.report, analysis.out
+    _, _, _, report, out = _analyze(args, live=True)
     _write_json(os.path.join(out, "detection.json"), _detection_doc(report))
     _write_csv(
         os.path.join(out, "test_table.csv"),
@@ -333,10 +333,8 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
         if path.family is PathFamily.NAT64:
             nat_paths.setdefault(path.probe_id, []).append(path)
     kept_by_probe: Dict[str, Dict[Nat64Prefix, List]] = {}
-    for pair in kept:
-        kept_by_probe.setdefault(pair.nat64.probe_id, {}).setdefault(
-            pair.nat64.prefix, []
-        ).append(pair.nat64)
+    for _, nat in kept:
+        kept_by_probe.setdefault(nat.probe_id, {}).setdefault(nat.prefix, []).append(nat)
 
     facts = {}
     for probe_id, record in dataset.probes.items():
@@ -360,10 +358,7 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
 
 
 def cmd_classify(args) -> int:
-    analysis = _analyze(args)
-    config, dataset, report, out = (
-        analysis.config, analysis.dataset, analysis.report, analysis.out
-    )
+    config, public_resolvers, dataset, report, out = _analyze(args)
     # Both tables are read before any warning, so a bad one ends the
     # command with its one-line error alone.
     ip2as: Optional[Ip2AsTable] = None
@@ -391,11 +386,12 @@ def cmd_classify(args) -> int:
         )
 
     facts = _probe_path_facts(dataset, ip2as)
-    publics = set(analysis.public_resolvers)
+    publics = set(public_resolvers)
     resolvers_by_probe: Dict[str, set] = {}
     for run in dataset.runs:
-        if run.resolver_used is not None:
-            resolvers_by_probe.setdefault(run.probe_id, set()).add(run.resolver_used)
+        used = run.resolver_used
+        if used is not None:
+            resolvers_by_probe.setdefault(run.probe_id, set()).add(used)
 
     probes_doc = {}
     category_counts: Dict[str, int] = {}
@@ -486,8 +482,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    analysis = _analyze(args)
-    dataset, out = analysis.dataset, analysis.out
+    _, _, dataset, report, out = _analyze(args)
     pairs, unpaired = pair_paths(dataset.paths)
     kept, excluded = filter_pairs(pairs, final_round=args.final_round)
     exclusions: Dict[str, int] = {}
@@ -503,7 +498,7 @@ def cmd_paths(args) -> int:
         metrics = [m for m, bad in zip(metrics, anomalous) if not bad]
 
     groupings: Dict[str, List[str]] = {}
-    for pid, det in sorted(analysis.report.probes.items()):
+    for pid, det in sorted(report.probes.items()):
         groupings.setdefault(det.group.value, []).append(pid)
 
     stats = aggregate_report(kept, metrics, groupings)
@@ -519,32 +514,19 @@ def cmd_paths(args) -> int:
                 "ttl_anomaly_excluded": ttl_excluded,
             },
             # The aggregate report in the same shape the oracle emits.
-            "stats": asdict(stats),
+            "stats": _to_doc(stats),
         },
     )
 
     rows = []
     for pair, m in zip(kept, metrics):
-        base = [
-            pair.nat64.probe_id,
-            str(pair.nat64.target_v4),
-            str(pair.nat64.prefix),
-            pair.nat64.round_index,
-        ]
+        probe_id, _, prefix, target, round_index, _ = pair.nat64
+        base = [probe_id, str(target), str(prefix), round_index]
         if m is None:
             rows.append(base + [""] * 6)
         else:
-            rows.append(
-                base
-                + [
-                    m.v4_length,
-                    m.nat64_length,
-                    f"{m.v4_rtt_ms:.6f}",
-                    f"{m.nat64_rtt_ms:.6f}",
-                    f"{m.v4_missing_pct:.6f}",
-                    f"{m.nat64_missing_pct:.6f}",
-                ]
-            )
+            v4_length, nat64_length, *decimals = m  # RTTs, then missing shares
+            rows.append(base + [v4_length, nat64_length] + [f"{x:.6f}" for x in decimals])
     _write_csv(
         os.path.join(out, "pairs.csv"),
         (

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from dataclasses import dataclass
-from typing import Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import addrsynth
 from .acquire.dataset import Dataset
@@ -51,8 +50,7 @@ class DetectionGroup(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, slots=True)
-class DetectionFlags:
+class DetectionFlags(NamedTuple):
     """Qualifiers that keep unusual setups out of the wrong bucket."""
 
     uses_public_resolver: bool = False
@@ -266,8 +264,7 @@ def assign_group(
     return group, flags, diagnostic
 
 
-@dataclass(frozen=True)
-class ProbeDetection:
+class ProbeDetection(NamedTuple):
     """Everything the detector concluded about one probe."""
 
     probe_id: str
@@ -280,8 +277,7 @@ class ProbeDetection:
     diagnostic: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
     """Per-probe conclusions plus the aggregate bookkeeping tables."""
 
     probes: "dict[str, ProbeDetection]"
@@ -309,11 +305,16 @@ def detect_dataset(
 
     for probe_id, record in dataset.probes.items():
         runs = runs_by_probe.get(probe_id, [])
-        dns1_runs = [r for r in runs if r.test_kind is TestKind.DNS_TEST1]
-        dns2_runs = [r for r in runs if r.test_kind is TestKind.DNS_TEST2]
+        dns1_runs: List[TestRun] = []
+        dns2_runs: List[TestRun] = []
         ping_runs: Dict[Nat64Prefix, List[TestRun]] = {}
         for run in runs:
-            if run.test_kind.is_ping and run.observed_prefix is not None:
+            kind = run.test_kind
+            if kind is TestKind.DNS_TEST1:
+                dns1_runs.append(run)
+            elif kind is TestKind.DNS_TEST2:
+                dns2_runs.append(run)
+            elif run.observed_prefix is not None:
                 ping_runs.setdefault(run.observed_prefix, []).append(run)
 
         dns1 = aggregate(dns1_runs) if dns1_runs else None

@@ -1,10 +1,11 @@
 """Core record types shared by every stage of the toolkit.
 
-Addresses are ``ipaddress`` objects end to end. Records are frozen
-dataclasses so they can key dicts, live in sets, and round-trip through
-the dataset codec without surprises. ``Hop``, the most numerous record,
-is a named tuple instead: it is cheaper to build, and it compares equal
-to the plain tuple ``(index, address, rtts_ms)``.
+Addresses are ``ipaddress`` objects end to end. Records are named
+tuples, so they can key dicts, live in sets, and round-trip through the
+dataset codec without surprises; a record compares equal to the plain
+tuple of its fields, ``Hop`` to ``(index, address, rtts_ms)``. A named
+tuple is cheap to define, which every command pays at start-up, and to
+build, which it pays per record.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import enum
 import ipaddress
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -36,30 +36,35 @@ class PrefixKind(enum.Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True, slots=True)
-class Nat64Prefix:
-    """A translation prefix: base address, length, and kind."""
-
+class _PrefixFields(NamedTuple):
     base: ipaddress.IPv6Address
     length: int
     kind: PrefixKind
-    # Reports name a prefix and dicts key on it per record, while a load
-    # builds only a handful: both are computed once, at construction.
-    _text: str = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, ipaddress.IPv6Address):
+
+class Nat64Prefix(_PrefixFields):
+    """A translation prefix: base address, length, and kind."""
+
+    def __new__(cls, base: ipaddress.IPv6Address, length: int, kind: PrefixKind):
+        if not isinstance(base, ipaddress.IPv6Address):
             raise TypeError("base must be an IPv6Address")
-        if self.length not in ALLOWED_PREFIX_LENGTHS:
-            raise ValueError(f"unsupported prefix length {self.length}")
-        if int(self.base) & ((1 << (128 - self.length)) - 1):
-            raise ValueError(f"{self.base} has bits set beyond /{self.length}")
-        standard = self.base == WELL_KNOWN_BASE and self.length == WELL_KNOWN_LENGTH
-        if standard != (self.kind is PrefixKind.STANDARD):
+        if length not in ALLOWED_PREFIX_LENGTHS:
+            raise ValueError(f"unsupported prefix length {length}")
+        if int(base) & ((1 << (128 - length)) - 1):
+            raise ValueError(f"{base} has bits set beyond /{length}")
+        standard = base == WELL_KNOWN_BASE and length == WELL_KNOWN_LENGTH
+        if standard != (kind is PrefixKind.STANDARD):
             raise ValueError("kind does not match the well-known prefix test")
-        object.__setattr__(self, "_text", f"{self.base}/{self.length}")
-        object.__setattr__(self, "_hash", hash((self.base, self.length, self.kind)))
+        self = tuple.__new__(cls, (base, length, kind))
+        # Reports name a prefix and dicts key on it per record, while a load
+        # builds only a handful: both are computed once, at construction,
+        # and kept in the instance dict, as a tuple has no slots of its own.
+        self._text = f"{base}/{length}"
+        self._hash = hash((base, length, kind))
+        return self
+
+    # ``_replace`` builds through ``_make``, so through the checks above.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def of(cls, base: ipaddress.IPv6Address, length: int) -> "Nat64Prefix":
@@ -122,32 +127,36 @@ class VerdictValue(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Aggregated outcome of repeated runs of one test."""
 
     value: VerdictValue
     supporting_runs: int
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeRecord:
-    """A measurement vantage point and its static attributes."""
-
+class _ProbeFields(NamedTuple):
     probe_id: str
     asn_v4: Optional[int]
     asn_v6: Optional[int]
-    resolvers: Tuple[IPAddress, ...] = ()
-    tags: Tuple[str, ...] = ()
-    network_prefix_v6: Optional[ipaddress.IPv6Network] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "resolvers", tuple(self.resolvers))
-        object.__setattr__(self, "tags", tuple(self.tags))
+    resolvers: Tuple[IPAddress, ...]
+    tags: Tuple[str, ...]
+    network_prefix_v6: Optional[ipaddress.IPv6Network]
 
 
-@dataclass(frozen=True, slots=True)
-class TestRun:
+class ProbeRecord(_ProbeFields):
+    """A measurement vantage point and its static attributes."""
+
+    __slots__ = ()
+
+    def __new__(cls, probe_id: str, asn_v4: Optional[int], asn_v6: Optional[int],
+                resolvers=(), tags=(), network_prefix_v6=None):
+        # Sequences become tuples, so a record built from lists hashes.
+        return tuple.__new__(
+            cls, (probe_id, asn_v4, asn_v6, tuple(resolvers), tuple(tags), network_prefix_v6)
+        )
+
+
+class TestRun(NamedTuple):
     """One execution of one test from one probe."""
 
     probe_id: str
@@ -179,23 +188,33 @@ class Hop(NamedTuple):
 _new_hop = partial(tuple.__new__, Hop)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceroutePath:
-    """A traceroute toward an IPv4 target, either native or through a translator."""
-
+class _PathFields(NamedTuple):
     probe_id: str
     family: PathFamily
     prefix: Optional[Nat64Prefix]
     target_v4: ipaddress.IPv4Address
     round_index: int
-    hops: Tuple[Hop, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hops", tuple(self.hops))
+    hops: Tuple[Hop, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PathPair:
+class TraceroutePath(_PathFields):
+    """A traceroute toward an IPv4 target, either native or through a translator."""
+
+    __slots__ = ()
+
+    def __new__(cls, probe_id: str, family: PathFamily, prefix: Optional[Nat64Prefix],
+                target_v4: ipaddress.IPv4Address, round_index: int, hops=()):
+        # Sequences become tuples, so a record built from lists hashes.
+        return tuple.__new__(cls, (probe_id, family, prefix, target_v4, round_index, tuple(hops)))
+
+
+#: Records from one tuple of fields whose sequences are tuples already,
+#: for the loader and the generator: no Python-level ``__new__``.
+_new_probe = partial(tuple.__new__, ProbeRecord)
+_new_path = partial(tuple.__new__, TraceroutePath)
+
+
+class PathPair(NamedTuple):
     """A native IPv4 traceroute matched with its translated counterpart."""
 
     ipv4: TraceroutePath
@@ -210,59 +229,59 @@ def _is_int(value: object) -> bool:
 
 
 def _validate_probe(record: ProbeRecord) -> list[str]:
+    probe_id, asn_v4, asn_v6, resolvers, tags, network = record
     problems = []
-    if not record.probe_id:
+    if not probe_id:
         problems.append("probe_id is empty")
     else:
         try:
             # A lone surrogate loads from a JSON escape but cannot be
             # written to a report; runs and paths name a known probe.
-            record.probe_id.encode("utf-8")
+            probe_id.encode("utf-8")
         except UnicodeEncodeError:
             problems.append("probe_id is not valid Unicode text")
-    for name in ("asn_v4", "asn_v6"):
-        asn = getattr(record, name)
+    for name, asn in (("asn_v4", asn_v4), ("asn_v6", asn_v6)):
         if asn is not None and (not _is_int(asn) or asn <= 0):
             problems.append(f"{name} must be a positive integer or None")
-    for resolver in record.resolvers:
+        elif asn is not None and asn > MAX_ASN:
+            problems.append(f"{name} {asn} is above the largest AS number {MAX_ASN}")
+    for resolver in resolvers:
         if not isinstance(resolver, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
             problems.append(f"resolver {resolver!r} is not an address")
-    if record.network_prefix_v6 is not None and not isinstance(
-        record.network_prefix_v6, ipaddress.IPv6Network
-    ):
+    if network is not None and not isinstance(network, ipaddress.IPv6Network):
         problems.append("network_prefix_v6 must be an IPv6Network or None")
-    for tag in record.tags:
+    for tag in tags:
         if not isinstance(tag, str):
             problems.append(f"tag {tag!r} is not a string")
     return problems
 
 
 def _validate_test_run(record: TestRun) -> list[str]:
+    probe_id, kind, timestamp, outcome, prefix, resolver_used, diagnostic = record
     problems = []
-    if not record.probe_id:
+    if not probe_id:
         problems.append("probe_id is empty")
-    if not _is_int(record.timestamp):
+    if not _is_int(timestamp):
         problems.append("timestamp must be an integer")
-    elif record.timestamp < 0:
+    elif timestamp < 0:
         problems.append("timestamp is negative")
-    if record.diagnostic is not None and not isinstance(record.diagnostic, str):
+    if diagnostic is not None and not isinstance(diagnostic, str):
         problems.append("diagnostic must be a string or None")
-    kind = record.test_kind
-    if kind.is_ping:
-        # Ping runs always name the prefix they targeted.
-        if record.observed_prefix is None:
-            problems.append(f"{kind.value} run lacks a prefix")
-        elif kind is TestKind.STD_PREFIX_PING:
-            if record.observed_prefix.kind is not PrefixKind.STANDARD:
-                problems.append("std_prefix_ping run carries a non-standard prefix")
-        elif record.observed_prefix.kind is PrefixKind.STANDARD:
-            problems.append("custom_prefix_ping run carries the standard prefix")
-        if record.resolver_used is not None:
-            problems.append("ping run carries resolver_used")
-    else:
+    if kind.is_dns:
         # DNS runs observe a prefix only when they pass.
-        if record.raw_outcome is RawOutcome.FAIL and record.observed_prefix is not None:
+        if outcome is RawOutcome.FAIL and prefix is not None:
             problems.append("failed DNS run carries observed_prefix")
+        return problems
+    # Ping runs always name the prefix they targeted.
+    if prefix is None:
+        problems.append(f"{kind.value} run lacks a prefix")
+    elif kind is TestKind.STD_PREFIX_PING:
+        if prefix.kind is not PrefixKind.STANDARD:
+            problems.append("std_prefix_ping run carries a non-standard prefix")
+    elif prefix.kind is PrefixKind.STANDARD:
+        problems.append("custom_prefix_ping run carries the standard prefix")
+    if resolver_used is not None:
+        problems.append("ping run carries resolver_used")
     return problems
 
 
@@ -302,38 +321,42 @@ def _hops_are_clean(hops: Tuple[Hop, ...]) -> bool:
 
 
 def _validate_path(record: TraceroutePath) -> list[str]:
+    probe_id, family, prefix, target_v4, round_index, hops = record
     problems = []
-    if not record.probe_id:
+    if not probe_id:
         problems.append("probe_id is empty")
-    if record.family is PathFamily.NAT64:
-        if record.prefix is None:
+    if family is PathFamily.NAT64:
+        if prefix is None:
             problems.append("nat64 path lacks a prefix")
-    elif record.prefix is not None:
+    elif prefix is not None:
         problems.append("ipv4 path carries a prefix")
-    if not isinstance(record.target_v4, ipaddress.IPv4Address):
+    if not isinstance(target_v4, ipaddress.IPv4Address):
         problems.append("target_v4 must be an IPv4Address")
-    if not _is_int(record.round_index):
+    if not _is_int(round_index):
         problems.append("round_index must be an integer")
-    elif record.round_index < 0:
+    elif round_index < 0:
         problems.append("round_index is negative")
-    if _hops_are_clean(record.hops):
+    if _hops_are_clean(hops):
         return problems
-    for position, hop in enumerate(record.hops, start=1):
+    for position, hop in enumerate(hops, start=1):
         if hop.index != position:
             problems.append(f"hop indices not contiguous at position {position}")
             break
-    where = f"{record.probe_id}: "
-    for hop in record.hops:
+    where = f"{probe_id}: "
+    for hop in hops:
         problems.extend(_validate_hop(hop, where))
     return problems
 
 
+#: The checks of each record class, looked up by the exact class of a record.
+_RULES = {
+    ProbeRecord: _validate_probe, TestRun: _validate_test_run, TraceroutePath: _validate_path
+}
+
+
 def validate(record: object) -> list[str]:
     """Return a list of contract violations; empty when well-formed."""
-    if isinstance(record, ProbeRecord):
-        return _validate_probe(record)
-    if isinstance(record, TestRun):
-        return _validate_test_run(record)
-    if isinstance(record, TraceroutePath):
-        return _validate_path(record)
-    raise TypeError(f"no validation rules for {type(record).__name__}")
+    rules = _RULES.get(type(record))
+    if rules is None:
+        raise TypeError(f"no validation rules for {type(record).__name__}")
+    return rules(record)

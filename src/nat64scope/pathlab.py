@@ -12,18 +12,9 @@ import enum
 import ipaddress
 import math
 import statistics
-from dataclasses import dataclass
-from typing import (
-    Collection,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .addrsynth import matches_prefix, synthesize
+from .addrsynth import synthesize
 from .acquire.ip2as import Ip2AsTable
 from .model import (
     Hop,
@@ -62,14 +53,12 @@ class FilterReason(enum.Enum):
     DEAD_TARGET = "DeadTarget"
 
 
-@dataclass(frozen=True, slots=True)
-class UnpairedPath:
+class UnpairedPath(NamedTuple):
     path: TraceroutePath
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class ExcludedPair:
+class ExcludedPair(NamedTuple):
     pair: PathPair
     reason: str
 
@@ -88,33 +77,33 @@ def pair_paths(
     """
     v4_index: Dict[Tuple[str, ipaddress.IPv4Address, int], TraceroutePath] = {}
     unpaired: List[UnpairedPath] = []
+    # In input order: the pairs come out in the order of their translated paths.
     nat_seen: Dict[Tuple[str, ipaddress.IPv4Address, int, Nat64Prefix], TraceroutePath] = {}
-    nat_order: List[TraceroutePath] = []
 
     for path in paths:
-        if path.family is PathFamily.IPV4:
-            key = (path.probe_id, path.target_v4, path.round_index)
+        probe_id, family, prefix, target, round_index, _ = path
+        if family is PathFamily.IPV4:
+            key = (probe_id, target, round_index)
             if key in v4_index:
                 unpaired.append(UnpairedPath(path, "duplicate"))
             else:
                 v4_index[key] = path
         else:
-            key6 = (path.probe_id, path.target_v4, path.round_index, path.prefix)
+            key6 = (probe_id, target, round_index, prefix)
             if key6 in nat_seen:
                 unpaired.append(UnpairedPath(path, "duplicate"))
             else:
                 nat_seen[key6] = path
-                nat_order.append(path)
 
     pairs: List[PathPair] = []
     used_v4 = set()
-    for nat in nat_order:
-        key = (nat.probe_id, nat.target_v4, nat.round_index)
+    for key6, nat in nat_seen.items():
+        key = key6[:3]
         v4 = v4_index.get(key)
         if v4 is None:
             unpaired.append(UnpairedPath(nat, "no_ipv4_counterpart"))
         else:
-            pairs.append(PathPair(ipv4=v4, nat64=nat))
+            pairs.append(PathPair(v4, nat))
             used_v4.add(key)
     for key, v4 in v4_index.items():
         if key not in used_v4:
@@ -157,14 +146,15 @@ def _silent_pct(path: TraceroutePath, reached: int) -> float:
 
 
 def first_nat_hop(path: TraceroutePath) -> Optional[Hop]:
-    if path.prefix is None:
+    prefix = path.prefix
+    if prefix is None:
         return None
+    # ``matches_prefix`` per hop, with the prefix's side computed once.
+    shift = 128 - prefix.length
+    wanted = int(prefix.base) >> shift
     for hop in path.hops:
-        if (
-            hop.address is not None
-            and hop.address.version == 6
-            and matches_prefix(hop.address, path.prefix)
-        ):
+        address = hop.address
+        if address is not None and address.version == 6 and int(address) >> shift == wanted:
             return hop
     return None
 
@@ -187,30 +177,31 @@ def filter_pairs(
     """
     # Round coverage per (probe, prefix): which targets were paired. A
     # round is complete when it paired every target seen in the input.
-    expected = {pair.nat64.target_v4 for pair in pairs}
     coverage: Dict[Tuple[str, Nat64Prefix, int], set] = {}
+    keys = []  # per pair: its coverage key, target and round
     for pair in pairs:
-        key = (pair.nat64.probe_id, pair.nat64.prefix, pair.nat64.round_index)
-        coverage.setdefault(key, set()).add(pair.nat64.target_v4)
+        probe_id, _, prefix, target, round_index, _ = pair.nat64
+        key = (probe_id, prefix, round_index)
+        coverage.setdefault(key, set()).add(target)
+        keys.append((key, target, round_index))
+    expected = {target for _, target, _ in keys}
 
     # A target is dead when no path in the whole input ever reached it.
     alive = set()
-    for pair in pairs:
-        target = pair.nat64.target_v4
+    for pair, (_, target, _) in zip(pairs, keys):
         if target not in alive and (success(pair.ipv4) or success(pair.nat64)):
             alive.add(target)
 
     kept: List[PathPair] = []
     excluded: List[ExcludedPair] = []
-    for pair in pairs:
-        key = (pair.nat64.probe_id, pair.nat64.prefix, pair.nat64.round_index)
+    for pair, (key, target, round_index) in zip(pairs, keys):
         if coverage[key] != expected:
             excluded.append(ExcludedPair(pair, FilterReason.INCOMPLETE_ROUND.value))
             continue
-        if final_round is not None and pair.nat64.round_index == final_round:
+        if final_round is not None and round_index == final_round:
             excluded.append(ExcludedPair(pair, FilterReason.TRAILING_ROUND.value))
             continue
-        if pair.nat64.target_v4 not in alive:
+        if target not in alive:
             excluded.append(ExcludedPair(pair, FilterReason.DEAD_TARGET.value))
             continue
         if not has_nat_hop(pair.nat64):
@@ -220,8 +211,7 @@ def filter_pairs(
     return kept, excluded
 
 
-@dataclass(frozen=True, slots=True)
-class NatAttribution:
+class NatAttribution(NamedTuple):
     """Which AS operates the translator, and how that was decided."""
 
     asn: int
@@ -283,8 +273,7 @@ def locate_nat64(nat_asn: int, probe: ProbeRecord) -> NatLocation:
     return NatLocation.REMOTE
 
 
-@dataclass(frozen=True, slots=True)
-class PathMetrics:
+class PathMetrics(NamedTuple):
     """Per-pair numbers; exists only when both members reached the target."""
 
     v4_length: int
@@ -370,31 +359,27 @@ def flag_ttl_anomalies(metrics: Sequence[Optional[PathMetrics]]) -> List[bool]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     n: int
     mean: float
     sd: float
     median: float
 
 
-@dataclass(frozen=True, slots=True)
-class SuccessRates:
+class SuccessRates(NamedTuple):
     n_pairs: int
     v4_pct: Optional[float]
     nat64_pct: Optional[float]
     both_pct: Optional[float]
 
 
-@dataclass(frozen=True, slots=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     success: SuccessRates
     length_diff: Optional[SummaryStats]
     rtt_diff_ms: Optional[SummaryStats]
 
 
-@dataclass(frozen=True, slots=True)
-class AggregateStats:
+class AggregateStats(NamedTuple):
     """Dataset-level summary, both percentage conventions included.
 
     ``mean_of_pair_pcts`` averages each pair's own percentage difference;
@@ -413,18 +398,10 @@ class AggregateStats:
     per_prefix: "dict[str, SummaryStats]"
 
 
-_METRIC_FIELDS = (
-    "v4_length",
-    "nat64_length",
-    "v4_rtt_ms",
-    "nat64_rtt_ms",
-    "v4_missing_pct",
-    "nat64_missing_pct",
-    "length_diff",
-    "rtt_diff_ms",
-    "length_diff_pct",
-    "rtt_diff_pct",
-)
+#: What the report summarizes: every field of ``PathMetrics`` and its
+#: properties.
+_METRIC_PROPERTIES = ("length_diff", "rtt_diff_ms", "length_diff_pct", "rtt_diff_pct")
+_METRIC_FIELDS = PathMetrics._fields + _METRIC_PROPERTIES
 
 
 def _summary(values: Sequence[float]) -> Optional[SummaryStats]:
@@ -465,9 +442,13 @@ def aggregate_report(
         raise ValueError("metrics must align with pairs")
     usable = [m for m in metrics if m is not None]
 
+    # One column per field and property: fields transposed at once,
+    # properties read once per metric.
+    columns = {name: [getattr(m, name) for m in usable] for name in _METRIC_PROPERTIES}
+    columns.update(zip(PathMetrics._fields, zip(*usable)))
     summaries: Dict[str, SummaryStats] = {}
     for name in _METRIC_FIELDS:
-        stats = _summary([getattr(m, name) for m in usable])
+        stats = _summary(columns.get(name, ()))
         if stats is not None:
             summaries[name] = stats
 
@@ -487,9 +468,13 @@ def aggregate_report(
             pct_of_means["rtt"] = 100.0 * (mean_nat_rtt - mean_v4_rtt) / mean_v4_rtt
 
     try:
-        r = pearson([m.length_diff for m in usable], [m.rtt_diff_ms for m in usable])
+        r = pearson(columns["length_diff"], columns["rtt_diff_ms"])
     except CorrelationError:
         r = None
+    # The same differences by pair position, for the groups and prefixes.
+    usable_at = [i for i, m in enumerate(metrics) if m is not None]
+    length_diffs = dict(zip(usable_at, columns["length_diff"]))
+    rtt_diffs = dict(zip(usable_at, columns["rtt_diff_ms"]))
 
     # A pair has metrics only when both its paths reached the target; the
     # paths are rescanned only for pairs without.
@@ -506,18 +491,18 @@ def aggregate_report(
     by_target: Dict[ipaddress.IPv4Address, List[int]] = {}
     by_prefix: Dict[Nat64Prefix, List[int]] = {}
     for i, pair in enumerate(pairs):
-        by_probe.setdefault(pair.nat64.probe_id, []).append(i)
-        by_target.setdefault(pair.nat64.target_v4, []).append(i)
-        by_prefix.setdefault(pair.nat64.prefix, []).append(i)
+        probe_id, _, prefix, target, _, _ = pair.nat64
+        by_probe.setdefault(probe_id, []).append(i)
+        by_target.setdefault(target, []).append(i)
+        by_prefix.setdefault(prefix, []).append(i)
 
     groups: Dict[str, GroupStats] = {}
     for name, probe_ids in (groupings or {}).items():
         indices = sorted(i for pid in set(probe_ids) for i in by_probe.get(pid, ()))
-        sub_usable = [metrics[i] for i in indices if metrics[i] is not None]
         groups[name] = GroupStats(
             success=rates(indices),
-            length_diff=_summary([m.length_diff for m in sub_usable]),
-            rtt_diff_ms=_summary([m.rtt_diff_ms for m in sub_usable]),
+            length_diff=_summary([length_diffs[i] for i in indices if i in length_diffs]),
+            rtt_diff_ms=_summary([rtt_diffs[i] for i in indices if i in rtt_diffs]),
         )
 
     per_target: Dict[str, SuccessRates] = {
@@ -527,8 +512,7 @@ def aggregate_report(
 
     per_prefix: Dict[str, SummaryStats] = {}
     for name, indices in sorted((str(p), idx) for p, idx in by_prefix.items()):
-        sub_usable = [metrics[i] for i in indices if metrics[i] is not None]
-        stats = _summary([m.length_diff for m in sub_usable])
+        stats = _summary([length_diffs[i] for i in indices if i in length_diffs])
         if stats is not None:
             per_prefix[name] = stats
 

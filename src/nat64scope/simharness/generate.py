@@ -10,10 +10,10 @@ itself.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .. import catalogs
 from ..acquire.dataset import Dataset
@@ -31,8 +31,8 @@ from ..model import (
     STANDARD_PREFIX,
     TestKind,
     TestRun,
-    TraceroutePath,
     _new_hop,
+    _new_path,
 )
 from ..pathlab import NatLocation
 from .scenario import Cohort, Scenario
@@ -56,8 +56,7 @@ _NAT_BASE_MS = {"home": 0.8, "local": 8.0, "remote": 25.0}
 _NAT_POSITION = {"home": 1, "local": 3, "remote": 4}
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeTruth:
+class ProbeTruth(NamedTuple):
     """What detection and classification should conclude for one probe.
 
     ``nat_location`` records where the translator was planted whenever
@@ -74,8 +73,7 @@ class ProbeTruth:
     opaque: bool = False
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     probes: "dict[str, ProbeTruth]"
     isp_dns64_ases: FrozenSet[int]
     opaque_pair_count: int
@@ -85,8 +83,7 @@ class GroundTruth:
     public_resolvers: Tuple[IPAddress, ...]
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     dataset: Dataset
     truth: GroundTruth
     ip2as: Ip2AsTable
@@ -118,8 +115,7 @@ def _resolver_address(cell: int, resolver: str, publics: Sequence[IPAddress]) ->
     return ipaddress.IPv6Address(f"2001:db8:{0x5300 + cell:x}::{host:x}")
 
 
-@dataclass
-class _Plan:
+class _Plan(NamedTuple):
     """One probe's planted setup, resolved to concrete values."""
 
     probe_id: str
@@ -274,8 +270,12 @@ def _rtts(base: float, step: float) -> Tuple[float, float, float]:
     return (base + first + step, base + second + step, base + third + step)
 
 
+#: The transit hops 203.0.113.1 to .250, one object each for every world.
+_TRANSIT_V4 = tuple(ipaddress.IPv4Address(0xCB007101 + i) for i in range(250))
+
+
 def _transit_v4(n: int, position: int) -> ipaddress.IPv4Address:
-    return ipaddress.IPv4Address(0xCB007100 + (n * 5 + position) % 250 + 1)  # 203.0.113.x
+    return _TRANSIT_V4[(n * 5 + position) % 250]
 
 
 #: One path's hops, fixed across rounds: (index, address or None, base RTT).
@@ -307,9 +307,10 @@ def _v4_layout(plan: _Plan, first: ipaddress.IPv4Address, target: ipaddress.IPv4
 
 
 def _nat64_layout(plan: _Plan, prefix: Nat64Prefix, v4: _Layout, pre: _Layout,
-                  anchor: ipaddress.IPv4Address) -> _Layout:
+                  anchor: ipaddress.IPv4Address, embed) -> _Layout:
     """The translated path: the hops ``pre`` before the translator, which
-    embeds ``anchor``, then the native hops past the first behind it."""
+    embeds ``anchor``, then the native hops past the first behind it.
+    ``embed`` does what ``synthesize`` does."""
     cohort = plan.cohort
     natpos = _NAT_POSITION[cohort.location]
     nat_base = _NAT_BASE_MS[cohort.location]
@@ -318,21 +319,23 @@ def _nat64_layout(plan: _Plan, prefix: Nat64Prefix, v4: _Layout, pre: _Layout,
         # The translator forwards traffic but swallows hop errors from its
         # far side, so everything from its position on stays dark.
         return tuple(layout + [(h, None, 0.0) for h in range(natpos, natpos + 3)])
-    layout.append((natpos, synthesize(prefix, anchor), nat_base))
+    layout.append((natpos, embed(prefix, anchor), nat_base))
     if cohort.nat == "broken":
         return tuple(layout + [(h, None, 0.0) for h in range(natpos + 1, natpos + 3)])
     for h, addr, _ in v4[1:]:
         layout.append((
             natpos + h - 1,
-            None if addr is None else synthesize(prefix, addr),
+            None if addr is None else embed(prefix, addr),
             nat_base + 0.7 * (h - 1),
         ))
     return tuple(layout)
 
 
-def _fixed_hops(plan: _Plan) -> Tuple[ipaddress.IPv4Address, _Layout, ipaddress.IPv4Address]:
+def _fixed_hops(plan: _Plan,
+                parse) -> Tuple[ipaddress.IPv4Address, _Layout, ipaddress.IPv4Address]:
     """The probe's first native hop, its hops before the translator and the
-    translator's IPv4 side: the same in all of its paths, so parsed once."""
+    translator's IPv4 side: the same in all of its paths, so parsed once.
+    ``parse`` does what ``ipaddress.IPv6Address`` does."""
     cell = plan.cohort.cell
     pre = (
         f"2001:db8:{plan.net_group:x}::1",
@@ -341,7 +344,7 @@ def _fixed_hops(plan: _Plan) -> Tuple[ipaddress.IPv4Address, _Layout, ipaddress.
     )[: _NAT_POSITION[plan.cohort.location] - 1]
     return (
         ipaddress.IPv4Address(f"10.{cell}.{plan.cell_index}.254"),
-        tuple((h, ipaddress.IPv6Address(text), 0.4 * h) for h, text in enumerate(pre, start=1)),
+        tuple((h, parse(text), 0.4 * h) for h, text in enumerate(pre, start=1)),
         ipaddress.IPv4Address(f"192.0.2.{cell % 250 + 1}"),
     )
 
@@ -434,6 +437,10 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
     group_counts: Dict[DetectionGroup, int] = {g: 0 for g in DetectionGroup}
     opaque_pairs = 0
     anomaly_pairs = 0
+    # One object per hop address in the world, so that the writer's
+    # lookups by address find each one by identity.
+    embed = functools.lru_cache(maxsize=None)(synthesize)
+    parse = functools.lru_cache(maxsize=None)(ipaddress.IPv6Address)
 
     for plan in plans:
         dataset.add_probe(plan.record)
@@ -455,21 +462,22 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
             continue
         # Shapes come from rng one per target, in target order, before any
         # round: every seeded world's bytes depend on that order.
-        first, pre, anchor = _fixed_hops(plan)
+        first, pre, anchor = _fixed_hops(plan, parse)
         layouts = []
         for target in SIM_TARGETS:
             v4 = _v4_layout(plan, first, target, rng)
             layouts.append((PathFamily.IPV4, None, target, v4))
             layouts.extend(
-                (PathFamily.NAT64, prefix, target, _nat64_layout(plan, prefix, v4, pre, anchor))
+                (PathFamily.NAT64, prefix, target,
+                 _nat64_layout(plan, prefix, v4, pre, anchor, embed))
                 for prefix in plan.path_prefixes
             )
         for round_index in range(SIM_ROUNDS):
             for family, prefix, target, layout in layouts:
-                dataset.paths.append(TraceroutePath(
+                dataset.paths.append(_new_path((
                     plan.probe_id, family, prefix, target, round_index,
                     _hops(layout, round_index),
-                ))
+                )))
         pair_count = SIM_ROUNDS * len(SIM_TARGETS) * len(plan.path_prefixes)
         if plan.cohort.icmp == "opaque":
             opaque_pairs += pair_count
@@ -538,12 +546,7 @@ def truth_to_doc(truth: GroundTruth) -> dict:
         "probes": {
             pid: {
                 "group": t.group.value,
-                "flags": {
-                    "uses_public_resolver": t.flags.uses_public_resolver,
-                    "likely_accidental": t.flags.likely_accidental,
-                    "rfc8880_style": t.flags.rfc8880_style,
-                    "public_nat64_only": t.flags.public_nat64_only,
-                },
+                "flags": t.flags._asdict(),
                 "nat_location": t.nat_location.value if t.nat_location else None,
                 "home": t.home,
                 "cell": t.cell,

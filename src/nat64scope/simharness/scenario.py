@@ -8,8 +8,7 @@ cross-probe logic (prefix discovery, ISP evidence) has something to see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 
 class ScenarioError(ValueError):
@@ -26,8 +25,7 @@ V4AS_MODES = ("same", "split")
 ANOMALIES = ("none", "ttl")
 
 
-@dataclass(frozen=True, slots=True)
-class Cohort:
+class Cohort(NamedTuple):
     """One line of a scenario: ``count`` probes sharing a planted setup.
 
     resolver   dns64: synthesizes AAAA; plain: never synthesizes;
@@ -61,8 +59,7 @@ class Cohort:
     anomaly: str = "none"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     cohorts: Tuple[Cohort, ...]
 
     @property

@@ -235,6 +235,26 @@ def test_classify_runs_from_a_zipped_package(tmp_path):
     assert (tmp_path / "zipped" / name).read_bytes() == (tmp_path / "unzipped" / name).read_bytes()
 
 
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    # Each command is a new process: building dataclasses, and importing
+    # dataclasses with the inspect, ast and dis modules it pulls in, made up
+    # about a third of the start-up that every command pays. Without
+    # ``site`` nothing imports either before the package; the test's own
+    # path finds the same package, checkout or installed copy.
+    code = (
+        "import sys\n"
+        "watched = {'dataclasses', 'inspect'}\n"
+        "before = sorted(watched & set(sys.modules))\n"
+        "import nat64scope.cli\n"
+        "print(before, sorted(watched & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[] []\n"
+
+
 def test_every_benchmark_trace_point_names_a_program_function():
     # perfbench/tracing.py wraps program functions by module and name, so a
     # rename or deletion here would silently drop a layer from traced runs.
@@ -348,6 +368,27 @@ class TestClassify:
         probes = read_json(out / "classification.json")["probes"]
         assert probes["sim001"]["nat_location"] is None
         assert probes["sim002"]["nat_location"] == "all_equal"
+
+    def test_asn_above_the_largest_is_one_line_config_error(self, tmp_path, capsys):
+        # AS numbers are four octets. Loaded as it stood, this sim001 came
+        # out nat_in_v6_as instead of all_equal.
+        world = simulate(tmp_path)
+        dataset = tmp_path / "big_asn.ndjson"
+        text = (world / "dataset.ndjson").read_text()
+        probe = '"asn_v4":65001,"asn_v6":65001,"network_prefix_v6":"2001:db8:1040::/64"'
+        assert text.count(probe) == 1
+        dataset.write_text(text.replace(probe, probe.replace("65001", "99999999999999999999", 1)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ip2as": str(world / "ip2as.tsv")}))
+        capsys.readouterr()
+        code = run(
+            "classify", "--from-dataset", str(dataset), "--config", str(config),
+            "--out", str(tmp_path / "cls"),
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1
+        assert "line 2: asn_v4 99999999999999999999 is above the largest AS number" in err
 
     def test_single_witness_warning(self, tmp_path, capsys):
         scenario = tmp_path / "one.txt"

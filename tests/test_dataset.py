@@ -15,6 +15,7 @@ from nat64scope.acquire.dataset import (
     write_dataset,
 )
 from nat64scope.model import (
+    MAX_ASN,
     Hop,
     Nat64Prefix,
     PathFamily,
@@ -435,6 +436,20 @@ def test_other_lines_still_checked_after_a_wrong_type():
         "line 4: timestamp must be an integer",
         "line 5: timestamp is negative",
     ]
+
+
+@pytest.mark.parametrize("asn", [MAX_ASN + 1, 99999999999999999999])
+def test_asn_above_the_largest_as_number_is_a_problem(asn):
+    with pytest.raises(DatasetError) as info:
+        load_dataset([HEADER, PROBE.replace('"asn_v6":1', f'"asn_v6":{asn}')])
+    assert info.value.problems == [
+        f"line 2: asn_v6 {asn} is above the largest AS number {MAX_ASN}"
+    ]
+
+
+def test_largest_as_number_loads():
+    dataset = load_dataset([HEADER, PROBE.replace('"asn_v4":1', f'"asn_v4":{MAX_ASN}')])
+    assert dataset.probes["p1"].asn_v4 == MAX_ASN
 
 
 # ------------------------------------------------ fast-path boundaries

@@ -1,4 +1,6 @@
+import importlib
 import ipaddress
+import json
 import os
 import pickle
 import subprocess
@@ -8,6 +10,7 @@ import pytest
 
 from nat64scope.acquire.dataset import decode_record
 from nat64scope.addrsynth import derive_prefix_from_answer, synthesize
+from nat64scope.cli import _to_doc
 from nat64scope.model import (
     Hop,
     Nat64Prefix,
@@ -21,6 +24,7 @@ from nat64scope.model import (
     TraceroutePath,
     validate,
 )
+from nat64scope.pathlab import GroupStats, PathPair, SuccessRates, SummaryStats, aggregate_report
 
 V4 = ipaddress.IPv4Address
 V6 = ipaddress.IPv6Address
@@ -124,6 +128,103 @@ def test_hop_is_a_named_tuple():
     hop = Hop(2, None)
     assert hop == (2, None, ()) and hash(hop) == hash((2, None, ()))
     assert hop._replace(index=3).index == 3
+
+
+def _record_types():
+    """Every named-tuple class the package defines, by module and name."""
+    found = {}
+    for name in (
+        "model", "pathlab", "detector", "classifier", "cli", "acquire.dnswire",
+        "acquire.live", "simharness.generate", "simharness.scenario",
+    ):
+        module = importlib.import_module(f"nat64scope.{name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type) and issubclass(value, tuple)
+                and hasattr(value, "_fields") and value.__module__ == module.__name__
+            ):
+                found[f"{name}.{value.__name__}"] = value
+    return found
+
+
+RECORD_TYPES = _record_types()
+
+
+class TestRecords:
+    def test_every_record_type_is_found(self):
+        # The 29 frozen records, Hop, the generator's plan, and the field
+        # bases of the three records that build themselves.
+        assert len(RECORD_TYPES) == 34
+        assert {"model.Nat64Prefix", "pathlab.AggregateStats", "cli.Analysis"} <= set(RECORD_TYPES)
+
+    @pytest.mark.parametrize("name", sorted(RECORD_TYPES))
+    def test_every_record_type_refuses_assignment_to_a_field(self, name):
+        cls = RECORD_TYPES[name]
+        record = tuple.__new__(cls, [None] * len(cls._fields))
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1)
+            assert getattr(record, field) is None
+
+    def test_list_inputs_become_tuples_and_hash(self):
+        resolver = V6("2001:db8::53")
+        probe = ProbeRecord("p1", 1, 2, [resolver], ["home-nat64"])
+        assert probe.resolvers == (resolver,) and type(probe.resolvers) is tuple
+        assert probe.tags == ("home-nat64",) and type(probe.tags) is tuple
+        assert probe.network_prefix_v6 is None
+        assert {probe: 1}[ProbeRecord("p1", 1, 2, (resolver,), ("home-nat64",))] == 1
+        hops = [Hop(1, V4("10.0.0.1"), (1.0,)), Hop(2, None)]
+        path = make_path(hops=hops)
+        assert path.hops == tuple(hops) and type(path.hops) is tuple
+        assert {path: 1}[make_path(hops=tuple(hops))] == 1
+
+    @pytest.mark.parametrize("base", [V4("192.0.2.0"), "2001:db8::", int(V6("2001:db8::"))])
+    def test_prefix_base_must_be_an_ipv6_address(self, base):
+        with pytest.raises(TypeError):
+            Nat64Prefix(base, 96, PrefixKind.CUSTOM)
+
+    def test_prefix_replace_is_checked_and_cached(self):
+        prefix = Nat64Prefix.from_cidr("2001:db8::/32")
+        assert str(prefix._replace(length=48)) == "2001:db8::/48"
+        with pytest.raises(ValueError):
+            prefix._replace(kind=PrefixKind.STANDARD)
+
+    def test_prefix_survives_a_pickle_in_a_container(self):
+        prefix = Nat64Prefix.from_cidr("2001:db8:64::/96")
+        copy = pickle.loads(pickle.dumps({"p": [prefix]}))["p"][0]
+        assert type(copy) is Nat64Prefix and copy == prefix and str(copy) == str(prefix)
+        assert repr(copy) == repr(prefix) and hash(copy) == hash(prefix)
+
+    def test_summary_helper_makes_objects_never_arrays(self):
+        group = GroupStats(SuccessRates(2, 50.0, None, 0.0), SummaryStats(2, 1.0, 0.5, 1.0), None)
+        assert _to_doc({"groups": {"g": group}, "n": 3}) == {
+            "groups": {"g": {
+                "success": {"n_pairs": 2, "v4_pct": 50.0, "nat64_pct": None, "both_pct": 0.0},
+                "length_diff": {"n": 2, "mean": 1.0, "sd": 0.5, "median": 1.0},
+                "rtt_diff_ms": None,
+            }},
+            "n": 3,
+        }
+
+    def test_summary_of_a_real_report_holds_no_arrays(self):
+        # Given to json.dump as it is, a stray named tuple becomes an array.
+        target = V4("198.18.0.1")
+        v4 = make_path(hops=(Hop(1, target, (1.0,)),))
+        nat = make_path(
+            PathFamily.NAT64, STANDARD_PREFIX,
+            (Hop(1, synthesize(STANDARD_PREFIX, target), (2.0,)),),
+        )
+        stats = aggregate_report([PathPair(v4, nat)], groupings={"g": ["p1"]})
+        doc = json.loads(json.dumps(_to_doc(stats)))
+
+        def arrays(value):
+            if isinstance(value, dict):
+                return sum(arrays(item) for item in value.values())
+            return isinstance(value, list)
+
+        assert arrays(doc) == 0
+        assert doc["groups"]["g"]["success"]["n_pairs"] == 1
+        assert doc["metrics"]["length_diff"] == {"n": 1, "mean": 0.0, "sd": 0.0, "median": 0.0}
 
 
 class TestValidate:
