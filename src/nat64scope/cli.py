@@ -612,20 +612,6 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------- atlas
 
 
-def cmd_atlas_fetch(args) -> int:
-    from .acquire import atlas
-
-    out = _out_dir(args)
-    path = os.path.join(out, f"measurement-{args.measurement}.ndjson")
-    try:
-        count = atlas.atlas_fetch(args.measurement, path)
-    except atlas.AtlasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    print(f"{count} result documents -> {path}", file=sys.stderr)
-    return EXIT_OK
-
-
 def cmd_atlas_spec(args) -> int:
     from .acquire import atlas
 
@@ -696,10 +682,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="cohort description file (default: built-in template)")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("atlas-fetch", parents=[common], help="download measurement results")
-    p.add_argument("--measurement", type=int, required=True)
-    p.set_defaults(func=cmd_atlas_fetch)
 
     p = sub.add_parser("atlas-spec", parents=[configured], help="emit measurement definitions")
     p.set_defaults(func=cmd_atlas_spec)

@@ -146,11 +146,17 @@ def _build_plans(scenario: Scenario, publics: Tuple[Nat64Prefix, ...],
 
     plans: List[_Plan] = []
     cell_counters: Dict[int, int] = {}
+    # One object per resolver address, as for hop addresses in generate, so
+    # that the writer's lookups by address find each one by identity.
+    resolvers: Dict[Tuple[int, str], IPAddress] = {}
     n = 0
     for cohort in scenario.cohorts:
         cell = cohort.cell
         pool = pools.get(cell, ())
         public_prefix = publics[cell % len(publics)]
+        resolver_addr = resolvers.setdefault(
+            (cell, cohort.resolver), _resolver_address(cell, cohort.resolver, public_resolvers)
+        )
         for _ in range(cohort.count):
             n += 1
             i = cell_counters.get(cell, 0)
@@ -158,7 +164,6 @@ def _build_plans(scenario: Scenario, publics: Tuple[Nat64Prefix, ...],
             probe_id = f"sim{n:03d}"
             net_group = 0x1000 + cell * 64 + i
             network = ipaddress.IPv6Network(f"2001:db8:{net_group:x}::/64")
-            resolver_addr = _resolver_address(cell, cohort.resolver, public_resolvers)
             record = ProbeRecord(
                 probe_id=probe_id,
                 asn_v4=_asn_v4(cell, cohort),

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import hashlib
@@ -13,9 +14,12 @@ import zipfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nat64scope
+from nat64scope import catalogs
 from nat64scope.acquire import live
+from nat64scope.acquire.atlas import measurement_definitions
 from nat64scope.acquire.dataset import Dataset, load_dataset, write_dataset
 from nat64scope.acquire.dnswire import DnsResponse, DnsStatus, answer_for
 from nat64scope.addrsynth import synthesize
@@ -33,6 +37,7 @@ from nat64scope.model import (
 )
 from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
 from nat64scope.simharness import compare, oracle_stats
+from test_dataset import json_values
 
 
 def run(*argv):
@@ -253,6 +258,30 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[] []\n"
+
+
+def test_package_imports_only_the_standard_library():
+    # The package declares no runtime dependency, so importing every module
+    # of it must load nothing from outside the standard library. The numpy
+    # oracle is left out: only the tests and the benchmark use it.
+    code = (
+        "import json, pkgutil, sys\n"
+        "import nat64scope\n"
+        "names = [m.name for m in pkgutil.walk_packages(nat64scope.__path__, 'nat64scope.')]\n"
+        "for name in names:\n"
+        "    if name != 'nat64scope.simharness.oracle':\n"
+        "        __import__(name)\n"
+        "tops = {name.partition('.')[0] for name in sys.modules}\n"
+        "foreign = tops - set(sys.stdlib_module_names) - {'nat64scope', '__main__'}\n"
+        "print(json.dumps([names, sorted(foreign)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True,
+    )
+    names, foreign = json.loads(done.stdout)
+    assert {"nat64scope.cli", "nat64scope.acquire.atlas", "nat64scope.simharness.mockdns"} <= set(names)
+    assert foreign == []
 
 
 def test_every_benchmark_trace_point_names_a_program_function():
@@ -624,6 +653,7 @@ class TestConfig:
     [
         ("detect", "--concurrency", "1", "--from-dataset", "d.ndjson"),
         ("atlas-fetch", "--measurement", "1", "--base-url", "X"),
+        ("atlas-fetch", "--measurement", "1"),
     ],
 )
 def test_removed_flags_are_usage_errors(tmp_path, argv):
@@ -828,6 +858,60 @@ class TestErrorContract:
         assert failures == []
 
 
+@pytest.fixture(scope="module")
+def template_world(tmp_path_factory):
+    """The seed-42 template world's dataset lines, parsed, and a config naming its ip2as."""
+    root = tmp_path_factory.mktemp("whole-lines")
+    world = simulate(root)
+    config = root / "config.json"
+    config.write_text(json.dumps({"ip2as": str(world / "ip2as.tsv")}))
+    lines = (world / "dataset.ndjson").read_text().splitlines()
+    return root, config, [json.loads(line) for line in lines]
+
+
+RECORD_KINDS = ("header", "probe", "test_run", "traceroute")
+
+@st.composite
+def whole_line_mutations(draw, docs):
+    """(line index, new record): one line with keys dropped, its kind swapped,
+    fields spliced in from another line, or fields set to any JSON value."""
+    index = draw(st.integers(0, len(docs) - 1))
+    doc = dict(docs[index])
+    fields = sorted({key for other in docs for key in other})
+    for step in draw(st.lists(st.sampled_from(("drop", "kind", "splice", "set")), min_size=1, max_size=3)):
+        if step == "drop" and doc:
+            for key in draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, unique=True)):
+                del doc[key]
+        elif step == "kind":
+            doc["record"] = draw(st.sampled_from(RECORD_KINDS))
+        elif step == "splice":
+            other = docs[draw(st.integers(0, len(docs) - 1))]
+            for key in draw(st.lists(st.sampled_from(sorted(other)), min_size=1, unique=True)):
+                doc[key] = other[key]
+        else:
+            doc[draw(st.sampled_from(fields))] = draw(json_values)
+    return index, doc
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_whole_line_mutations_are_exit_0_or_2(template_world, data):
+    root, config, docs = template_world
+    index, doc = data.draw(whole_line_mutations(docs))
+    lines = [json.dumps(d) for d in docs]
+    lines[index] = json.dumps(doc)
+    dataset = root / "dataset.ndjson"
+    dataset.write_text("".join(line + "\n" for line in lines))
+    trim = data.draw(st.sampled_from([(), ("--exclude-ttl-anomaly", "--final-round", "1")]))
+    for command in (("detect",), ("classify", "--config", str(config)), ("paths", *trim)):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*command, "--from-dataset", str(dataset), "--out", str(root / "out"))
+        assert code in (EXIT_OK, EXIT_CONFIG), command
+        if code == EXIT_CONFIG:
+            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+
+
 class TestAtlasSpec:
     def test_writes_definitions(self, tmp_path):
         out = tmp_path / "spec"
@@ -836,6 +920,69 @@ class TestAtlasSpec:
         assert isinstance(definitions, list)
         types = {d["type"] for d in definitions}
         assert {"dns", "ping", "traceroute"} <= types
+
+    def test_defaults_ping_the_anchor_through_every_known_prefix(self, tmp_path):
+        out = tmp_path / "spec"
+        assert run("atlas-spec", "--out", str(out)) == EXIT_OK
+        definitions = read_json(out / "atlas_spec.json")
+        prefixes = (STANDARD_PREFIX, *catalogs.load_public_prefixes())
+        assert [d["query_argument"] for d in definitions if d["type"] == "dns"] == [
+            "ipv4only.arpa.", load_config(None).dns2_name,
+        ]
+        assert [d["target"] for d in definitions if d["type"] == "ping"] == [
+            str(synthesize(prefix, STD_PING_TARGET_V4)) for prefix in prefixes
+        ]
+        traces = [d for d in definitions if d["type"] == "traceroute"]
+        assert len(traces) == 1 + len(prefixes)
+
+    def test_config_names_the_query_targets_and_prefixes(self, tmp_path):
+        custom = Nat64Prefix.from_cidr("2001:db8:64::/96")
+        prefixes_file = tmp_path / "public_nat64.txt"
+        prefixes_file.write_text(f"{custom}\n")
+        targets = [ipaddress.IPv4Address("192.0.2.1"), ipaddress.IPv4Address("198.51.100.7")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dns2_name": "probe.example.org.",
+            "targets": [str(t) for t in targets],
+            "public_prefixes": str(prefixes_file),
+        }))
+        out = tmp_path / "spec"
+        assert run("atlas-spec", "--config", str(config), "--out", str(out)) == EXIT_OK
+        assert read_json(out / "atlas_spec.json") == measurement_definitions(
+            dns2_name="probe.example.org.",
+            ping_target_v4=targets[0],
+            traceroute_targets=targets,
+            prefixes=[STANDARD_PREFIX, custom],
+        )
+
+    def test_same_bytes_on_every_run(self, tmp_path):
+        for out in ("one", "two"):
+            assert run("atlas-spec", "--out", str(tmp_path / out)) == EXIT_OK
+        assert (tmp_path / "one" / "atlas_spec.json").read_bytes() == (
+            tmp_path / "two" / "atlas_spec.json"
+        ).read_bytes()
+
+    def test_unparsable_public_prefixes_is_one_line_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "public_nat64.txt"
+        bad.write_text("2001:db8::zz/96\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"public_prefixes": str(bad)}))
+        capsys.readouterr()
+        code = run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "spec"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("config error:") and str(bad) in err
+        assert not (tmp_path / "spec").exists()
+
+
+def test_help_lists_the_commands_that_remain(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--help")
+    assert exc.value.code == EXIT_OK
+    text = capsys.readouterr().out
+    for command in ("detect", "classify", "paths", "simulate", "atlas-spec"):
+        assert command in text
+    assert "atlas-fetch" not in text
 
 
 class TestLiveDetect:

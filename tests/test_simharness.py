@@ -275,6 +275,22 @@ class TestGenerate:
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text) == doc
 
+    def test_one_resolver_object_per_address(self):
+        # Every resolver kind and the public resolver appear in the template.
+        used = [run.resolver_used for run in generate(template(), 2).dataset.runs]
+        used = [address for address in used if address is not None]
+        assert len({id(address) for address in used}) == len(set(used)) > 1
+
+    def test_runs_name_their_probe_records_resolver_object(self):
+        sim = generate(template(), 2)
+        resolvers = {pid: probe.resolvers for pid, probe in sim.dataset.probes.items()}
+        checked = 0
+        for run in sim.dataset.runs:
+            if run.resolver_used is not None:
+                assert run.resolver_used is resolvers[run.probe_id][0]
+                checked += 1
+        assert checked > 0
+
     def test_acceptance_scenarios_shape(self):
         worlds = acceptance_scenarios()
         assert len(worlds) == 20
