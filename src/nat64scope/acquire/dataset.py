@@ -52,20 +52,14 @@ class DatasetError(ValueError):
 class Dataset:
     """Everything one capture produced, keyed for the analysis stages."""
 
-    __slots__ = ("probes", "runs", "paths", "capture_window", "schema")
+    __slots__ = ("probes", "runs", "paths", "capture_window")
 
     def __init__(self, probes=None, runs=None, paths=None,
-                 capture_window: Optional[Tuple[int, int]] = None, schema: int = SCHEMA_VERSION):
+                 capture_window: Optional[Tuple[int, int]] = None):
         self.probes: Dict[str, ProbeRecord] = {} if probes is None else probes
         self.runs: List[TestRun] = [] if runs is None else runs
         self.paths: List[TraceroutePath] = [] if paths is None else paths
         self.capture_window = capture_window
-        self.schema = schema
-
-    def add_probe(self, probe: ProbeRecord) -> None:
-        if probe.probe_id in self.probes:
-            raise DatasetError([f"duplicate probe {probe.probe_id}"])
-        self.probes[probe.probe_id] = probe
 
 
 # One template per record kind, keys in sorted order, and two ways to
@@ -155,11 +149,6 @@ def _line(record: object, texts: _Texts) -> str:
             _dump(list(tags)),
         )
     raise TypeError(f"cannot encode {type(record).__name__}")
-
-
-def encode_record(record: object) -> dict:
-    """Map one model record to its JSON document."""
-    return json.loads(_line(record, _Texts()))
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
@@ -295,14 +284,6 @@ class _Decoder:
         raise DatasetError([f"unknown record kind {kind!r}"])
 
 
-def decode_record(doc: dict) -> object:
-    """Map one JSON document to its model record.
-
-    A malformed document raises DatasetError, KeyError or ValueError.
-    """
-    return _Decoder().decode(doc)
-
-
 def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
     """Write the canonical line-delimited form; same dataset, same bytes."""
     own = isinstance(out, str)
@@ -310,7 +291,7 @@ def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
     try:
         header = {
             "record": "header",
-            "schema": dataset.schema,
+            "schema": SCHEMA_VERSION,
             "capture_window": list(dataset.capture_window) if dataset.capture_window else None,
         }
         handle.write(_dump(header) + "\n")

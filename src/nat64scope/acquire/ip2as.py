@@ -8,7 +8,7 @@ rebuilt table never depends on input order.
 from __future__ import annotations
 
 import ipaddress
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, Optional, Tuple, Union
 
 from ..model import MAX_ASN, IPAddress
 
@@ -92,7 +92,7 @@ class Ip2AsTable:
             for net_int in sorted(bucket):
                 yield cls((addr_cls(net_int), length)), bucket[net_int]
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as handle:
-            for network, asn in self.entries():
-                handle.write(f"{network} {asn}\n")
+    def save(self, handle: IO[str]) -> None:
+        """Write one ``network asn`` line per entry, the form ``load`` reads."""
+        for network, asn in self.entries():
+            handle.write(f"{network} {asn}\n")

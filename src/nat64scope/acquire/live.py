@@ -19,13 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Collection, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..addrsynth import synthesize
-from ..detector import (
-    DNS1_NAME,
-    eval_dns_test1,
-    eval_dns_test2,
-    eval_ping_test,
-    select_custom_ping_candidates,
-)
+from ..detector import DNS1_NAME, eval_dns_test1, eval_dns_test2, eval_ping_test
 from ..model import IPAddress, ProbeRecord, RawOutcome, STANDARD_PREFIX, TestKind, TestRun
 from .dataset import Dataset
 from .dnswire import (
@@ -61,13 +55,10 @@ def dns_query(
     *,
     timeout_s: float = 3.0,
     port: int = 53,
-    txid: Optional[int] = None,
-    rng: random.Random = random,
 ) -> DnsResponse:
     """One UDP exchange with one resolver; wire errors become statuses."""
     address = ipaddress.ip_address(resolver)
-    if txid is None:
-        txid = rng.randrange(0, 0x10000)
+    txid = random.randrange(0, 0x10000)
     family = socket.AF_INET if address.version == 4 else socket.AF_INET6
     query = build_query(qname, qtype, txid)
     name = canonical_name(qname)
@@ -173,13 +164,14 @@ def measure(
     """Run the detection tests from this host as the one probe ``local``.
 
     Each of ``repeat`` rounds sends both DNS tests to every resolver at
-    once. Then every candidate prefix is echoed ``repeat`` times toward
-    ``anchor`` embedded under it. An interrupt keeps the runs so far.
+    once. Then the well-known prefix, and after it each operator prefix
+    the DNS tests revealed, is echoed ``repeat`` times toward ``anchor``
+    embedded under it. An interrupt keeps the runs so far.
     """
     probe_id = "local"
     started = int(time.time())
     dataset = Dataset(capture_window=(started, started))
-    dataset.add_probe(ProbeRecord(probe_id, None, None, resolvers=resolvers))
+    dataset.probes[probe_id] = ProbeRecord(probe_id, None, None, resolvers=tuple(resolvers))
 
     try:
         # A round waits for all of its queries, so they are its parallelism.
@@ -192,9 +184,10 @@ def measure(
                 now = int(time.time())
                 dataset.runs.append(eval_dns_test1(probe_id, now, responses1))
                 dataset.runs.append(eval_dns_test2(probe_id, now, responses2, dns2_answers))
-        # Acquisition barrier: ping candidates depend on every DNS answer.
-        # With one probe, every prefix its DNS tests revealed is its own.
-        revealed = select_custom_ping_candidates(dataset.probes, dataset.runs)
+        # Acquisition barrier: the prefixes to echo depend on every DNS
+        # answer, and a passing DNS run names the prefix it revealed.
+        passed = [run for run in dataset.runs if run.raw_outcome is RawOutcome.PASS]
+        revealed = sorted({run.observed_prefix for run in passed} - {STANDARD_PREFIX}, key=str)
         for prefix in (STANDARD_PREFIX, *revealed):
             target = synthesize(prefix, anchor)
             for _ in range(repeat):

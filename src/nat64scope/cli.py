@@ -15,7 +15,7 @@ import ipaddress
 import json
 import os
 import sys
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import IO, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import catalogs
 from .acquire.dataset import Dataset, load_dataset, write_dataset
@@ -217,7 +217,8 @@ def _analyze(args, live: bool = False) -> Analysis:
     out = _out_dir(args)
     if not args.from_dataset:
         dataset = _acquire_live(config)
-        write_dataset(dataset, os.path.join(out, "dataset.ndjson"))
+        with _create(os.path.join(out, "dataset.ndjson"), "ascii") as handle:
+            write_dataset(dataset, handle)
     report = detect_dataset(
         dataset,
         public_prefixes=public_prefixes,
@@ -226,8 +227,23 @@ def _analyze(args, live: bool = False) -> Analysis:
     return Analysis(config, public_resolvers, dataset, report, out)
 
 
+def _create(path: str, encoding: str = "utf-8", newline: Optional[str] = None) -> IO[str]:
+    """Open one output file for writing: every command's files go through here.
+
+    A refused permission stays a ``PermissionError`` (exit 1, as in main).
+    Any other failure to open, such as a directory taking the name, is a
+    config error naming the file.
+    """
+    try:
+        return open(path, "w", encoding=encoding, newline=newline)
+    except PermissionError:
+        raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
+
+
 def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _create(path) as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -243,7 +259,7 @@ def _to_doc(value):
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _create(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -401,9 +417,7 @@ def cmd_classify(args) -> int:
         det = report.probes[probe_id]
         seen_nat_hop, location, local_nat = facts[probe_id]
         resolvers_used = set(record.resolvers) | resolvers_by_probe.get(probe_id, set())
-        ping_passed = any(
-            v.value.value == "passed" for v in det.pings.values()
-        )
+        ping_passed = any(v.value is VerdictValue.PASSED for v in det.pings.values())
         categories = categorize_probe(
             det.group,
             det.flags,
@@ -598,9 +612,11 @@ def cmd_simulate(args) -> int:
 
     sim = generate(scenario, args.seed)
     out = _out_dir(args)
-    write_dataset(sim.dataset, os.path.join(out, "dataset.ndjson"))
+    with _create(os.path.join(out, "dataset.ndjson"), "ascii") as handle:
+        write_dataset(sim.dataset, handle)
     _write_json(os.path.join(out, "truth.json"), truth_to_doc(sim.truth))
-    sim.ip2as.save(os.path.join(out, "ip2as.tsv"))
+    with _create(os.path.join(out, "ip2as.tsv"), "ascii") as handle:
+        sim.ip2as.save(handle)
     print(
         f"{len(sim.dataset.probes)} probes, {len(sim.dataset.runs)} runs, "
         f"{len(sim.dataset.paths)} paths -> {out}",

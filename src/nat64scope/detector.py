@@ -2,7 +2,8 @@
 
 Four tests feed the decision: two DNS lookups (a name with no real AAAA
 that DNS64 must synthesize for, and an IPv4-only hostname) and echo tests
-against the well-known prefix and any operator prefixes seen nearby.
+against the well-known prefix and any operator prefixes the DNS tests
+revealed.
 Repeated runs aggregate into verdicts; verdicts map onto a group.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import addrsynth
 from .acquire.dataset import Dataset
@@ -19,7 +20,6 @@ from .model import (
     IPAddress,
     Nat64Prefix,
     PrefixKind,
-    ProbeRecord,
     RawOutcome,
     TestKind,
     TestRun,
@@ -162,40 +162,6 @@ def aggregate(runs: Sequence[TestRun]) -> Verdict:
     else:
         value = VerdictValue.INCONCLUSIVE
     return Verdict(value, len(runs))
-
-
-def select_custom_ping_candidates(
-    probes: Mapping[str, ProbeRecord],
-    dns_runs: Sequence[TestRun],
-) -> Dict[Nat64Prefix, Tuple[str, ...]]:
-    """Which probes should echo-test each operator prefix.
-
-    A probe qualifies for a prefix when it shares its IPv6 AS with any
-    probe that observed the prefix in a DNS test; observers themselves
-    always qualify, AS number or not.
-    """
-    observers: Dict[Nat64Prefix, Set[str]] = {}
-    for run in dns_runs:
-        if (
-            run.test_kind.is_dns
-            and run.raw_outcome is RawOutcome.PASS
-            and run.observed_prefix is not None
-            and run.observed_prefix.kind is PrefixKind.CUSTOM
-            and run.probe_id in probes
-        ):
-            observers.setdefault(run.observed_prefix, set()).add(run.probe_id)
-
-    out: Dict[Nat64Prefix, Tuple[str, ...]] = {}
-    for prefix, seen_by in sorted(observers.items(), key=lambda kv: str(kv[0])):
-        ases = {
-            probes[pid].asn_v6 for pid in seen_by if probes[pid].asn_v6 is not None
-        }
-        chosen = set(seen_by)
-        for pid, record in probes.items():
-            if record.asn_v6 is not None and record.asn_v6 in ases:
-                chosen.add(pid)
-        out[prefix] = tuple(sorted(chosen))
-    return out
 
 
 def assign_group(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-import sys
 from functools import partial
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -105,10 +104,6 @@ class TestKind(enum.Enum):
     def is_dns(self) -> bool:
         return self in (TestKind.DNS_TEST1, TestKind.DNS_TEST2)
 
-    @property
-    def is_ping(self) -> bool:
-        return not self.is_dns
-
     @staticmethod
     def ping_for(prefix: Nat64Prefix) -> "TestKind":
         """The echo test that targets ``prefix``."""
@@ -134,26 +129,15 @@ class Verdict(NamedTuple):
     supporting_runs: int
 
 
-class _ProbeFields(NamedTuple):
+class ProbeRecord(NamedTuple):
+    """A measurement vantage point and its static attributes."""
+
     probe_id: str
     asn_v4: Optional[int]
     asn_v6: Optional[int]
-    resolvers: Tuple[IPAddress, ...]
-    tags: Tuple[str, ...]
-    network_prefix_v6: Optional[ipaddress.IPv6Network]
-
-
-class ProbeRecord(_ProbeFields):
-    """A measurement vantage point and its static attributes."""
-
-    __slots__ = ()
-
-    def __new__(cls, probe_id: str, asn_v4: Optional[int], asn_v6: Optional[int],
-                resolvers=(), tags=(), network_prefix_v6=None):
-        # Sequences become tuples, so a record built from lists hashes.
-        return tuple.__new__(
-            cls, (probe_id, asn_v4, asn_v6, tuple(resolvers), tuple(tags), network_prefix_v6)
-        )
+    resolvers: Tuple[IPAddress, ...] = ()
+    tags: Tuple[str, ...] = ()
+    network_prefix_v6: Optional[ipaddress.IPv6Network] = None
 
 
 class TestRun(NamedTuple):
@@ -188,28 +172,19 @@ class Hop(NamedTuple):
 _new_hop = partial(tuple.__new__, Hop)
 
 
-class _PathFields(NamedTuple):
+class TraceroutePath(NamedTuple):
+    """A traceroute toward an IPv4 target, either native or through a translator."""
+
     probe_id: str
     family: PathFamily
     prefix: Optional[Nat64Prefix]
     target_v4: ipaddress.IPv4Address
     round_index: int
-    hops: Tuple[Hop, ...]
+    hops: Tuple[Hop, ...] = ()
 
 
-class TraceroutePath(_PathFields):
-    """A traceroute toward an IPv4 target, either native or through a translator."""
-
-    __slots__ = ()
-
-    def __new__(cls, probe_id: str, family: PathFamily, prefix: Optional[Nat64Prefix],
-                target_v4: ipaddress.IPv4Address, round_index: int, hops=()):
-        # Sequences become tuples, so a record built from lists hashes.
-        return tuple.__new__(cls, (probe_id, family, prefix, target_v4, round_index, tuple(hops)))
-
-
-#: Records from one tuple of fields whose sequences are tuples already,
-#: for the loader and the generator: no Python-level ``__new__``.
+#: Records from one tuple of fields, for the loader and the generator:
+#: no Python-level ``__new__``.
 _new_probe = partial(tuple.__new__, ProbeRecord)
 _new_path = partial(tuple.__new__, TraceroutePath)
 
@@ -221,7 +196,11 @@ class PathPair(NamedTuple):
     nat64: TraceroutePath
 
 
-_FLOAT_MAX = sys.float_info.max
+#: The RTTs a hop may carry: 0, or between these bounds. Every sum, mean
+#: and percentage the path metrics take over them stays finite; 1e-3 ms
+#: is one microsecond, finer than any echo timer reports.
+RTT_MIN_MS = 1e-3
+RTT_MAX_MS = 1e7
 
 
 def _is_int(value: object) -> bool:
@@ -294,8 +273,11 @@ def _validate_hop(hop: Hop, where: str) -> list[str]:
     if hop.address is None and hop.rtts_ms:
         problems.append(f"{where}silent hop {hop.index} carries RTTs")
     for rtt in hop.rtts_ms:
-        # A number float arithmetic can take; NaN fails both bounds.
-        if not ((isinstance(rtt, float) or _is_int(rtt)) and 0 <= rtt <= _FLOAT_MAX):
+        # NaN fails every comparison.
+        if not (
+            (isinstance(rtt, float) or _is_int(rtt))
+            and (rtt == 0 or RTT_MIN_MS <= rtt <= RTT_MAX_MS)
+        ):
             problems.append(f"{where}hop {hop.index} has invalid RTT {rtt!r}")
     return problems
 
@@ -304,10 +286,12 @@ def _hops_are_clean(hops: Tuple[Hop, ...]) -> bool:
     """True when no hop can fail the checks in ``_validate_path``.
 
     Exact types only: hops numbered 1, 2, ... by ints, silent ones without
-    RTTs, every RTT a float between 0 and the largest float. Anything else,
-    integer RTTs included, takes the full checks, which word the problems.
+    RTTs, every RTT a float of 0 or between ``RTT_MIN_MS`` and ``RTT_MAX_MS``.
+    Anything else, integer RTTs included, takes the full checks, which word
+    the problems.
     """
     position = 0
+    low, high = RTT_MIN_MS, RTT_MAX_MS
     for index, address, rtts in hops:
         position += 1
         if type(index) is not int or index != position:
@@ -315,7 +299,7 @@ def _hops_are_clean(hops: Tuple[Hop, ...]) -> bool:
         if address is None and rtts:
             return False
         for rtt in rtts:
-            if type(rtt) is not float or not 0.0 <= rtt <= _FLOAT_MAX:
+            if type(rtt) is not float or not (low <= rtt <= high or rtt == 0.0):
                 return False
     return True
 

@@ -132,15 +132,8 @@ def _target_hop_index(path: TraceroutePath) -> Optional[int]:
     return None
 
 
-def missing_hop_pct(path: TraceroutePath) -> float:
-    """Share of silent hops up to and including the first target hop."""
-    reached = _target_hop_index(path)
-    if reached is None:
-        raise ValueError(f"{path.probe_id}: path never reached its target")
-    return _silent_pct(path, reached)
-
-
 def _silent_pct(path: TraceroutePath, reached: int) -> float:
+    """Share of silent hops up to and including hop ``reached``, the target."""
     silent = sum(1 for hop in path.hops[:reached] if hop.address is None)
     return 100.0 * silent / reached
 

@@ -19,7 +19,6 @@ from .generate import (
     SIM_ROUNDS,
     SIM_TARGETS,
     SimResult,
-    acceptance_scenarios,
     generate,
     truth_to_doc,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SimResult",
-    "acceptance_scenarios",
     "compare",
     "embedded_address",
     "generate",

@@ -448,7 +448,7 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
     parse = functools.lru_cache(maxsize=None)(ipaddress.IPv6Address)
 
     for plan in plans:
-        dataset.add_probe(plan.record)
+        dataset.probes[plan.probe_id] = plan.record
         dataset.runs.extend(_runs_for(plan))
 
         group, flags = _truth_for(plan, publics_set)
@@ -535,14 +535,6 @@ cell=16 count=1 resolver=dns64  nat=broken  prefix=standard
 cell=17 count=1 resolver=dns64  nat=working prefix=both     v4as=split
 cell=18 count=1 resolver=dns64  nat=working prefix=standard anomaly=ttl
 """
-
-
-def acceptance_scenarios() -> List[Tuple[Scenario, int]]:
-    """The template world under seeds 1 to 20, for recovery sweeps."""
-    from .scenario import parse_scenario
-
-    scenario = parse_scenario(ACCEPTANCE_TEMPLATE)
-    return [(scenario, seed) for seed in range(1, 21)]
 
 
 def truth_to_doc(truth: GroundTruth) -> dict:

@@ -8,27 +8,20 @@ only for the well-known test name, ``plain`` never synthesizes.
 
 from __future__ import annotations
 
-import ipaddress
 import socket
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..addrsynth import synthesize
+from ..detector import DEFAULT_DNS2_KNOWN_A, DEFAULT_DNS2_NAME, DNS1_KNOWN_V4, DNS1_NAME
 from ..model import Nat64Prefix, STANDARD_PREFIX
 from ..acquire import dnswire
 
 MODES = ("dns64", "plain", "broken")
 SCOPES = ("full", "arpa_only")
 
-_WELL_KNOWN = "ipv4only.arpa."
-
-_DEFAULT_ZONE: Dict[str, Tuple[ipaddress.IPv4Address, ...]] = {
-    _WELL_KNOWN: (
-        ipaddress.IPv4Address("192.0.0.170"),
-        ipaddress.IPv4Address("192.0.0.171"),
-    ),
-    "time-c-b.nist.gov.": (ipaddress.IPv4Address("132.163.96.3"),),
-}
+#: The names the detection tests query by default, with their A records.
+_ZONE = {DNS1_NAME: DNS1_KNOWN_V4, DEFAULT_DNS2_NAME: DEFAULT_DNS2_KNOWN_A}
 
 _RCODE_NXDOMAIN = 3
 
@@ -41,7 +34,6 @@ class Dns64Server:
         mode: str = "dns64",
         scope: str = "full",
         prefix: Nat64Prefix = STANDARD_PREFIX,
-        zone: Optional[Dict[str, Tuple[ipaddress.IPv4Address, ...]]] = None,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}")
@@ -50,7 +42,6 @@ class Dns64Server:
         self.mode = mode
         self.scope = scope
         self.prefix = prefix
-        self.zone = dict(_DEFAULT_ZONE if zone is None else zone)
         self._sock: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
         self._running = False
@@ -84,8 +75,8 @@ class Dns64Server:
         if self.mode == "plain":
             return False
         if self.mode == "broken":
-            return name == _WELL_KNOWN
-        return self.scope == "full" or name == _WELL_KNOWN
+            return name == DNS1_NAME
+        return self.scope == "full" or name == DNS1_NAME
 
     def _reply_for(self, wire: bytes) -> Optional[bytes]:
         try:
@@ -95,17 +86,17 @@ class Dns64Server:
         if message.is_response or message.qname is None or message.qtype is None:
             return None
         name = message.qname
-        if name not in self.zone:
+        if name not in _ZONE:
             return dnswire.build_response(
                 message.txid, name, message.qtype, rcode=_RCODE_NXDOMAIN
             )
         answers = []
         if message.qtype == dnswire.TYPE_A:
-            answers = [dnswire.answer_for(name, a) for a in self.zone[name]]
+            answers = [dnswire.answer_for(name, a) for a in _ZONE[name]]
         elif message.qtype == dnswire.TYPE_AAAA and self._synthesizes_for(name):
             answers = [
                 dnswire.answer_for(name, synthesize(self.prefix, a))
-                for a in self.zone[name]
+                for a in _ZONE[name]
             ]
         return dnswire.build_response(message.txid, name, message.qtype, answers)
 

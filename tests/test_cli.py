@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nat64scope
-from nat64scope import catalogs
+from nat64scope import catalogs, cli
 from nat64scope.acquire import live
 from nat64scope.acquire.atlas import measurement_definitions
 from nat64scope.acquire.dataset import Dataset, load_dataset, write_dataset
@@ -534,7 +534,7 @@ class TestPaths:
         target = ipaddress.IPv4Address("198.51.100.10")
         v6 = ipaddress.IPv6Address
         dataset = Dataset()
-        dataset.add_probe(ProbeRecord("p1", 64500, 64500))
+        dataset.probes["p1"] = ProbeRecord("p1", 64500, 64500)
         dataset.paths += [
             TraceroutePath("p1", PathFamily.IPV4, None, target, 0, (
                 Hop(1, ipaddress.IPv4Address("10.0.0.1"), (0.0,)), Hop(2, target, (0.0,)),
@@ -554,6 +554,29 @@ class TestPaths:
 
         kept, _ = filter_pairs(pair_paths(load_dataset(str(path)).paths)[0])
         assert compare(aggregate_report(kept), oracle_stats(kept)) == []
+
+    @pytest.mark.parametrize("rtts", [[1.7e308] * 3, [5e-324]])
+    def test_rtt_outside_the_range_is_one_line_config_error(self, tmp_path, capsys, rtts):
+        # Each once crashed ``paths``: the first overflowed the mean of the
+        # target RTTs, the second made the RTT percentage infinite.
+        world = simulate(tmp_path)
+        lines = (world / "dataset.ndjson").read_text().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            doc = json.loads(line)
+            if doc["record"] == "traceroute" and doc["family"] == "ipv4":
+                target = [h for h in doc["hops"] if h["address"] == doc["target_v4"]]
+                if target and target[0]["rtts_ms"]:
+                    target[0]["rtts_ms"] = rtts
+                    lines[lineno - 1] = json.dumps(doc)
+                    break
+        dataset = tmp_path / "hostile.ndjson"
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("paths", "--from-dataset", str(dataset), "--out", str(tmp_path / "p"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1
+        assert f"line {lineno}: {doc['probe_id']}: hop {target[0]['index']} has invalid RTT" in err
 
     def test_final_round_no_pair_has_drops_nothing(self, tmp_path):
         world = simulate(tmp_path)
@@ -684,6 +707,43 @@ def test_out_refused_by_the_system_stays_exit_1(tmp_path, capsys, monkeypatch):
         raise PermissionError(13, "Permission denied", path)
 
     monkeypatch.setattr(os, "makedirs", refuse)
+    capsys.readouterr()
+    assert run("atlas-spec", "--out", str(tmp_path / "x")) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "Permission denied" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("simulate",), "truth.json"),
+        (("simulate",), "ip2as.tsv"),
+        (("detect", "--from-dataset"), "detection.json"),
+        (("classify", "--from-dataset"), "evidence.csv"),
+        (("paths", "--from-dataset"), "missing_hop_histogram.csv"),
+        (("atlas-spec",), "atlas_spec.json"),
+    ],
+)
+def test_output_name_taken_by_a_directory_is_one_line_config_error(
+    template_world, tmp_path, capsys, argv, name
+):
+    root, config, _ = template_world
+    if "--from-dataset" in argv:
+        # classify reads the ip2as table, so it warns of nothing first.
+        argv += (str(root / "world" / "dataset.ndjson"), "--config", str(config))
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and str(out / name) in err
+
+
+def test_output_file_refused_by_the_system_stays_exit_1(tmp_path, capsys, monkeypatch):
+    def refuse(path, mode="r", **_):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
     capsys.readouterr()
     assert run("atlas-spec", "--out", str(tmp_path / "x")) == EXIT_ERROR
     err = capsys.readouterr().err
@@ -1022,7 +1082,7 @@ class TestLiveDetect:
         candidates = [STANDARD_PREFIX, self.PREFIX_A, self.PREFIX_B]
         assert echoed == [synthesize(p, self.ANCHOR) for p in candidates for _ in range(2)]
         dataset = load_dataset(str(out / "dataset.ndjson"))
-        pings = [r for r in dataset.runs if r.test_kind.is_ping]
+        pings = [r for r in dataset.runs if not r.test_kind.is_dns]
         assert [r.observed_prefix for r in pings] == [p for p in candidates for _ in range(2)]
         for ping in pings[:2]:
             assert ping.test_kind is TestKind.STD_PREFIX_PING
@@ -1032,6 +1092,66 @@ class TestLiveDetect:
             assert ping.test_kind is TestKind.CUSTOM_PREFIX_PING
             assert ping.raw_outcome is RawOutcome.PASS
         assert (out / "detection.json").is_file()
+
+    def echoed_targets(self, tmp_path, monkeypatch, dns_query, resolvers, repeat):
+        echoed = []
+
+        def fake_icmp_echo(target, **_):
+            echoed.append(target)
+            return (live.EchoReply(0, 1.5),)
+
+        monkeypatch.setattr(live, "dns_query", dns_query)
+        monkeypatch.setattr(live, "icmp_echo", fake_icmp_echo)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resolvers": resolvers, "repeat": repeat}))
+        out = tmp_path / "live"
+        assert run("detect", "--config", str(config), "--out", str(out)) == EXIT_OK
+        return echoed
+
+    def test_well_known_prefix_alone_is_echoed_once_per_round(self, tmp_path, monkeypatch):
+        # Both DNS tests reveal the well-known prefix: it is not echoed twice.
+        def dns_query(resolver, qname, qtype, **_):
+            embedded = synthesize(STANDARD_PREFIX, ipaddress.IPv4Address(
+                "192.0.0.170" if qname == DNS1_NAME else "132.163.96.3"
+            ))
+            return DnsResponse(
+                resolver, qname, qtype, DnsStatus.NOERROR, (answer_for(qname, embedded),)
+            )
+
+        echoed = self.echoed_targets(tmp_path, monkeypatch, dns_query, ["2001:db8::53"], 3)
+        assert echoed == [synthesize(STANDARD_PREFIX, self.ANCHOR)] * 3
+
+    def test_prefix_revealed_past_a_failing_resolver(self, tmp_path, monkeypatch):
+        # One resolver fails, the other reveals PREFIX_A to both DNS tests.
+        def dns_query(resolver, qname, qtype, **_):
+            if resolver == ipaddress.ip_address("2001:db8::53"):
+                return DnsResponse(resolver, qname, qtype, DnsStatus.SERVFAIL)
+            embedded = synthesize(self.PREFIX_A, ipaddress.IPv4Address(
+                "192.0.0.170" if qname == DNS1_NAME else "132.163.96.3"
+            ))
+            return DnsResponse(
+                resolver, qname, qtype, DnsStatus.NOERROR, (answer_for(qname, embedded),)
+            )
+
+        resolvers = ["2001:db8::53", "2001:db8::54"]
+        echoed = self.echoed_targets(tmp_path, monkeypatch, dns_query, resolvers, 2)
+        assert echoed == [
+            synthesize(p, self.ANCHOR) for p in (STANDARD_PREFIX, self.PREFIX_A) for _ in range(2)
+        ]
+
+    def test_dataset_name_taken_by_a_directory_is_one_line_config_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(live, "dns_query", self.fake_dns_query)
+        monkeypatch.setattr(live, "icmp_echo", lambda target, **_: (live.EchoReply(0, 1.5),))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resolvers": ["2001:db8::53"], "repeat": 1}))
+        out = tmp_path / "live"
+        (out / "dataset.ndjson").mkdir(parents=True)
+        capsys.readouterr()
+        assert run("detect", "--config", str(config), "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out / "dataset.ndjson") in err
 
     def test_each_round_sends_all_its_queries_at_once(self, tmp_path, monkeypatch):
         # Three resolvers, two tests: a round completes only with six in flight.

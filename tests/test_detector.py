@@ -16,7 +16,6 @@ from nat64scope.detector import (
     eval_dns_test1,
     eval_dns_test2,
     eval_ping_test,
-    select_custom_ping_candidates,
 )
 from nat64scope.model import (
     Nat64Prefix,
@@ -142,37 +141,6 @@ class TestAggregate:
             aggregate([])
 
 
-class TestCandidateSelection:
-    def probes(self):
-        return {
-            "a": ProbeRecord("a", 65001, 64500),
-            "b": ProbeRecord("b", 65001, 64500),
-            "c": ProbeRecord("c", 65002, 64501),
-            "d": ProbeRecord("d", None, None),
-        }
-
-    def observed(self, pid, prefix):
-        return TestRun(
-            pid, TestKind.DNS_TEST1, 0, RawOutcome.PASS,
-            observed_prefix=prefix, resolver_used=RESOLVER,
-        )
-
-    def test_same_as_probes_included(self):
-        cands = select_custom_ping_candidates(self.probes(), [self.observed("a", CUSTOM)])
-        assert cands == {CUSTOM: ("a", "b")}
-
-    def test_observer_always_included(self):
-        # Even without an AS number the observer itself qualifies.
-        cands = select_custom_ping_candidates(self.probes(), [self.observed("d", CUSTOM)])
-        assert cands == {CUSTOM: ("d",)}
-
-    def test_standard_prefix_ignored(self):
-        cands = select_custom_ping_candidates(
-            self.probes(), [self.observed("a", STANDARD_PREFIX)]
-        )
-        assert cands == {}
-
-
 def verdict(value):
     return Verdict(value, 3) if value else None
 
@@ -295,8 +263,8 @@ class TestAssignGroup:
 class TestDetectDataset:
     def build(self):
         ds = Dataset()
-        ds.add_probe(ProbeRecord("good", 65001, 65001, resolvers=(RESOLVER,)))
-        ds.add_probe(ProbeRecord("none", 65002, 65002))
+        ds.probes["good"] = ProbeRecord("good", 65001, 65001, resolvers=(RESOLVER,))
+        ds.probes["none"] = ProbeRecord("none", 65002, 65002)
         for ts in (0, 3600, 7200):
             ds.runs.append(
                 TestRun("good", TestKind.DNS_TEST1, ts, RawOutcome.PASS,
@@ -333,7 +301,7 @@ class TestDetectDataset:
     def test_public_resolver_flag_from_record(self):
         ds = Dataset()
         google = V6("2001:4860:4860::6464")
-        ds.add_probe(ProbeRecord("p", 65001, 65001, resolvers=(google,)))
+        ds.probes["p"] = ProbeRecord("p", 65001, 65001, resolvers=(google,))
         ds.runs.append(
             TestRun("p", TestKind.DNS_TEST1, 0, RawOutcome.PASS,
                     observed_prefix=STANDARD_PREFIX, resolver_used=google)

@@ -51,7 +51,8 @@ def test_load_and_save(tmp_path):
     assert table.lookup(V4("10.1.0.1")) == 200
 
     out = tmp_path / "copy.txt"
-    table.save(str(out))
+    with open(out, "w", encoding="ascii") as handle:
+        table.save(handle)
     assert Ip2AsTable.load(str(out)).lookup(V4("10.1.0.1")) == 200
 
 

@@ -32,7 +32,6 @@ from nat64scope.pathlab import (
     has_nat_hop,
     locate_nat64,
     missing_hop_histogram,
-    missing_hop_pct,
     pair_paths,
     path_metrics,
     pearson,
@@ -147,18 +146,17 @@ class TestPathPredicates:
 
     def test_missing_hop_pct_counts_to_target(self):
         path = v4_path(["192.0.2.1", None, None, "192.0.2.4"])
-        # 5 hops to target, 2 silent.
-        assert missing_hop_pct(path) == pytest.approx(40.0)
+        metrics = path_metrics(PathPair(path, nat_path([None, nat_addr(1)])))
+        # 5 hops to target, 2 silent; 3 on the translated side, 1 silent.
+        assert metrics.v4_missing_pct == pytest.approx(40.0)
+        assert metrics.nat64_missing_pct == pytest.approx(100.0 / 3)
 
     def test_missing_hop_pct_ignores_hops_after_target(self):
         wanted = str(TARGET)
         hops = (hop(1, "192.0.2.1", 1.0), hop(2, wanted, 2.0), hop(3, None))
         path = TraceroutePath("p1", PathFamily.IPV4, None, TARGET, 0, hops)
-        assert missing_hop_pct(path) == pytest.approx(0.0)
-
-    def test_missing_hop_pct_unreached_raises(self):
-        with pytest.raises(ValueError):
-            missing_hop_pct(v4_path(["192.0.2.1"], reach=False))
+        metrics = path_metrics(PathPair(path, nat_path([nat_addr(1)])))
+        assert metrics.v4_missing_pct == pytest.approx(0.0)
 
     def test_has_nat_hop(self):
         assert has_nat_hop(nat_path([nat_addr(1)]))
@@ -668,6 +666,13 @@ class TestGroupingAgainstBruteForce:
         return pairs
 
     @staticmethod
+    def _missing_pct(path, wanted):
+        """Share of silent hops up to the first hop answering as ``wanted``."""
+        addresses = [hop.address for hop in path.hops]
+        reached = addresses.index(wanted) + 1
+        return 100.0 * addresses[:reached].count(None) / reached
+
+    @staticmethod
     def _reference_filter(pairs, final_round=None):
         expected = {str(p.nat64.target_v4) for p in pairs}
         kept, excluded = [], []
@@ -739,8 +744,10 @@ class TestGroupingAgainstBruteForce:
         metrics = compute_metrics(pairs)
         for pair, m in zip(pairs, metrics):
             if m is not None:
-                assert m.v4_missing_pct == missing_hop_pct(pair.ipv4)
-                assert m.nat64_missing_pct == missing_hop_pct(pair.nat64)
+                v4, nat = pair
+                assert m.v4_missing_pct == self._missing_pct(v4, v4.target_v4)
+                wanted = synthesize(nat.prefix, nat.target_v4)
+                assert m.nat64_missing_pct == self._missing_pct(nat, wanted)
         (timeless,) = [i for i, p in enumerate(pairs) if p.nat64.round_index == 3]
         assert metrics[timeless] is None
         assert success(pairs[timeless].ipv4) and success(pairs[timeless].nat64)

@@ -22,7 +22,6 @@ from nat64scope.simharness import (
     Cohort,
     Dns64Server,
     ScenarioError,
-    acceptance_scenarios,
     compare,
     generate,
     oracle_stats,
@@ -36,11 +35,15 @@ def template():
     return parse_scenario(ACCEPTANCE_TEMPLATE)
 
 
+def probe_count(scenario):
+    return sum(cohort.count for cohort in scenario.cohorts)
+
+
 class TestScenarioParsing:
     def test_minimal_line(self):
         scenario = parse_scenario("count=2")
         assert scenario.cohorts == (Cohort(count=2),)
-        assert scenario.probe_count == 2
+        assert probe_count(scenario) == 2
 
     def test_comments_and_blanks(self):
         scenario = parse_scenario("# header\n\ncount=1 resolver=plain # tail\n")
@@ -172,7 +175,7 @@ class TestScenarioParsing:
             parse_scenario(text)
 
     def test_template_parses(self):
-        assert template().probe_count == 32
+        assert probe_count(template()) == 32
 
 
 def _dataset_bytes(sim):
@@ -204,7 +207,7 @@ def test_scenario_is_refused_or_builds_a_loadable_world(lines, seed):
         return
     sim = generate(scenario, seed)
     loaded = load_dataset(io.StringIO(_dataset_bytes(sim)))
-    assert len(loaded.probes) == scenario.probe_count
+    assert len(loaded.probes) == probe_count(scenario)
 
 
 class TestLazyNames:
@@ -290,12 +293,6 @@ class TestGenerate:
                 assert run.resolver_used is resolvers[run.probe_id][0]
                 checked += 1
         assert checked > 0
-
-    def test_acceptance_scenarios_shape(self):
-        worlds = acceptance_scenarios()
-        assert len(worlds) == 20
-        assert all(scenario.probe_count >= 30 for scenario, _ in worlds)
-        assert sorted(seed for _, seed in worlds) == list(range(1, 21))
 
 
 class TestTruthRecovery:
