@@ -1,8 +1,12 @@
 """Line-delimited JSON dataset: one header, then probe/test/traceroute records.
 
+This module owns the line contract. ``_KINDS`` gives each record kind,
+keyed by its ``record`` value, its decoder, its checks and the collection
+a loaded record is filed in; the writer has one line function per kind.
 Encoding is canonical (sorted keys, no whitespace), so writing the same
-dataset twice produces identical bytes. Loading validates every record and
-cross-checks that runs and paths reference known probes.
+dataset twice produces identical bytes. Loading reports every problem
+it finds, each with its line number, and cross-checks that runs and
+paths reference known probes.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..model import (
+    MAX_ASN,
     Hop,
     IPAddress,
     Nat64Prefix,
@@ -23,11 +28,9 @@ from ..model import (
     TestKind,
     TestRun,
     TraceroutePath,
-    _hops_are_clean,
     _new_hop,
     _new_path,
     _new_probe,
-    validate,
 )
 
 SCHEMA_VERSION = 1
@@ -61,6 +64,137 @@ class Dataset:
         self.paths: List[TraceroutePath] = [] if paths is None else paths
         self.capture_window = capture_window
 
+
+# ------------------------------------------------ checks
+#
+# Every value comes from the JSON decoder, so an exact type test is the
+# whole test: ``type(True) is bool``, not ``int``.
+
+#: The RTTs a hop may carry: 0, or between these bounds. Every sum, mean
+#: and percentage the path metrics take over them stays finite; 1e-3 ms
+#: is one microsecond, finer than any echo timer reports.
+RTT_MIN_MS = 1e-3
+RTT_MAX_MS = 1e7
+_RTT_RANGE = f"each must be 0, or {RTT_MIN_MS:g} to {RTT_MAX_MS:,.0f} ms"
+
+
+def _hops_are_clean(hops: Tuple[Hop, ...]) -> bool:
+    """True when no hop can fail the checks in ``_check_path``.
+
+    Exact types only: hops numbered 1, 2, ... by ints, silent ones without
+    RTTs, every RTT a float of 0 or between ``RTT_MIN_MS`` and ``RTT_MAX_MS``.
+    Anything else, integer RTTs included, takes the full checks, which word
+    the problems. The writer's fast path takes the same test.
+    """
+    position = 0
+    low, high = RTT_MIN_MS, RTT_MAX_MS
+    for index, address, rtts in hops:
+        position += 1
+        if type(index) is not int or index != position:
+            return False
+        if address is None and rtts:
+            return False
+        for rtt in rtts:
+            if type(rtt) is not float or not (low <= rtt <= high or rtt == 0.0):
+                return False
+    return True
+
+
+def _check_probe(probe: ProbeRecord) -> List[str]:
+    probe_id, asn_v4, asn_v6, _, tags, _ = probe
+    problems = []
+    if not probe_id:
+        problems.append("probe_id is empty")
+    else:
+        try:
+            # A lone surrogate loads from a JSON escape but cannot be
+            # written to a report; runs and paths name a known probe.
+            probe_id.encode("utf-8")
+        except UnicodeEncodeError:
+            problems.append("probe_id is not valid Unicode text")
+    for name, asn in (("asn_v4", asn_v4), ("asn_v6", asn_v6)):
+        if asn is not None and (type(asn) is not int or asn <= 0):
+            problems.append(f"{name} must be a positive integer or None")
+        elif asn is not None and asn > MAX_ASN:
+            problems.append(f"{name} {asn} is above the largest AS number {MAX_ASN}")
+    for tag in tags:
+        if type(tag) is not str:
+            problems.append(f"tag {tag!r} is not a string")
+    return problems
+
+
+def _check_test_run(run: TestRun) -> List[str]:
+    probe_id, kind, timestamp, outcome, prefix, resolver_used, diagnostic = run
+    problems = []
+    if not probe_id:
+        problems.append("probe_id is empty")
+    if type(timestamp) is not int:
+        problems.append("timestamp must be an integer")
+    elif timestamp < 0:
+        problems.append("timestamp is negative")
+    if diagnostic is not None and type(diagnostic) is not str:
+        problems.append("diagnostic must be a string or None")
+    if kind.is_dns:
+        # DNS runs observe a prefix only when they pass.
+        if outcome is RawOutcome.FAIL and prefix is not None:
+            problems.append("failed DNS run carries observed_prefix")
+        return problems
+    # Ping runs always name the prefix they targeted.
+    if prefix is None:
+        problems.append(f"{kind.value} run lacks a prefix")
+    elif kind is TestKind.STD_PREFIX_PING:
+        if prefix.kind is not PrefixKind.STANDARD:
+            problems.append("std_prefix_ping run carries a non-standard prefix")
+    elif prefix.kind is PrefixKind.STANDARD:
+        problems.append("custom_prefix_ping run carries the standard prefix")
+    if resolver_used is not None:
+        problems.append("ping run carries resolver_used")
+    return problems
+
+
+def _check_path(path: TraceroutePath) -> List[str]:
+    probe_id, family, prefix, _, round_index, hops = path
+    problems = []
+    if not probe_id:
+        problems.append("probe_id is empty")
+    if family is PathFamily.NAT64:
+        if prefix is None:
+            problems.append("nat64 path lacks a prefix")
+    elif prefix is not None:
+        problems.append("ipv4 path carries a prefix")
+    if type(round_index) is not int:
+        problems.append("round_index must be an integer")
+    elif round_index < 0:
+        problems.append("round_index is negative")
+    if _hops_are_clean(hops):
+        return problems
+    for position, (index, _, _) in enumerate(hops, start=1):
+        if index != position:
+            problems.append(f"hop indices not contiguous at position {position}")
+            break
+    for index, address, rtts in hops:
+        if type(index) is not int:
+            problems.append(f"{probe_id}: hop index {index!r} is not an integer")
+        elif index < 1:
+            problems.append(f"{probe_id}: hop index {index} is below 1")
+        if address is None and rtts:
+            problems.append(f"{probe_id}: silent hop {index} carries RTTs")
+        # NaN fails every comparison.
+        bad = [rtt for rtt in rtts if type(rtt) not in (float, int)
+               or not (rtt == 0 or RTT_MIN_MS <= rtt <= RTT_MAX_MS)]
+        if bad:
+            problems.append(f"{probe_id}: hop {index} has invalid RTTs {bad!r} ({_RTT_RANGE})")
+    return problems
+
+
+def validate(record, check) -> List[str]:
+    """The problems ``check`` finds in ``record``. The loader calls this once
+    per record, through the module global, where the benchmark's tracer
+    counts and times it."""
+    return check(record)
+
+
+# ------------------------------------------------ writing
 
 # One template per record kind, keys in sorted order, and two ways to
 # fill a slot: a value of the exact type the slot expects is formatted
@@ -103,62 +237,77 @@ class _Texts(dict):
         return text
 
 
-def _line(record: object, texts: _Texts) -> str:
-    """One record's line, newline included."""
-    if isinstance(record, TraceroutePath):
-        probe_id, family, prefix, target_v4, round_index, hops = record
-        # Clean hops hold exact ints and finite floats, whose reprs are
-        # their JSON text; bools, int RTTs, NaN and the like go to ``_dump``.
-        if _hops_are_clean(hops):
-            hop_texts = [
-                _HOP % (texts[address], index, "[%s]" % ",".join(map(repr, rtts)))
-                for index, address, rtts in hops
-            ]
-        else:
-            hop_texts = [
-                _HOP % (texts[address], _dump(index), _dump(list(rtts)))
-                for index, address, rtts in hops
-            ]
-        return _TRACEROUTE % (
-            family.value,
-            ",".join(hop_texts),
-            texts[prefix],
-            _str_text(probe_id),
-            _int_text(round_index),
-            texts[target_v4],
-        )
-    if isinstance(record, TestRun):
-        probe_id, kind, timestamp, outcome, prefix, resolver_used, diagnostic = record
-        return _TEST_RUN % (
-            _str_text(diagnostic),
-            texts[prefix],
-            _str_text(probe_id),
-            outcome.value,
-            texts[resolver_used],
-            kind.value,
-            _int_text(timestamp),
-        )
-    if isinstance(record, ProbeRecord):
-        probe_id, asn_v4, asn_v6, resolvers, tags, network = record
-        return _PROBE % (
-            _int_text(asn_v4),
-            _int_text(asn_v6),
-            _dump(str(network) if network else None),
-            _str_text(probe_id),
-            ",".join([texts[resolver] for resolver in resolvers]),
-            _dump(list(tags)),
-        )
-    raise TypeError(f"cannot encode {type(record).__name__}")
+def _probe_line(probe: ProbeRecord, texts: _Texts) -> str:
+    probe_id, asn_v4, asn_v6, resolvers, tags, network = probe
+    return _PROBE % (
+        _int_text(asn_v4),
+        _int_text(asn_v6),
+        _dump(str(network) if network else None),
+        _str_text(probe_id),
+        ",".join([texts[resolver] for resolver in resolvers]),
+        _dump(list(tags)),
+    )
 
+
+def _run_line(run: TestRun, texts: _Texts) -> str:
+    probe_id, kind, timestamp, outcome, prefix, resolver_used, diagnostic = run
+    return _TEST_RUN % (
+        _str_text(diagnostic),
+        texts[prefix],
+        _str_text(probe_id),
+        outcome.value,
+        texts[resolver_used],
+        kind.value,
+        _int_text(timestamp),
+    )
+
+
+def _path_line(path: TraceroutePath, texts: _Texts) -> str:
+    probe_id, family, prefix, target_v4, round_index, hops = path
+    # Clean hops hold exact ints and finite floats, whose reprs are
+    # their JSON text; bools, int RTTs, NaN and the like go to ``_dump``.
+    if _hops_are_clean(hops):
+        hop_texts = [
+            _HOP % (texts[address], index, "[%s]" % ",".join(map(repr, rtts)))
+            for index, address, rtts in hops
+        ]
+    else:
+        hop_texts = [
+            _HOP % (texts[address], _dump(index), _dump(list(rtts)))
+            for index, address, rtts in hops
+        ]
+    return _TRACEROUTE % (
+        family.value,
+        ",".join(hop_texts),
+        texts[prefix],
+        _str_text(probe_id),
+        _int_text(round_index),
+        texts[target_v4],
+    )
+
+
+def write_dataset(dataset: Dataset, out: IO[str]) -> None:
+    """Write the canonical line-delimited form to ``out``; same dataset, same bytes."""
+    write = out.write
+    window = list(dataset.capture_window) if dataset.capture_window else None
+    write(_dump({"record": "header", "schema": SCHEMA_VERSION, "capture_window": window}) + "\n")
+    texts = _Texts()
+    for probe in dataset.probes.values():
+        write(_probe_line(probe, texts))
+    for run in dataset.runs:
+        write(_run_line(run, texts))
+    for path in dataset.paths:
+        write(_path_line(path, texts))
+
+
+# ------------------------------------------------ decoding
 
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
 def _need(value, kind: type, what: str):
     """Return ``value`` when it has the JSON type the codec needs."""
-    if type(value) is kind:
-        return value
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if type(value) is not kind:
         raise DatasetError([f"{what} must be {_TYPE_NAMES[kind]}"])
     return value
 
@@ -177,7 +326,8 @@ class _Decoder:
 
     One decoder serves one load and its tables go with it. A value is
     type-checked before it is parsed or used as a key, so nothing
-    unhashable reaches the tables.
+    unhashable reaches the tables. Fields go by position, in the order
+    the record classes list them.
     """
 
     def __init__(self) -> None:
@@ -209,17 +359,13 @@ class _Decoder:
                 if prefix is not None:
                     return prefix
         _need(doc, dict, "prefix")
-        key = (
-            _need(doc["base"], str, "prefix base"),
-            _need(doc["length"], int, "prefix length"),
-            _need(doc["kind"], str, "prefix kind"),
+        base = _need(doc["base"], str, "prefix base")
+        length = _need(doc["length"], int, "prefix length")
+        kind = _need(doc["kind"], str, "prefix kind")
+        # Exact types all, so the table missed above: a prefix not seen yet.
+        prefix = self._prefixes[base, length, kind] = Nat64Prefix(
+            ipaddress.IPv6Address(base), length, PrefixKind(kind)
         )
-        prefix = self._prefixes.get(key)
-        if prefix is None:
-            base, length, kind = key
-            prefix = self._prefixes[key] = Nat64Prefix(
-                ipaddress.IPv6Address(base), length, PrefixKind(kind)
-            )
         return prefix
 
     def hops(self, docs) -> Tuple[Hop, ...]:
@@ -243,69 +389,67 @@ class _Decoder:
             hops.append(_new_hop((doc["index"], address, tuple(rtts))))
         return tuple(hops)
 
-    def decode(self, doc) -> object:
-        kind = _need(doc, dict, "record").get("record")
-        if kind == "probe":
-            network = doc["network_prefix_v6"]
-            return _new_probe((
-                _need(doc["probe_id"], str, "probe_id"),
-                doc["asn_v4"],
-                doc["asn_v6"],
-                tuple(
-                    self.address(r, "resolver")
-                    for r in _need(doc["resolvers"], list, "resolvers")
-                ),
-                tuple(_need(doc["tags"], list, "tags")),
-                None
-                if network is None
-                else ipaddress.IPv6Network(_need(network, str, "network_prefix_v6")),
-            ))
-        # Fields go by position, in the order the classes list them.
-        if kind == "test_run":
-            used = doc["resolver_used"]
-            return TestRun(
-                _need(doc["probe_id"], str, "probe_id"),
-                _member(TestKind, doc["test_kind"]),
-                doc["timestamp"],
-                _member(RawOutcome, doc["raw_outcome"]),
-                self.prefix(doc["observed_prefix"]),
-                None if used is None else self.address(used, "resolver_used"),
-                doc.get("diagnostic"),
-            )
-        if kind == "traceroute":
-            return _new_path((
-                _need(doc["probe_id"], str, "probe_id"),
-                _member(PathFamily, doc["family"]),
-                self.prefix(doc["prefix"]),
-                self.target(doc["target_v4"]),
-                doc["round"],
-                self.hops(doc["hops"]),
-            ))
-        raise DatasetError([f"unknown record kind {kind!r}"])
+    def probe(self, doc) -> ProbeRecord:
+        network = doc["network_prefix_v6"]
+        return _new_probe((
+            _need(doc["probe_id"], str, "probe_id"),
+            doc["asn_v4"],
+            doc["asn_v6"],
+            tuple(
+                self.address(r, "resolver")
+                for r in _need(doc["resolvers"], list, "resolvers")
+            ),
+            tuple(_need(doc["tags"], list, "tags")),
+            None
+            if network is None
+            else ipaddress.IPv6Network(_need(network, str, "network_prefix_v6")),
+        ))
+
+    def test_run(self, doc) -> TestRun:
+        used = doc["resolver_used"]
+        return TestRun(
+            _need(doc["probe_id"], str, "probe_id"),
+            _member(TestKind, doc["test_kind"]),
+            doc["timestamp"],
+            _member(RawOutcome, doc["raw_outcome"]),
+            self.prefix(doc["observed_prefix"]),
+            None if used is None else self.address(used, "resolver_used"),
+            doc.get("diagnostic"),
+        )
+
+    def path(self, doc) -> TraceroutePath:
+        return _new_path((
+            _need(doc["probe_id"], str, "probe_id"),
+            _member(PathFamily, doc["family"]),
+            self.prefix(doc["prefix"]),
+            self.target(doc["target_v4"]),
+            doc["round"],
+            self.hops(doc["hops"]),
+        ))
 
 
-def write_dataset(dataset: Dataset, out: Union[str, IO[str]]) -> None:
-    """Write the canonical line-delimited form; same dataset, same bytes."""
-    own = isinstance(out, str)
-    handle = open(out, "w", encoding="ascii") if own else out
-    try:
-        header = {
-            "record": "header",
-            "schema": SCHEMA_VERSION,
-            "capture_window": list(dataset.capture_window) if dataset.capture_window else None,
-        }
-        handle.write(_dump(header) + "\n")
-        texts = _Texts()
-        for records in (dataset.probes.values(), dataset.runs, dataset.paths):
-            for record in records:
-                handle.write(_line(record, texts))
-    finally:
-        if own:
-            handle.close()
+# ------------------------------------------------ filing
+
+
+def _file_probe(dataset: Dataset, probe: ProbeRecord) -> Optional[str]:
+    if probe.probe_id in dataset.probes:
+        return f"duplicate probe {probe.probe_id}"
+    dataset.probes[probe.probe_id] = probe
+    return None
+
+
+#: Each record kind by its ``record`` value: how its document decodes,
+#: which checks its values pass, and how a loaded record is filed (a
+#: problem, or None).
+_KINDS = {
+    "probe": (_Decoder.probe, _check_probe, _file_probe),
+    "test_run": (_Decoder.test_run, _check_test_run, lambda ds, run: ds.runs.append(run)),
+    "traceroute": (_Decoder.path, _check_path, lambda ds, path: ds.paths.append(path)),
+}
 
 
 def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
-    """Parse and validate; raises DatasetError naming every offender found.
+    """Parse and check; raises DatasetError naming every offender found.
 
     A load allocates many small containers, none of them in reference
     cycles, which the cyclic collector would scan again and again as they
@@ -359,7 +503,13 @@ def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
                     # Trailing data, a failed scan or a line that is not a
                     # str: ``json.loads`` decodes it or raises its own error.
                     doc = json.loads(line)
-                record = decoder.decode(doc)
+                name = _need(doc, dict, "record").get("record")
+                # Only a str keys the table: a list value is unhashable.
+                kind = _KINDS.get(name) if type(name) is str else None
+                if kind is None:
+                    raise DatasetError([f"unknown record kind {name!r}"])
+                decode, check, file = kind
+                record = decode(decoder, doc)
             except DatasetError as exc:
                 problems.extend(f"line {lineno}: {problem}" for problem in exc.problems)
                 continue
@@ -369,16 +519,11 @@ def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
             except (ValueError, RecursionError) as exc:
                 problems.append(f"line {lineno}: {exc}")
                 continue
-            for violation in validate(record):
+            for violation in validate(record, check):
                 problems.append(f"line {lineno}: {violation}")
-            if isinstance(record, TraceroutePath):
-                dataset.paths.append(record)
-            elif isinstance(record, TestRun):
-                dataset.runs.append(record)
-            elif record.probe_id in dataset.probes:
-                problems.append(f"line {lineno}: duplicate probe {record.probe_id}")
-            else:
-                dataset.probes[record.probe_id] = record
+            refused = file(dataset, record)
+            if refused is not None:
+                problems.append(f"line {lineno}: {refused}")
     finally:
         if own:
             handle.close()

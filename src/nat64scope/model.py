@@ -1,11 +1,13 @@
-"""Core record types shared by every stage of the toolkit.
+"""Core record types and constants shared by every stage of the toolkit.
 
 Addresses are ``ipaddress`` objects end to end. Records are named
 tuples, so they can key dicts, live in sets, and round-trip through the
 dataset codec without surprises; a record compares equal to the plain
 tuple of its fields, ``Hop`` to ``(index, address, rtts_ms)``. A named
 tuple is cheap to define, which every command pays at start-up, and to
-build, which it pays per record.
+build, which it pays per record. The only check here is the one a
+``Nat64Prefix`` makes of itself; what makes a dataset line valid lives
+with the codec, in ``acquire.dataset``.
 """
 
 from __future__ import annotations
@@ -194,153 +196,3 @@ class PathPair(NamedTuple):
 
     ipv4: TraceroutePath
     nat64: TraceroutePath
-
-
-#: The RTTs a hop may carry: 0, or between these bounds. Every sum, mean
-#: and percentage the path metrics take over them stays finite; 1e-3 ms
-#: is one microsecond, finer than any echo timer reports.
-RTT_MIN_MS = 1e-3
-RTT_MAX_MS = 1e7
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _validate_probe(record: ProbeRecord) -> list[str]:
-    probe_id, asn_v4, asn_v6, resolvers, tags, network = record
-    problems = []
-    if not probe_id:
-        problems.append("probe_id is empty")
-    else:
-        try:
-            # A lone surrogate loads from a JSON escape but cannot be
-            # written to a report; runs and paths name a known probe.
-            probe_id.encode("utf-8")
-        except UnicodeEncodeError:
-            problems.append("probe_id is not valid Unicode text")
-    for name, asn in (("asn_v4", asn_v4), ("asn_v6", asn_v6)):
-        if asn is not None and (not _is_int(asn) or asn <= 0):
-            problems.append(f"{name} must be a positive integer or None")
-        elif asn is not None and asn > MAX_ASN:
-            problems.append(f"{name} {asn} is above the largest AS number {MAX_ASN}")
-    for resolver in resolvers:
-        if not isinstance(resolver, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
-            problems.append(f"resolver {resolver!r} is not an address")
-    if network is not None and not isinstance(network, ipaddress.IPv6Network):
-        problems.append("network_prefix_v6 must be an IPv6Network or None")
-    for tag in tags:
-        if not isinstance(tag, str):
-            problems.append(f"tag {tag!r} is not a string")
-    return problems
-
-
-def _validate_test_run(record: TestRun) -> list[str]:
-    probe_id, kind, timestamp, outcome, prefix, resolver_used, diagnostic = record
-    problems = []
-    if not probe_id:
-        problems.append("probe_id is empty")
-    if not _is_int(timestamp):
-        problems.append("timestamp must be an integer")
-    elif timestamp < 0:
-        problems.append("timestamp is negative")
-    if diagnostic is not None and not isinstance(diagnostic, str):
-        problems.append("diagnostic must be a string or None")
-    if kind.is_dns:
-        # DNS runs observe a prefix only when they pass.
-        if outcome is RawOutcome.FAIL and prefix is not None:
-            problems.append("failed DNS run carries observed_prefix")
-        return problems
-    # Ping runs always name the prefix they targeted.
-    if prefix is None:
-        problems.append(f"{kind.value} run lacks a prefix")
-    elif kind is TestKind.STD_PREFIX_PING:
-        if prefix.kind is not PrefixKind.STANDARD:
-            problems.append("std_prefix_ping run carries a non-standard prefix")
-    elif prefix.kind is PrefixKind.STANDARD:
-        problems.append("custom_prefix_ping run carries the standard prefix")
-    if resolver_used is not None:
-        problems.append("ping run carries resolver_used")
-    return problems
-
-
-def _validate_hop(hop: Hop, where: str) -> list[str]:
-    problems = []
-    if not _is_int(hop.index):
-        problems.append(f"{where}hop index {hop.index!r} is not an integer")
-    elif hop.index < 1:
-        problems.append(f"{where}hop index {hop.index} is below 1")
-    if hop.address is None and hop.rtts_ms:
-        problems.append(f"{where}silent hop {hop.index} carries RTTs")
-    for rtt in hop.rtts_ms:
-        # NaN fails every comparison.
-        if not (
-            (isinstance(rtt, float) or _is_int(rtt))
-            and (rtt == 0 or RTT_MIN_MS <= rtt <= RTT_MAX_MS)
-        ):
-            problems.append(f"{where}hop {hop.index} has invalid RTT {rtt!r}")
-    return problems
-
-
-def _hops_are_clean(hops: Tuple[Hop, ...]) -> bool:
-    """True when no hop can fail the checks in ``_validate_path``.
-
-    Exact types only: hops numbered 1, 2, ... by ints, silent ones without
-    RTTs, every RTT a float of 0 or between ``RTT_MIN_MS`` and ``RTT_MAX_MS``.
-    Anything else, integer RTTs included, takes the full checks, which word
-    the problems.
-    """
-    position = 0
-    low, high = RTT_MIN_MS, RTT_MAX_MS
-    for index, address, rtts in hops:
-        position += 1
-        if type(index) is not int or index != position:
-            return False
-        if address is None and rtts:
-            return False
-        for rtt in rtts:
-            if type(rtt) is not float or not (low <= rtt <= high or rtt == 0.0):
-                return False
-    return True
-
-
-def _validate_path(record: TraceroutePath) -> list[str]:
-    probe_id, family, prefix, target_v4, round_index, hops = record
-    problems = []
-    if not probe_id:
-        problems.append("probe_id is empty")
-    if family is PathFamily.NAT64:
-        if prefix is None:
-            problems.append("nat64 path lacks a prefix")
-    elif prefix is not None:
-        problems.append("ipv4 path carries a prefix")
-    if not isinstance(target_v4, ipaddress.IPv4Address):
-        problems.append("target_v4 must be an IPv4Address")
-    if not _is_int(round_index):
-        problems.append("round_index must be an integer")
-    elif round_index < 0:
-        problems.append("round_index is negative")
-    if _hops_are_clean(hops):
-        return problems
-    for position, hop in enumerate(hops, start=1):
-        if hop.index != position:
-            problems.append(f"hop indices not contiguous at position {position}")
-            break
-    where = f"{probe_id}: "
-    for hop in hops:
-        problems.extend(_validate_hop(hop, where))
-    return problems
-
-
-#: The checks of each record class, looked up by the exact class of a record.
-_RULES = {
-    ProbeRecord: _validate_probe, TestRun: _validate_test_run, TraceroutePath: _validate_path
-}
-
-
-def validate(record: object) -> list[str]:
-    """Return a list of contract violations; empty when well-formed."""
-    rules = _RULES.get(type(record))
-    if rules is None:
-        raise TypeError(f"no validation rules for {type(record).__name__}")
-    return rules(record)

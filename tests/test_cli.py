@@ -37,7 +37,7 @@ from nat64scope.model import (
 )
 from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
 from nat64scope.simharness import compare, oracle_stats
-from test_dataset import json_values
+from test_dataset import json_values, write_file
 
 
 def run(*argv):
@@ -186,7 +186,7 @@ def test_main_pauses_the_collector_and_leaves_it_as_found(
     tmp_path, monkeypatch, enabled, dataset_line
 ):
     dataset = tmp_path / "d.ndjson"
-    write_dataset(Dataset(), str(dataset))
+    write_file(Dataset(), dataset)
     with open(dataset, "a", encoding="ascii") as handle:
         handle.write(dataset_line)
     seen = []
@@ -544,7 +544,7 @@ class TestPaths:
             )),
         ]
         path = tmp_path / "zero.ndjson"
-        write_dataset(dataset, str(path))
+        write_file(dataset, path)
         out = tmp_path / "paths"
         assert run("paths", "--from-dataset", str(path), "--out", str(out)) == EXIT_OK
         doc = read_json(out / "summary.json")
@@ -555,10 +555,10 @@ class TestPaths:
         kept, _ = filter_pairs(pair_paths(load_dataset(str(path)).paths)[0])
         assert compare(aggregate_report(kept), oracle_stats(kept)) == []
 
-    @pytest.mark.parametrize("rtts", [[1.7e308] * 3, [5e-324]])
-    def test_rtt_outside_the_range_is_one_line_config_error(self, tmp_path, capsys, rtts):
-        # Each once crashed ``paths``: the first overflowed the mean of the
-        # target RTTs, the second made the RTT percentage infinite.
+    @staticmethod
+    def paths_with_target_rtts(tmp_path, capsys, rtts):
+        """``paths`` over the seed-42 world with one IPv4 target hop's RTTs
+        replaced: its exit code, its stderr and the problem's prefix."""
         world = simulate(tmp_path)
         lines = (world / "dataset.ndjson").read_text().splitlines()
         for lineno, line in enumerate(lines, start=1):
@@ -573,10 +573,25 @@ class TestPaths:
         dataset.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = run("paths", "--from-dataset", str(dataset), "--out", str(tmp_path / "p"))
-        err = capsys.readouterr().err
+        where = f"line {lineno}: {doc['probe_id']}: hop {target[0]['index']}"
+        return code, capsys.readouterr().err, where
+
+    @pytest.mark.parametrize("rtts", [[1.7e308] * 3, [5e-324]])
+    def test_rtt_outside_the_range_is_one_line_config_error(self, tmp_path, capsys, rtts):
+        # Each once crashed ``paths``: the first overflowed the mean of the
+        # target RTTs, the second made the RTT percentage infinite.
+        code, err, where = self.paths_with_target_rtts(tmp_path, capsys, rtts)
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1
-        assert f"line {lineno}: {doc['probe_id']}: hop {target[0]['index']} has invalid RTT" in err
+        assert f"{where} has invalid RTT" in err
+
+    def test_bad_rtts_of_one_hop_are_one_problem_that_names_the_range(self, tmp_path, capsys):
+        code, err, where = self.paths_with_target_rtts(tmp_path, capsys, [1.7e308] * 3)
+        assert code == EXIT_CONFIG
+        assert err.endswith(
+            f": 1 problem(s): {where} has invalid RTTs [1.7e+308, 1.7e+308, 1.7e+308]"
+            " (each must be 0, or 0.001 to 10,000,000 ms)\n"
+        )
 
     def test_final_round_no_pair_has_drops_nothing(self, tmp_path):
         world = simulate(tmp_path)
@@ -771,7 +786,7 @@ class TestInputErrors:
         else:
             bad.write_text(text)
         dataset = tmp_path / "empty.ndjson"
-        write_dataset(Dataset(), str(dataset))
+        write_file(Dataset(), dataset)
         ip2as = tmp_path / "ip2as.tsv"
         ip2as.write_text("192.0.2.0/24 64500\n")
         config = tmp_path / "config.json"

@@ -9,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 from nat64scope.acquire.dataset import (
     Dataset,
     DatasetError,
+    RTT_MAX_MS,
+    RTT_MIN_MS,
+    _KINDS,
     _Decoder,
+    _hops_are_clean,
     load_dataset,
     write_dataset,
 )
@@ -81,17 +85,23 @@ def sample_dataset() -> Dataset:
     return ds
 
 
+def write_file(ds: Dataset, path) -> None:
+    """Write ``ds`` to the file at ``path``, opened as the commands open it."""
+    with open(path, "w", encoding="ascii") as handle:
+        write_dataset(ds, handle)
+
+
 def test_round_trip_and_determinism(tmp_path):
     ds = sample_dataset()
     path_a = tmp_path / "a.ndjson"
     path_b = tmp_path / "b.ndjson"
-    write_dataset(ds, str(path_a))
+    write_file(ds, path_a)
     loaded = load_dataset(str(path_a))
     assert loaded.probes == ds.probes
     assert loaded.runs == ds.runs
     assert loaded.paths == ds.paths
     assert loaded.capture_window == ds.capture_window
-    write_dataset(loaded, str(path_b))
+    write_file(loaded, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -198,7 +208,8 @@ def test_load_of_repeated_addresses_equals_line_by_line_decode():
     lines = dataset_lines(simulated_dataset())
     loaded = load_dataset(lines)
     # Each line through a decoder of its own, with tables of its own.
-    decoded = [_Decoder().decode(json.loads(line)) for line in lines[1:]]
+    docs = [json.loads(line) for line in lines[1:]]
+    decoded = [_KINDS[doc["record"]][0](_Decoder(), doc) for doc in docs]
     assert list(loaded.probes.values()) == [r for r in decoded if isinstance(r, ProbeRecord)]
     assert loaded.runs == [r for r in decoded if isinstance(r, TestRun)]
     assert loaded.paths == [r for r in decoded if isinstance(r, TraceroutePath)]
@@ -218,8 +229,8 @@ def test_tables_do_not_outlive_a_load():
 def test_write_load_write_is_byte_identical_at_world_scale(tmp_path):
     path_a = tmp_path / "a.ndjson"
     path_b = tmp_path / "b.ndjson"
-    write_dataset(simulated_dataset(), str(path_a))
-    write_dataset(load_dataset(str(path_a)), str(path_b))
+    write_file(simulated_dataset(), path_a)
+    write_file(load_dataset(str(path_a)), path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -372,6 +383,8 @@ RUN = (
     '{"record":"test_run","probe_id":"p1","test_kind":"dns_test1","timestamp":%s,'
     '"raw_outcome":"fail","observed_prefix":null,"resolver_used":null,"diagnostic":null}'
 )
+#: How a bad-RTT problem ends: the range every RTT must lie in.
+RANGE = "(each must be 0, or 0.001 to 10,000,000 ms)"
 
 
 @pytest.mark.parametrize(
@@ -383,11 +396,11 @@ RUN = (
         ([HEADER, PROBE, RUN % '"soon"'], "line 3: timestamp must be an integer"),
         (
             [HEADER, PROBE, PATH % '[{"index":1,"address":"192.0.2.1","rtts_ms":["x"]}]'],
-            "line 3: p1: hop 1 has invalid RTT 'x'",
+            f"line 3: p1: hop 1 has invalid RTTs ['x'] {RANGE}",
         ),
         (
             [HEADER, PROBE, PATH % '[{"index":1,"address":"192.0.2.1","rtts_ms":[1e999]}]'],
-            "line 3: p1: hop 1 has invalid RTT inf",
+            f"line 3: p1: hop 1 has invalid RTTs [inf] {RANGE}",
         ),
         (
             [HEADER, PROBE, PATH % '[{"index":1,"address":["192.0.2.1"],"rtts_ms":[]}]'],
@@ -474,8 +487,8 @@ ADDR = '"192.0.2.1"'
             [hops(("1", ADDR, "[1.0]"), ("2", "null", "[]"), ("4", ADDR, "[1.0]"))],
             ["line 3: hop indices not contiguous at position 3"],
         ),
-        ([hops(("1", ADDR, "[-1.0]"))], ["line 3: p1: hop 1 has invalid RTT -1.0"]),
-        ([hops(("1", ADDR, "[NaN]"))], ["line 3: p1: hop 1 has invalid RTT nan"]),
+        ([hops(("1", ADDR, "[-1.0]"))], [f"line 3: p1: hop 1 has invalid RTTs [-1.0] {RANGE}"]),
+        ([hops(("1", ADDR, "[NaN]"))], [f"line 3: p1: hop 1 has invalid RTTs [nan] {RANGE}"]),
         ([hops(("1", "null", "[1.0]"))], ["line 3: p1: silent hop 1 carries RTTs"]),
         ([hops(("1", ADDR, '"1.0"'))], ["line 3: rtts_ms must be a list"]),
         ([PATH % '[{"index":1,"address":null,"rtts_ms":[]},[]]'], ["line 3: hop must be an object"]),
@@ -484,8 +497,7 @@ ADDR = '"192.0.2.1"'
             [
                 "line 3: p1: hop index True is not an integer",
                 "line 3: p1: silent hop True carries RTTs",
-                "line 3: p1: hop 2 has invalid RTT -1.0",
-                "line 3: p1: hop 2 has invalid RTT 'x'",
+                f"line 3: p1: hop 2 has invalid RTTs [-1.0, 'x'] {RANGE}",
             ],
         ),
         (
@@ -525,6 +537,151 @@ def test_integer_rtt_and_cached_prefix_still_load():
     loaded = load_dataset([HEADER, PROBE, hops(("1", ADDR, "[1]")), NAT % "96", NAT % "96"])
     assert loaded.paths[0].hops == (Hop(1, V4("192.0.2.1"), (1,)),)
     assert loaded.paths[1].prefix is loaded.paths[2].prefix is not None
+
+
+# ------------------------------------------------ the line contract, one check at a time
+
+STD = {"base": "64:ff9b::", "length": 96, "kind": "standard"}
+CUSTOM = {"base": "2001:db8::", "length": 96, "kind": "custom"}
+
+
+def line(template: str, **fields) -> str:
+    """``template``'s record with ``fields`` set to the given JSON values."""
+    doc = json.loads(template)
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+def problems_of(*lines) -> list:
+    with pytest.raises(DatasetError) as info:
+        load_dataset([HEADER, *lines])
+    return info.value.problems
+
+
+class TestLineContract:
+    def test_well_formed_probe_loads(self):
+        probe = line(
+            PROBE, asn_v4=65001, asn_v6=65001, resolvers=["2001:db8::53"],
+            tags=["system-ipv6-works"], network_prefix_v6="2001:db8::/64",
+        )
+        assert load_dataset([HEADER, probe]).probes["p1"] == ProbeRecord(
+            "p1", 65001, 65001, (V6("2001:db8::53"),), ("system-ipv6-works",),
+            ipaddress.IPv6Network("2001:db8::/64"),
+        )
+
+    def test_probe_id_that_is_not_text_is_a_problem(self):
+        # A lone surrogate loads from a JSON escape but has no UTF-8 form.
+        assert problems_of(line(PROBE, probe_id="p\ud800")) == [
+            "line 2: probe_id is not valid Unicode text"
+        ]
+
+    def test_non_ascii_probe_id_loads(self):
+        assert list(load_dataset([HEADER, line(PROBE, probe_id="prüf-1")]).probes) == ["prüf-1"]
+
+    def test_negative_asn_is_a_problem(self):
+        assert problems_of(line(PROBE, asn_v4=-4)) == [
+            "line 2: asn_v4 must be a positive integer or None"
+        ]
+
+    def test_failed_dns_run_with_a_prefix_is_a_problem(self):
+        assert problems_of(PROBE, line(RUN % "5", observed_prefix=STD)) == [
+            "line 3: failed DNS run carries observed_prefix"
+        ]
+
+    def test_passed_dns_run_with_a_prefix_loads(self):
+        run = line(
+            RUN % "5", raw_outcome="pass", observed_prefix=STD, resolver_used="2001:db8::53"
+        )
+        assert load_dataset([HEADER, PROBE, run]).runs[0].observed_prefix == STANDARD_PREFIX
+
+    @pytest.mark.parametrize(
+        "kind, prefix, problem",
+        [
+            ("std_prefix_ping", None, "std_prefix_ping run lacks a prefix"),
+            ("std_prefix_ping", CUSTOM, "std_prefix_ping run carries a non-standard prefix"),
+            ("custom_prefix_ping", STD, "custom_prefix_ping run carries the standard prefix"),
+        ],
+    )
+    def test_ping_run_prefix_must_match_its_kind(self, kind, prefix, problem):
+        run = line(RUN % "5", test_kind=kind, observed_prefix=prefix)
+        assert problems_of(PROBE, run) == [f"line 3: {problem}"]
+
+    def test_hops_are_numbered_from_one_without_gaps(self):
+        load_dataset([HEADER, PROBE, hops(("1", ADDR, "[1.0]"), ("2", "null", "[]"))])
+        assert problems_of(PROBE, hops(("1", ADDR, "[1.0]"), ("3", "null", "[]"))) == [
+            "line 3: hop indices not contiguous at position 2"
+        ]
+
+    def test_hop_checks_take_exact_types(self):
+        load_dataset([HEADER, PROBE, hops(("1", ADDR, "[1, 2.5]"))])
+        assert problems_of(PROBE, hops(("true", ADDR, "[1.0]"))) == [
+            "line 3: p1: hop index True is not an integer"
+        ]
+        assert problems_of(PROBE, hops(("1", ADDR, "[true, 1e999]"))) == [
+            f"line 3: p1: hop 1 has invalid RTTs [True, inf] {RANGE}"
+        ]
+
+    @pytest.mark.parametrize("rtt", [0.0, RTT_MIN_MS, 1.5, RTT_MAX_MS, 0, 7, 10**7])
+    def test_rtt_in_range_loads(self, rtt):
+        loaded = load_dataset([HEADER, PROBE, hops(("1", ADDR, json.dumps([rtt])))])
+        (hop,) = loaded.paths[0].hops
+        assert hop.rtts_ms == (rtt,) and type(hop.rtts_ms[0]) is type(rtt)
+        # The loader's and the writer's fast path: floats only.
+        assert _hops_are_clean(loaded.paths[0].hops) is (type(rtt) is float)
+
+    @pytest.mark.parametrize(
+        "rtt", [5e-324, 9.99e-4, 1.7e308, RTT_MAX_MS * (1 + 1e-15), -1e-3, 10**7 + 1]
+    )
+    def test_rtt_out_of_range_is_a_problem(self, rtt):
+        # The fast path and the full checks hold one pair of bounds.
+        assert problems_of(PROBE, hops(("1", ADDR, json.dumps([rtt])))) == [
+            f"line 3: p1: hop 1 has invalid RTTs [{rtt!r}] {RANGE}"
+        ]
+        assert not _hops_are_clean((Hop(1, V4("192.0.2.1"), (rtt,)),))
+
+    def test_bad_rtts_are_one_problem_per_hop(self):
+        path = hops(
+            ("1", ADDR, "[1.7e308,1.7e308,1.7e308]"), ("2", ADDR, "[1.0]"), ("3", ADDR, "[-1.0,0]")
+        )
+        assert problems_of(PROBE, path) == [
+            f"line 3: p1: hop 1 has invalid RTTs [1.7e+308, 1.7e+308, 1.7e+308] {RANGE}",
+            f"line 3: p1: hop 3 has invalid RTTs [-1.0] {RANGE}",
+        ]
+
+    def test_silent_hop_with_rtts_is_a_problem(self):
+        assert problems_of(PROBE, hops(("1", "null", "[1.0]"))) == [
+            "line 3: p1: silent hop 1 carries RTTs"
+        ]
+
+    def test_nat64_path_needs_a_prefix(self):
+        assert problems_of(PROBE, line(PATH % "[]", family="nat64")) == [
+            "line 3: nat64 path lacks a prefix"
+        ]
+
+    def test_ipv4_path_must_not_carry_a_prefix(self):
+        assert problems_of(PROBE, line(PATH % "[]", prefix=STD)) == [
+            "line 3: ipv4 path carries a prefix"
+        ]
+
+
+def test_every_loaded_record_is_checked_once_through_validate(monkeypatch):
+    # The benchmark's tracer counts and times the checks by wrapping this
+    # module global; a loader that called it through another name would
+    # leave its tally at zero.
+    from nat64scope.acquire import dataset as module
+
+    calls = []
+
+    def counted(record, check):
+        calls.append(record)
+        return check(record)
+
+    monkeypatch.setattr(module, "validate", counted)
+    ds = simulated_dataset()
+    loaded = load_dataset(dataset_lines(ds))
+    records = [*loaded.probes.values(), *loaded.runs, *loaded.paths]
+    assert len(records) == len(ds.probes) + len(ds.runs) + len(ds.paths) > 500
+    assert calls == records
 
 
 @pytest.mark.parametrize(

@@ -16,16 +16,8 @@ from nat64scope.model import (
     Nat64Prefix,
     PathFamily,
     PrefixKind,
-    ProbeRecord,
-    RTT_MAX_MS,
-    RTT_MIN_MS,
-    RawOutcome,
     STANDARD_PREFIX,
-    TestKind,
-    TestRun,
     TraceroutePath,
-    _hops_are_clean,
-    validate,
 )
 from nat64scope.pathlab import GroupStats, PathPair, SuccessRates, SummaryStats, aggregate_report
 
@@ -221,109 +213,3 @@ class TestRecords:
         assert arrays(doc) == 0
         assert doc["groups"]["g"]["success"]["n_pairs"] == 1
         assert doc["metrics"]["length_diff"] == {"n": 1, "mean": 0.0, "sd": 0.0, "median": 0.0}
-
-
-class TestValidate:
-    def test_well_formed_probe(self):
-        rec = ProbeRecord(
-            "p1",
-            asn_v4=65001,
-            asn_v6=65001,
-            resolvers=(V6("2001:db8::53"),),
-            tags=("system-ipv6-works",),
-            network_prefix_v6=ipaddress.IPv6Network("2001:db8::/64"),
-        )
-        assert validate(rec) == []
-
-    def test_probe_id_that_is_not_text_flagged(self):
-        # A lone surrogate loads from a JSON escape but has no UTF-8 form.
-        assert validate(ProbeRecord("p\ud800", asn_v4=None, asn_v6=None)) == [
-            "probe_id is not valid Unicode text"
-        ]
-
-    def test_non_ascii_probe_id_ok(self):
-        assert validate(ProbeRecord("prüf-1", asn_v4=None, asn_v6=None)) == []
-
-    def test_bad_asn(self):
-        rec = ProbeRecord("p1", asn_v4=-4, asn_v6=None)
-        assert any("asn_v4" in p for p in validate(rec))
-
-    def test_dns_fail_with_prefix_flagged(self):
-        run = TestRun(
-            "p1", TestKind.DNS_TEST1, 1700000000, RawOutcome.FAIL,
-            observed_prefix=STANDARD_PREFIX,
-        )
-        assert any("observed_prefix" in p for p in validate(run))
-
-    def test_dns_pass_with_prefix_ok(self):
-        run = TestRun(
-            "p1", TestKind.DNS_TEST1, 1700000000, RawOutcome.PASS,
-            observed_prefix=STANDARD_PREFIX, resolver_used=V6("2001:db8::53"),
-        )
-        assert validate(run) == []
-
-    def test_ping_without_prefix_flagged(self):
-        run = TestRun("p1", TestKind.STD_PREFIX_PING, 0, RawOutcome.PASS)
-        assert any("lacks a prefix" in p for p in validate(run))
-
-    def test_std_ping_with_custom_prefix_flagged(self):
-        run = TestRun(
-            "p1", TestKind.STD_PREFIX_PING, 0, RawOutcome.PASS,
-            observed_prefix=Nat64Prefix.from_cidr("2001:db8::/96"),
-        )
-        assert validate(run) != []
-
-    def test_custom_ping_with_standard_prefix_flagged(self):
-        run = TestRun(
-            "p1", TestKind.CUSTOM_PREFIX_PING, 0, RawOutcome.PASS,
-            observed_prefix=STANDARD_PREFIX,
-        )
-        assert validate(run) != []
-
-    def test_hop_contiguity(self):
-        ok = make_path(hops=(Hop(1, V4("10.0.0.1"), (1.0,)), Hop(2, None)))
-        assert validate(ok) == []
-        broken = make_path(hops=(Hop(1, V4("10.0.0.1"), (1.0,)), Hop(3, None)))
-        assert any("contiguous" in p for p in validate(broken))
-
-    def test_hop_checks_take_exact_types(self):
-        addr = V4("10.0.0.1")
-        assert validate(make_path(hops=(Hop(1, addr, (1, 2.5)),))) == []
-        assert validate(make_path(hops=(Hop(True, addr, (1.0,)),))) == [
-            "p1: hop index True is not an integer"
-        ]
-        assert validate(make_path(hops=(Hop(1, addr, (True, 1e308 * 10)),))) == [
-            "p1: hop 1 has invalid RTT True",
-            "p1: hop 1 has invalid RTT inf",
-        ]
-
-    @pytest.mark.parametrize("rtt", [0.0, RTT_MIN_MS, 1.5, RTT_MAX_MS, 0, 7, 10**7])
-    def test_rtt_in_range_is_valid(self, rtt):
-        hops = (Hop(1, V4("10.0.0.1"), (rtt,)),)
-        assert validate(make_path(hops=hops)) == []
-        assert _hops_are_clean(hops) is (type(rtt) is float)
-
-    @pytest.mark.parametrize(
-        "rtt", [5e-324, 9.99e-4, 1.7e308, RTT_MAX_MS * (1 + 1e-15), -1e-3, 10**7 + 1]
-    )
-    def test_rtt_out_of_range_is_invalid(self, rtt):
-        # The fast path and the full checks hold one pair of bounds.
-        hops = (Hop(1, V4("10.0.0.1"), (rtt,)),)
-        assert validate(make_path(hops=hops)) == [f"p1: hop 1 has invalid RTT {rtt!r}"]
-        assert not _hops_are_clean(hops)
-
-    def test_silent_hop_with_rtts_flagged(self):
-        bad = make_path(hops=(Hop(1, None, (1.0,)),))
-        assert any("silent" in p for p in validate(bad))
-
-    def test_nat64_path_needs_prefix(self):
-        bad = make_path(family=PathFamily.NAT64)
-        assert any("prefix" in p for p in validate(bad))
-
-    def test_ipv4_path_must_not_carry_prefix(self):
-        bad = make_path(prefix=STANDARD_PREFIX)
-        assert any("prefix" in p for p in validate(bad))
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(TypeError):
-            validate(object())
