@@ -3,7 +3,7 @@
 Pairs native IPv4 traceroutes with their translated twins, filters the
 pairs that cannot be compared fairly, and prints the headline numbers in
 both percentage conventions, cross-checked against the independent
-statistics oracle.
+statistics oracle. Exits 1 when the oracle disagrees.
 
 Run:  python3 demos/demo_paths.py [seed]
 """
@@ -26,7 +26,7 @@ from nat64scope.simharness import (
 )
 
 
-def main() -> None:
+def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 42
     sim = generate(parse_scenario(ACCEPTANCE_TEMPLATE), seed)
     pairs, unpaired = pair_paths(sim.dataset.paths)
@@ -44,16 +44,17 @@ def main() -> None:
 
     stats = aggregate_report(kept)
     for name in ("v4_length", "nat64_length", "v4_rtt_ms", "nat64_rtt_ms"):
-        s = stats.metrics[name]
-        print(f"  {name:16} mean {s.mean:8.3f}   sd {s.sd:7.3f}   median {s.median:8.3f}")
+        s = stats["metrics"][name]
+        print(f"  {name:16} mean {s['mean']:8.3f}   sd {s['sd']:7.3f}   median {s['median']:8.3f}")
     print()
     print("relative cost of translation, two conventions:")
-    print(f"  mean of per-pair percentages: length {stats.mean_of_pair_pcts['length']:+6.2f}%"
-          f"   rtt {stats.mean_of_pair_pcts['rtt']:+6.2f}%")
-    print(f"  percentage of the means:      length {stats.pct_of_means['length']:+6.2f}%"
-          f"   rtt {stats.pct_of_means['rtt']:+6.2f}%")
-    print(f"  length/rtt diff correlation r = {stats.pearson_r:.4f}")
-    print(f"  pairs with an implausibly early target: {stats.ttl_anomaly_pairs}")
+    pair_pcts, of_means = stats["mean_of_pair_pcts"], stats["pct_of_means"]
+    print(f"  mean of per-pair percentages: length {pair_pcts['length']:+6.2f}%"
+          f"   rtt {pair_pcts['rtt']:+6.2f}%")
+    print(f"  percentage of the means:      length {of_means['length']:+6.2f}%"
+          f"   rtt {of_means['rtt']:+6.2f}%")
+    print(f"  length/rtt diff correlation r = {stats['pearson_r']:.4f}")
+    print(f"  pairs with an implausibly early target: {stats['ttl_anomaly_pairs']}")
     print()
 
     print("silent-hop share distribution (low..high%, v4 pairs, translated pairs):")
@@ -64,7 +65,10 @@ def main() -> None:
 
     problems = compare(stats, oracle_stats(kept))
     print(f"independent oracle agrees: {not problems}")
+    for problem in problems:
+        print(f"  {problem}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

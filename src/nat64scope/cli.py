@@ -103,7 +103,8 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Bad JSON, an integer past the digit limit, or nesting too deep.
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object")
@@ -246,16 +247,6 @@ def _write_json(path: str, doc) -> None:
     with _create(path) as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _to_doc(value):
-    """``value`` with each record, however nested, as a JSON object: given to
-    ``json.dump`` as it is, a named tuple would become an array."""
-    if isinstance(value, tuple) and hasattr(value, "_fields"):
-        return {name: _to_doc(item) for name, item in zip(value._fields, value)}
-    if isinstance(value, dict):
-        return {key: _to_doc(item) for key, item in value.items()}
-    return value
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -527,8 +518,7 @@ def cmd_paths(args) -> int:
                 "excluded": dict(sorted(exclusions.items())),
                 "ttl_anomaly_excluded": ttl_excluded,
             },
-            # The aggregate report in the same shape the oracle emits.
-            "stats": _to_doc(stats),
+            "stats": stats,
         },
     )
 
@@ -554,16 +544,16 @@ def cmd_paths(args) -> int:
         os.path.join(out, "per_target.csv"),
         ("target", "n_pairs", "v4_pct", "nat64_pct", "both_pct"),
         [
-            (name, r.n_pairs, r.v4_pct, r.nat64_pct, r.both_pct)
-            for name, r in stats.per_target.items()
+            (name, r["n_pairs"], r["v4_pct"], r["nat64_pct"], r["both_pct"])
+            for name, r in stats["per_target"].items()
         ],
     )
     _write_csv(
         os.path.join(out, "per_prefix.csv"),
         ("prefix", "n", "mean_length_diff", "sd", "median"),
         [
-            (name, s.n, s.mean, s.sd, s.median)
-            for name, s in stats.per_prefix.items()
+            (name, s["n"], s["mean"], s["sd"], s["median"])
+            for name, s in stats["per_prefix"].items()
         ],
     )
     _write_csv(
@@ -572,12 +562,12 @@ def cmd_paths(args) -> int:
         [
             (
                 name,
-                g.success.n_pairs,
-                g.success.both_pct,
-                g.length_diff.mean if g.length_diff else "",
-                g.rtt_diff_ms.mean if g.rtt_diff_ms else "",
+                g["success"]["n_pairs"],
+                g["success"]["both_pct"],
+                g["length_diff"]["mean"] if g["length_diff"] else "",
+                g["rtt_diff_ms"]["mean"] if g["rtt_diff_ms"] else "",
             )
-            for name, g in sorted(stats.groups.items())
+            for name, g in sorted(stats["groups"].items())
         ],
     )
     _write_csv(
@@ -714,7 +704,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # The message may quote input text: its line breaks are escaped, so
+        # the error stays one line.
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
     except PermissionError as exc:  # a probe socket or an output file refused
         print(f"error: {exc}", file=sys.stderr)

@@ -352,82 +352,50 @@ def flag_ttl_anomalies(metrics: Sequence[Optional[PathMetrics]]) -> List[bool]:
     ]
 
 
-class SummaryStats(NamedTuple):
-    n: int
-    mean: float
-    sd: float
-    median: float
-
-
-class SuccessRates(NamedTuple):
-    n_pairs: int
-    v4_pct: Optional[float]
-    nat64_pct: Optional[float]
-    both_pct: Optional[float]
-
-
-class GroupStats(NamedTuple):
-    success: SuccessRates
-    length_diff: Optional[SummaryStats]
-    rtt_diff_ms: Optional[SummaryStats]
-
-
-class AggregateStats(NamedTuple):
-    """Dataset-level summary, both percentage conventions included.
-
-    ``mean_of_pair_pcts`` averages each pair's own percentage difference;
-    ``pct_of_means`` compares the two sides' means. They answer different
-    questions and can disagree wildly, so both are always reported.
-    """
-
-    success: SuccessRates
-    metrics: "dict[str, SummaryStats]"
-    mean_of_pair_pcts: "dict[str, Optional[float]]"
-    pct_of_means: "dict[str, Optional[float]]"
-    pearson_r: Optional[float]
-    ttl_anomaly_pairs: int
-    groups: "dict[str, GroupStats]"
-    per_target: "dict[str, SuccessRates]"
-    per_prefix: "dict[str, SummaryStats]"
-
-
 #: What the report summarizes: every field of ``PathMetrics`` and its
 #: properties.
 _METRIC_PROPERTIES = ("length_diff", "rtt_diff_ms", "length_diff_pct", "rtt_diff_pct")
 _METRIC_FIELDS = PathMetrics._fields + _METRIC_PROPERTIES
 
 
-def _summary(values: Sequence[float]) -> Optional[SummaryStats]:
+def _summary(values: Sequence[float]) -> Optional[dict]:
     if not values:
         return None
-    return SummaryStats(
-        n=len(values),
-        mean=statistics.fmean(values),
-        sd=statistics.pstdev(values),
-        median=statistics.median(values),
-    )
+    return {
+        "n": len(values),
+        "mean": statistics.fmean(values),
+        "sd": statistics.pstdev(values),
+        "median": statistics.median(values),
+    }
 
 
-def _rates(ok4: Sequence[bool], ok6: Sequence[bool]) -> SuccessRates:
+def _rates(ok4: Sequence[bool], ok6: Sequence[bool]) -> dict:
     n = len(ok4)
     if n == 0:
-        return SuccessRates(0, None, None, None)
-    return SuccessRates(
-        n_pairs=n,
-        v4_pct=100.0 * sum(ok4) / n,
-        nat64_pct=100.0 * sum(ok6) / n,
-        both_pct=100.0 * sum(a and b for a, b in zip(ok4, ok6)) / n,
-    )
+        return {"n_pairs": 0, "v4_pct": None, "nat64_pct": None, "both_pct": None}
+    return {
+        "n_pairs": n,
+        "v4_pct": 100.0 * sum(ok4) / n,
+        "nat64_pct": 100.0 * sum(ok6) / n,
+        "both_pct": 100.0 * sum(a and b for a, b in zip(ok4, ok6)) / n,
+    }
 
 
 def aggregate_report(
     pairs: Sequence[PathPair],
     metrics: Optional[Sequence[Optional[PathMetrics]]] = None,
     groupings: Optional[Mapping[str, Collection[str]]] = None,
-) -> AggregateStats:
+) -> dict:
     """Summarize success rates and per-pair metrics across the dataset.
 
     ``metrics``, when given, holds ``path_metrics`` of each pair in order.
+    The result is the ``stats`` document of ``summary.json``, in the shape
+    ``simharness.oracle_stats`` emits: plain dicts, numbers and ``None``.
+
+    Both percentage conventions are reported. ``mean_of_pair_pcts``
+    averages each pair's own percentage difference; ``pct_of_means``
+    compares the two sides' means. They answer different questions and
+    can disagree wildly.
     """
     if metrics is None:
         metrics = compute_metrics(pairs)
@@ -439,22 +407,22 @@ def aggregate_report(
     # properties read once per metric.
     columns = {name: [getattr(m, name) for m in usable] for name in _METRIC_PROPERTIES}
     columns.update(zip(PathMetrics._fields, zip(*usable)))
-    summaries: Dict[str, SummaryStats] = {}
+    summaries: Dict[str, dict] = {}
     for name in _METRIC_FIELDS:
         stats = _summary(columns.get(name, ()))
         if stats is not None:
             summaries[name] = stats
 
     mean_of_pair_pcts: Dict[str, Optional[float]] = {
-        "length": summaries["length_diff_pct"].mean if usable else None,
-        "rtt": summaries["rtt_diff_pct"].mean if usable else None,
+        "length": summaries["length_diff_pct"]["mean"] if usable else None,
+        "rtt": summaries["rtt_diff_pct"]["mean"] if usable else None,
     }
     pct_of_means: Dict[str, Optional[float]] = {"length": None, "rtt": None}
     if usable:
-        mean_v4_len = summaries["v4_length"].mean
-        mean_nat_len = summaries["nat64_length"].mean
-        mean_v4_rtt = summaries["v4_rtt_ms"].mean
-        mean_nat_rtt = summaries["nat64_rtt_ms"].mean
+        mean_v4_len = summaries["v4_length"]["mean"]
+        mean_nat_len = summaries["nat64_length"]["mean"]
+        mean_v4_rtt = summaries["v4_rtt_ms"]["mean"]
+        mean_nat_rtt = summaries["nat64_rtt_ms"]["mean"]
         if mean_v4_len:
             pct_of_means["length"] = 100.0 * (mean_nat_len - mean_v4_len) / mean_v4_len
         if mean_v4_rtt:
@@ -474,7 +442,7 @@ def aggregate_report(
     ok4 = [m is not None or success(p.ipv4) for p, m in zip(pairs, metrics)]
     ok6 = [m is not None or success(p.nat64) for p, m in zip(pairs, metrics)]
 
-    def rates(indices: Sequence[int]) -> SuccessRates:
+    def rates(indices: Sequence[int]) -> dict:
         return _rates([ok4[i] for i in indices], [ok6[i] for i in indices])
 
     # One pass groups pair positions by probe, target and prefix. Targets
@@ -489,37 +457,37 @@ def aggregate_report(
         by_target.setdefault(target, []).append(i)
         by_prefix.setdefault(prefix, []).append(i)
 
-    groups: Dict[str, GroupStats] = {}
+    groups: Dict[str, dict] = {}
     for name, probe_ids in (groupings or {}).items():
         indices = sorted(i for pid in set(probe_ids) for i in by_probe.get(pid, ()))
-        groups[name] = GroupStats(
-            success=rates(indices),
-            length_diff=_summary([length_diffs[i] for i in indices if i in length_diffs]),
-            rtt_diff_ms=_summary([rtt_diffs[i] for i in indices if i in rtt_diffs]),
-        )
+        groups[name] = {
+            "success": rates(indices),
+            "length_diff": _summary([length_diffs[i] for i in indices if i in length_diffs]),
+            "rtt_diff_ms": _summary([rtt_diffs[i] for i in indices if i in rtt_diffs]),
+        }
 
-    per_target: Dict[str, SuccessRates] = {
+    per_target = {
         name: rates(indices)
         for name, indices in sorted((str(t), idx) for t, idx in by_target.items())
     }
 
-    per_prefix: Dict[str, SummaryStats] = {}
+    per_prefix: Dict[str, dict] = {}
     for name, indices in sorted((str(p), idx) for p, idx in by_prefix.items()):
         stats = _summary([length_diffs[i] for i in indices if i in length_diffs])
         if stats is not None:
             per_prefix[name] = stats
 
-    return AggregateStats(
-        success=_rates(ok4, ok6),
-        metrics=summaries,
-        mean_of_pair_pcts=mean_of_pair_pcts,
-        pct_of_means=pct_of_means,
-        pearson_r=r,
-        ttl_anomaly_pairs=sum(flag_ttl_anomalies(metrics)),
-        groups=groups,
-        per_target=per_target,
-        per_prefix=per_prefix,
-    )
+    return {
+        "success": _rates(ok4, ok6),
+        "metrics": summaries,
+        "mean_of_pair_pcts": mean_of_pair_pcts,
+        "pct_of_means": pct_of_means,
+        "pearson_r": r,
+        "ttl_anomaly_pairs": sum(flag_ttl_anomalies(metrics)),
+        "groups": groups,
+        "per_target": per_target,
+        "per_prefix": per_prefix,
+    }
 
 
 def missing_hop_histogram(

@@ -5,6 +5,10 @@ the address embedding uses its own byte-position table, reachability and
 hop accounting are recomputed from scratch, and all summary numbers come
 from numpy instead of the statistics module. Agreement with the analysis
 code is therefore corroboration, not an identity.
+
+``oracle_stats`` builds the same document that ``pathlab.aggregate_report``
+returns and ``summary.json`` holds under ``stats``; ``compare`` walks two
+such documents side by side and lists where they differ.
 """
 
 from __future__ import annotations
@@ -207,64 +211,30 @@ def oracle_stats(
     }
 
 
-def compare(stats, oracle: dict, rel: float = 1e-9) -> List[str]:
-    """Field-by-field differences between an AggregateStats and the oracle."""
+def compare(stats: dict, oracle: dict, rel: float = 1e-9) -> List[str]:
+    """Every place where two stats documents differ, walking both together.
+
+    Keys must match at every level. Numbers agree within ``rel``, relative
+    or absolute; bools, ``None`` and anything else compare by ``==``.
+    """
     problems: List[str] = []
 
     def close(a, b) -> bool:
-        if a is None or b is None:
-            return a is None and b is None
-        if isinstance(a, bool) or isinstance(b, bool):
+        if a is None or b is None or isinstance(a, bool) or isinstance(b, bool):
             return a == b
         if isinstance(a, (int, float)) and isinstance(b, (int, float)):
             return math.isclose(a, b, rel_tol=rel, abs_tol=rel)
         return a == b
 
-    def check(path: str, a, b) -> None:
-        if not close(a, b):
+    def walk(path: str, a, b) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            if a.keys() != b.keys():
+                problems.append(f"{path or 'top level'} keys: {sorted(a)} != {sorted(b)}")
+            for key in a:
+                if key in b:
+                    walk(f"{path}.{key}" if path else key, a[key], b[key])
+        elif not close(a, b):
             problems.append(f"{path}: {a!r} != {b!r}")
 
-    def check_summary(path: str, summary, doc) -> None:
-        if summary is None or doc is None:
-            if not (summary is None and doc is None):
-                problems.append(f"{path}: one side missing")
-            return
-        for field in ("n", "mean", "sd", "median"):
-            check(f"{path}.{field}", getattr(summary, field), doc[field])
-
-    def check_rates(path: str, rates, doc) -> None:
-        for field in ("n_pairs", "v4_pct", "nat64_pct", "both_pct"):
-            check(f"{path}.{field}", getattr(rates, field), doc[field])
-
-    check_rates("success", stats.success, oracle["success"])
-    check("metrics keys", sorted(stats.metrics), sorted(oracle["metrics"]))
-    for name in stats.metrics:
-        if name in oracle["metrics"]:
-            check_summary(f"metrics.{name}", stats.metrics[name], oracle["metrics"][name])
-    for key in ("length", "rtt"):
-        check(f"mean_of_pair_pcts.{key}", stats.mean_of_pair_pcts[key],
-              oracle["mean_of_pair_pcts"][key])
-        check(f"pct_of_means.{key}", stats.pct_of_means[key], oracle["pct_of_means"][key])
-    check("pearson_r", stats.pearson_r, oracle["pearson_r"])
-    check("ttl_anomaly_pairs", stats.ttl_anomaly_pairs, oracle["ttl_anomaly_pairs"])
-
-    check("group keys", sorted(stats.groups), sorted(oracle["groups"]))
-    for name in stats.groups:
-        if name not in oracle["groups"]:
-            continue
-        got, want = stats.groups[name], oracle["groups"][name]
-        check_rates(f"groups.{name}.success", got.success, want["success"])
-        check_summary(f"groups.{name}.length_diff", got.length_diff, want["length_diff"])
-        check_summary(f"groups.{name}.rtt_diff_ms", got.rtt_diff_ms, want["rtt_diff_ms"])
-
-    check("target keys", sorted(stats.per_target), sorted(oracle["per_target"]))
-    for name in stats.per_target:
-        if name in oracle["per_target"]:
-            check_rates(f"per_target.{name}", stats.per_target[name],
-                        oracle["per_target"][name])
-    check("prefix keys", sorted(stats.per_prefix), sorted(oracle["per_prefix"]))
-    for name in stats.per_prefix:
-        if name in oracle["per_prefix"]:
-            check_summary(f"per_prefix.{name}", stats.per_prefix[name],
-                          oracle["per_prefix"][name])
+    walk("", stats, oracle)
     return problems

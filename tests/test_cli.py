@@ -36,7 +36,7 @@ from nat64scope.model import (
     TraceroutePath,
 )
 from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
-from nat64scope.simharness import compare, oracle_stats
+from nat64scope.simharness import ACCEPTANCE_TEMPLATE, compare, oracle_stats
 from test_dataset import json_values, write_file
 
 
@@ -612,16 +612,21 @@ class TestConfig:
             assert loaded.dns2_name == "time-c-b.nist.gov."
             assert loaded.dns2_answers == (ipaddress.IPv4Address("132.163.96.3"),)
 
-    def test_unknown_key(self, tmp_path):
+    def test_unknown_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        for doc in ({"resolver": ["8.8.8.8"]}, {"concurrency": 4}):
+        for doc in ({"resolver": ["8.8.8.8"]}, {"concurrency": 4}, {"a\nb": 1}):
             config.write_text(json.dumps(doc))
+            capsys.readouterr()
             assert run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "x")) == EXIT_CONFIG
+            assert capsys.readouterr().err.count("\n") == 1  # a key's line break is escaped
 
-    def test_missing_referenced_file(self, tmp_path):
+    def test_missing_referenced_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"ip2as": str(tmp_path / "absent.tsv")}))
-        assert run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "x")) == EXIT_CONFIG
+        for name in ("absent.tsv", "absent\r\nname.tsv"):
+            config.write_text(json.dumps({"ip2as": str(tmp_path / name)}))
+            capsys.readouterr()
+            assert run("atlas-spec", "--config", str(config), "--out", str(tmp_path / "x")) == EXIT_CONFIG
+            assert capsys.readouterr().err.count("\n") == 1
 
     def test_invalid_json(self, tmp_path):
         config = tmp_path / "config.json"
@@ -684,6 +689,24 @@ class TestConfig:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("config error:") and str(bad) in err
+
+    @pytest.mark.parametrize("argv", [("atlas-spec", "--config"), ("detect", "--config")])
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            ("[" * 200_000 + "]" * 200_000, "recursion"),  # nested past the decoder's stack
+            ('{"repeat": ' + "9" * 5000 + "}", "digits"),  # past the int conversion limit
+        ],
+        ids=["nested-200k-deep", "5000-digit-int"],
+    )
+    def test_undecodable_json_is_one_line_config_error(self, tmp_path, capsys, argv, text, why):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        capsys.readouterr()
+        code = run(*argv, str(config), "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("config error:") and why in err
 
 
 @pytest.mark.parametrize(
@@ -979,12 +1002,111 @@ def test_whole_line_mutations_are_exit_0_or_2(template_world, data):
     dataset.write_text("".join(line + "\n" for line in lines))
     trim = data.draw(st.sampled_from([(), ("--exclude-ttl-anomaly", "--final-round", "1")]))
     for command in (("detect",), ("classify", "--config", str(config)), ("paths", *trim)):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run(*command, "--from-dataset", str(dataset), "--out", str(root / "out"))
-        assert code in (EXIT_OK, EXIT_CONFIG), command
-        if code == EXIT_CONFIG:
-            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+        exits_0_or_2(*command, "--from-dataset", str(dataset), "--out", str(root / "out"))
+
+
+def exits_0_or_2(*argv):
+    """Run one command: it must exit 0, or exit 2 with exactly one stderr line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv)
+    assert code in (EXIT_OK, EXIT_CONFIG), argv
+    if code == EXIT_CONFIG:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+CONFIG_KEYS = sorted(cli._CONFIG_KEYS)
+
+
+@st.composite
+def config_texts(draw, world):
+    """A config file's text: a valid document with keys dropped, set to any
+    JSON value, an address or one of the world's paths, or an unknown key
+    added; or the document cut short, or not an object at all."""
+    doc = {
+        "ip2as": str(world / "ip2as.tsv"),
+        "targets": ["198.51.100.10"],
+        "dns2_name": "time-c-b.nist.gov.",
+        "dns2_answers": ["132.163.96.3"],
+        "resolvers": ["2001:db8::53"],
+        "repeat": 2,
+    }
+    paths = [str(world), *(str(world / name) for name in sorted(os.listdir(world)))]
+    values = st.one_of(
+        json_values,
+        st.sampled_from(paths),
+        st.sampled_from(["192.0.2.1", "2001:db8::1", "64:ff9b::/96", "a..b", "\ud800"]),
+        st.lists(st.sampled_from(["198.51.100.10", "::1", "x", ""]), max_size=3),
+    )
+    for step in draw(st.lists(st.sampled_from(("drop", "set", "unknown")), max_size=4)):
+        if step == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif step == "set":
+            doc[draw(st.sampled_from(CONFIG_KEYS))] = draw(values)
+        elif step == "unknown":
+            doc[draw(st.text(max_size=6))] = draw(values)
+    # One document in four is replaced, and one text in four is cut short.
+    text = json.dumps(draw(json_values) if draw(st.integers(0, 3)) == 0 else doc)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_config_mutations_are_exit_0_or_2(template_world, data):
+    root, _, _ = template_world
+    world = root / "world"
+    config = root / "mutated-config.json"
+    config.write_text(data.draw(config_texts(world)), encoding="utf-8")
+    analysis = ("--from-dataset", str(world / "dataset.ndjson"))
+    for command in (("atlas-spec",), ("detect", *analysis), ("classify", *analysis), ("paths", *analysis)):
+        exits_0_or_2(*command, "--config", str(config), "--out", str(root / "out"))
+
+
+TEMPLATE_LINES = ACCEPTANCE_TEMPLATE.splitlines()
+SCENARIO_KEYS = sorted({token.split("=")[0] for line in TEMPLATE_LINES for token in line.split()})
+SCENARIO_VALUES = sorted({token.split("=")[1] for line in TEMPLATE_LINES for token in line.split()})
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario text: up to four template lines, each with tokens dropped,
+    set to another value or added, plus stray lines. Counts and pool sizes
+    stay small, so every world builds in milliseconds."""
+    value = st.one_of(
+        st.sampled_from(SCENARIO_VALUES),
+        st.integers(-1, 4).map(str),
+        st.sampled_from(["256", "10000", "1.5", "", "x"]),
+    )
+    lines = []
+    for line in draw(st.lists(st.sampled_from(TEMPLATE_LINES), min_size=1, max_size=4)):
+        tokens = line.split()
+        for step in draw(st.lists(st.sampled_from(("drop", "set", "add", "bare")), max_size=3)):
+            if step == "drop" and tokens:
+                tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+            elif step in ("set", "add"):
+                token = f"{draw(st.sampled_from(SCENARIO_KEYS))}={draw(value)}"
+                if step == "set" and tokens:
+                    tokens[draw(st.integers(0, len(tokens) - 1))] = token
+                else:
+                    tokens.append(token)
+            elif step == "bare":
+                tokens.append(draw(st.sampled_from(SCENARIO_KEYS)))
+        lines.append(" ".join(tokens))
+    for _ in range(draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=scenario_texts(), seed=st.integers(0, 3))
+def test_scenario_mutations_are_exit_0_or_2(template_world, text, seed):
+    root, _, _ = template_world
+    scenario = root / "mutated-scenario.txt"
+    scenario.write_text(text, encoding="utf-8")
+    exits_0_or_2("simulate", "--scenario", str(scenario), "--seed", str(seed),
+                 "--out", str(root / "simulated"))
 
 
 class TestAtlasSpec:

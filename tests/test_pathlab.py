@@ -484,58 +484,58 @@ class TestAggregateReport:
 
     def test_success_rates(self):
         report = aggregate_report(self._pairs())
-        assert report.success.n_pairs == 3
-        assert report.success.v4_pct == pytest.approx(100.0)
-        assert report.success.nat64_pct == pytest.approx(200.0 / 3)
-        assert report.success.both_pct == pytest.approx(200.0 / 3)
+        assert report["success"]["n_pairs"] == 3
+        assert report["success"]["v4_pct"] == pytest.approx(100.0)
+        assert report["success"]["nat64_pct"] == pytest.approx(200.0 / 3)
+        assert report["success"]["both_pct"] == pytest.approx(200.0 / 3)
 
     def test_metric_summaries_hand_checked(self):
         report = aggregate_report(self._pairs())
-        lengths = report.metrics["length_diff"]
-        assert lengths.n == 2
-        assert lengths.mean == pytest.approx(statistics.fmean([2, 0]))
-        assert lengths.sd == pytest.approx(statistics.pstdev([2, 0]))
-        assert lengths.median == pytest.approx(1.0)
+        lengths = report["metrics"]["length_diff"]
+        assert lengths["n"] == 2
+        assert lengths["mean"] == pytest.approx(statistics.fmean([2, 0]))
+        assert lengths["sd"] == pytest.approx(statistics.pstdev([2, 0]))
+        assert lengths["median"] == pytest.approx(1.0)
 
     def test_both_percentage_conventions(self):
         report = aggregate_report(self._pairs())
         # Pair percentages: (2/3, 0/2) lengths.
-        assert report.mean_of_pair_pcts["length"] == pytest.approx(
+        assert report["mean_of_pair_pcts"]["length"] == pytest.approx(
             statistics.fmean([100.0 * 2 / 3, 0.0])
         )
         mean_v4 = statistics.fmean([3, 2])
         mean_nat = statistics.fmean([5, 2])
-        assert report.pct_of_means["length"] == pytest.approx(
+        assert report["pct_of_means"]["length"] == pytest.approx(
             100.0 * (mean_nat - mean_v4) / mean_v4
         )
-        assert report.mean_of_pair_pcts["length"] != pytest.approx(
-            report.pct_of_means["length"]
+        assert report["mean_of_pair_pcts"]["length"] != pytest.approx(
+            report["pct_of_means"]["length"]
         )
 
     def test_pearson_none_when_degenerate(self):
         report = aggregate_report(self._pairs())
         # Two usable pairs -> correlation defined; drop to one -> None.
-        assert report.pearson_r is not None
+        assert report["pearson_r"] is not None
         solo = aggregate_report(self._pairs()[:1])
-        assert solo.pearson_r is None
+        assert solo["pearson_r"] is None
 
     def test_groups_keyed_by_probe(self):
         report = aggregate_report(
             self._pairs(), groupings={"g1": {"p1", "p3"}, "empty": set()}
         )
-        g1 = report.groups["g1"]
-        assert g1.success.n_pairs == 2
-        assert g1.length_diff.n == 1
-        empty = report.groups["empty"]
-        assert empty.success.n_pairs == 0 and empty.success.v4_pct is None
-        assert empty.length_diff is None
+        g1 = report["groups"]["g1"]
+        assert g1["success"]["n_pairs"] == 2
+        assert g1["length_diff"]["n"] == 1
+        empty = report["groups"]["empty"]
+        assert empty["success"]["n_pairs"] == 0 and empty["success"]["v4_pct"] is None
+        assert empty["length_diff"] is None
 
     def test_per_target_and_per_prefix(self):
         report = aggregate_report(self._pairs())
-        assert set(report.per_target) == {str(TARGET), str(TARGET2)}
-        assert report.per_target[str(TARGET)].n_pairs == 2
-        assert set(report.per_prefix) == {str(CUSTOM)}
-        assert report.per_prefix[str(CUSTOM)].n == 2
+        assert set(report["per_target"]) == {str(TARGET), str(TARGET2)}
+        assert report["per_target"][str(TARGET)]["n_pairs"] == 2
+        assert set(report["per_prefix"]) == {str(CUSTOM)}
+        assert report["per_prefix"][str(CUSTOM)]["n"] == 2
 
     def test_metrics_alignment_checked(self):
         pairs = self._pairs()
@@ -544,11 +544,11 @@ class TestAggregateReport:
 
     def test_empty_input(self):
         report = aggregate_report([])
-        assert report.success.n_pairs == 0
-        assert report.success.v4_pct is None
-        assert report.metrics == {}
-        assert report.pearson_r is None
-        assert report.ttl_anomaly_pairs == 0
+        assert report["success"]["n_pairs"] == 0
+        assert report["success"]["v4_pct"] is None
+        assert report["metrics"] == {}
+        assert report["pearson_r"] is None
+        assert report["ttl_anomaly_pairs"] == 0
 
 
 class TestHistogram:
@@ -708,22 +708,22 @@ class TestGroupingAgainstBruteForce:
     def _rates(pairs):
         n = len(pairs)
         if n == 0:
-            return (0, None, None, None)
+            return {"n_pairs": 0, "v4_pct": None, "nat64_pct": None, "both_pct": None}
         ok4 = [success(p.ipv4) for p in pairs]
         ok6 = [success(p.nat64) for p in pairs]
-        return (
-            n,
-            100.0 * sum(ok4) / n,
-            100.0 * sum(ok6) / n,
-            100.0 * sum(a and b for a, b in zip(ok4, ok6)) / n,
-        )
+        return {
+            "n_pairs": n,
+            "v4_pct": 100.0 * sum(ok4) / n,
+            "nat64_pct": 100.0 * sum(ok6) / n,
+            "both_pct": 100.0 * sum(a and b for a, b in zip(ok4, ok6)) / n,
+        }
 
     @staticmethod
     def _summary(values):
         if not values:
             return None
-        return (len(values), statistics.fmean(values), statistics.pstdev(values),
-                statistics.median(values))
+        return {"n": len(values), "mean": statistics.fmean(values),
+                "sd": statistics.pstdev(values), "median": statistics.median(values)}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_filter_pairs_matches_reference(self, seed):
@@ -753,28 +753,23 @@ class TestGroupingAgainstBruteForce:
         assert success(pairs[timeless].ipv4) and success(pairs[timeless].nat64)
         report = aggregate_report(pairs, metrics, self.GROUPINGS)
 
-        def rates(r):
-            return (r.n_pairs, r.v4_pct, r.nat64_pct, r.both_pct)
-
-        def summary(s):
-            return None if s is None else (s.n, s.mean, s.sd, s.median)
-
-        assert rates(report.success) == self._rates(pairs)
-        assert list(report.groups) == list(self.GROUPINGS)
+        assert report["success"] == self._rates(pairs)
+        assert list(report["groups"]) == list(self.GROUPINGS)
         for name, members in self.GROUPINGS.items():
             sub = [(p, m) for p, m in zip(pairs, metrics) if p.nat64.probe_id in members]
             usable = [m for _, m in sub if m is not None]
-            group = report.groups[name]
-            assert rates(group.success) == self._rates([p for p, _ in sub])
-            assert summary(group.length_diff) == self._summary([m.length_diff for m in usable])
-            assert summary(group.rtt_diff_ms) == self._summary([m.rtt_diff_ms for m in usable])
-        assert report.groups["ghost"].success.n_pairs == 0
+            assert report["groups"][name] == {
+                "success": self._rates([p for p, _ in sub]),
+                "length_diff": self._summary([m.length_diff for m in usable]),
+                "rtt_diff_ms": self._summary([m.rtt_diff_ms for m in usable]),
+            }
+        assert report["groups"]["ghost"]["success"]["n_pairs"] == 0
 
         target_names = sorted({str(p.nat64.target_v4) for p in pairs})
-        assert list(report.per_target) == target_names
+        assert list(report["per_target"]) == target_names
         for name in target_names:
             sub = [p for p in pairs if str(p.nat64.target_v4) == name]
-            assert rates(report.per_target[name]) == self._rates(sub)
+            assert report["per_target"][name] == self._rates(sub)
 
         expected_prefixes = {}
         for name in sorted({str(p.nat64.prefix) for p in pairs}):
@@ -785,5 +780,5 @@ class TestGroupingAgainstBruteForce:
             if stats is not None:
                 expected_prefixes[name] = stats
         assert len(expected_prefixes) >= 20
-        assert {k: summary(v) for k, v in report.per_prefix.items()} == expected_prefixes
-        assert list(report.per_prefix) == list(expected_prefixes)
+        assert report["per_prefix"] == expected_prefixes
+        assert list(report["per_prefix"]) == list(expected_prefixes)

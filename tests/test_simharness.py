@@ -363,12 +363,48 @@ class TestTruthRecovery:
         stats = aggregate_report(kept, groupings=groupings)
         assert compare(stats, oracle_stats(kept, groupings)) == []
 
+    @staticmethod
+    def _moved(doc):
+        doc["metrics"]["rtt_diff_ms"]["mean"] *= 1 + 1e-6
+
+    @staticmethod
+    def _nulled(doc):
+        doc["groups"]["home"]["length_diff"]["median"] = None
+
+    @staticmethod
+    def _prefix_dropped(doc):
+        del doc["per_prefix"][min(doc["per_prefix"])]
+
+    @staticmethod
+    def _group_added(doc):
+        doc["groups"]["extra"] = doc["groups"]["home"]
+
+    @staticmethod
+    def _field_dropped(doc):
+        del doc["per_target"][min(doc["per_target"])]["both_pct"]
+
+    @pytest.mark.parametrize("side", ["stats", "oracle"])
+    @pytest.mark.parametrize(
+        "mutate", ["_moved", "_nulled", "_prefix_dropped", "_group_added", "_field_dropped"]
+    )
+    def test_compare_finds_each_difference(self, side, mutate):
+        sim = generate(template(), 2)
+        kept, _ = filter_pairs(pair_paths(sim.dataset.paths)[0])
+        groupings = {"home": [p for p, t in sim.truth.probes.items() if t.home]}
+        docs = {
+            "stats": aggregate_report(kept, groupings=groupings),
+            "oracle": oracle_stats(kept, groupings),
+        }
+        assert compare(docs["stats"], docs["oracle"]) == []
+        getattr(self, mutate)(docs[side])
+        assert compare(docs["stats"], docs["oracle"]) != []
+
     def test_ttl_anomaly_count_planted(self):
         sim = generate(template(), 13)
         pairs, _ = pair_paths(sim.dataset.paths)
         kept, _ = filter_pairs(pairs)
         stats = aggregate_report(kept)
-        assert stats.ttl_anomaly_pairs == sim.truth.ttl_anomaly_pair_count == 6
+        assert stats["ttl_anomaly_pairs"] == sim.truth.ttl_anomaly_pair_count == 6
 
 
 class TestMockDns:
