@@ -25,7 +25,6 @@ from typing import (
 from .detector import DetectionFlags, DetectionGroup
 from .model import (
     IPAddress,
-    Nat64Prefix,
     ProbeRecord,
     RawOutcome,
     TestRun,
@@ -35,10 +34,6 @@ from .pathlab import NatLocation, first_nat_hop
 
 #: Translator hops answering faster than this sit in the probe's own network.
 LOCAL_NAT_RTT_MS = 2.0
-
-
-class NoNatHopError(ValueError):
-    """No translated path offers a timed translator hop to look at."""
 
 
 class ProbeCategory(enum.Enum):
@@ -143,25 +138,22 @@ def group_runs_by_as(
     return grouped
 
 
-def detect_local_nat64(paths: Sequence[TraceroutePath], prefix: Nat64Prefix) -> bool:
+def detect_local_nat64(paths: Sequence[TraceroutePath]) -> Optional[bool]:
     """True when the nearest translator hop answers like local equipment.
 
-    Looks at the first translated hop of every path under ``prefix`` and
-    compares the minimum of the per-path median RTTs with ``LOCAL_NAT_RTT_MS``.
+    Looks at the first translated hop of every path and compares the
+    minimum of the per-path median RTTs with ``LOCAL_NAT_RTT_MS``. None
+    when no path has a timed translator hop.
     """
     best: Optional[float] = None
     for path in paths:
-        if path.prefix != prefix:
-            continue
         hop = first_nat_hop(path)
         if hop is None or not hop.rtts_ms:
             continue
         rtt = statistics.median(hop.rtts_ms)
         if best is None or rtt < best:
             best = rtt
-    if best is None:
-        raise NoNatHopError(f"no timed translator hop under {prefix}")
-    return best < LOCAL_NAT_RTT_MS
+    return None if best is None else best < LOCAL_NAT_RTT_MS
 
 
 def categorize_probe(

@@ -22,7 +22,6 @@ from .acquire.dataset import Dataset, load_dataset, write_dataset
 from .acquire.dnswire import MalformedDns, encode_name
 from .acquire.ip2as import Ip2AsTable
 from .classifier import (
-    NoNatHopError,
     categorize_probe,
     count_as_categories,
     detect_isp_dns64,
@@ -39,7 +38,6 @@ from .detector import (
 from .model import (
     IPAddress,
     Nat64Prefix,
-    PathFamily,
     STANDARD_PREFIX,
     TestKind,
     VerdictValue,
@@ -50,8 +48,8 @@ from .pathlab import (
     attribute_nat64_as,
     compute_metrics,
     filter_pairs,
+    first_nat_hop,
     flag_ttl_anomalies,
-    has_nat_hop,
     locate_nat64,
     missing_hop_histogram,
     pair_paths,
@@ -67,33 +65,38 @@ class ConfigError(ValueError):
 
 
 class RunConfig(NamedTuple):
-    """File-level knobs shared by all commands."""
+    """File-level knobs shared by all commands, named as the config keys."""
 
     targets: Tuple[ipaddress.IPv4Address, ...]
     dns2_name: str
     dns2_answers: Tuple[ipaddress.IPv4Address, ...]
     resolvers: Tuple[str, ...]
-    public_resolvers_path: Optional[str]
-    public_prefixes_path: Optional[str]
-    ip2as_path: Optional[str]
-    as_categories_path: Optional[str]
+    public_resolvers: Optional[str]
+    public_prefixes: Optional[str]
+    ip2as: Optional[str]
+    as_categories: Optional[str]
     repeat: int
 
 
-_CONFIG_KEYS = {
-    "targets",
-    "dns2_name",
-    "dns2_answers",
-    "resolvers",
-    "public_resolvers",
-    "public_prefixes",
-    "ip2as",
-    "as_categories",
-    "repeat",
+#: Every config key, with the value it takes when the file leaves it out.
+_DEFAULTS = {
+    "targets": [str(STD_PING_TARGET_V4)],
+    "dns2_name": DEFAULT_DNS2_NAME,
+    "dns2_answers": [str(a) for a in DEFAULT_DNS2_KNOWN_A],
+    "resolvers": [],
+    "public_resolvers": None,
+    "public_prefixes": None,
+    "ip2as": None,
+    "as_categories": None,
+    "repeat": 2,
 }
+
+#: The keys that name an input file.
+_FILE_KEYS = ("public_resolvers", "public_prefixes", "ip2as", "as_categories")
 
 
 def load_config(path: Optional[str]) -> RunConfig:
+    """``_DEFAULTS`` with the keys the JSON file at ``path`` sets, checked."""
     doc: dict = {}
     if path is not None:
         try:
@@ -108,59 +111,46 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        unknown = set(doc) - _CONFIG_KEYS
+        unknown = set(doc) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
-        for key in ("public_resolvers", "public_prefixes", "ip2as", "as_categories"):
-            if not isinstance(doc.get(key, ""), (str, type(None))):
-                raise ConfigError(f"{path}: {key} must be a file path")
-        if not isinstance(doc.get("dns2_name", ""), str):
-            raise ConfigError(f"{path}: dns2_name must be a string")
-        try:
-            encode_name(doc.get("dns2_name", ""))
-        except (MalformedDns, UnicodeEncodeError) as exc:
-            raise ConfigError(f"{path}: dns2_name is not a DNS name: {exc}") from exc
-        for key in ("targets", "dns2_answers", "resolvers"):
-            value = doc.get(key, [])
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ConfigError(f"{path}: {key} must be a list of strings")
+    values = {**_DEFAULTS, **doc}
+
+    for key in _FILE_KEYS:
+        if not isinstance(values[key], (str, type(None))):
+            raise ConfigError(f"{path}: {key} must be a file path")
+    name = values["dns2_name"]
+    if not isinstance(name, str):
+        raise ConfigError(f"{path}: dns2_name must be a string")
+    try:
+        encode_name(name)
+    except (MalformedDns, UnicodeEncodeError) as exc:
+        raise ConfigError(f"{path}: dns2_name is not a DNS name: {exc}") from exc
+    for char in name:
+        if not "!" <= char <= "~":
+            raise ConfigError(f"{path}: dns2_name holds {char!r}, not printable ASCII")
+    for key in ("targets", "dns2_answers", "resolvers"):
+        value = values[key]
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"{path}: {key} must be a list of strings")
 
     try:
-        targets = tuple(
-            ipaddress.IPv4Address(t) for t in doc.get("targets", [str(STD_PING_TARGET_V4)])
-        )
-        dns2_answers = tuple(
-            ipaddress.IPv4Address(a) for a in doc.get("dns2_answers", DEFAULT_DNS2_KNOWN_A)
-        )
+        for key in ("targets", "dns2_answers"):
+            values[key] = tuple(ipaddress.IPv4Address(a) for a in values[key])
     except ValueError as exc:
         raise ConfigError(f"bad IPv4 address in config: {exc}") from exc
-    if not targets:
+    if not values["targets"]:
         raise ConfigError("targets must not be empty")
+    values["resolvers"] = tuple(values["resolvers"])
 
-    repeat = doc.get("repeat", 2)
+    repeat = values["repeat"]
     if type(repeat) is not int or repeat < 1:
         raise ConfigError("repeat must be a positive integer")
 
-    config = RunConfig(
-        targets=targets,
-        dns2_name=doc.get("dns2_name", DEFAULT_DNS2_NAME),
-        dns2_answers=dns2_answers,
-        resolvers=tuple(doc.get("resolvers", [])),
-        public_resolvers_path=doc.get("public_resolvers"),
-        public_prefixes_path=doc.get("public_prefixes"),
-        ip2as_path=doc.get("ip2as"),
-        as_categories_path=doc.get("as_categories"),
-        repeat=repeat,
-    )
-    for name, referenced in (
-        ("public_resolvers", config.public_resolvers_path),
-        ("public_prefixes", config.public_prefixes_path),
-        ("ip2as", config.ip2as_path),
-        ("as_categories", config.as_categories_path),
-    ):
-        if referenced is not None and not os.path.exists(referenced):
-            raise ConfigError(f"{name} file does not exist: {referenced}")
-    return config
+    for key in _FILE_KEYS:
+        if values[key] is not None and not os.path.exists(values[key]):
+            raise ConfigError(f"{key} file does not exist: {values[key]}")
+    return RunConfig(**values)
 
 
 def _read_input(name: str, path: Optional[str], loader):
@@ -173,12 +163,8 @@ def _read_input(name: str, path: Optional[str], loader):
 
 def _load_catalogs(config: RunConfig):
     return (
-        _read_input(
-            "public_prefixes", config.public_prefixes_path, catalogs.load_public_prefixes
-        ),
-        _read_input(
-            "public_resolvers", config.public_resolvers_path, catalogs.load_public_resolvers
-        ),
+        _read_input("public_prefixes", config.public_prefixes, catalogs.load_public_prefixes),
+        _read_input("public_resolvers", config.public_resolvers, catalogs.load_public_resolvers),
     )
 
 
@@ -335,17 +321,16 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
     """Per probe: translated-hop visibility, location, and local timing."""
     pairs, _ = pair_paths(dataset.paths)
     kept, _ = filter_pairs(pairs)
-    nat_paths: Dict[str, List] = {}
+    seen_nat_hop = set()  # probes with a translated path that crossed its translator
     for path in dataset.paths:
-        if path.family is PathFamily.NAT64:
-            nat_paths.setdefault(path.probe_id, []).append(path)
+        if path.probe_id not in seen_nat_hop and first_nat_hop(path) is not None:
+            seen_nat_hop.add(path.probe_id)
     kept_by_probe: Dict[str, Dict[Nat64Prefix, List]] = {}
     for _, nat in kept:
         kept_by_probe.setdefault(nat.probe_id, {}).setdefault(nat.prefix, []).append(nat)
 
     facts = {}
     for probe_id, record in dataset.probes.items():
-        seen_nat_hop = any(has_nat_hop(p) for p in nat_paths.get(probe_id, []))
         location: Optional[NatLocation] = None
         local_nat: Optional[bool] = None
         by_prefix = kept_by_probe.get(probe_id, {})
@@ -356,11 +341,8 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
             if ip2as is not None and record.asn_v4 is not None and record.asn_v6 is not None:
                 attribution = attribute_nat64_as(by_prefix[first], first, ip2as, record)
                 location = locate_nat64(attribution.asn, record)
-            try:
-                local_nat = detect_local_nat64(by_prefix[first], first)
-            except NoNatHopError:
-                local_nat = None
-        facts[probe_id] = (seen_nat_hop, location, local_nat)
+            local_nat = detect_local_nat64(by_prefix[first])
+        facts[probe_id] = (probe_id in seen_nat_hop, location, local_nat)
     return facts
 
 
@@ -369,11 +351,9 @@ def cmd_classify(args) -> int:
     # Both tables are read before any warning, so a bad one ends the
     # command with its one-line error alone.
     ip2as: Optional[Ip2AsTable] = None
-    if config.ip2as_path is not None:
-        ip2as = _read_input("ip2as", config.ip2as_path, Ip2AsTable.load)
-    mapping = _read_input(
-        "as_categories", config.as_categories_path, catalogs.load_as_categories
-    )
+    if config.ip2as is not None:
+        ip2as = _read_input("ip2as", config.ip2as, Ip2AsTable.load)
+    mapping = _read_input("as_categories", config.as_categories, catalogs.load_as_categories)
     evidence = detect_isp_dns64(
         group_runs_by_as(dataset.runs, dataset.probes), dataset.probes
     )

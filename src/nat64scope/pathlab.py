@@ -18,7 +18,6 @@ from .addrsynth import synthesize
 from .acquire.ip2as import Ip2AsTable
 from .model import (
     Hop,
-    IPAddress,
     Nat64Prefix,
     PathFamily,
     PathPair,
@@ -111,34 +110,22 @@ def pair_paths(
     return pairs, unpaired
 
 
-def trace_destination(path: TraceroutePath) -> IPAddress:
-    """The address the traceroute was sent to: the IPv4 target itself, or
-    for a translated path, the target embedded under the path's prefix."""
+def target_hop(path: TraceroutePath) -> Optional[Hop]:
+    """The first hop that answered as the address the traceroute was sent
+    to: the IPv4 target itself, or for a translated path, the target
+    embedded under the path's prefix. None when the target never answered."""
     if path.family is PathFamily.IPV4:
-        return path.target_v4
-    return synthesize(path.prefix, path.target_v4)
-
-
-def success(path: TraceroutePath) -> bool:
-    """True when some hop answered with the target address itself."""
-    return _target_hop_index(path) is not None
-
-
-def _target_hop_index(path: TraceroutePath) -> Optional[int]:
-    wanted = trace_destination(path)
+        wanted = path.target_v4
+    else:
+        wanted = synthesize(path.prefix, path.target_v4)
     for hop in path.hops:
         if hop.address == wanted:
-            return hop.index
+            return hop
     return None
 
 
-def _silent_pct(path: TraceroutePath, reached: int) -> float:
-    """Share of silent hops up to and including hop ``reached``, the target."""
-    silent = sum(1 for hop in path.hops[:reached] if hop.address is None)
-    return 100.0 * silent / reached
-
-
 def first_nat_hop(path: TraceroutePath) -> Optional[Hop]:
+    """The first hop under the path's translation prefix: the translator."""
     prefix = path.prefix
     if prefix is None:
         return None
@@ -150,11 +137,6 @@ def first_nat_hop(path: TraceroutePath) -> Optional[Hop]:
         if address is not None and address.version == 6 and int(address) >> shift == wanted:
             return hop
     return None
-
-
-def has_nat_hop(path: TraceroutePath) -> bool:
-    """True when any hop address falls under the path's translation prefix."""
-    return first_nat_hop(path) is not None
 
 
 def filter_pairs(
@@ -182,7 +164,9 @@ def filter_pairs(
     # A target is dead when no path in the whole input ever reached it.
     alive = set()
     for pair, (_, target, _) in zip(pairs, keys):
-        if target not in alive and (success(pair.ipv4) or success(pair.nat64)):
+        if target not in alive and (
+            target_hop(pair.ipv4) is not None or target_hop(pair.nat64) is not None
+        ):
             alive.add(target)
 
     kept: List[PathPair] = []
@@ -197,7 +181,7 @@ def filter_pairs(
         if target not in alive:
             excluded.append(ExcludedPair(pair, FilterReason.DEAD_TARGET.value))
             continue
-        if not has_nat_hop(pair.nat64):
+        if first_nat_hop(pair.nat64) is None:
             excluded.append(ExcludedPair(pair, FilterReason.NO_NAT_HOP.value))
             continue
         kept.append(pair)
@@ -218,7 +202,7 @@ def attribute_nat64_as(
     ip2as: Ip2AsTable,
     probe: ProbeRecord,
 ) -> NatAttribution:
-    """Attribute the translator to an AS.
+    """Attribute the translator of ``paths``, all translated under ``prefix``.
 
     An announced operator prefix settles it directly. Otherwise the last
     responding hop before the first translated hop decides, and when paths
@@ -233,8 +217,6 @@ def attribute_nat64_as(
 
     best: Optional[Tuple[int, int]] = None  # (hop_index, asn)
     for path in paths:
-        if path.family is not PathFamily.NAT64 or path.prefix != prefix:
-            continue
         nat_hop = first_nat_hop(path)
         if nat_hop is None:
             continue
@@ -301,24 +283,24 @@ def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
     an IPv4 one averaging 0 ms (its RTT percentage is undefined), makes
     the pair unusable for metrics.
     """
-    idx4 = _target_hop_index(pair.ipv4)
-    idx6 = _target_hop_index(pair.nat64)
-    if idx4 is None or idx6 is None:
-        return None
-    hop4 = pair.ipv4.hops[idx4 - 1]
-    hop6 = pair.nat64.hops[idx6 - 1]
-    if not hop4.rtts_ms or not hop6.rtts_ms:
+    hop4 = target_hop(pair.ipv4)
+    hop6 = target_hop(pair.nat64)
+    if hop4 is None or hop6 is None or not hop4.rtts_ms or not hop6.rtts_ms:
         return None
     v4_rtt_ms = statistics.fmean(hop4.rtts_ms)
     if v4_rtt_ms == 0.0:
         return None
+    # The missing share counts silent hops up to and including the target.
+    len4, len6 = hop4.index, hop6.index
+    silent4 = sum(1 for hop in pair.ipv4.hops[:len4] if hop.address is None)
+    silent6 = sum(1 for hop in pair.nat64.hops[:len6] if hop.address is None)
     return PathMetrics(
-        v4_length=idx4,
-        nat64_length=idx6,
+        v4_length=len4,
+        nat64_length=len6,
         v4_rtt_ms=v4_rtt_ms,
         nat64_rtt_ms=statistics.fmean(hop6.rtts_ms),
-        v4_missing_pct=_silent_pct(pair.ipv4, idx4),
-        nat64_missing_pct=_silent_pct(pair.nat64, idx6),
+        v4_missing_pct=100.0 * silent4 / len4,
+        nat64_missing_pct=100.0 * silent6 / len6,
     )
 
 
@@ -439,8 +421,8 @@ def aggregate_report(
 
     # A pair has metrics only when both its paths reached the target; the
     # paths are rescanned only for pairs without.
-    ok4 = [m is not None or success(p.ipv4) for p, m in zip(pairs, metrics)]
-    ok6 = [m is not None or success(p.nat64) for p, m in zip(pairs, metrics)]
+    ok4 = [m is not None or target_hop(p.ipv4) is not None for p, m in zip(pairs, metrics)]
+    ok6 = [m is not None or target_hop(p.nat64) is not None for p, m in zip(pairs, metrics)]
 
     def rates(indices: Sequence[int]) -> dict:
         return _rates([ok4[i] for i in indices], [ok6[i] for i in indices])

@@ -10,7 +10,6 @@ from nat64scope.classifier import (
     ASCategory,
     IspDns64Evidence,
     LOCAL_NAT_RTT_MS,
-    NoNatHopError,
     ProbeCategory,
     as_category,
     categorize_probe,
@@ -158,46 +157,36 @@ class TestGroupRunsByAs:
         assert grouped == {}
 
 
-def nat_trace(rtts, prefix=PREFIX, probe_id="p1"):
+def nat_trace(rtts):
     """A translated path whose first translator hop carries the given RTTs."""
-    inner = ipaddress.IPv6Address(int(prefix.base) + 0x0A000001)
+    inner = ipaddress.IPv6Address(int(PREFIX.base) + 0x0A000001)
     hops = (
         Hop(1, ipaddress.ip_address("2001:db8:aaaa::1"), (0.4,)),
         Hop(2, inner, tuple(rtts)),
     )
     return TraceroutePath(
-        probe_id, PathFamily.NAT64, prefix,
-        ipaddress.IPv4Address("10.0.0.1"), 0, hops,
+        "p1", PathFamily.NAT64, PREFIX, ipaddress.IPv4Address("10.0.0.1"), 0, hops
     )
 
 
 class TestLocalNat:
     def test_fast_median_is_local(self):
-        assert detect_local_nat64([nat_trace([0.8, 0.9, 50.0])], PREFIX)
+        assert detect_local_nat64([nat_trace([0.8, 0.9, 50.0])]) is True
 
     def test_slow_median_is_not(self):
-        assert not detect_local_nat64([nat_trace([8.0, 9.0, 10.0])], PREFIX)
+        assert detect_local_nat64([nat_trace([8.0, 9.0, 10.0])]) is False
 
     def test_minimum_over_paths(self):
         paths = [nat_trace([8.0, 9.0]), nat_trace([0.5, 0.7])]
-        assert detect_local_nat64(paths, PREFIX)
+        assert detect_local_nat64(paths)
 
     def test_threshold_boundary_exclusive(self):
-        assert not detect_local_nat64(
-            [nat_trace([LOCAL_NAT_RTT_MS, LOCAL_NAT_RTT_MS])], PREFIX
-        )
-        assert detect_local_nat64(
-            [nat_trace([LOCAL_NAT_RTT_MS - 0.01])], PREFIX
-        )
+        assert not detect_local_nat64([nat_trace([LOCAL_NAT_RTT_MS, LOCAL_NAT_RTT_MS])])
+        assert detect_local_nat64([nat_trace([LOCAL_NAT_RTT_MS - 0.01])])
 
-    def test_other_prefix_paths_ignored(self):
-        other = Nat64Prefix.from_cidr("2001:db8:99::/96")
-        with pytest.raises(NoNatHopError):
-            detect_local_nat64([nat_trace([0.5], prefix=other)], PREFIX)
-
-    def test_untimed_nat_hop_raises(self):
-        with pytest.raises(NoNatHopError):
-            detect_local_nat64([nat_trace([])], PREFIX)
+    def test_untimed_nat_hop_is_none(self):
+        assert detect_local_nat64([nat_trace([])]) is None
+        assert detect_local_nat64([]) is None
 
 
 NO_FLAGS = DetectionFlags(False, False, False, False)

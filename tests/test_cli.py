@@ -142,42 +142,78 @@ class TestReportsArePinned:
     refactor left every report byte as it was.
     """
 
-    DIGESTS = {
-        "detect": {
+    #: Per case: the command line, the config document and the digests.
+    #: The analysis commands read the world's dataset; ``{tmp}`` in a config
+    #: value stands for the test's directory.
+    CASES = {
+        "detect": (["detect"], None, {
             "detection.json": "da029b9b8c61f90f337070b2e6015b7f416569a0f15085fd09d30fd0851ad2b8",
             "groups.csv": "c9edfed221e90d2cede55edf60687864b3f113f70a352eba0af951358d85fae0",
             "test_table.csv": "cf8a5024ac5c41a3b8a408ed54f19cb03291c6a5e36931909faac16bbb17792a",
-        },
-        "classify": {
+        }),
+        "classify": (["classify"], {"ip2as": "{tmp}/world/ip2as.tsv"}, {
             "as_categories.csv": "21e53d33794f8cdb266d9831f07dbf2656439b7641394e68b22f5a600aaba6a6",
             "categories.csv": "426be76be3491393f8b4d9be3d59ba80a4b99b0065626c5c08fb652c865ad457",
             "classification.json": "afea76d47ebfc6cda09a2857a05a0179327c2840b38cd37b040eada48643e7b8",
             "evidence.csv": "e7d5fd7635f75f4083cf2602238fca3a4ef5b00551d91f265000f13850f625a0",
-        },
-        "paths": {
+        }),
+        "classify-no-config": (["classify"], None, {
+            "as_categories.csv": "21e53d33794f8cdb266d9831f07dbf2656439b7641394e68b22f5a600aaba6a6",
+            "categories.csv": "33eda4ef5678d537d8fd4ea08a5a7b3f3fcdbd61c1f503d4247a8071e4357658",
+            "classification.json": "08ff6cd39cc82fcfe7e189a5c08d2a0d6fbd335bc501212224993b631a2aa7d6",
+            "evidence.csv": "e7d5fd7635f75f4083cf2602238fca3a4ef5b00551d91f265000f13850f625a0",
+        }),
+        "paths": (["paths"], None, {
             "groups.csv": "d934a7a4af1687aff1f44d440ecf3e28f21c64c088f5a44c0cfc6b05aaad5d78",
             "missing_hop_histogram.csv": "df3f6568f61c908c0dc41f147b517fdf994c89ae51635f5bc6330162300109e6",
             "pairs.csv": "baecb3d30a0b0140da3f2c24a9dcece8829e212220909985ee3dab89032a9b08",
             "per_prefix.csv": "dfb8b1b056fe84f698b71d770a8d619bf34b6f6383574e1a79a3cc09fcab6f42",
             "per_target.csv": "c6f8925369e973b4cdfa0b4a0734fc00be5cdea38138b2e8517133c27056bdb6",
             "summary.json": "17e33188db2c5a268bc80bcee7ec848e1cb8c4de194a5cc14bafe7fdae63dbc8",
-        },
+        }),
+        "paths-ttl-final-round": (
+            ["paths", "--exclude-ttl-anomaly", "--final-round", "2"], None, {
+                "groups.csv": "7e4c03a7d9b36cfc531c6cbf9cbc731c19295a2a8add1840fbcddcc4aef0a2ab",
+                "missing_hop_histogram.csv": "10a38f4864018026274d53c9e0e1726ab77f3c8d8c2a5713b2e4036bc9650a0e",
+                "pairs.csv": "c87b5047564fb57a64cde48d07a3f9d8554f2f8865268eed510f21a4d281d738",
+                "per_prefix.csv": "03939f3b595aeebf9475ef7897726adb85e9904d0bb44cf73936c2aaf301bcac",
+                "per_target.csv": "02358daf39d7d730dcfe25cfaf26dcc3855acbc3e3daf28fbf635787dedd1cf9",
+                "summary.json": "eb42fd82e4cdfa3e8e9e54a7308f4d0cfd03dd04bce1c6cd7717205d3adcad82",
+            },
+        ),
+        "atlas-spec": (["atlas-spec"], None, {
+            "atlas_spec.json": "4b1d6bc940f38e30cc07f29733d28c41077c0d81e22b8bd12aa0953e37b06172",
+        }),
+        "atlas-spec-config": (
+            ["atlas-spec"],
+            {
+                "dns2_name": "probe.example.org.",
+                "targets": ["192.0.2.1", "198.51.100.7"],
+                "public_prefixes": "{tmp}/prefixes.txt",
+                "repeat": 3,
+            },
+            {"atlas_spec.json": "97eeedc6dec80f3198503e10c401fbaeff3c994ea6feaeb311f7b3d9936168c1"},
+        ),
     }
 
-    @pytest.mark.parametrize("command", list(DIGESTS))
-    def test_report_bytes(self, tmp_path, command):
-        world = simulate(tmp_path, seed=42)
-        argv = [command, "--from-dataset", str(world / "dataset.ndjson")]
-        if command == "classify":
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"ip2as": str(world / "ip2as.tsv")}))
-            argv += ["--config", str(config)]
-        out = tmp_path / command
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_report_bytes(self, tmp_path, case):
+        argv, config, expected = self.CASES[case]
+        argv = list(argv)
+        if argv[0] != "atlas-spec":
+            world = simulate(tmp_path, seed=42)
+            argv += ["--from-dataset", str(world / "dataset.ndjson")]
+        if config is not None:
+            (tmp_path / "prefixes.txt").write_text("2001:db8:64::/96\n")
+            text = json.dumps(config).replace("{tmp}", str(tmp_path))
+            (tmp_path / "config.json").write_text(text)
+            argv += ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "out"
         assert run(*argv, "--out", str(out)) == EXIT_OK
         digests = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
         }
-        assert digests == self.DIGESTS[command]
+        assert digests == expected
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -655,6 +691,8 @@ class TestConfig:
             {"dns2_name": "a" * 64 + ".example."},
             {"dns2_name": "exämple.com."},
             {"dns2_name": ".".join(["a" * 63] * 5) + "."},
+            {"dns2_name": "a\nb.example."},
+            {"dns2_name": "a b.example."},
         ],
     )
     def test_wrong_value_type_is_one_line_config_error(self, tmp_path, capsys, doc):
@@ -1015,7 +1053,7 @@ def exits_0_or_2(*argv):
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
-CONFIG_KEYS = sorted(cli._CONFIG_KEYS)
+CONFIG_KEYS = sorted(cli._DEFAULTS)
 
 
 @st.composite

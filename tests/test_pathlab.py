@@ -29,13 +29,12 @@ from nat64scope.pathlab import (
     filter_pairs,
     first_nat_hop,
     flag_ttl_anomalies,
-    has_nat_hop,
     locate_nat64,
     missing_hop_histogram,
     pair_paths,
     path_metrics,
     pearson,
-    success,
+    target_hop,
 )
 from nat64scope.acquire.ip2as import Ip2AsTable
 
@@ -135,14 +134,34 @@ class TestPairing:
 
 
 class TestPathPredicates:
-    def test_success_requires_target_address(self):
-        assert success(v4_path(["192.0.2.1"]))
-        assert not success(v4_path(["192.0.2.1"], reach=False))
+    def test_target_hop_requires_target_address(self):
+        path = v4_path(["192.0.2.1"])
+        assert target_hop(path) is path.hops[-1]
+        assert target_hop(v4_path(["192.0.2.1"], reach=False)) is None
 
-    def test_success_translated_side_uses_synthesized_target(self):
+    def test_target_hop_translated_side_uses_synthesized_target(self):
         path = nat_path([nat_addr(1)])
-        assert success(path)
+        assert target_hop(path) is path.hops[-1]
         assert path.hops[-1].address == synthesize(CUSTOM, TARGET)
+
+    def test_first_target_hop_wins(self):
+        # The target answers at hop 4 and again at hop 6: length and RTT
+        # come from hop 4.
+        wanted = synthesize(CUSTOM, TARGET)
+        hops = (
+            hop(1, "2001:db8:aaaa::1", 1.0),
+            hop(2, nat_addr(1), 2.0),
+            hop(3, None),
+            Hop(4, wanted, (10.0, 12.0)),
+            hop(5, None),
+            Hop(6, wanted, (50.0, 70.0)),
+        )
+        nat = TraceroutePath("p1", PathFamily.NAT64, CUSTOM, TARGET, 0, hops)
+        assert target_hop(nat) is hops[3]
+        metrics = path_metrics(PathPair(v4_path(["192.0.2.1"]), nat))
+        assert metrics.nat64_length == 4
+        assert metrics.nat64_rtt_ms == 11.0
+        assert metrics.nat64_missing_pct == 25.0
 
     def test_missing_hop_pct_counts_to_target(self):
         path = v4_path(["192.0.2.1", None, None, "192.0.2.4"])
@@ -158,10 +177,10 @@ class TestPathPredicates:
         metrics = path_metrics(PathPair(path, nat_path([nat_addr(1)])))
         assert metrics.v4_missing_pct == pytest.approx(0.0)
 
-    def test_has_nat_hop(self):
-        assert has_nat_hop(nat_path([nat_addr(1)]))
-        assert not has_nat_hop(nat_path(["2001:db8:aaaa::1"], reach=False))
-        assert not has_nat_hop(v4_path(["192.0.2.1"]))
+    def test_first_nat_hop_needs_a_hop_under_the_prefix(self):
+        assert first_nat_hop(nat_path([nat_addr(1)])) is not None
+        assert first_nat_hop(nat_path(["2001:db8:aaaa::1"], reach=False)) is None
+        assert first_nat_hop(v4_path(["192.0.2.1"])) is None
 
     def test_first_nat_hop_picks_earliest(self):
         path = nat_path(["2001:db8:aaaa::1", nat_addr(7), nat_addr(8)])
@@ -687,7 +706,7 @@ class TestGroupingAgainstBruteForce:
             }
             alive = any(
                 str(q.nat64.target_v4) == str(nat.target_v4)
-                and (success(q.ipv4) or success(q.nat64))
+                and (target_hop(q.ipv4) is not None or target_hop(q.nat64) is not None)
                 for q in pairs
             )
             if covered != expected:
@@ -696,7 +715,7 @@ class TestGroupingAgainstBruteForce:
                 reason = FilterReason.TRAILING_ROUND
             elif not alive:
                 reason = FilterReason.DEAD_TARGET
-            elif not has_nat_hop(nat):
+            elif first_nat_hop(nat) is None:
                 reason = FilterReason.NO_NAT_HOP
             else:
                 kept.append(pair)
@@ -709,8 +728,8 @@ class TestGroupingAgainstBruteForce:
         n = len(pairs)
         if n == 0:
             return {"n_pairs": 0, "v4_pct": None, "nat64_pct": None, "both_pct": None}
-        ok4 = [success(p.ipv4) for p in pairs]
-        ok6 = [success(p.nat64) for p in pairs]
+        ok4 = [target_hop(p.ipv4) is not None for p in pairs]
+        ok6 = [target_hop(p.nat64) is not None for p in pairs]
         return {
             "n_pairs": n,
             "v4_pct": 100.0 * sum(ok4) / n,
@@ -750,7 +769,7 @@ class TestGroupingAgainstBruteForce:
                 assert m.nat64_missing_pct == self._missing_pct(nat, wanted)
         (timeless,) = [i for i, p in enumerate(pairs) if p.nat64.round_index == 3]
         assert metrics[timeless] is None
-        assert success(pairs[timeless].ipv4) and success(pairs[timeless].nat64)
+        assert None not in (target_hop(pairs[timeless].ipv4), target_hop(pairs[timeless].nat64))
         report = aggregate_report(pairs, metrics, self.GROUPINGS)
 
         assert report["success"] == self._rates(pairs)
