@@ -9,6 +9,7 @@ Run:  python3 demos/demo_detect.py [seed]
 
 import sys
 
+from nat64scope import catalogs
 from nat64scope.detector import detect_dataset
 from nat64scope.model import TestKind, VerdictValue
 from nat64scope.simharness import ACCEPTANCE_TEMPLATE, generate, parse_scenario
@@ -23,8 +24,8 @@ def main() -> None:
 
     report = detect_dataset(
         sim.dataset,
-        public_prefixes=sim.truth.public_prefixes,
-        public_resolvers=sim.truth.public_resolvers,
+        public_prefixes=catalogs.load_public_prefixes(),
+        public_resolvers=catalogs.load_public_resolvers(),
     )
 
     print("test outcomes (probes passing / failing / inconclusive):")
@@ -66,10 +67,10 @@ def main() -> None:
 
     mismatches = sum(
         1
-        for probe_id, planted in sim.truth.probes.items()
-        if report.probes[probe_id].group is not planted.group
+        for probe_id, planted in sim.truth["probes"].items()
+        if report.probes[probe_id].group.value != planted["group"]
     )
-    print(f"ground truth check: {mismatches} of {len(sim.truth.probes)} probes "
+    print(f"ground truth check: {mismatches} of {len(sim.truth['probes'])} probes "
           f"differ from the planted groups")
 
 

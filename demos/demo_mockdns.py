@@ -33,7 +33,7 @@ def main() -> None:
         print(f"  canary lookup   -> {run1.raw_outcome.value:4}"
               f"  (prefix seen: {run1.observed_prefix or 'none'})")
         print(f"  ipv4-only name  -> {run2.raw_outcome.value:4}"
-              f"  ({len(r2.addresses())} AAAA answers)")
+              f"  ({sum(a.address is not None for a in r2.answers)} AAAA answers)")
         print()
 
 

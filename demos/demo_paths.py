@@ -33,12 +33,9 @@ def main() -> int:
     kept, excluded = filter_pairs(pairs)
 
     print(f"seed {seed}: {len(sim.dataset.paths)} traceroutes -> "
-          f"{len(pairs)} pairs ({len(unpaired)} unpaired)")
-    reasons = {}
-    for item in excluded:
-        reasons[item.reason] = reasons.get(item.reason, 0) + 1
-    print(f"kept {len(kept)}, excluded {reasons or 'nothing'}")
-    print(f"(the simulation planted exactly {sim.truth.opaque_pair_count} "
+          f"{len(pairs)} pairs ({sum(unpaired.values())} unpaired)")
+    print(f"kept {len(kept)}, excluded {excluded or 'nothing'}")
+    print(f"(the simulation planted exactly {sim.truth['opaque_pair_count']} "
           f"translator-hiding pairs)")
     print()
 

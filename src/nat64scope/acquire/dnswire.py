@@ -136,9 +136,6 @@ class DnsResponse(NamedTuple):
     status: DnsStatus
     answers: Tuple[DnsAnswer, ...] = ()
 
-    def addresses(self) -> Tuple[IPAddress, ...]:
-        return tuple(a.address for a in self.answers if a.address is not None)
-
 
 def build_query(qname: str, qtype: int, txid: int) -> bytes:
     header = _HEADER.pack(txid, _FLAG_RD, 1, 0, 0, 0)

@@ -46,13 +46,6 @@ class Ip2AsTable:
         )
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[Union[IPNetwork, str], int]]) -> "Ip2AsTable":
-        table = cls()
-        for network, asn in pairs:
-            table.add(network, asn)
-        return table
-
-    @classmethod
     def load(cls, path: str) -> "Ip2AsTable":
         table = cls()
         with open(path, "r", encoding="ascii") as handle:
@@ -79,9 +72,6 @@ class Ip2AsTable:
             if asn is not None:
                 return asn
         return None
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._tables.values())
 
     def entries(self) -> Iterable[Tuple[IPNetwork, int]]:
         """Every (network, asn) pair in deterministic order."""

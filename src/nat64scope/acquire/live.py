@@ -16,7 +16,7 @@ import struct
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Collection, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Collection, List, Optional, Sequence, Tuple, Union
 
 from ..addrsynth import synthesize
 from ..detector import DNS1_NAME, eval_dns_test1, eval_dns_test2, eval_ping_test
@@ -39,13 +39,6 @@ class ProbePermissionError(PermissionError):
 
 class NoRouteError(OSError):
     """No route toward the target: the address family likely has no uplink."""
-
-
-class EchoReply(NamedTuple):
-    """One echo attempt; rtt_ms is None when no reply arrived in time."""
-
-    seq: int
-    rtt_ms: Optional[float]
 
 
 def dns_query(
@@ -106,10 +99,12 @@ def icmp_echo(
     *,
     count: int = 3,
     timeout_s: float = 1.0,
-) -> Tuple[EchoReply, ...]:
-    """Send ``count`` echo requests; always returns one entry per request."""
+) -> Tuple[Optional[float], ...]:
+    """Send ``count`` echo requests, one after another: the RTT in
+    milliseconds of each, in order, or ``None`` for one lost or not
+    answered within ``timeout_s``."""
     ident = os.getpid() & 0xFFFF
-    replies: List[EchoReply] = []
+    rtts: List[Optional[float]] = []
     with _open_icmp6_socket() as sock:
         for seq in range(count):
             payload = struct.pack("!HHd", ident, seq, time.monotonic())
@@ -136,8 +131,8 @@ def icmp_echo(
                 r_ident, r_seq = struct.unpack_from("!HH", wire, 4)
                 if r_seq == seq:
                     rtt = (time.monotonic() - sent) * 1000.0
-            replies.append(EchoReply(seq, rtt))
-    return tuple(replies)
+            rtts.append(rtt)
+    return tuple(rtts)
 
 
 def system_resolvers() -> Tuple[str, ...]:
@@ -193,8 +188,7 @@ def measure(
             for _ in range(repeat):
                 now = int(time.time())
                 try:
-                    rtts = [reply.rtt_ms for reply in icmp_echo(target)]
-                    dataset.runs.append(eval_ping_test(probe_id, now, prefix, rtts))
+                    dataset.runs.append(eval_ping_test(probe_id, now, prefix, icmp_echo(target)))
                 except NoRouteError as exc:
                     dataset.runs.append(
                         TestRun(

@@ -36,7 +36,6 @@ from .detector import (
     detect_dataset,
 )
 from .model import (
-    IPAddress,
     Nat64Prefix,
     STANDARD_PREFIX,
     TestKind,
@@ -129,6 +128,9 @@ def load_config(path: Optional[str]) -> RunConfig:
     for char in name:
         if not "!" <= char <= "~":
             raise ConfigError(f"{path}: dns2_name holds {char!r}, not printable ASCII")
+    # One trailing dot may end the name; any other empty label is an error.
+    if "" in (name[:-1] if name.endswith(".") else name).split("."):
+        raise ConfigError(f"{path}: dns2_name {name!r} has an empty label")
     for key in ("targets", "dns2_answers", "resolvers"):
         value = values[key]
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -178,22 +180,14 @@ def _out_dir(args) -> str:
     return args.out
 
 
-class Analysis(NamedTuple):
-    """What the analysis commands start from: inputs read once, detection run once."""
-
-    config: RunConfig
-    public_resolvers: Tuple[IPAddress, ...]
-    dataset: Dataset
-    report: DetectionReport
-    out: str
-
-
-def _analyze(args, live: bool = False) -> Analysis:
+def _analyze(args, live: bool = False):
     """The front end shared by ``detect``, ``classify`` and ``paths``.
 
     Reads the config, the catalogs and the dataset, makes the output
-    directory and runs detection. With ``live`` and no dataset given,
-    it measures from this host instead and records what it measured.
+    directory and runs detection: inputs read once, detection run once.
+    With ``live`` and no dataset given, it measures from this host
+    instead and records what it measured. Returns the config, the public
+    resolvers, the dataset, the detection report and the output directory.
     """
     config = load_config(args.config)
     public_prefixes, public_resolvers = _load_catalogs(config)
@@ -211,7 +205,7 @@ def _analyze(args, live: bool = False) -> Analysis:
         public_prefixes=public_prefixes,
         public_resolvers=public_resolvers,
     )
-    return Analysis(config, public_resolvers, dataset, report, out)
+    return config, public_resolvers, dataset, report, out
 
 
 def _create(path: str, encoding: str = "utf-8", newline: Optional[str] = None) -> IO[str]:
@@ -339,8 +333,8 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
             first = min(by_prefix, key=str)
             # Locating the translator compares it with both probe ASes.
             if ip2as is not None and record.asn_v4 is not None and record.asn_v6 is not None:
-                attribution = attribute_nat64_as(by_prefix[first], first, ip2as, record)
-                location = locate_nat64(attribution.asn, record)
+                nat_asn = attribute_nat64_as(by_prefix[first], first, ip2as, record)
+                location = locate_nat64(nat_asn, record)
             local_nat = detect_local_nat64(by_prefix[first])
         facts[probe_id] = (probe_id in seen_nat_hop, location, local_nat)
     return facts
@@ -470,9 +464,6 @@ def cmd_paths(args) -> int:
     _, _, dataset, report, out = _analyze(args)
     pairs, unpaired = pair_paths(dataset.paths)
     kept, excluded = filter_pairs(pairs, final_round=args.final_round)
-    exclusions: Dict[str, int] = {}
-    for item in excluded:
-        exclusions[item.reason] = exclusions.get(item.reason, 0) + 1
 
     metrics = compute_metrics(kept)
     ttl_excluded = 0
@@ -493,9 +484,9 @@ def cmd_paths(args) -> int:
             "accounting": {
                 "paths": len(dataset.paths),
                 "pairs": len(pairs),
-                "unpaired": len(unpaired),
+                "unpaired": sum(unpaired.values()),
                 "kept": len(kept),
-                "excluded": dict(sorted(exclusions.items())),
+                "excluded": excluded,
                 "ttl_anomaly_excluded": ttl_excluded,
             },
             "stats": stats,
@@ -562,7 +553,7 @@ def cmd_paths(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simharness import ScenarioError, generate, parse_scenario, truth_to_doc
+    from .simharness import ScenarioError, generate, parse_scenario
     from .simharness.generate import ACCEPTANCE_TEMPLATE
 
     if args.scenario:
@@ -584,7 +575,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     with _create(os.path.join(out, "dataset.ndjson"), "ascii") as handle:
         write_dataset(sim.dataset, handle)
-    _write_json(os.path.join(out, "truth.json"), truth_to_doc(sim.truth))
+    _write_json(os.path.join(out, "truth.json"), sim.truth)
     with _create(os.path.join(out, "ip2as.tsv"), "ascii") as handle:
         sim.ip2as.save(handle)
     print(

@@ -4,6 +4,11 @@ Traceroutes toward the same IPv4 target pair up per probe and round. A
 translated path has "reached the target" when some hop equals the target
 embedded under the path's prefix. Everything downstream (hop counts,
 RTTs, missing-hop shares, correlation) works on those pairs.
+
+Each stage returns what its callers read: pairing and filtering return
+what they set aside as counts by reason, attribution returns the
+translator's AS number, and ``aggregate_report`` returns the ``stats``
+document of ``summary.json``.
 """
 
 from __future__ import annotations
@@ -52,19 +57,13 @@ class FilterReason(enum.Enum):
     DEAD_TARGET = "DeadTarget"
 
 
-class UnpairedPath(NamedTuple):
-    path: TraceroutePath
-    reason: str
-
-
-class ExcludedPair(NamedTuple):
-    pair: PathPair
-    reason: str
+def _count(counts: Dict[str, int], reason: str) -> None:
+    counts[reason] = counts.get(reason, 0) + 1
 
 
 def pair_paths(
     paths: Sequence[TraceroutePath],
-) -> Tuple[List[PathPair], List[UnpairedPath]]:
+) -> Tuple[List[PathPair], Dict[str, int]]:
     """Match translated paths with their native counterparts.
 
     The join key is (probe, target, round); a translated path additionally
@@ -72,10 +71,11 @@ def pair_paths(
     probe uses more than one prefix. Later duplicates of an already-seen
     key are set aside rather than silently replacing the first. Targets
     and prefixes key as objects: their equality is that of their text,
-    because a prefix's kind follows from its base and length.
+    because a prefix's kind follows from its base and length. The paths
+    set aside come back as counts by reason, in order of first use.
     """
     v4_index: Dict[Tuple[str, ipaddress.IPv4Address, int], TraceroutePath] = {}
-    unpaired: List[UnpairedPath] = []
+    unpaired: Dict[str, int] = {}
     # In input order: the pairs come out in the order of their translated paths.
     nat_seen: Dict[Tuple[str, ipaddress.IPv4Address, int, Nat64Prefix], TraceroutePath] = {}
 
@@ -84,13 +84,13 @@ def pair_paths(
         if family is PathFamily.IPV4:
             key = (probe_id, target, round_index)
             if key in v4_index:
-                unpaired.append(UnpairedPath(path, "duplicate"))
+                _count(unpaired, "duplicate")
             else:
                 v4_index[key] = path
         else:
             key6 = (probe_id, target, round_index, prefix)
             if key6 in nat_seen:
-                unpaired.append(UnpairedPath(path, "duplicate"))
+                _count(unpaired, "duplicate")
             else:
                 nat_seen[key6] = path
 
@@ -100,13 +100,13 @@ def pair_paths(
         key = key6[:3]
         v4 = v4_index.get(key)
         if v4 is None:
-            unpaired.append(UnpairedPath(nat, "no_ipv4_counterpart"))
+            _count(unpaired, "no_ipv4_counterpart")
         else:
             pairs.append(PathPair(v4, nat))
             used_v4.add(key)
-    for key, v4 in v4_index.items():
+    for key in v4_index:
         if key not in used_v4:
-            unpaired.append(UnpairedPath(v4, "no_nat64_counterpart"))
+            _count(unpaired, "no_nat64_counterpart")
     return pairs, unpaired
 
 
@@ -143,12 +143,13 @@ def filter_pairs(
     pairs: Sequence[PathPair],
     *,
     final_round: Optional[int] = None,
-) -> Tuple[List[PathPair], List[ExcludedPair]]:
-    """Drop pairs that cannot be compared fairly; account for every drop.
+) -> Tuple[List[PathPair], Dict[str, int]]:
+    """Drop pairs that cannot be compared fairly; count every drop by reason.
 
     Order of precedence per pair: incomplete rounds, the configured
     trailing round, targets that never answered any traceroute, then
-    translated paths that never crossed their translator.
+    translated paths that never crossed their translator. The counts
+    come back in order of each reason's first drop.
     """
     # Round coverage per (probe, prefix): which targets were paired. A
     # round is complete when it paired every target seen in the input.
@@ -170,30 +171,21 @@ def filter_pairs(
             alive.add(target)
 
     kept: List[PathPair] = []
-    excluded: List[ExcludedPair] = []
+    excluded: Dict[str, int] = {}
     for pair, (key, target, round_index) in zip(pairs, keys):
         if coverage[key] != expected:
-            excluded.append(ExcludedPair(pair, FilterReason.INCOMPLETE_ROUND.value))
+            reason = FilterReason.INCOMPLETE_ROUND
+        elif final_round is not None and round_index == final_round:
+            reason = FilterReason.TRAILING_ROUND
+        elif target not in alive:
+            reason = FilterReason.DEAD_TARGET
+        elif first_nat_hop(pair.nat64) is None:
+            reason = FilterReason.NO_NAT_HOP
+        else:
+            kept.append(pair)
             continue
-        if final_round is not None and round_index == final_round:
-            excluded.append(ExcludedPair(pair, FilterReason.TRAILING_ROUND.value))
-            continue
-        if target not in alive:
-            excluded.append(ExcludedPair(pair, FilterReason.DEAD_TARGET.value))
-            continue
-        if first_nat_hop(pair.nat64) is None:
-            excluded.append(ExcludedPair(pair, FilterReason.NO_NAT_HOP.value))
-            continue
-        kept.append(pair)
+        _count(excluded, reason.value)
     return kept, excluded
-
-
-class NatAttribution(NamedTuple):
-    """Which AS operates the translator, and how that was decided."""
-
-    asn: int
-    source: str  # "announced" | "pre_nat_hop" | "probe_fallback"
-    hop_index: Optional[int] = None
 
 
 def attribute_nat64_as(
@@ -201,8 +193,8 @@ def attribute_nat64_as(
     prefix: Nat64Prefix,
     ip2as: Ip2AsTable,
     probe: ProbeRecord,
-) -> NatAttribution:
-    """Attribute the translator of ``paths``, all translated under ``prefix``.
+) -> int:
+    """The AS number of the translator of ``paths``, all translated under ``prefix``.
 
     An announced operator prefix settles it directly. Otherwise the last
     responding hop before the first translated hop decides, and when paths
@@ -213,7 +205,7 @@ def attribute_nat64_as(
     if prefix.kind is not PrefixKind.STANDARD:
         announced = ip2as.lookup(prefix.base)
         if announced is not None:
-            return NatAttribution(announced, "announced")
+            return announced
 
     best: Optional[Tuple[int, int]] = None  # (hop_index, asn)
     for path in paths:
@@ -230,11 +222,11 @@ def attribute_nat64_as(
                 best = (hop.index, asn)
             break
     if best is not None:
-        return NatAttribution(best[1], "pre_nat_hop", hop_index=best[0])
+        return best[1]
     fallback = probe.asn_v6 if probe.asn_v6 is not None else probe.asn_v4
     if fallback is None:
         raise ValueError(f"{probe.probe_id}: no hops usable and no probe AS to fall back to")
-    return NatAttribution(fallback, "probe_fallback")
+    return fallback
 
 
 def locate_nat64(nat_asn: int, probe: ProbeRecord) -> NatLocation:

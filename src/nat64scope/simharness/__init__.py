@@ -1,9 +1,9 @@
 """Simulation harness: planted worlds with known answers.
 
 ``scenario`` describes cohorts of probes, ``generate`` materializes a
-dataset plus its ground-truth sidecar, ``oracle`` recomputes aggregate
-statistics independently, and ``mockdns`` serves resolver personalities
-over real UDP for the live query path.
+dataset plus its ground truth (the ``truth.json`` document), ``oracle``
+recomputes aggregate statistics independently, and ``mockdns`` serves
+resolver personalities over real UDP for the live query path.
 
 ``oracle`` (numpy) and ``mockdns`` load on first use of one of their
 names, so building a world does not pay for them.
@@ -14,13 +14,10 @@ from importlib import import_module
 from .scenario import Cohort, Scenario, ScenarioError, parse_scenario
 from .generate import (
     ACCEPTANCE_TEMPLATE,
-    GroundTruth,
-    ProbeTruth,
     SIM_ROUNDS,
     SIM_TARGETS,
     SimResult,
     generate,
-    truth_to_doc,
 )
 
 _LAZY = {
@@ -42,8 +39,6 @@ __all__ = [
     "ACCEPTANCE_TEMPLATE",
     "Cohort",
     "Dns64Server",
-    "GroundTruth",
-    "ProbeTruth",
     "SIM_ROUNDS",
     "SIM_TARGETS",
     "Scenario",
@@ -54,5 +49,4 @@ __all__ = [
     "generate",
     "oracle_stats",
     "parse_scenario",
-    "truth_to_doc",
 ]

@@ -56,36 +56,21 @@ _NAT_BASE_MS = {"home": 0.8, "local": 8.0, "remote": 25.0}
 _NAT_POSITION = {"home": 1, "local": 3, "remote": 4}
 
 
-class ProbeTruth(NamedTuple):
-    """What detection and classification should conclude for one probe.
+class SimResult(NamedTuple):
+    """One generated world.
 
-    ``nat_location`` records where the translator was planted whenever
-    paths exist at all; when ``opaque`` is set the translator hides from
+    ``truth`` is the ``truth.json`` document: per probe, the group, flags
+    and translator location that detection and classification should
+    recover, with the cell it came from and whether it is ``home`` or
+    ``opaque``; then the ISP DNS64 ASes, the translator-hiding and
+    TTL-anomaly pair counts, the group counts and the public catalogs. A
+    probe's ``nat_location`` says where the translator was planted
+    whenever paths exist at all; an ``opaque`` translator hides from
     traceroutes, so that location is real but not recoverable.
     """
 
-    probe_id: str
-    group: DetectionGroup
-    flags: DetectionFlags
-    nat_location: Optional[NatLocation]
-    home: bool
-    cell: int
-    opaque: bool = False
-
-
-class GroundTruth(NamedTuple):
-    probes: "dict[str, ProbeTruth]"
-    isp_dns64_ases: FrozenSet[int]
-    opaque_pair_count: int
-    ttl_anomaly_pair_count: int
-    group_counts: "dict[DetectionGroup, int]"
-    public_prefixes: Tuple[Nat64Prefix, ...]
-    public_resolvers: Tuple[IPAddress, ...]
-
-
-class SimResult(NamedTuple):
     dataset: Dataset
-    truth: GroundTruth
+    truth: dict
     ip2as: Ip2AsTable
 
 
@@ -260,14 +245,14 @@ def _truth_for(plan: _Plan, publics: Set[Nat64Prefix]) -> Tuple[DetectionGroup, 
     return group, flags
 
 
-def _truth_location(plan: _Plan) -> Optional[NatLocation]:
+def _truth_location(plan: _Plan) -> Optional[str]:
     if not plan.path_prefixes:
         return None
     if plan.cohort.location == "remote":
-        return NatLocation.REMOTE
+        return NatLocation.REMOTE.value
     if plan.record.asn_v4 == plan.record.asn_v6:
-        return NatLocation.ALL_EQUAL
-    return NatLocation.NAT_IN_V6_AS
+        return NatLocation.ALL_EQUAL.value
+    return NatLocation.NAT_IN_V6_AS.value
 
 
 def _rtts(base: float, step: float) -> Tuple[float, float, float]:
@@ -428,7 +413,7 @@ def _world_table(plans: Sequence[_Plan], publics: Tuple[Nat64Prefix, ...]) -> Ip
 
 
 def generate(scenario: Scenario, seed: int) -> SimResult:
-    """Materialize one world: dataset, truth sidecar, and AS table."""
+    """Materialize one world: dataset, ``truth.json`` document, and AS table."""
     public_prefixes = catalogs.load_public_prefixes()
     public_resolvers = catalogs.load_public_resolvers()
     plans = _build_plans(scenario, public_prefixes, public_resolvers)
@@ -438,8 +423,8 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
     dataset = Dataset(
         capture_window=(_BASE_TS, _BASE_TS + 120 * len(plans) + 86400)
     )
-    truth_probes: Dict[str, ProbeTruth] = {}
-    group_counts: Dict[DetectionGroup, int] = {g: 0 for g in DetectionGroup}
+    truth_probes: Dict[str, dict] = {}
+    group_counts: Dict[str, int] = {g.value: 0 for g in DetectionGroup}
     opaque_pairs = 0
     anomaly_pairs = 0
     # One object per hop address in the world, so that the writer's
@@ -452,16 +437,15 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
         dataset.runs.extend(_runs_for(plan))
 
         group, flags = _truth_for(plan, publics_set)
-        truth_probes[plan.probe_id] = ProbeTruth(
-            probe_id=plan.probe_id,
-            group=group,
-            flags=flags,
-            nat_location=_truth_location(plan),
-            home=plan.cohort.location == "home",
-            cell=plan.cohort.cell,
-            opaque=plan.cohort.icmp == "opaque",
-        )
-        group_counts[group] += 1
+        truth_probes[plan.probe_id] = {
+            "group": group.value,
+            "flags": flags._asdict(),
+            "nat_location": _truth_location(plan),
+            "home": plan.cohort.location == "home",
+            "cell": plan.cohort.cell,
+            "opaque": plan.cohort.icmp == "opaque",
+        }
+        group_counts[group.value] += 1
 
         if not plan.path_prefixes:
             continue
@@ -499,15 +483,15 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
         if len(probe_ids) >= 2:
             isp_ases.add(asn)
 
-    truth = GroundTruth(
-        probes=truth_probes,
-        isp_dns64_ases=frozenset(isp_ases),
-        opaque_pair_count=opaque_pairs,
-        ttl_anomaly_pair_count=anomaly_pairs,
-        group_counts=group_counts,
-        public_prefixes=public_prefixes,
-        public_resolvers=public_resolvers,
-    )
+    truth = {
+        "probes": truth_probes,
+        "isp_dns64_ases": sorted(isp_ases),
+        "opaque_pair_count": opaque_pairs,
+        "ttl_anomaly_pair_count": anomaly_pairs,
+        "group_counts": group_counts,
+        "public_prefixes": [str(p) for p in public_prefixes],
+        "public_resolvers": [str(r) for r in public_resolvers],
+    }
     return SimResult(dataset=dataset, truth=truth, ip2as=_world_table(plans, public_prefixes))
 
 
@@ -535,26 +519,3 @@ cell=16 count=1 resolver=dns64  nat=broken  prefix=standard
 cell=17 count=1 resolver=dns64  nat=working prefix=both     v4as=split
 cell=18 count=1 resolver=dns64  nat=working prefix=standard anomaly=ttl
 """
-
-
-def truth_to_doc(truth: GroundTruth) -> dict:
-    """JSON-ready form of the sidecar, for the command-line pipeline."""
-    return {
-        "probes": {
-            pid: {
-                "group": t.group.value,
-                "flags": t.flags._asdict(),
-                "nat_location": t.nat_location.value if t.nat_location else None,
-                "home": t.home,
-                "cell": t.cell,
-                "opaque": t.opaque,
-            }
-            for pid, t in sorted(truth.probes.items())
-        },
-        "isp_dns64_ases": sorted(truth.isp_dns64_ases),
-        "opaque_pair_count": truth.opaque_pair_count,
-        "ttl_anomaly_pair_count": truth.ttl_anomaly_pair_count,
-        "group_counts": {g.value: n for g, n in truth.group_counts.items()},
-        "public_prefixes": [str(p) for p in truth.public_prefixes],
-        "public_resolvers": [str(r) for r in truth.public_resolvers],
-    }

@@ -528,6 +528,94 @@ class TestPaths:
         for name in ("per_target.csv", "per_prefix.csv", "groups.csv", "missing_hop_histogram.csv"):
             assert (out / name).is_file(), name
 
+    def test_set_aside_counts_match_a_brute_force_count(self, tmp_path):
+        # The template world, edited: its first native path dropped, its
+        # last translated path written twice, and every hop answering as
+        # the second target silenced, so that no path reaches it.
+        world = simulate(tmp_path)
+        header, *records = [
+            json.loads(line) for line in (world / "dataset.ndjson").read_text().splitlines()
+        ]
+        paths = [r for r in records if r["record"] == "traceroute"]
+        dropped = next(p for p in paths if p["family"] == "ipv4")
+        repeated = [p for p in paths if p["family"] == "nat64"][-1]
+
+        def prefix_net(path):
+            prefix = path["prefix"]
+            return ipaddress.IPv6Network(f"{prefix['base']}/{prefix['length']}")
+
+        def address(hop):
+            return hop["address"] and ipaddress.ip_address(hop["address"])
+
+        def answering_as_target(path):
+            target = ipaddress.IPv4Address(path["target_v4"])
+            if path["family"] == "nat64":
+                target = synthesize(Nat64Prefix.from_cidr(str(prefix_net(path))), target)
+            return [hop for hop in path["hops"] if address(hop) == target]
+
+        for path in paths:
+            if path["target_v4"] == "198.51.100.20":
+                for hop in answering_as_target(path):
+                    hop["address"], hop["rtts_ms"] = None, []
+        edited = [p for p in paths if p is not dropped] + [repeated]
+        dataset = tmp_path / "edited.ndjson"
+        dataset.write_text("".join(
+            json.dumps(r, sort_keys=True) + "\n"
+            for r in [header] + [r for r in records if r["record"] != "traceroute"] + edited
+        ))
+
+        # Pairing: the first path per key counts, later ones are set aside.
+        natives, translated, unpaired = {}, {}, 0
+        for path in edited:
+            key = (path["probe_id"], path["target_v4"], path["round"])
+            if path["family"] == "ipv4":
+                table = natives
+            else:
+                table, key = translated, key + (str(prefix_net(path)),)
+            if key in table:
+                unpaired += 1
+            else:
+                table[key] = path
+        pairs = [(natives[k[:3]], nat) for k, nat in translated.items() if k[:3] in natives]
+        unpaired += sum(k[:3] not in natives for k in translated)
+        unpaired += sum(all(k[:3] != n for k in translated) for n in natives)
+
+        # Filtering, in its order of precedence.
+        targets = {nat["target_v4"] for _, nat in pairs}
+        alive = {
+            nat["target_v4"] for v4, nat in pairs
+            if answering_as_target(v4) or answering_as_target(nat)
+        }
+
+        def round_targets(nat):
+            return {
+                other["target_v4"] for _, other in pairs
+                if (other["probe_id"], other["round"], prefix_net(other))
+                == (nat["probe_id"], nat["round"], prefix_net(nat))
+            }
+
+        excluded = {}
+        for _, nat in pairs:
+            if round_targets(nat) != targets:
+                reason = "IncompleteRound"
+            elif nat["target_v4"] not in alive:
+                reason = "DeadTarget"
+            elif not any(address(hop) in prefix_net(nat) for hop in nat["hops"] if address(hop)):
+                reason = "NoNatHop"
+            else:
+                continue
+            excluded[reason] = excluded.get(reason, 0) + 1
+        assert unpaired > 0 and set(excluded) == {"IncompleteRound", "DeadTarget", "NoNatHop"}
+
+        out = tmp_path / "paths"
+        assert run("paths", "--from-dataset", str(dataset), "--out", str(out)) == EXIT_OK
+        acct = read_json(out / "summary.json")["accounting"]
+        assert acct["paths"] == len(edited)
+        assert acct["pairs"] == len(pairs)
+        assert acct["unpaired"] == unpaired
+        assert acct["excluded"] == excluded
+        assert acct["kept"] == len(pairs) - sum(excluded.values())
+
     def test_exclude_ttl_anomaly(self, tmp_path):
         world = simulate(tmp_path)
         out = tmp_path / "paths"
@@ -693,6 +781,11 @@ class TestConfig:
             {"dns2_name": ".".join(["a" * 63] * 5) + "."},
             {"dns2_name": "a\nb.example."},
             {"dns2_name": "a b.example."},
+            {"dns2_name": "a..b."},
+            {"dns2_name": ""},
+            {"dns2_name": "."},
+            {"dns2_name": ".a."},
+            {"dns2_name": "a.."},
         ],
     )
     def test_wrong_value_type_is_one_line_config_error(self, tmp_path, capsys, doc):
@@ -1245,7 +1338,7 @@ class TestLiveDetect:
             echoed.append(target)
             if target == unreachable:
                 raise live.NoRouteError("network is unreachable")
-            return (live.EchoReply(0, 1.5),)
+            return (1.5,)
 
         monkeypatch.setattr(live, "dns_query", self.fake_dns_query)
         monkeypatch.setattr(live, "icmp_echo", fake_icmp_echo)
@@ -1273,7 +1366,7 @@ class TestLiveDetect:
 
         def fake_icmp_echo(target, **_):
             echoed.append(target)
-            return (live.EchoReply(0, 1.5),)
+            return (1.5,)
 
         monkeypatch.setattr(live, "dns_query", dns_query)
         monkeypatch.setattr(live, "icmp_echo", fake_icmp_echo)
@@ -1318,7 +1411,7 @@ class TestLiveDetect:
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(live, "dns_query", self.fake_dns_query)
-        monkeypatch.setattr(live, "icmp_echo", lambda target, **_: (live.EchoReply(0, 1.5),))
+        monkeypatch.setattr(live, "icmp_echo", lambda target, **_: (1.5,))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"resolvers": ["2001:db8::53"], "repeat": 1}))
         out = tmp_path / "live"
@@ -1337,7 +1430,7 @@ class TestLiveDetect:
             return self.fake_dns_query(resolver, qname, qtype, **kwargs)
 
         monkeypatch.setattr(live, "dns_query", waiting_dns_query)
-        monkeypatch.setattr(live, "icmp_echo", lambda target, **_: (live.EchoReply(0, 1.5),))
+        monkeypatch.setattr(live, "icmp_echo", lambda target, **_: (1.5,))
         config = tmp_path / "config.json"
         resolvers = ["2001:db8::53", "2001:db8::54", "192.0.2.53"]
         config.write_text(json.dumps({"resolvers": resolvers, "repeat": 2}))

@@ -14,7 +14,6 @@ from nat64scope.acquire.dnswire import (
     parse_message,
 )
 from nat64scope.acquire.live import (
-    EchoReply,
     ProbePermissionError,
     _open_icmp6_socket,
     dns_query,
@@ -78,7 +77,9 @@ class TestDnsQuery:
             )
         assert response.status is DnsStatus.NOERROR
         assert response.qname == "ipv4only.arpa."
-        assert response.addresses() == (synthesize(PREFIX, ipaddress.IPv4Address("192.0.0.170")),)
+        assert [a.address for a in response.answers] == [
+            synthesize(PREFIX, ipaddress.IPv4Address("192.0.0.170"))
+        ]
 
     def test_servfail(self):
         def behavior(wire):
@@ -91,7 +92,7 @@ class TestDnsQuery:
                 port=server.address[1], timeout_s=2.0,
             )
         assert response.status is DnsStatus.SERVFAIL
-        assert response.addresses() == ()
+        assert response.answers == ()
 
     def test_stray_txid_is_ignored(self):
         def behavior(wire):
@@ -140,13 +141,6 @@ class TestIcmpEcho:
         except (ProbePermissionError, OSError):
             pytest.skip("no ICMPv6 socket in this environment")
         sock.close()
-        replies = icmp_echo(ipaddress.IPv6Address("::1"), count=2, timeout_s=1.0)
-        assert len(replies) == 2
-        assert all(isinstance(r, EchoReply) for r in replies)
-        assert all(r.seq == i for i, r in enumerate(replies))
-
-    def test_reply_shape(self):
-        reply = EchoReply(0, 1.25)
-        assert reply.rtt_ms == 1.25
-        lost = EchoReply(1, None)
-        assert lost.rtt_ms is None
+        rtts = icmp_echo(ipaddress.IPv6Address("::1"), count=2, timeout_s=1.0)
+        assert len(rtts) == 2
+        assert all(rtt is None or 0.0 <= rtt for rtt in rtts)

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nat64scope import catalogs
 from nat64scope.acquire.dataset import load_dataset, write_dataset
 from nat64scope.acquire.dnswire import TYPE_AAAA
 from nat64scope.acquire.live import dns_query
@@ -26,7 +27,6 @@ from nat64scope.simharness import (
     generate,
     oracle_stats,
     parse_scenario,
-    truth_to_doc,
 )
 from nat64scope.simharness import scenario as scenario_module
 
@@ -235,7 +235,7 @@ class TestGenerate:
         one = generate(scenario, 7)
         two = generate(scenario, 7)
         assert _dataset_bytes(one) == _dataset_bytes(two)
-        assert truth_to_doc(one.truth) == truth_to_doc(two.truth)
+        assert one.truth == two.truth
         assert list(one.ip2as.entries()) == list(two.ip2as.entries())
 
     def test_seed_changes_paths(self):
@@ -252,12 +252,13 @@ class TestGenerate:
 
     def test_truth_counts_add_up(self):
         sim = generate(template(), 11)
-        assert sum(sim.truth.group_counts.values()) == 32
-        assert sim.truth.group_counts[DetectionGroup.NAT64_PLUS_DNS64] == 19
-        assert sim.truth.group_counts[DetectionGroup.NAT64_ONLY] == 4
-        assert sim.truth.group_counts[DetectionGroup.DNS64_MISCONFIGURED_ONLY] == 2
-        assert sim.truth.group_counts[DetectionGroup.NO_NAT64] == 3
-        assert sim.truth.group_counts[DetectionGroup.INCONCLUSIVE] == 4
+        counts = sim.truth["group_counts"]
+        assert sum(counts.values()) == 32
+        assert counts[DetectionGroup.NAT64_PLUS_DNS64.value] == 19
+        assert counts[DetectionGroup.NAT64_ONLY.value] == 4
+        assert counts[DetectionGroup.DNS64_MISCONFIGURED_ONLY.value] == 2
+        assert counts[DetectionGroup.NO_NAT64.value] == 3
+        assert counts[DetectionGroup.INCONCLUSIVE.value] == 4
 
     def test_every_probe_has_all_three_tests(self):
         sim = generate(template(), 11)
@@ -274,7 +275,7 @@ class TestGenerate:
         assert all(lo <= run.timestamp <= hi for run in sim.dataset.runs)
 
     def test_truth_doc_is_json(self):
-        doc = truth_to_doc(generate(template(), 4).truth)
+        doc = generate(template(), 4).truth
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text) == doc
 
@@ -301,13 +302,13 @@ class TestTruthRecovery:
         sim = generate(template(), seed)
         report = detect_dataset(
             sim.dataset,
-            public_prefixes=sim.truth.public_prefixes,
-            public_resolvers=sim.truth.public_resolvers,
+            public_prefixes=catalogs.load_public_prefixes(),
+            public_resolvers=catalogs.load_public_resolvers(),
         )
-        for probe_id, planted in sim.truth.probes.items():
+        for probe_id, planted in sim.truth["probes"].items():
             got = report.probes[probe_id]
-            assert got.group is planted.group, probe_id
-            assert got.flags == planted.flags, probe_id
+            assert got.group.value == planted["group"], probe_id
+            assert got.flags._asdict() == planted["flags"], probe_id
 
     def test_classifier_recovers_isp_evidence(self):
         sim = generate(template(), 5)
@@ -315,12 +316,12 @@ class TestTruthRecovery:
             group_runs_by_as(sim.dataset.runs, sim.dataset.probes), sim.dataset.probes
         )
         got = {asn for asn, ev in evidence.items() if ev.is_isp_dns64}
-        assert got == set(sim.truth.isp_dns64_ases)
+        assert sorted(got) == sim.truth["isp_dns64_ases"]
 
     def test_locations_recovered_on_kept_pairs(self):
         sim = generate(template(), 5)
         pairs, unpaired = pair_paths(sim.dataset.paths)
-        assert unpaired == []
+        assert unpaired == {}
         kept, _ = filter_pairs(pairs)
         by_probe = {}
         for pair in kept:
@@ -328,38 +329,35 @@ class TestTruthRecovery:
                 pair.nat64.prefix, []
             ).append(pair.nat64)
         located = set()
+        planted = sim.truth["probes"]
         for probe_id, by_prefix in by_probe.items():
             record = sim.dataset.probes[probe_id]
             for prefix, paths in by_prefix.items():
-                attribution = attribute_nat64_as(paths, prefix, sim.ip2as, record)
+                nat_asn = attribute_nat64_as(paths, prefix, sim.ip2as, record)
                 assert (
-                    locate_nat64(attribution.asn, record)
-                    is sim.truth.probes[probe_id].nat_location
+                    locate_nat64(nat_asn, record).value == planted[probe_id]["nat_location"]
                 ), probe_id
             located.add(probe_id)
         # Only translator-hiding probes stay unlocatable.
         unrecoverable = {
             pid
-            for pid, t in sim.truth.probes.items()
-            if t.nat_location is not None and pid not in located
+            for pid, t in planted.items()
+            if t["nat_location"] is not None and pid not in located
         }
-        assert unrecoverable == {
-            pid for pid, t in sim.truth.probes.items() if t.opaque
-        }
+        assert unrecoverable == {pid for pid, t in planted.items() if t["opaque"]}
 
     def test_opaque_accounting_exact(self):
         sim = generate(template(), 9)
         pairs, _ = pair_paths(sim.dataset.paths)
         _, excluded = filter_pairs(pairs)
-        no_nat = [e for e in excluded if e.reason == "NoNatHop"]
-        assert len(no_nat) == sim.truth.opaque_pair_count == 18
-        assert len(no_nat) == len(excluded)
+        assert excluded == {"NoNatHop": sim.truth["opaque_pair_count"]}
+        assert sim.truth["opaque_pair_count"] == 18
 
     def test_oracle_agrees(self):
         sim = generate(template(), 2)
         pairs, _ = pair_paths(sim.dataset.paths)
         kept, _ = filter_pairs(pairs)
-        groupings = {"home": [p for p, t in sim.truth.probes.items() if t.home]}
+        groupings = {"home": [p for p, t in sim.truth["probes"].items() if t["home"]]}
         stats = aggregate_report(kept, groupings=groupings)
         assert compare(stats, oracle_stats(kept, groupings)) == []
 
@@ -390,7 +388,7 @@ class TestTruthRecovery:
     def test_compare_finds_each_difference(self, side, mutate):
         sim = generate(template(), 2)
         kept, _ = filter_pairs(pair_paths(sim.dataset.paths)[0])
-        groupings = {"home": [p for p, t in sim.truth.probes.items() if t.home]}
+        groupings = {"home": [p for p, t in sim.truth["probes"].items() if t["home"]]}
         docs = {
             "stats": aggregate_report(kept, groupings=groupings),
             "oracle": oracle_stats(kept, groupings),
@@ -404,7 +402,7 @@ class TestTruthRecovery:
         pairs, _ = pair_paths(sim.dataset.paths)
         kept, _ = filter_pairs(pairs)
         stats = aggregate_report(kept)
-        assert stats["ttl_anomaly_pairs"] == sim.truth.ttl_anomaly_pair_count == 6
+        assert stats["ttl_anomaly_pairs"] == sim.truth["ttl_anomaly_pair_count"] == 6
 
 
 class TestMockDns:
@@ -449,7 +447,7 @@ class TestMockDns:
             from nat64scope.acquire.dnswire import TYPE_A
 
             r = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_A, port=srv.port, timeout_s=2.0)
-        assert [str(a) for a in r.addresses()] == ["132.163.96.3"]
+        assert [str(a.address) for a in r.answers] == ["132.163.96.3"]
 
     def test_custom_prefix_synthesis(self):
         from nat64scope.model import Nat64Prefix
