@@ -2,11 +2,12 @@
 
 This module owns the line contract. ``_KINDS`` gives each record kind,
 keyed by its ``record`` value, its decoder, its checks and the collection
-a loaded record is filed in; the writer has one line function per kind.
-Encoding is canonical (sorted keys, no whitespace), so writing the same
-dataset twice produces identical bytes. Loading reports every problem
-it finds, each with its line number, and cross-checks that runs and
-paths reference known probes.
+a loaded record is filed in; the writer has one line function per kind
+and makes the text of each distinct address, prefix and RTT tuple once
+per write. Encoding is canonical (sorted keys, no whitespace), so
+writing the same dataset twice produces identical bytes. Loading reports
+every problem it finds, each with its line number, and cross-checks that
+runs and paths reference known probes.
 """
 
 from __future__ import annotations
@@ -218,15 +219,23 @@ def _str_text(value) -> str:
 
 
 class _Texts(dict):
-    """The JSON text of each address and prefix one write meets, made once.
+    """The JSON text of each address, prefix and RTT tuple one write meets,
+    made once.
 
     Keys are the objects, which tell ``0.0.0.1`` from ``::1`` although
-    both are the integer 1.
+    both are the integer 1. An RTT key is a clean hop's RTTs as a tuple
+    of floats, whose reprs are their JSON text. A tuple holding a zero is
+    formatted on every lookup and never stored: ``(0.0,) == (-0.0,)`` and
+    both hash alike, so a stored ``[0.0]`` would be written for ``(-0.0,)``.
     """
 
     def __missing__(self, value) -> str:
         if value is None:
             text = "null"
+        elif type(value) is tuple:
+            text = "[%s]" % ",".join(map(repr, value))
+            if 0.0 in value:
+                return text
         elif isinstance(value, Nat64Prefix):
             text = _dump(
                 {"base": str(value.base), "length": value.length, "kind": value.kind.value}
@@ -266,9 +275,10 @@ def _path_line(path: TraceroutePath, texts: _Texts) -> str:
     probe_id, family, prefix, target_v4, round_index, hops = path
     # Clean hops hold exact ints and finite floats, whose reprs are
     # their JSON text; bools, int RTTs, NaN and the like go to ``_dump``.
+    # ``tuple`` returns an exact tuple itself and makes a list a key.
     if _hops_are_clean(hops):
         hop_texts = [
-            _HOP % (texts[address], index, "[%s]" % ",".join(map(repr, rtts)))
+            _HOP % (texts[address], index, texts[tuple(rtts)])
             for index, address, rtts in hops
         ]
     else:
@@ -462,6 +472,8 @@ def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
         open(source, "r", encoding="ascii", errors="surrogateescape") if own else source
     )
     problems: List[str] = []
+    # (line, record kind, probe_id) of each run or path filed before its probe.
+    unresolved: List[Tuple[int, str, str]] = []
     dataset = Dataset()
     decoder = _Decoder()
     try:
@@ -524,16 +536,20 @@ def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
             refused = file(dataset, record)
             if refused is not None:
                 problems.append(f"line {lineno}: {refused}")
+            # A probe may come after the records that name it, so a record
+            # whose probe is not known yet is checked again at the end.
+            if record.probe_id not in dataset.probes:
+                unresolved.append((lineno, name, record.probe_id))
     finally:
         if own:
             handle.close()
 
-    for run in dataset.runs:
-        if run.probe_id not in dataset.probes:
-            problems.append(f"test run references unknown probe {run.probe_id}")
-    for path in dataset.paths:
-        if path.probe_id not in dataset.probes:
-            problems.append(f"traceroute references unknown probe {path.probe_id}")
+    for kind, what in (("test_run", "test run"), ("traceroute", "traceroute")):
+        problems.extend(
+            f"line {lineno}: {what} references unknown probe {probe_id}"
+            for lineno, name, probe_id in unresolved
+            if name == kind and probe_id not in dataset.probes
+        )
     if problems:
         raise DatasetError(problems)
     return dataset

@@ -2,6 +2,7 @@ import io
 import ipaddress
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,22 @@ def test_unknown_probe_reference_rejected():
     buffer.seek(0)
     with pytest.raises(DatasetError, match="unknown probe ghost"):
         load_dataset(buffer)
+
+
+def test_unknown_probe_references_name_their_lines():
+    # Records may come before their probe. The per-line problems come
+    # first, then runs and then traceroutes naming a probe never filed.
+    ghost_path = PATH.replace('"p1"', '"ghost"') % "[]"
+    ghost_run = (RUN % "5").replace('"p1"', '"ghost"')
+    lines = [HEADER, ghost_path, PATH % "[]", RUN % "5", ghost_run, PROBE, RUN % '"soon"', ghost_path]
+    with pytest.raises(DatasetError) as info:
+        load_dataset(lines)
+    assert info.value.problems == [
+        "line 7: timestamp must be an integer",
+        "line 5: test run references unknown probe ghost",
+        "line 2: traceroute references unknown probe ghost",
+        "line 8: traceroute references unknown probe ghost",
+    ]
 
 
 def test_missing_header_rejected():
@@ -249,6 +266,44 @@ def test_addresses_with_one_integer_value_keep_their_own_text():
     probe, path = (json.loads(line) for line in dataset_lines(ds)[1:])
     assert probe["resolvers"] == ["::1", "0.0.0.1"]
     assert [hop["address"] for hop in path["hops"]] == ["0.0.0.1", "::1", "0.0.0.1"]
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_zero_and_negative_zero_rtts_keep_their_own_text(first, second):
+    # Equal keys that hash alike: a table keyed by value alone would write
+    # the first one's text for both.
+    assert (first,) == (second,) and hash((first,)) == hash((second,))
+    ds = Dataset()
+    ds.probes["p1"] = ProbeRecord("p1", asn_v4=1, asn_v6=1)
+    ds.paths.append(
+        TraceroutePath(
+            "p1", PathFamily.IPV4, None, V4("198.18.0.1"), 0,
+            hops=(Hop(1, V4("192.0.2.1"), (first,)), Hop(2, V4("192.0.2.2"), (second,))),
+        )
+    )
+    path = dataset_lines(ds)[2]
+    assert re.findall(r'"rtts_ms":(\[[^]]*\])', path) == [f"[{first!r}]", f"[{second!r}]"]
+
+
+def test_rtt_lists_and_repeated_tuples_are_written_as_json():
+    # A clean hop's RTTs may be a list, written as the tuple it holds,
+    # and one tuple may recur in many hops.
+    rtts = (1.5, 2.25, 1e-3)
+    ds = Dataset()
+    ds.probes["p1"] = ProbeRecord("p1", asn_v4=1, asn_v6=1)
+    ds.paths.append(
+        TraceroutePath(
+            "p1", PathFamily.IPV4, None, V4("198.18.0.1"), 0,
+            hops=(
+                Hop(1, V4("192.0.2.1"), rtts),
+                Hop(2, V4("192.0.2.2"), list(rtts)),
+                Hop(3, V4("192.0.2.3"), tuple(list(rtts))),
+                Hop(4, None, ()),
+            ),
+        )
+    )
+    path = json.loads(dataset_lines(ds)[2])
+    assert [hop["rtts_ms"] for hop in path["hops"]] == [list(rtts)] * 3 + [[]]
 
 
 # ------------------------------------------------ writing against the reference

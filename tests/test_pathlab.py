@@ -143,6 +143,21 @@ class TestPathPredicates:
         assert target_hop(path) is path.hops[-1]
         assert path.hops[-1].address == synthesize(CUSTOM, TARGET)
 
+    def test_hop_equal_to_the_target_only_as_an_integer_is_not_the_target_hop(self):
+        # A scoped address keeps its integer but not its equality; nor does
+        # an IPv6 address that holds the IPv4 target's 32 bits.
+        target = ipaddress.IPv4Address("198.51.100.1")
+        wanted = synthesize(STANDARD_PREFIX, target)
+        scoped = ipaddress.IPv6Address("64:ff9b::c633:6401%eth0")
+        assert int(scoped) == int(wanted) and scoped != wanted
+        nat = TraceroutePath("p1", PathFamily.NAT64, STANDARD_PREFIX, target, 0,
+                             (Hop(1, scoped, (1.0,)),))
+        assert target_hop(nat) is None
+        lookalike = ipaddress.IPv6Address(int(target))
+        assert int(lookalike) == int(target) and lookalike != target
+        v4 = TraceroutePath("p1", PathFamily.IPV4, None, target, 0, (Hop(1, lookalike, (1.0,)),))
+        assert target_hop(v4) is None
+
     def test_first_target_hop_wins(self):
         # The target answers at hop 4 and again at hop 6: length and RTT
         # come from hop 4.
