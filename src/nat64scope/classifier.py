@@ -16,13 +16,11 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
-    Tuple,
 )
 
-from .detector import DetectionFlags, DetectionGroup
+from .detector import DetectionGroup
 from .model import (
     IPAddress,
     ProbeRecord,
@@ -34,6 +32,9 @@ from .pathlab import NatLocation, first_nat_hop
 
 #: Translator hops answering faster than this sit in the probe's own network.
 LOCAL_NAT_RTT_MS = 2.0
+
+#: The groups whose probes reach a translator, as ``detection.json`` names them.
+_TRANSLATING = (DetectionGroup.NAT64_PLUS_DNS64.value, DetectionGroup.NAT64_ONLY.value)
 
 
 class ProbeCategory(enum.Enum):
@@ -56,20 +57,10 @@ class ASCategory(enum.Enum):
     UNKNOWN = "U"
 
 
-class IspDns64Evidence(NamedTuple):
-    """Cross-probe DNS agreement within one AS."""
-
-    asn: int
-    is_isp_dns64: bool
-    resolver: Optional[IPAddress]
-    witnesses: Tuple[str, ...]
-    multiple_similar_prefixes: bool = False
-
-
 def detect_isp_dns64(
     runs_by_as: Mapping[int, Sequence[TestRun]],
     probes: Mapping[str, ProbeRecord],
-) -> Dict[int, IspDns64Evidence]:
+) -> Dict[str, dict]:
     """Decide per AS whether the ISP itself operates the DNS64.
 
     Evidence requires two distinct probes in the AS passing DNS tests via
@@ -77,8 +68,13 @@ def detect_isp_dns64(
     or unknown network prefixes could be one household, so they never
     count. Also notes when an AS shows several near-identical prefixes,
     which hints at per-site translator pools.
+
+    Returns the ``evidence`` object of ``classification.json``: keyed by
+    the AS number's text, in numeric order, each entry holds
+    ``is_isp_dns64``, the ``resolver`` as text (None without evidence),
+    the ``witnesses`` and ``multiple_similar_prefixes``.
     """
-    out: Dict[int, IspDns64Evidence] = {}
+    out: Dict[str, dict] = {}
     for asn in sorted(runs_by_as):
         # Passing DNS runs through a known resolver: who asked which
         # resolver, and which prefixes came back.
@@ -93,7 +89,7 @@ def detect_isp_dns64(
                     prefixes.add(run.observed_prefix)
 
         found_resolver = None
-        witnesses: Tuple[str, ...] = ()
+        witnesses: List[str] = []
         for resolver in sorted(by_resolver, key=str):
             probe_ids = by_resolver[resolver]
             networks = {
@@ -102,8 +98,8 @@ def detect_isp_dns64(
                 if pid in probes and probes[pid].network_prefix_v6 is not None
             }
             if len(networks) >= 2:
-                found_resolver = resolver
-                witnesses = tuple(sorted(probe_ids))
+                found_resolver = str(resolver)
+                witnesses = sorted(probe_ids)
                 break
 
         similar = False
@@ -115,20 +111,23 @@ def detect_isp_dns64(
                 break
             seen_stems[stem] = prefix
 
-        out[asn] = IspDns64Evidence(
-            asn=asn,
-            is_isp_dns64=found_resolver is not None,
-            resolver=found_resolver,
-            witnesses=witnesses,
-            multiple_similar_prefixes=similar,
-        )
+        # Keyed by text: under sort_keys, json orders int keys as numbers.
+        out[str(asn)] = {
+            "is_isp_dns64": found_resolver is not None,
+            "resolver": found_resolver,
+            "witnesses": witnesses,
+            "multiple_similar_prefixes": similar,
+        }
     return out
 
 
 def group_runs_by_as(
     runs: Iterable[TestRun], probes: Mapping[str, ProbeRecord]
 ) -> Dict[int, List[TestRun]]:
-    """Helper shaping detector output for detect_isp_dns64."""
+    """The runs of each IPv6 AS, as ``detect_isp_dns64`` takes them.
+
+    A run whose probe is unknown or has no IPv6 AS number is left out.
+    """
     asn_of = {probe_id: record.asn_v6 for probe_id, record in probes.items()}
     grouped: Dict[int, List[TestRun]] = {}
     for run in runs:
@@ -157,10 +156,10 @@ def detect_local_nat64(paths: Sequence[TraceroutePath]) -> Optional[bool]:
 
 
 def categorize_probe(
-    group: DetectionGroup,
-    flags: DetectionFlags,
+    group: str,
     *,
-    evidence: Optional[IspDns64Evidence] = None,
+    public_nat64_only: bool = False,
+    evidence: Optional[Mapping] = None,
     resolvers_used: Collection[IPAddress] = (),
     public_resolvers: Collection[IPAddress] = (),
     nat_location: Optional[NatLocation] = None,
@@ -170,23 +169,29 @@ def categorize_probe(
 ) -> FrozenSet[ProbeCategory]:
     """Bucket one detected probe; buckets overlap except the unknown one.
 
+    ``group`` and ``public_nat64_only`` are read as ``detection.json``
+    writes them, and ``evidence`` is the probe's AS entry from
+    ``detect_isp_dns64``. The probe is in the ISP-DNS64 bucket when it
+    used the evidence's resolver, whose text is compared with each
+    resolver used.
+
     Translator timing (``detect_local_nat64``) never assigns the home
     bucket: low RTT also matches translators one rack away, so home setups
     stay an owner-confirmed annotation (``home_annotation``).
     """
-    if group not in (DetectionGroup.NAT64_PLUS_DNS64, DetectionGroup.NAT64_ONLY):
+    if group not in _TRANSLATING:
         return frozenset()
     cats = set()
-    if evidence is not None and evidence.is_isp_dns64:
+    if evidence is not None and evidence["is_isp_dns64"]:
         cats.add(ProbeCategory.AS_WITH_DNS64)
-        if evidence.resolver is not None and evidence.resolver in set(resolvers_used):
+        if any(str(r) == evidence["resolver"] for r in resolvers_used):
             cats.add(ProbeCategory.ISP_DNS64)
     if home_annotation:
         cats.add(ProbeCategory.HOME_SETUP)
     public = set(public_resolvers)
     if resolvers_used and all(r in public for r in resolvers_used):
         cats.add(ProbeCategory.PUBLIC_RESOLVER_ONLY)
-    if flags.public_nat64_only:
+    if public_nat64_only:
         cats.add(ProbeCategory.PUBLIC_SERVICE)
     if nat_location is NatLocation.REMOTE:
         cats.add(ProbeCategory.REMOTE_NAT64)

@@ -31,16 +31,10 @@ from .classifier import (
 from .detector import (
     DEFAULT_DNS2_KNOWN_A,
     DEFAULT_DNS2_NAME,
-    DetectionReport,
     STD_PING_TARGET_V4,
     detect_dataset,
 )
-from .model import (
-    Nat64Prefix,
-    STANDARD_PREFIX,
-    TestKind,
-    VerdictValue,
-)
+from .model import Nat64Prefix, STANDARD_PREFIX, VerdictValue
 from .pathlab import (
     NatLocation,
     aggregate_report,
@@ -187,7 +181,8 @@ def _analyze(args, live: bool = False):
     directory and runs detection: inputs read once, detection run once.
     With ``live`` and no dataset given, it measures from this host
     instead and records what it measured. Returns the config, the public
-    resolvers, the dataset, the detection report and the output directory.
+    resolvers, the dataset, the ``detection.json`` document and the output
+    directory.
     """
     config = load_config(args.config)
     public_prefixes, public_resolvers = _load_catalogs(config)
@@ -224,9 +219,9 @@ def _create(path: str, encoding: str = "utf-8", newline: Optional[str] = None) -
 
 
 def _write_json(path: str, doc) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"  # one write, not one per token
     with _create(path) as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -237,36 +232,6 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 
 
 # ---------------------------------------------------------------- detect
-
-
-def _verdict_doc(verdict) -> Optional[dict]:
-    if verdict is None:
-        return None
-    value, supporting_runs = verdict
-    return {"value": value.value, "supporting_runs": supporting_runs}
-
-
-def _detection_doc(report: DetectionReport) -> dict:
-    return {
-        "probes": {
-            pid: {
-                "group": group.value,
-                "flags": flags._asdict(),
-                "dns1": _verdict_doc(dns1),
-                "dns2": _verdict_doc(dns2),
-                "pings": {str(prefix): _verdict_doc(verdict) for prefix, verdict in pings.items()},
-                "dns1_prefixes": [str(p) for p in dns1_prefixes],
-                "diagnostic": diagnostic,
-            }
-            for pid, (_, dns1, dns2, pings, dns1_prefixes, group, flags, diagnostic)
-            in sorted(report.probes.items())
-        },
-        "group_counts": {g.value: n for g, n in report.group_counts.items()},
-        "test_table": {
-            kind.value: {value.value: n for value, n in row.items()}
-            for kind, row in report.test_table.items()
-        },
-    }
 
 
 def _acquire_live(config: RunConfig) -> Dataset:
@@ -286,24 +251,14 @@ def _acquire_live(config: RunConfig) -> Dataset:
 
 def cmd_detect(args) -> int:
     _, _, _, report, out = _analyze(args, live=True)
-    _write_json(os.path.join(out, "detection.json"), _detection_doc(report))
+    _write_json(os.path.join(out, "detection.json"), report)
     _write_csv(
         os.path.join(out, "test_table.csv"),
-        ("test", "passed", "failed", "inconclusive"),
-        [
-            (
-                kind.value,
-                report.test_table[kind][VerdictValue.PASSED],
-                report.test_table[kind][VerdictValue.FAILED],
-                report.test_table[kind][VerdictValue.INCONCLUSIVE],
-            )
-            for kind in TestKind
-        ],
+        ("test", *(value.value for value in VerdictValue)),
+        [(kind, *counts.values()) for kind, counts in report["test_table"].items()],
     )
     _write_csv(
-        os.path.join(out, "groups.csv"),
-        ("group", "probes"),
-        [(g.value, n) for g, n in report.group_counts.items()],
+        os.path.join(out, "groups.csv"), ("group", "probes"), report["group_counts"].items()
     )
     return EXIT_OK
 
@@ -351,8 +306,7 @@ def cmd_classify(args) -> int:
     evidence = detect_isp_dns64(
         group_runs_by_as(dataset.runs, dataset.probes), dataset.probes
     )
-    multi_witness = [ev for ev in evidence.values() if ev.is_isp_dns64]
-    if dataset.probes and not multi_witness:
+    if dataset.probes and not any(ev["is_isp_dns64"] for ev in evidence.values()):
         print(
             "warning: no AS has two independent witnesses; "
             "ISP-run DNS64 cannot be distinguished and stays unreported",
@@ -379,14 +333,14 @@ def cmd_classify(args) -> int:
     nat64_asns: List[Optional[int]] = []
     for probe_id in sorted(dataset.probes):
         record = dataset.probes[probe_id]
-        det = report.probes[probe_id]
+        det = report["probes"][probe_id]
         seen_nat_hop, location, local_nat = facts[probe_id]
         resolvers_used = set(record.resolvers) | resolvers_by_probe.get(probe_id, set())
-        ping_passed = any(v.value is VerdictValue.PASSED for v in det.pings.values())
+        ping_passed = any(v["value"] == VerdictValue.PASSED.value for v in det["pings"].values())
         categories = categorize_probe(
-            det.group,
-            det.flags,
-            evidence=evidence.get(record.asn_v6) if record.asn_v6 else None,
+            det["group"],
+            public_nat64_only=det["flags"]["public_nat64_only"],
+            evidence=evidence.get(str(record.asn_v6)) if record.asn_v6 else None,
             resolvers_used=resolvers_used,
             public_resolvers=publics,
             nat_location=location,
@@ -400,7 +354,7 @@ def cmd_classify(args) -> int:
         if categories:
             nat64_asns.append(record.asn_v6)
         probes_doc[probe_id] = {
-            "group": det.group.value,
+            "group": det["group"],
             "categories": names,
             "nat_location": location.value if location else None,
             "local_nat": local_nat,
@@ -413,15 +367,7 @@ def cmd_classify(args) -> int:
         os.path.join(out, "classification.json"),
         {
             "probes": probes_doc,
-            "evidence": {
-                str(ev.asn): {
-                    "is_isp_dns64": ev.is_isp_dns64,
-                    "resolver": str(ev.resolver) if ev.resolver else None,
-                    "witnesses": list(ev.witnesses),
-                    "multiple_similar_prefixes": ev.multiple_similar_prefixes,
-                }
-                for ev in sorted(evidence.values(), key=lambda e: e.asn)
-            },
+            "evidence": evidence,
             "as_category_counts": {
                 cat.value: counts for cat, counts in as_counts.items()
             },
@@ -435,15 +381,15 @@ def cmd_classify(args) -> int:
     _write_csv(
         os.path.join(out, "evidence.csv"),
         ("asn", "is_isp_dns64", "resolver", "witnesses", "multiple_similar_prefixes"),
-        [
+        [  # in numeric AS order, as detect_isp_dns64 returns them
             (
-                ev.asn,
-                ev.is_isp_dns64,
-                ev.resolver or "",
-                " ".join(ev.witnesses),
-                ev.multiple_similar_prefixes,
+                asn,
+                ev["is_isp_dns64"],
+                ev["resolver"] or "",
+                " ".join(ev["witnesses"]),
+                ev["multiple_similar_prefixes"],
             )
-            for ev in sorted(evidence.values(), key=lambda e: e.asn)
+            for asn, ev in evidence.items()
         ],
     )
     _write_csv(
@@ -474,8 +420,8 @@ def cmd_paths(args) -> int:
         metrics = [m for m, bad in zip(metrics, anomalous) if not bad]
 
     groupings: Dict[str, List[str]] = {}
-    for pid, det in sorted(report.probes.items()):
-        groupings.setdefault(det.group.value, []).append(pid)
+    for pid, det in sorted(report["probes"].items()):
+        groupings.setdefault(det["group"], []).append(pid)
 
     stats = aggregate_report(kept, metrics, groupings)
     _write_json(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import addrsynth
 from .acquire.dataset import Dataset
@@ -23,7 +23,6 @@ from .model import (
     RawOutcome,
     TestKind,
     TestRun,
-    Verdict,
     VerdictValue,
 )
 
@@ -50,13 +49,8 @@ class DetectionGroup(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class DetectionFlags(NamedTuple):
-    """Qualifiers that keep unusual setups out of the wrong bucket."""
-
-    uses_public_resolver: bool = False
-    likely_accidental: bool = False
-    rfc8880_style: bool = False
-    public_nat64_only: bool = False
+#: The verdict values as the reports write them.
+_PASSED, _FAILED, _INCONCLUSIVE = (value.value for value in VerdictValue)
 
 
 def _summarize_failure(responses: Sequence[DnsResponse]) -> str:
@@ -150,57 +144,61 @@ def eval_ping_test(
     )
 
 
-def aggregate(runs: Sequence[TestRun]) -> Verdict:
-    """All pass -> Passed, all fail -> Failed, anything mixed -> Inconclusive."""
+def aggregate(runs: Sequence[TestRun]) -> dict:
+    """The verdict document ``{"value", "supporting_runs"}`` of one test's runs.
+
+    All pass -> passed, all fail -> failed, anything mixed -> inconclusive.
+    """
     if not runs:
         raise ValueError("cannot aggregate zero runs")
     outcomes = {run.raw_outcome for run in runs}
     if outcomes == {RawOutcome.PASS}:
-        value = VerdictValue.PASSED
+        value = _PASSED
     elif outcomes == {RawOutcome.FAIL}:
-        value = VerdictValue.FAILED
+        value = _FAILED
     else:
-        value = VerdictValue.INCONCLUSIVE
-    return Verdict(value, len(runs))
+        value = _INCONCLUSIVE
+    return {"value": value, "supporting_runs": len(runs)}
 
 
 def assign_group(
-    dns1: Optional[Verdict],
-    dns2: Optional[Verdict],
-    pings: Mapping[Nat64Prefix, Verdict],
-    dns1_prefixes: Collection[Nat64Prefix] = (),
+    dns1: Optional[dict],
+    dns2: Optional[dict],
+    pings: Mapping[str, dict],
+    dns1_prefixes: Collection[str] = (),
     *,
-    public_prefixes: Collection[Nat64Prefix] = (),
+    public_prefixes: Collection[str] = (),
     uses_public_resolver: bool = False,
-) -> Tuple[DetectionGroup, DetectionFlags, Optional[str]]:
+) -> Tuple[DetectionGroup, Dict[str, bool], Optional[str]]:
     """Map the three verdicts onto a group; unnamed combinations stay open.
+
+    Verdicts are ``aggregate``'s documents and prefixes are named by their
+    text: ``pings`` maps each echoed prefix to its verdict. Returns the
+    group, the flags as ``detection.json`` and ``truth.json`` write them,
+    and, for an open group, why it stayed open.
 
     Passed pings against prefixes in ``public_prefixes`` never count as
     evidence of a local translator, so a probe whose only successes are
     public services cannot land in the translator-only group.
     """
     public = set(public_prefixes)
-    passed = [p for p, v in pings.items() if v.value is VerdictValue.PASSED]
+    passed = [p for p, v in pings.items() if v["value"] == _PASSED]
     nonpublic_pass = [p for p in passed if p not in public]
-    all_pings_failed = bool(pings) and all(
-        v.value is VerdictValue.FAILED for v in pings.values()
-    )
-    matching_pass = any(
-        p in pings and pings[p].value is VerdictValue.PASSED for p in dns1_prefixes
-    )
+    all_pings_failed = bool(pings) and all(v["value"] == _FAILED for v in pings.values())
+    matching_pass = any(p in pings and pings[p]["value"] == _PASSED for p in dns1_prefixes)
 
-    d1 = dns1.value if dns1 else None
-    d2 = dns2.value if dns2 else None
-    P, F = VerdictValue.PASSED, VerdictValue.FAILED
+    d1 = dns1["value"] if dns1 else None
+    d2 = dns2["value"] if dns2 else None
+    P, F = _PASSED, _FAILED
 
     diagnostic = None
-    if d1 is P and d2 is P and matching_pass:
+    if d1 == P and d2 == P and matching_pass:
         group = DetectionGroup.NAT64_PLUS_DNS64
-    elif (d1 is F or d2 is F) and nonpublic_pass:
+    elif (d1 == F or d2 == F) and nonpublic_pass:
         group = DetectionGroup.NAT64_ONLY
-    elif d1 is P and d2 is F and pings and not passed:
+    elif d1 == P and d2 == F and pings and not passed:
         group = DetectionGroup.DNS64_MISCONFIGURED_ONLY
-    elif d1 is F and d2 is F and all_pings_failed:
+    elif d1 == F and d2 == F and all_pings_failed:
         group = DetectionGroup.NO_NAT64
     else:
         group = DetectionGroup.INCONCLUSIVE
@@ -216,39 +214,19 @@ def assign_group(
         else:
             diagnostic = "mixed signals match no group"
 
-    flags = DetectionFlags(
-        uses_public_resolver=uses_public_resolver,
-        likely_accidental=(
+    # Qualifiers that keep unusual setups out of the wrong bucket.
+    flags = {
+        "uses_public_resolver": uses_public_resolver,
+        "likely_accidental": (
             group is DetectionGroup.NAT64_ONLY
             and not uses_public_resolver
-            and d1 is not P
-            and d2 is not P
+            and d1 != P
+            and d2 != P
         ),
-        rfc8880_style=(group is DetectionGroup.NAT64_ONLY and d1 is P and d2 is F),
-        public_nat64_only=bool(passed) and not nonpublic_pass,
-    )
+        "rfc8880_style": group is DetectionGroup.NAT64_ONLY and d1 == P and d2 == F,
+        "public_nat64_only": bool(passed) and not nonpublic_pass,
+    }
     return group, flags, diagnostic
-
-
-class ProbeDetection(NamedTuple):
-    """Everything the detector concluded about one probe."""
-
-    probe_id: str
-    dns1: Optional[Verdict]
-    dns2: Optional[Verdict]
-    pings: "dict[Nat64Prefix, Verdict]"
-    dns1_prefixes: Tuple[Nat64Prefix, ...]
-    group: DetectionGroup
-    flags: DetectionFlags
-    diagnostic: Optional[str] = None
-
-
-class DetectionReport(NamedTuple):
-    """Per-probe conclusions plus the aggregate bookkeeping tables."""
-
-    probes: "dict[str, ProbeDetection]"
-    test_table: "dict[TestKind, dict[VerdictValue, int]]"
-    group_counts: "dict[DetectionGroup, int]"
 
 
 def detect_dataset(
@@ -256,18 +234,27 @@ def detect_dataset(
     *,
     public_prefixes: Collection[Nat64Prefix] = (),
     public_resolvers: Collection[IPAddress] = (),
-) -> DetectionReport:
-    """Aggregate every probe's recorded runs and assign groups."""
+) -> dict:
+    """Aggregate every probe's recorded runs and assign groups.
+
+    Returns the ``detection.json`` document. ``probes`` maps each probe to
+    its ``group``, ``flags``, ``dns1`` and ``dns2`` verdicts, ``pings``
+    (verdicts keyed by prefix text), the ``dns1_prefixes`` a passing DNS
+    test 1 revealed, and a ``diagnostic`` for an open group.
+    ``group_counts`` counts probes per group, and ``test_table`` counts,
+    per test, the probes whose verdict passed, failed or stayed
+    inconclusive.
+    """
     public_resolver_set = set(public_resolvers)
+    public_texts = {str(p) for p in public_prefixes}
     runs_by_probe: Dict[str, List[TestRun]] = {pid: [] for pid in dataset.probes}
     for run in dataset.runs:
         runs_by_probe.setdefault(run.probe_id, []).append(run)
 
-    probes: Dict[str, ProbeDetection] = {}
-    test_table: Dict[TestKind, Dict[VerdictValue, int]] = {
-        kind: {value: 0 for value in VerdictValue} for kind in TestKind
-    }
-    group_counts: Dict[DetectionGroup, int] = {group: 0 for group in DetectionGroup}
+    probes: Dict[str, dict] = {}
+    test_table = {kind.value: {value.value: 0 for value in VerdictValue} for kind in TestKind}
+    group_counts = {group.value: 0 for group in DetectionGroup}
+    dns1_row, dns2_row, std_row, custom_row = test_table.values()  # in TestKind order
 
     for probe_id, record in dataset.probes.items():
         runs = runs_by_probe.get(probe_id, [])
@@ -285,19 +272,20 @@ def detect_dataset(
 
         dns1 = aggregate(dns1_runs) if dns1_runs else None
         dns2 = aggregate(dns2_runs) if dns2_runs else None
-        pings = {
-            prefix: aggregate(per_prefix)
-            for prefix, per_prefix in sorted(ping_runs.items(), key=lambda kv: str(kv[0]))
-        }
-        dns1_prefixes = tuple(
-            sorted(
-                {
-                    r.observed_prefix
-                    for r in dns1_runs
-                    if r.raw_outcome is RawOutcome.PASS and r.observed_prefix
-                },
-                key=str,
-            )
+        pings = {}
+        custom = set()  # the verdict values of the operator prefixes
+        for prefix in sorted(ping_runs, key=str):
+            verdict = pings[str(prefix)] = aggregate(ping_runs[prefix])
+            if prefix.kind is PrefixKind.STANDARD:
+                std_row[verdict["value"]] += 1
+            else:
+                custom.add(verdict["value"])
+        dns1_prefixes = sorted(
+            {
+                str(r.observed_prefix)
+                for r in dns1_runs
+                if r.raw_outcome is RawOutcome.PASS and r.observed_prefix
+            }
         )
         uses_public_resolver = any(r in public_resolver_set for r in record.resolvers) or any(
             r.resolver_used in public_resolver_set
@@ -310,31 +298,31 @@ def detect_dataset(
             dns2,
             pings,
             dns1_prefixes,
-            public_prefixes=public_prefixes,
+            public_prefixes=public_texts,
             uses_public_resolver=uses_public_resolver,
         )
-        probes[probe_id] = ProbeDetection(
-            probe_id, dns1, dns2, pings, dns1_prefixes, group, flags, diagnostic
-        )
-        group_counts[group] += 1
+        probes[probe_id] = {
+            "group": group.value,
+            "flags": flags,
+            "dns1": dns1,
+            "dns2": dns2,
+            "pings": pings,
+            "dns1_prefixes": dns1_prefixes,
+            "diagnostic": diagnostic,
+        }
+        group_counts[group.value] += 1
         if dns1:
-            test_table[TestKind.DNS_TEST1][dns1.value] += 1
+            dns1_row[dns1["value"]] += 1
         if dns2:
-            test_table[TestKind.DNS_TEST2][dns2.value] += 1
-        std_verdicts = [v for p, v in pings.items() if p.kind is PrefixKind.STANDARD]
-        for verdict in std_verdicts:
-            test_table[TestKind.STD_PREFIX_PING][verdict.value] += 1
-        custom_verdicts = [v for p, v in pings.items() if p.kind is PrefixKind.CUSTOM]
-        if custom_verdicts:
-            # One row per probe: passed if any prefix passed, failed if all
-            # failed, otherwise inconclusive.
-            values = {v.value for v in custom_verdicts}
-            if VerdictValue.PASSED in values:
-                bucket = VerdictValue.PASSED
-            elif values == {VerdictValue.FAILED}:
-                bucket = VerdictValue.FAILED
+            dns2_row[dns2["value"]] += 1
+        if custom:
+            # One count per probe: passed if any operator prefix passed,
+            # failed if all failed, otherwise inconclusive.
+            if _PASSED in custom:
+                custom_row[_PASSED] += 1
+            elif custom == {_FAILED}:
+                custom_row[_FAILED] += 1
             else:
-                bucket = VerdictValue.INCONCLUSIVE
-            test_table[TestKind.CUSTOM_PREFIX_PING][bucket] += 1
+                custom_row[_INCONCLUSIVE] += 1
 
-    return DetectionReport(probes=probes, test_table=test_table, group_counts=group_counts)
+    return {"probes": probes, "group_counts": group_counts, "test_table": test_table}

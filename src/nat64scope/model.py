@@ -124,13 +124,6 @@ class VerdictValue(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class Verdict(NamedTuple):
-    """Aggregated outcome of repeated runs of one test."""
-
-    value: VerdictValue
-    supporting_runs: int
-
-
 class ProbeRecord(NamedTuple):
     """A measurement vantage point and its static attributes."""
 

@@ -19,7 +19,7 @@ from .. import catalogs
 from ..acquire.dataset import Dataset
 from ..acquire.ip2as import Ip2AsTable
 from ..addrsynth import synthesize
-from ..detector import DetectionFlags, DetectionGroup, eval_ping_test
+from ..detector import DetectionGroup, eval_ping_test
 from ..model import (
     Hop,
     IPAddress,
@@ -209,7 +209,7 @@ def _build_plans(scenario: Scenario, publics: Tuple[Nat64Prefix, ...],
     return plans
 
 
-def _truth_for(plan: _Plan, publics: Set[Nat64Prefix]) -> Tuple[DetectionGroup, DetectionFlags]:
+def _truth_for(plan: _Plan, publics: Set[Nat64Prefix]) -> Tuple[DetectionGroup, Dict[str, bool]]:
     cohort = plan.cohort
     working = cohort.nat == "working"
     passing = plan.served if working else frozenset()
@@ -229,19 +229,19 @@ def _truth_for(plan: _Plan, publics: Set[Nat64Prefix]) -> Tuple[DetectionGroup, 
         group = DetectionGroup.INCONCLUSIVE
 
     uses_public = cohort.resolver == "public"
-    flags = DetectionFlags(
-        uses_public_resolver=uses_public,
-        likely_accidental=(
+    flags = {
+        "uses_public_resolver": uses_public,
+        "likely_accidental": (
             group is DetectionGroup.NAT64_ONLY
             and not uses_public
             and not plan.d1_pass
             and not plan.d2_pass
         ),
-        rfc8880_style=(
+        "rfc8880_style": (
             group is DetectionGroup.NAT64_ONLY and plan.d1_pass and not plan.d2_pass
         ),
-        public_nat64_only=bool(passing) and not nonpublic_pass and public_pass,
-    )
+        "public_nat64_only": bool(passing) and not nonpublic_pass and public_pass,
+    }
     return group, flags
 
 
@@ -439,7 +439,7 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
         group, flags = _truth_for(plan, publics_set)
         truth_probes[plan.probe_id] = {
             "group": group.value,
-            "flags": flags._asdict(),
+            "flags": flags,
             "nat_location": _truth_location(plan),
             "home": plan.cohort.location == "home",
             "cell": plan.cohort.cell,

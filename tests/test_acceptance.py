@@ -33,8 +33,6 @@ from nat64scope.model import (
     ALLOWED_PREFIX_LENGTHS,
     Nat64Prefix,
     STANDARD_PREFIX,
-    Verdict,
-    VerdictValue,
 )
 from nat64scope.pathlab import (
     CorrelationError,
@@ -154,7 +152,8 @@ def test_criterion_02_prefix_discovery():
 
 
 def test_criterion_03_decision_table():
-    P, F, I = VerdictValue.PASSED, VerdictValue.FAILED, VerdictValue.INCONCLUSIVE
+    # Verdicts and prefixes as detection.json writes them.
+    P, F, I = "passed", "failed", "inconclusive"
     PLUS = DetectionGroup.NAT64_PLUS_DNS64
     ONLY = DetectionGroup.NAT64_ONLY
     MIS = DetectionGroup.DNS64_MISCONFIGURED_ONLY
@@ -173,14 +172,17 @@ def test_criterion_03_decision_table():
     }
     assert len(expected) == 3 * 3 * 2
 
-    prefix = Nat64Prefix.from_cidr("2001:db8:64::/96")
-    public = Nat64Prefix.from_cidr("2001:db8:6464::/96")
+    def verdict(value):
+        return {"value": value, "supporting_runs": 2}
+
+    prefix = "2001:db8:64::/96"
+    public = "2001:db8:6464::/96"
     start = time.perf_counter()
     for (d1, d2, ping_passed), want in expected.items():
         group, _, _ = assign_group(
-            Verdict(d1, 2),
-            Verdict(d2, 2),
-            {prefix: Verdict(P if ping_passed else F, 2)},
+            verdict(d1),
+            verdict(d2),
+            {prefix: verdict(P if ping_passed else F)},
             dns1_prefixes=(prefix,) if d1 is P else (),
             public_prefixes=(),
             uses_public_resolver=False,
@@ -191,15 +193,15 @@ def test_criterion_03_decision_table():
     for d1 in (P, F, I):
         for d2 in (P, F, I):
             group, flags, _ = assign_group(
-                Verdict(d1, 2),
-                Verdict(d2, 2),
-                {public: Verdict(P, 2)},
+                verdict(d1),
+                verdict(d2),
+                {public: verdict(P)},
                 dns1_prefixes=(),
                 public_prefixes=(public,),
                 uses_public_resolver=False,
             )
             assert group is not ONLY, (d1, d2)
-            assert flags.public_nat64_only
+            assert flags["public_nat64_only"]
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -239,15 +241,15 @@ def test_criterion_04_ground_truth_recovery():
         )
         truth = sim.truth["probes"]
         for probe_id, planted in truth.items():
-            got = detection.probes[probe_id]
-            assert got.group.value == planted["group"], (seed, probe_id)
-            assert got.flags._asdict() == planted["flags"], (seed, probe_id)
+            got = detection["probes"][probe_id]
+            assert got["group"] == planted["group"], (seed, probe_id)
+            assert got["flags"] == planted["flags"], (seed, probe_id)
             checked += 1
 
         evidence = detect_isp_dns64(
             group_runs_by_as(sim.dataset.runs, sim.dataset.probes), sim.dataset.probes
         )
-        found = {asn for asn, ev in evidence.items() if ev.is_isp_dns64}
+        found = {int(asn) for asn, ev in evidence.items() if ev["is_isp_dns64"]}
         assert sorted(found) == sim.truth["isp_dns64_ases"], seed
 
         located = _recoverable_locations(sim)
@@ -277,8 +279,8 @@ def test_criterion_05_statistics_oracle():
             public_resolvers=catalogs.load_public_resolvers(),
         )
         groupings = {}
-        for pid, det in sorted(detection.probes.items()):
-            groupings.setdefault(det.group.value, []).append(pid)
+        for pid, det in sorted(detection["probes"].items()):
+            groupings.setdefault(det["group"], []).append(pid)
         pairs, _ = pair_paths(sim.dataset.paths)
         kept, _ = filter_pairs(pairs)
         stats = aggregate_report(kept, groupings=groupings)

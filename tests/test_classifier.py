@@ -8,7 +8,6 @@ import pytest
 from nat64scope.catalogs import load_as_categories
 from nat64scope.classifier import (
     ASCategory,
-    IspDns64Evidence,
     LOCAL_NAT_RTT_MS,
     ProbeCategory,
     as_category,
@@ -18,7 +17,7 @@ from nat64scope.classifier import (
     detect_local_nat64,
     group_runs_by_as,
 )
-from nat64scope.detector import DetectionFlags, DetectionGroup
+from nat64scope.detector import DetectionGroup
 from nat64scope.model import (
     Hop,
     Nat64Prefix,
@@ -58,9 +57,14 @@ class TestIspDns64:
         }
         runs = {64500: [dns_pass("p1"), dns_pass("p2")]}
         evidence = detect_isp_dns64(runs, probes)
-        assert evidence[64500].is_isp_dns64
-        assert evidence[64500].resolver == RESOLVER
-        assert evidence[64500].witnesses == ("p1", "p2")
+        assert evidence == {
+            "64500": {
+                "is_isp_dns64": True,
+                "resolver": "2001:db8:53::1",
+                "witnesses": ["p1", "p2"],
+                "multiple_similar_prefixes": False,
+            }
+        }
 
     def test_same_network_is_not_evidence(self):
         probes = {
@@ -68,12 +72,12 @@ class TestIspDns64:
             "p2": probe("p2", net="2001:db8:1::/48"),
         }
         runs = {64500: [dns_pass("p1"), dns_pass("p2")]}
-        assert not detect_isp_dns64(runs, probes)[64500].is_isp_dns64
+        assert not detect_isp_dns64(runs, probes)["64500"]["is_isp_dns64"]
 
     def test_unknown_network_never_counts(self):
         probes = {"p1": probe("p1", net="2001:db8:1::/48"), "p2": probe("p2")}
         runs = {64500: [dns_pass("p1"), dns_pass("p2")]}
-        assert not detect_isp_dns64(runs, probes)[64500].is_isp_dns64
+        assert not detect_isp_dns64(runs, probes)["64500"]["is_isp_dns64"]
 
     def test_different_resolvers_never_combine(self):
         probes = {
@@ -81,12 +85,12 @@ class TestIspDns64:
             "p2": probe("p2", net="2001:db8:2::/48"),
         }
         runs = {64500: [dns_pass("p1"), dns_pass("p2", resolver=OTHER_RESOLVER)]}
-        assert not detect_isp_dns64(runs, probes)[64500].is_isp_dns64
+        assert not detect_isp_dns64(runs, probes)["64500"]["is_isp_dns64"]
 
     def test_single_probe_is_not_evidence(self):
         probes = {"p1": probe("p1", net="2001:db8:1::/48")}
         runs = {64500: [dns_pass("p1"), dns_pass("p1", kind=TestKind.DNS_TEST2)]}
-        assert not detect_isp_dns64(runs, probes)[64500].is_isp_dns64
+        assert not detect_isp_dns64(runs, probes)["64500"]["is_isp_dns64"]
 
     def test_failed_runs_ignored(self):
         probes = {
@@ -95,7 +99,7 @@ class TestIspDns64:
         }
         failed = TestRun("p2", TestKind.DNS_TEST1, 1700000000, RawOutcome.FAIL)
         runs = {64500: [dns_pass("p1"), failed]}
-        assert not detect_isp_dns64(runs, probes)[64500].is_isp_dns64
+        assert not detect_isp_dns64(runs, probes)["64500"]["is_isp_dns64"]
 
     def test_first_qualifying_resolver_by_sort_order(self):
         probes = {
@@ -109,8 +113,8 @@ class TestIspDns64:
                 dns_pass("p2"),
             ]
         }
-        got = detect_isp_dns64(runs, probes)[64500]
-        assert got.resolver == RESOLVER  # ::1 sorts before ::2
+        got = detect_isp_dns64(runs, probes)["64500"]
+        assert got["resolver"] == str(RESOLVER)  # ::1 sorts before ::2
 
     def test_similar_prefixes_flagged(self):
         probes = {
@@ -121,8 +125,8 @@ class TestIspDns64:
         a = Nat64Prefix.from_cidr("2001:db8:64:1::/96")
         b = Nat64Prefix.from_cidr("2001:db8:64:2::/96")
         runs = {64500: [dns_pass("p1", prefix=a), dns_pass("p2", prefix=b)]}
-        got = detect_isp_dns64(runs, probes)[64500]
-        assert got.multiple_similar_prefixes
+        got = detect_isp_dns64(runs, probes)["64500"]
+        assert got["multiple_similar_prefixes"]
 
     def test_distinct_stems_not_flagged(self):
         probes = {
@@ -132,15 +136,16 @@ class TestIspDns64:
         a = Nat64Prefix.from_cidr("2001:db8:64::/96")
         b = Nat64Prefix.from_cidr("2001:db9:64::/96")
         runs = {64500: [dns_pass("p1", prefix=a), dns_pass("p2", prefix=b)]}
-        assert not detect_isp_dns64(runs, probes)[64500].multiple_similar_prefixes
+        assert not detect_isp_dns64(runs, probes)["64500"]["multiple_similar_prefixes"]
 
     def test_ases_reported_in_order(self):
         probes = {
             "p1": probe("p1", asn=64501, net="2001:db8:1::/48"),
             "p2": probe("p2", asn=64500, net="2001:db8:2::/48"),
+            "p3": probe("p3", asn=9, net="2001:db8:3::/48"),
         }
-        runs = {64501: [dns_pass("p1")], 64500: [dns_pass("p2")]}
-        assert list(detect_isp_dns64(runs, probes)) == [64500, 64501]
+        runs = {64501: [dns_pass("p1")], 64500: [dns_pass("p2")], 9: [dns_pass("p3")]}
+        assert list(detect_isp_dns64(runs, probes)) == ["9", "64500", "64501"]
 
 
 class TestGroupRunsByAs:
@@ -189,7 +194,12 @@ class TestLocalNat:
         assert detect_local_nat64([]) is None
 
 
-NO_FLAGS = DetectionFlags(False, False, False, False)
+#: Groups and evidence as detection.json and classification.json write them.
+PLUS = DetectionGroup.NAT64_PLUS_DNS64.value
+EVIDENCE = {
+    "is_isp_dns64": True, "resolver": str(RESOLVER), "witnesses": ["p1", "p2"],
+    "multiple_similar_prefixes": False,
+}
 
 
 class TestCategorize:
@@ -199,96 +209,73 @@ class TestCategorize:
             DetectionGroup.DNS64_MISCONFIGURED_ONLY,
             DetectionGroup.INCONCLUSIVE,
         ):
-            assert categorize_probe(group, NO_FLAGS) == frozenset()
+            assert categorize_probe(group.value) == frozenset()
 
     def test_isp_dns64_requires_using_the_resolver(self):
-        evidence = IspDns64Evidence(64500, True, RESOLVER, ("p1", "p2"))
-        got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS,
-            evidence=evidence, resolvers_used=[RESOLVER],
-        )
+        got = categorize_probe(PLUS, evidence=EVIDENCE, resolvers_used=[RESOLVER])
         assert ProbeCategory.ISP_DNS64 in got
         assert ProbeCategory.AS_WITH_DNS64 in got
 
     def test_as_evidence_without_using_it(self):
-        evidence = IspDns64Evidence(64500, True, RESOLVER, ("p2", "p3"))
-        got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS,
-            evidence=evidence, resolvers_used=[OTHER_RESOLVER],
-        )
+        got = categorize_probe(PLUS, evidence=EVIDENCE, resolvers_used=[OTHER_RESOLVER])
         assert ProbeCategory.AS_WITH_DNS64 in got
         assert ProbeCategory.ISP_DNS64 not in got
 
     def test_negative_evidence_adds_nothing(self):
-        evidence = IspDns64Evidence(64500, False, None, ())
-        got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS,
-            evidence=evidence, resolvers_used=[RESOLVER],
-        )
+        evidence = {
+            "is_isp_dns64": False, "resolver": None, "witnesses": [],
+            "multiple_similar_prefixes": False,
+        }
+        got = categorize_probe(PLUS, evidence=evidence, resolvers_used=[RESOLVER])
         assert got == frozenset({ProbeCategory.UNKNOWN})
 
     def test_public_resolver_only(self):
-        got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS,
-            resolvers_used=[PUBLIC], public_resolvers=[PUBLIC],
-        )
+        got = categorize_probe(PLUS, resolvers_used=[PUBLIC], public_resolvers=[PUBLIC])
         assert got == frozenset({ProbeCategory.PUBLIC_RESOLVER_ONLY})
 
     def test_mixed_resolvers_not_public_only(self):
         got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS,
-            resolvers_used=[PUBLIC, RESOLVER], public_resolvers=[PUBLIC],
+            PLUS, resolvers_used=[PUBLIC, RESOLVER], public_resolvers=[PUBLIC],
         )
         assert ProbeCategory.PUBLIC_RESOLVER_ONLY not in got
 
     def test_public_service(self):
-        flag = DetectionFlags(False, False, False, True)
-        got = categorize_probe(DetectionGroup.NAT64_PLUS_DNS64, flag)
+        got = categorize_probe(PLUS, public_nat64_only=True)
         assert ProbeCategory.PUBLIC_SERVICE in got
 
     def test_remote_nat(self):
-        got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS,
-            nat_location=NatLocation.REMOTE,
-        )
+        got = categorize_probe(PLUS, nat_location=NatLocation.REMOTE)
         assert got == frozenset({ProbeCategory.REMOTE_NAT64})
         for local in (NatLocation.ALL_EQUAL, NatLocation.NAT_IN_V6_AS):
-            got = categorize_probe(
-                DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS, nat_location=local,
-            )
+            got = categorize_probe(PLUS, nat_location=local)
             assert ProbeCategory.REMOTE_NAT64 not in got
 
     def test_ping_without_nat_hop(self):
         got = categorize_probe(
-            DetectionGroup.NAT64_ONLY, NO_FLAGS,
+            DetectionGroup.NAT64_ONLY.value,
             ping_passed=True, has_nat_hop=False,
         )
         assert ProbeCategory.NO_TRACEROUTE_THROUGH_NAT in got
         got = categorize_probe(
-            DetectionGroup.NAT64_ONLY, NO_FLAGS,
+            DetectionGroup.NAT64_ONLY.value,
             ping_passed=True, has_nat_hop=True,
         )
         assert ProbeCategory.NO_TRACEROUTE_THROUGH_NAT not in got
 
     def test_home_is_annotation_driven(self):
-        got = categorize_probe(
-            DetectionGroup.NAT64_ONLY, NO_FLAGS, home_annotation=True,
-        )
+        got = categorize_probe(DetectionGroup.NAT64_ONLY.value, home_annotation=True)
         assert ProbeCategory.HOME_SETUP in got
 
     def test_unknown_only_when_empty(self):
-        got = categorize_probe(DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS)
+        got = categorize_probe(PLUS)
         assert got == frozenset({ProbeCategory.UNKNOWN})
-        got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, NO_FLAGS, home_annotation=True,
-        )
+        got = categorize_probe(PLUS, home_annotation=True)
         assert ProbeCategory.UNKNOWN not in got
 
     def test_buckets_overlap(self):
-        evidence = IspDns64Evidence(64500, True, RESOLVER, ("p1", "p2"))
         got = categorize_probe(
-            DetectionGroup.NAT64_PLUS_DNS64, DetectionFlags(public_nat64_only=True),
-            evidence=evidence, resolvers_used=[RESOLVER],
+            PLUS, public_nat64_only=True,
+            evidence=EVIDENCE, resolvers_used=[RESOLVER],
             nat_location=NatLocation.REMOTE,
         )
         assert got >= {

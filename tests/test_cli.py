@@ -24,7 +24,7 @@ from nat64scope.acquire.dataset import Dataset, load_dataset, write_dataset
 from nat64scope.acquire.dnswire import DnsResponse, DnsStatus, answer_for
 from nat64scope.addrsynth import synthesize
 from nat64scope.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_OK, load_config, main
-from nat64scope.detector import DNS1_NAME, STD_PING_TARGET_V4
+from nat64scope.detector import DNS1_NAME, STD_PING_TARGET_V4, detect_dataset
 from nat64scope.model import (
     Hop,
     Nat64Prefix,
@@ -33,6 +33,7 @@ from nat64scope.model import (
     RawOutcome,
     STANDARD_PREFIX,
     TestKind,
+    TestRun,
     TraceroutePath,
 )
 from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
@@ -351,6 +352,17 @@ class TestDetect:
         groups = dict(read_csv(out / "groups.csv")[1:])
         assert groups["nat64_plus_dns64"] == "19"
 
+    def test_detection_json_is_what_detect_dataset_returns(self, tmp_path):
+        world = simulate(tmp_path)
+        out = tmp_path / "det"
+        assert run("detect", "--from-dataset", str(world / "dataset.ndjson"), "--out", str(out)) == EXIT_OK
+        report = detect_dataset(
+            load_dataset(str(world / "dataset.ndjson")),
+            public_prefixes=catalogs.load_public_prefixes(),
+            public_resolvers=catalogs.load_public_resolvers(),
+        )
+        assert report == read_json(out / "detection.json")
+
     def test_empty_dataset_is_fine(self, tmp_path):
         empty = tmp_path / "empty.ndjson"
         buf = io.StringIO()
@@ -413,6 +425,32 @@ class TestClassify:
 
     def test_requires_dataset(self, tmp_path):
         assert run("classify", "--out", str(tmp_path / "x")) == EXIT_CONFIG
+
+    def test_evidence_keys_in_text_order_and_rows_in_numeric_order(self, tmp_path):
+        # Under sort_keys, json orders int keys as numbers: the evidence
+        # object must stay keyed by text for its order to hold.
+        resolver = ipaddress.IPv6Address("2001:db8:53::1")
+        ds = Dataset()
+        for asn in (64500, 10, 9):
+            for n in (1, 2):
+                pid = f"as{asn}-{n}"
+                network = ipaddress.IPv6Network(f"2001:db8:{asn:x}:{n}::/64")
+                ds.probes[pid] = ProbeRecord(
+                    pid, asn, asn, resolvers=(resolver,), network_prefix_v6=network
+                )
+                ds.runs.append(
+                    TestRun(pid, TestKind.DNS_TEST1, 0, RawOutcome.PASS,
+                            observed_prefix=STANDARD_PREFIX, resolver_used=resolver)
+                )
+        dataset = tmp_path / "ases.ndjson"
+        write_file(ds, dataset)
+        out = tmp_path / "cls"
+        assert run("classify", "--from-dataset", str(dataset), "--out", str(out)) == EXIT_OK
+        evidence = read_json(out / "classification.json")["evidence"]
+        assert list(evidence) == ["10", "64500", "9"]
+        assert all(ev["is_isp_dns64"] for ev in evidence.values())
+        rows = read_csv(out / "evidence.csv")[1:]
+        assert [row[0] for row in rows] == ["9", "10", "64500"]
 
     def test_probe_without_ipv4_as_is_not_located(self, tmp_path):
         # A null AS number is valid; the translator's location then stays

@@ -8,7 +8,6 @@ from nat64scope.detector import (
     DNS1_KNOWN_V4,
     DNS1_NAME,
     DEFAULT_DNS2_KNOWN_A,
-    DetectionFlags,
     DetectionGroup,
     aggregate,
     assign_group,
@@ -25,7 +24,6 @@ from nat64scope.model import (
     STANDARD_PREFIX,
     TestKind,
     TestRun,
-    Verdict,
     VerdictValue,
 )
 from nat64scope.acquire.dataset import Dataset
@@ -37,6 +35,8 @@ V6 = ipaddress.IPv6Address
 RESOLVER = V6("2001:db8:1::53")
 CUSTOM = Nat64Prefix.from_cidr("2001:db8:64::/96")
 PUBLIC = Nat64Prefix.from_cidr("2001:db8:4646::/96")
+# assign_group names prefixes by their text.
+STD_TEXT, CUSTOM_TEXT, PUBLIC_TEXT = str(STANDARD_PREFIX), str(CUSTOM), str(PUBLIC)
 
 
 def dns64_response(qname, prefix, embedded, resolver=RESOLVER):
@@ -126,15 +126,15 @@ class TestAggregate:
 
     def test_all_pass(self):
         v = aggregate([self.run(RawOutcome.PASS)] * 3)
-        assert v == Verdict(VerdictValue.PASSED, 3)
+        assert v == {"value": "passed", "supporting_runs": 3}
 
     def test_all_fail(self):
         v = aggregate([self.run(RawOutcome.FAIL)] * 2)
-        assert v == Verdict(VerdictValue.FAILED, 2)
+        assert v == {"value": "failed", "supporting_runs": 2}
 
     def test_mixed(self):
         v = aggregate([self.run(RawOutcome.PASS), self.run(RawOutcome.FAIL)])
-        assert v == Verdict(VerdictValue.INCONCLUSIVE, 2)
+        assert v == {"value": "inconclusive", "supporting_runs": 2}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ class TestAggregate:
 
 
 def verdict(value):
-    return Verdict(value, 3) if value else None
+    return {"value": value.value, "supporting_runs": 3} if value else None
 
 
 P, F, I = VerdictValue.PASSED, VerdictValue.FAILED, VerdictValue.INCONCLUSIVE
@@ -177,8 +177,8 @@ class TestAssignGroup:
         group, flags, _ = assign_group(
             verdict(d1),
             verdict(d2),
-            {STANDARD_PREFIX: verdict(ping)},
-            dns1_prefixes=(STANDARD_PREFIX,) if d1 is P else (),
+            {STD_TEXT: verdict(ping)},
+            dns1_prefixes=(STD_TEXT,) if d1 is P else (),
         )
         assert group is DECISION_TABLE[(d1, d2, ping)]
 
@@ -188,47 +188,47 @@ class TestAssignGroup:
 
     def test_rfc8880_style_flag(self):
         group, flags, _ = assign_group(
-            verdict(P), verdict(F), {STANDARD_PREFIX: verdict(P)},
-            dns1_prefixes=(STANDARD_PREFIX,),
+            verdict(P), verdict(F), {STD_TEXT: verdict(P)},
+            dns1_prefixes=(STD_TEXT,),
         )
         assert group is DetectionGroup.NAT64_ONLY
-        assert flags.rfc8880_style
+        assert flags["rfc8880_style"]
 
     def test_public_only_pass_never_nat64_only(self):
         group, flags, diag = assign_group(
-            verdict(F), verdict(F), {PUBLIC: verdict(P)},
-            public_prefixes=[PUBLIC],
+            verdict(F), verdict(F), {PUBLIC_TEXT: verdict(P)},
+            public_prefixes=[PUBLIC_TEXT],
         )
         assert group is DetectionGroup.INCONCLUSIVE
-        assert flags.public_nat64_only
+        assert flags["public_nat64_only"]
         assert "public" in diag
 
     def test_public_pass_plus_private_pass_is_nat64_only(self):
         group, flags, _ = assign_group(
             verdict(F), verdict(F),
-            {PUBLIC: verdict(P), CUSTOM: verdict(P)},
-            public_prefixes=[PUBLIC],
+            {PUBLIC_TEXT: verdict(P), CUSTOM_TEXT: verdict(P)},
+            public_prefixes=[PUBLIC_TEXT],
         )
         assert group is DetectionGroup.NAT64_ONLY
-        assert not flags.public_nat64_only
+        assert not flags["public_nat64_only"]
 
     def test_public_service_dns64_still_full_group(self):
         # DNS64 observing a public prefix whose ping works: full setup,
         # via a public service.
         group, flags, _ = assign_group(
-            verdict(P), verdict(P), {PUBLIC: verdict(P)},
-            dns1_prefixes=(PUBLIC,), public_prefixes=[PUBLIC],
+            verdict(P), verdict(P), {PUBLIC_TEXT: verdict(P)},
+            dns1_prefixes=(PUBLIC_TEXT,), public_prefixes=[PUBLIC_TEXT],
         )
         assert group is DetectionGroup.NAT64_PLUS_DNS64
-        assert flags.public_nat64_only
+        assert flags["public_nat64_only"]
 
     def test_matching_ping_must_match_dns1_prefix(self):
         # DNS tests pass under the custom prefix but only the standard
         # prefix answers pings: not a working full setup.
         group, _, _ = assign_group(
             verdict(P), verdict(P),
-            {STANDARD_PREFIX: verdict(P), CUSTOM: verdict(F)},
-            dns1_prefixes=(CUSTOM,),
+            {STD_TEXT: verdict(P), CUSTOM_TEXT: verdict(F)},
+            dns1_prefixes=(CUSTOM_TEXT,),
         )
         assert group is not DetectionGroup.NAT64_PLUS_DNS64
 
@@ -239,25 +239,25 @@ class TestAssignGroup:
 
     def test_likely_accidental(self):
         group, flags, _ = assign_group(
-            verdict(F), verdict(F), {STANDARD_PREFIX: verdict(P)},
+            verdict(F), verdict(F), {STD_TEXT: verdict(P)},
         )
         assert group is DetectionGroup.NAT64_ONLY
-        assert flags.likely_accidental
+        assert flags["likely_accidental"]
 
     def test_not_accidental_when_dns_passed(self):
         group, flags, _ = assign_group(
-            verdict(P), verdict(F), {STANDARD_PREFIX: verdict(P)},
-            dns1_prefixes=(STANDARD_PREFIX,),
+            verdict(P), verdict(F), {STD_TEXT: verdict(P)},
+            dns1_prefixes=(STD_TEXT,),
         )
-        assert flags.rfc8880_style and not flags.likely_accidental
+        assert flags["rfc8880_style"] and not flags["likely_accidental"]
 
     def test_not_accidental_with_public_resolver(self):
         group, flags, _ = assign_group(
-            verdict(F), verdict(F), {STANDARD_PREFIX: verdict(P)},
+            verdict(F), verdict(F), {STD_TEXT: verdict(P)},
             uses_public_resolver=True,
         )
         assert group is DetectionGroup.NAT64_ONLY
-        assert flags.uses_public_resolver and not flags.likely_accidental
+        assert flags["uses_public_resolver"] and not flags["likely_accidental"]
 
 
 class TestDetectDataset:
@@ -288,15 +288,75 @@ class TestDetectDataset:
 
     def test_groups_and_tables(self):
         report = detect_dataset(self.build())
-        assert report.probes["good"].group is DetectionGroup.NAT64_PLUS_DNS64
-        assert report.probes["none"].group is DetectionGroup.NO_NAT64
-        assert report.group_counts[DetectionGroup.NAT64_PLUS_DNS64] == 1
-        assert report.group_counts[DetectionGroup.NO_NAT64] == 1
-        table = report.test_table
-        assert table[TestKind.DNS_TEST1][VerdictValue.PASSED] == 1
-        assert table[TestKind.DNS_TEST1][VerdictValue.FAILED] == 1
-        assert table[TestKind.STD_PREFIX_PING][VerdictValue.PASSED] == 1
-        assert table[TestKind.STD_PREFIX_PING][VerdictValue.FAILED] == 1
+        passed3 = {"value": "passed", "supporting_runs": 3}
+        assert report["probes"]["good"] == {
+            "group": "nat64_plus_dns64",
+            "flags": {
+                "uses_public_resolver": False,
+                "likely_accidental": False,
+                "rfc8880_style": False,
+                "public_nat64_only": False,
+            },
+            "dns1": passed3,
+            "dns2": passed3,
+            "pings": {"64:ff9b::/96": passed3},
+            "dns1_prefixes": ["64:ff9b::/96"],
+            "diagnostic": None,
+        }
+        assert report["probes"]["none"]["group"] == "no_nat64"
+        assert report["group_counts"] == {
+            "nat64_plus_dns64": 1,
+            "nat64_only": 0,
+            "dns64_misconfigured_only": 0,
+            "no_nat64": 1,
+            "inconclusive": 0,
+        }
+        table = report["test_table"]
+        assert table["dns_test1"]["passed"] == 1
+        assert table["dns_test1"]["failed"] == 1
+        assert table["std_prefix_ping"]["passed"] == 1
+        assert table["std_prefix_ping"]["failed"] == 1
+
+    def test_custom_prefix_row_counts_each_probe_once(self):
+        # The row counts a probe passed if any operator prefix passed,
+        # failed if all failed, and inconclusive otherwise.
+        other = Nat64Prefix.from_cidr("2001:db8:65::/96")
+        pass_, fail = RawOutcome.PASS, RawOutcome.FAIL
+        outcomes = {
+            "one_passed": {CUSTOM: (pass_, pass_), other: (fail, fail)},
+            "all_failed": {CUSTOM: (fail, fail), other: (fail, fail)},
+            "none_passed": {CUSTOM: (fail, fail), other: (pass_, fail)},
+        }
+        ds = Dataset()
+        for pid, by_prefix in outcomes.items():
+            ds.probes[pid] = ProbeRecord(pid, 65001, 65001)
+            for prefix, runs in by_prefix.items():
+                for ts, outcome in enumerate(runs):
+                    ds.runs.append(
+                        TestRun(pid, TestKind.CUSTOM_PREFIX_PING, ts, outcome,
+                                observed_prefix=prefix)
+                    )
+        # One more probe: an inconclusive DNS test 1, a failed DNS test 2
+        # and a passed echo through the well-known prefix.
+        ds.probes["mixed_dns"] = ProbeRecord("mixed_dns", 65002, 65002)
+        ds.runs += [
+            TestRun("mixed_dns", TestKind.DNS_TEST1, 0, pass_, observed_prefix=STANDARD_PREFIX),
+            TestRun("mixed_dns", TestKind.DNS_TEST1, 1, fail),
+            TestRun("mixed_dns", TestKind.DNS_TEST2, 0, fail),
+            TestRun("mixed_dns", TestKind.STD_PREFIX_PING, 0, pass_,
+                    observed_prefix=STANDARD_PREFIX),
+        ]
+        report = detect_dataset(ds)
+        assert report["test_table"] == {
+            "dns_test1": {"passed": 0, "failed": 0, "inconclusive": 1},
+            "dns_test2": {"passed": 0, "failed": 1, "inconclusive": 0},
+            "std_prefix_ping": {"passed": 1, "failed": 0, "inconclusive": 0},
+            "custom_prefix_ping": {"passed": 1, "failed": 1, "inconclusive": 1},
+        }
+        assert report["probes"]["none_passed"]["pings"] == {
+            "2001:db8:64::/96": {"value": "failed", "supporting_runs": 2},
+            "2001:db8:65::/96": {"value": "inconclusive", "supporting_runs": 2},
+        }
 
     def test_public_resolver_flag_from_record(self):
         ds = Dataset()
@@ -307,11 +367,11 @@ class TestDetectDataset:
                     observed_prefix=STANDARD_PREFIX, resolver_used=google)
         )
         report = detect_dataset(ds, public_resolvers=[google])
-        assert report.probes["p"].flags.uses_public_resolver
+        assert report["probes"]["p"]["flags"]["uses_public_resolver"]
 
     def test_empty_dataset(self):
         report = detect_dataset(Dataset())
-        assert report.probes == {}
+        assert report["probes"] == {}
         assert all(
-            count == 0 for counts in report.test_table.values() for count in counts.values()
+            count == 0 for counts in report["test_table"].values() for count in counts.values()
         )
