@@ -1,6 +1,7 @@
 """ISP DNS64 evidence, translator locality, and category bucketing."""
 
 import ipaddress
+import json
 import re
 
 import pytest
@@ -146,6 +147,49 @@ class TestIspDns64:
         }
         runs = {64501: [dns_pass("p1")], 64500: [dns_pass("p2")], 9: [dns_pass("p3")]}
         assert list(detect_isp_dns64(runs, probes)) == ["9", "64500", "64501"]
+
+    def test_entries_share_no_container(self):
+        # Entries are plain dicts written as they are: the empty witness
+        # lists of two ASes without evidence must be separate lists.
+        probes = {
+            "p1": probe("p1", asn=64500, net="2001:db8:1::/48"),
+            "p2": probe("p2", asn=64500, net="2001:db8:2::/48"),
+            "p3": probe("p3", asn=64501, net="2001:db8:3::/48"),
+            "p4": probe("p4", asn=64502, net="2001:db8:4::/48"),
+        }
+        runs = {
+            64500: [dns_pass("p1"), dns_pass("p2")],
+            64501: [dns_pass("p3")],
+            64502: [dns_pass("p4")],
+        }
+        evidence = detect_isp_dns64(runs, probes)
+        containers = [id(entry) for entry in evidence.values()]
+        containers += [id(entry["witnesses"]) for entry in evidence.values()]
+        assert len(containers) == len(set(containers)) == 6
+        evidence["64501"]["witnesses"].append("p3")
+        evidence["64500"]["witnesses"].clear()
+        assert evidence["64502"]["witnesses"] == []
+        assert detect_isp_dns64(runs, probes)["64500"]["witnesses"] == ["p1", "p2"]
+
+    def test_entry_read_back_from_json_buckets_the_probes(self):
+        # categorize_probe matches the resolver by its text, so an entry as
+        # classification.json holds it must pick out the probes that used it.
+        probes = {
+            "p1": probe("p1", net="2001:db8:1::/48"),
+            "p2": probe("p2", net="2001:db8:2::/48"),
+        }
+        resolver = ipaddress.ip_address("2001:db8:0053:0000::0001")
+        runs = {64500: [dns_pass("p1", resolver=resolver), dns_pass("p2", resolver=resolver)]}
+        entry = json.loads(json.dumps(detect_isp_dns64(runs, probes)))["64500"]
+        assert entry["resolver"] == "2001:db8:53::1"
+        used = categorize_probe(
+            DetectionGroup.NAT64_ONLY.value, evidence=entry, resolvers_used=[resolver],
+        )
+        other = categorize_probe(
+            DetectionGroup.NAT64_ONLY.value, evidence=entry, resolvers_used=[OTHER_RESOLVER],
+        )
+        assert used == {ProbeCategory.ISP_DNS64, ProbeCategory.AS_WITH_DNS64}
+        assert other == {ProbeCategory.AS_WITH_DNS64}
 
 
 class TestGroupRunsByAs:

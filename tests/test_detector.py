@@ -358,6 +358,31 @@ class TestDetectDataset:
             "2001:db8:65::/96": {"value": "inconclusive", "supporting_runs": 2},
         }
 
+    def test_no_two_places_in_the_document_share_a_container(self):
+        # Verdicts and flags are plain dicts that callers may edit, so equal
+        # documents must still be separate objects: editing one probe's
+        # verdict must not change another's, nor a later call's.
+        report = detect_dataset(self.build())
+        seen = []
+
+        def walk(value):
+            if isinstance(value, (dict, list)):
+                seen.append(id(value))
+                for item in value.values() if isinstance(value, dict) else value:
+                    walk(item)
+
+        walk(report)
+        assert len(seen) == len(set(seen))
+        good = report["probes"]["good"]
+        assert good["dns1"] == good["dns2"]
+        good["dns1"]["value"] = "failed"
+        good["flags"]["likely_accidental"] = True
+        assert good["dns2"]["value"] == "passed"
+        assert report["probes"]["none"]["flags"]["likely_accidental"] is False
+        again = detect_dataset(self.build())["probes"]["good"]
+        assert again["dns1"]["value"] == "passed"
+        assert again["flags"]["likely_accidental"] is False
+
     def test_public_resolver_flag_from_record(self):
         ds = Dataset()
         google = V6("2001:4860:4860::6464")
