@@ -1,40 +1,57 @@
 """Explain detected translator setups: who runs them, where, and for whom.
 
 Works on top of detection results: cross-probe DNS evidence identifies
-ISP-operated DNS64, translator-hop timing hints at equipment in the local
-network, and per-AS category labels come from a user-maintained mapping.
+ISP-operated DNS64, the hops before a translator name the AS that runs
+it and so place it relative to the probe's own ASes, translator-hop
+timing hints at equipment in the local network, and per-AS category
+labels come from a user-maintained mapping.
+
+This is the one module that decides and names a probe's classification.
+Its functions return the pieces of ``classification.json`` as plain
+values: ``detect_isp_dns64`` the ``evidence`` object, ``locate_nat64``
+a probe's ``nat_location``, ``categorize_probe`` its ``categories`` and
+``count_as_categories`` the ``as_category_counts`` object.
 """
 
 from __future__ import annotations
 
 import enum
 import statistics
-from typing import (
-    Collection,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-)
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .acquire.ip2as import Ip2AsTable
 from .detector import DetectionGroup
 from .model import (
     IPAddress,
+    Nat64Prefix,
+    PrefixKind,
     ProbeRecord,
     RawOutcome,
     TestRun,
     TraceroutePath,
+    VerdictValue,
 )
-from .pathlab import NatLocation, first_nat_hop
+from .pathlab import first_nat_hop
 
 #: Translator hops answering faster than this sit in the probe's own network.
 LOCAL_NAT_RTT_MS = 2.0
 
 #: The groups whose probes reach a translator, as ``detection.json`` names them.
 _TRANSLATING = (DetectionGroup.NAT64_PLUS_DNS64.value, DetectionGroup.NAT64_ONLY.value)
+
+#: A passed verdict, as ``detection.json`` writes it.
+_PASSED = VerdictValue.PASSED.value
+
+#: The probe tag by which an owner confirms a translator in their own home.
+HOME_TAG = "home-nat64"
+
+
+class NatLocation(enum.Enum):
+    """Where the translator sits relative to the probe's own networks."""
+
+    ALL_EQUAL = "all_equal"
+    NAT_IN_V6_AS = "nat_in_v6_as"
+    REMOTE = "remote"
 
 
 class ProbeCategory(enum.Enum):
@@ -137,6 +154,61 @@ def group_runs_by_as(
     return grouped
 
 
+def attribute_nat64_as(
+    paths: Sequence[TraceroutePath],
+    prefix: Nat64Prefix,
+    ip2as: Ip2AsTable,
+    probe: ProbeRecord,
+) -> int:
+    """The AS number of the translator of ``paths``, all translated under ``prefix``.
+
+    An announced operator prefix settles it directly. Otherwise the last
+    responding hop before the first translated hop decides, and when paths
+    disagree the hop furthest from the probe (highest index) wins, ties
+    going to the lowest AS number. With no usable hops at all, fall back
+    to the probe's own AS.
+    """
+    if prefix.kind is not PrefixKind.STANDARD:
+        announced = ip2as.lookup(prefix.base)
+        if announced is not None:
+            return announced
+
+    best: Optional[Tuple[int, int]] = None  # (hop_index, asn)
+    for path in paths:
+        nat_hop = first_nat_hop(path)
+        if nat_hop is None:
+            continue
+        for hop in reversed(path.hops[: nat_hop.index - 1]):
+            if hop.address is None:
+                continue
+            asn = ip2as.lookup(hop.address)
+            if asn is None:
+                continue
+            if best is None or (hop.index, -asn) > (best[0], -best[1]):
+                best = (hop.index, asn)
+            break
+    if best is not None:
+        return best[1]
+    fallback = probe.asn_v6 if probe.asn_v6 is not None else probe.asn_v4
+    if fallback is None:
+        raise ValueError(f"{probe.probe_id}: no hops usable and no probe AS to fall back to")
+    return fallback
+
+
+def locate_nat64(nat_asn: int, probe: ProbeRecord) -> str:
+    """Where the translator of AS ``nat_asn`` sits, as ``NatLocation`` text.
+
+    Local to both probe networks, in the probe's IPv6 AS only, or remote.
+    """
+    if probe.asn_v4 is None or probe.asn_v6 is None:
+        raise ValueError(f"{probe.probe_id}: both probe AS numbers are required")
+    if nat_asn == probe.asn_v6 == probe.asn_v4:
+        return NatLocation.ALL_EQUAL.value
+    if nat_asn == probe.asn_v6:
+        return NatLocation.NAT_IN_V6_AS.value
+    return NatLocation.REMOTE.value
+
+
 def detect_local_nat64(paths: Sequence[TraceroutePath]) -> Optional[bool]:
     """True when the nearest translator hop answers like local equipment.
 
@@ -156,72 +228,76 @@ def detect_local_nat64(paths: Sequence[TraceroutePath]) -> Optional[bool]:
 
 
 def categorize_probe(
-    group: str,
+    entry: Mapping,
+    record: ProbeRecord,
+    evidence: Mapping[str, Mapping],
     *,
-    public_nat64_only: bool = False,
-    evidence: Optional[Mapping] = None,
     resolvers_used: Collection[IPAddress] = (),
     public_resolvers: Collection[IPAddress] = (),
-    nat_location: Optional[NatLocation] = None,
-    ping_passed: bool = False,
+    nat_location: Optional[str] = None,
     has_nat_hop: bool = False,
-    home_annotation: bool = False,
-) -> FrozenSet[ProbeCategory]:
-    """Bucket one detected probe; buckets overlap except the unknown one.
+) -> List[str]:
+    """The sorted category names of one probe; they overlap except ``unknown``.
 
-    ``group`` and ``public_nat64_only`` are read as ``detection.json``
-    writes them, and ``evidence`` is the probe's AS entry from
-    ``detect_isp_dns64``. The probe is in the ISP-DNS64 bucket when it
-    used the evidence's resolver, whose text is compared with each
-    resolver used.
+    ``entry`` is the probe's ``detection.json`` entry: its group, its
+    ``public_nat64_only`` flag and its ping verdicts are read from there.
+    ``evidence`` is the whole ``detect_isp_dns64`` document, in which the
+    probe's entry is keyed by its IPv6 AS number. The probe is in the
+    ISP-DNS64 bucket when it used the evidence's resolver, whose text is
+    compared with each resolver used. ``nat_location`` is
+    ``locate_nat64``'s text. A probe outside the translating groups gets
+    no category.
 
     Translator timing (``detect_local_nat64``) never assigns the home
     bucket: low RTT also matches translators one rack away, so home setups
-    stay an owner-confirmed annotation (``home_annotation``).
+    stay an owner-confirmed annotation (the ``HOME_TAG`` probe tag).
     """
-    if group not in _TRANSLATING:
-        return frozenset()
+    if entry["group"] not in _TRANSLATING:
+        return []
     cats = set()
-    if evidence is not None and evidence["is_isp_dns64"]:
+    as_evidence = evidence.get(str(record.asn_v6)) if record.asn_v6 is not None else None
+    if as_evidence is not None and as_evidence["is_isp_dns64"]:
         cats.add(ProbeCategory.AS_WITH_DNS64)
-        if any(str(r) == evidence["resolver"] for r in resolvers_used):
+        if any(str(r) == as_evidence["resolver"] for r in resolvers_used):
             cats.add(ProbeCategory.ISP_DNS64)
-    if home_annotation:
+    if HOME_TAG in record.tags:
         cats.add(ProbeCategory.HOME_SETUP)
-    public = set(public_resolvers)
-    if resolvers_used and all(r in public for r in resolvers_used):
+    if resolvers_used and all(r in public_resolvers for r in resolvers_used):
         cats.add(ProbeCategory.PUBLIC_RESOLVER_ONLY)
-    if public_nat64_only:
+    if entry["flags"]["public_nat64_only"]:
         cats.add(ProbeCategory.PUBLIC_SERVICE)
-    if nat_location is NatLocation.REMOTE:
+    if nat_location == NatLocation.REMOTE.value:
         cats.add(ProbeCategory.REMOTE_NAT64)
-    if ping_passed and not has_nat_hop:
+    if not has_nat_hop and any(v["value"] == _PASSED for v in entry["pings"].values()):
         cats.add(ProbeCategory.NO_TRACEROUTE_THROUGH_NAT)
     if not cats:
         cats.add(ProbeCategory.UNKNOWN)
-    return frozenset(cats)
-
-
-def as_category(asn: Optional[int], mapping: Mapping[int, ASCategory]) -> ASCategory:
-    if asn is None:
-        return ASCategory.UNKNOWN
-    return mapping.get(asn, ASCategory.UNKNOWN)
+    return sorted(cat.value for cat in cats)
 
 
 def count_as_categories(
-    asns: Iterable[Optional[int]],
-    mapping: Mapping[int, ASCategory],
-) -> Dict[ASCategory, Dict[str, int]]:
-    """Per category: how many distinct ASes and how many probes."""
+    entries: Iterable[Mapping], mapping: Mapping[int, ASCategory]
+) -> Dict[str, Dict[str, int]]:
+    """The ``as_category_counts`` object of ``classification.json``.
+
+    ``entries`` are the probe entries of ``classification.json``. Each
+    probe with a category counts toward the category of its IPv6 AS,
+    unknown when it has none or the mapping lacks it. Per category, in
+    ``ASCategory`` order and only when it has a probe: how many distinct
+    ASes and how many probes.
+    """
     probes_per: Dict[ASCategory, int] = {cat: 0 for cat in ASCategory}
     ases_per: Dict[ASCategory, set] = {cat: set() for cat in ASCategory}
-    for asn in asns:
-        category = as_category(asn, mapping)
+    for entry in entries:
+        if not entry["categories"]:
+            continue
+        asn = entry["asn_v6"]
+        category = mapping.get(asn, ASCategory.UNKNOWN)
         probes_per[category] += 1
         if asn is not None:
             ases_per[category].add(asn)
     return {
-        cat: {"ases": len(ases_per[cat]), "probes": probes_per[cat]}
+        cat.value: {"ases": len(ases_per[cat]), "probes": probes_per[cat]}
         for cat in ASCategory
         if probes_per[cat]
     }

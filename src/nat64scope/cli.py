@@ -22,11 +22,13 @@ from .acquire.dataset import Dataset, load_dataset, write_dataset
 from .acquire.dnswire import MalformedDns, encode_name
 from .acquire.ip2as import Ip2AsTable
 from .classifier import (
+    attribute_nat64_as,
     categorize_probe,
     count_as_categories,
     detect_isp_dns64,
     detect_local_nat64,
     group_runs_by_as,
+    locate_nat64,
 )
 from .detector import (
     DEFAULT_DNS2_KNOWN_A,
@@ -36,14 +38,11 @@ from .detector import (
 )
 from .model import Nat64Prefix, STANDARD_PREFIX, VerdictValue
 from .pathlab import (
-    NatLocation,
     aggregate_report,
-    attribute_nat64_as,
     compute_metrics,
     filter_pairs,
     first_nat_hop,
     flag_ttl_anomalies,
-    locate_nat64,
     missing_hop_histogram,
     pair_paths,
 )
@@ -280,7 +279,7 @@ def _probe_path_facts(dataset: Dataset, ip2as: Optional[Ip2AsTable]):
 
     facts = {}
     for probe_id, record in dataset.probes.items():
-        location: Optional[NatLocation] = None
+        location: Optional[str] = None
         local_nat: Optional[bool] = None
         by_prefix = kept_by_probe.get(probe_id, {})
         if by_prefix:
@@ -330,48 +329,34 @@ def cmd_classify(args) -> int:
 
     probes_doc = {}
     category_counts: Dict[str, int] = {}
-    nat64_asns: List[Optional[int]] = []
     for probe_id in sorted(dataset.probes):
         record = dataset.probes[probe_id]
         det = report["probes"][probe_id]
         seen_nat_hop, location, local_nat = facts[probe_id]
-        resolvers_used = set(record.resolvers) | resolvers_by_probe.get(probe_id, set())
-        ping_passed = any(v["value"] == VerdictValue.PASSED.value for v in det["pings"].values())
         categories = categorize_probe(
-            det["group"],
-            public_nat64_only=det["flags"]["public_nat64_only"],
-            evidence=evidence.get(str(record.asn_v6)) if record.asn_v6 else None,
-            resolvers_used=resolvers_used,
+            det,
+            record,
+            evidence,
+            resolvers_used=set(record.resolvers) | resolvers_by_probe.get(probe_id, set()),
             public_resolvers=publics,
             nat_location=location,
-            ping_passed=ping_passed,
             has_nat_hop=seen_nat_hop,
-            home_annotation="home-nat64" in record.tags,
         )
-        names = sorted(c.value for c in categories)
-        for name in names:
+        for name in categories:
             category_counts[name] = category_counts.get(name, 0) + 1
-        if categories:
-            nat64_asns.append(record.asn_v6)
         probes_doc[probe_id] = {
             "group": det["group"],
-            "categories": names,
-            "nat_location": location.value if location else None,
+            "categories": categories,
+            "nat_location": location,
             "local_nat": local_nat,
             "asn_v6": record.asn_v6,
         }
 
-    as_counts = count_as_categories(nat64_asns, mapping)
+    as_counts = count_as_categories(probes_doc.values(), mapping)
 
     _write_json(
         os.path.join(out, "classification.json"),
-        {
-            "probes": probes_doc,
-            "evidence": evidence,
-            "as_category_counts": {
-                cat.value: counts for cat, counts in as_counts.items()
-            },
-        },
+        {"probes": probes_doc, "evidence": evidence, "as_category_counts": as_counts},
     )
     _write_csv(
         os.path.join(out, "categories.csv"),
@@ -396,7 +381,7 @@ def cmd_classify(args) -> int:
         os.path.join(out, "as_categories.csv"),
         ("category", "ases", "probes"),
         [
-            (cat.value, counts["ases"], counts["probes"])
+            (cat, counts["ases"], counts["probes"])
             for cat, counts in as_counts.items()
         ],
     )

@@ -6,9 +6,9 @@ embedded under the path's prefix. Everything downstream (hop counts,
 RTTs, missing-hop shares, correlation) works on those pairs.
 
 Each stage returns what its callers read: pairing and filtering return
-what they set aside as counts by reason, attribution returns the
-translator's AS number, and ``aggregate_report`` returns the ``stats``
-document of ``summary.json``.
+what they set aside as counts by reason, and ``aggregate_report`` returns
+the ``stats`` document of ``summary.json``. Which AS runs a translator,
+and where it sits, is the classifier's to decide.
 """
 
 from __future__ import annotations
@@ -20,16 +20,7 @@ import statistics
 from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .addrsynth import synthesize
-from .acquire.ip2as import Ip2AsTable
-from .model import (
-    Hop,
-    Nat64Prefix,
-    PathFamily,
-    PathPair,
-    PrefixKind,
-    ProbeRecord,
-    TraceroutePath,
-)
+from .model import Hop, Nat64Prefix, PathFamily, PathPair, TraceroutePath
 
 #: A target this few hops away on either side points at a TTL anomaly.
 MAX_IMPLAUSIBLE_LENGTH = 3
@@ -40,14 +31,6 @@ HISTOGRAM_BIN_PCT = 5.0
 
 class CorrelationError(ValueError):
     """Correlation is undefined: fewer than two points or a constant series."""
-
-
-class NatLocation(enum.Enum):
-    """Where the translator sits relative to the probe's own networks."""
-
-    ALL_EQUAL = "all_equal"
-    NAT_IN_V6_AS = "nat_in_v6_as"
-    REMOTE = "remote"
 
 
 class FilterReason(enum.Enum):
@@ -186,58 +169,6 @@ def filter_pairs(
             continue
         _count(excluded, reason.value)
     return kept, excluded
-
-
-def attribute_nat64_as(
-    paths: Sequence[TraceroutePath],
-    prefix: Nat64Prefix,
-    ip2as: Ip2AsTable,
-    probe: ProbeRecord,
-) -> int:
-    """The AS number of the translator of ``paths``, all translated under ``prefix``.
-
-    An announced operator prefix settles it directly. Otherwise the last
-    responding hop before the first translated hop decides, and when paths
-    disagree the hop furthest from the probe (highest index) wins, ties
-    going to the lowest AS number. With no usable hops at all, fall back
-    to the probe's own AS.
-    """
-    if prefix.kind is not PrefixKind.STANDARD:
-        announced = ip2as.lookup(prefix.base)
-        if announced is not None:
-            return announced
-
-    best: Optional[Tuple[int, int]] = None  # (hop_index, asn)
-    for path in paths:
-        nat_hop = first_nat_hop(path)
-        if nat_hop is None:
-            continue
-        for hop in reversed(path.hops[: nat_hop.index - 1]):
-            if hop.address is None:
-                continue
-            asn = ip2as.lookup(hop.address)
-            if asn is None:
-                continue
-            if best is None or (hop.index, -asn) > (best[0], -best[1]):
-                best = (hop.index, asn)
-            break
-    if best is not None:
-        return best[1]
-    fallback = probe.asn_v6 if probe.asn_v6 is not None else probe.asn_v4
-    if fallback is None:
-        raise ValueError(f"{probe.probe_id}: no hops usable and no probe AS to fall back to")
-    return fallback
-
-
-def locate_nat64(nat_asn: int, probe: ProbeRecord) -> NatLocation:
-    """Classify the translator as local to the probe's networks or remote."""
-    if probe.asn_v4 is None or probe.asn_v6 is None:
-        raise ValueError(f"{probe.probe_id}: both probe AS numbers are required")
-    if nat_asn == probe.asn_v6 == probe.asn_v4:
-        return NatLocation.ALL_EQUAL
-    if nat_asn == probe.asn_v6:
-        return NatLocation.NAT_IN_V6_AS
-    return NatLocation.REMOTE
 
 
 class PathMetrics(NamedTuple):

@@ -19,6 +19,7 @@ from .. import catalogs
 from ..acquire.dataset import Dataset
 from ..acquire.ip2as import Ip2AsTable
 from ..addrsynth import synthesize
+from ..classifier import HOME_TAG, NatLocation
 from ..detector import DetectionGroup, eval_ping_test
 from ..model import (
     Hop,
@@ -34,7 +35,6 @@ from ..model import (
     _new_hop,
     _new_path,
 )
-from ..pathlab import NatLocation
 from .scenario import Cohort, Scenario
 
 #: Fixed trace targets and repetition count for every simulated world.
@@ -154,7 +154,7 @@ def _build_plans(scenario: Scenario, publics: Tuple[Nat64Prefix, ...],
                 asn_v4=_asn_v4(cell, cohort),
                 asn_v6=_asn_v6(cell),
                 resolvers=(resolver_addr,),
-                tags=("home-nat64",) if cohort.location == "home" else (),
+                tags=(HOME_TAG,) if cohort.location == "home" else (),
                 network_prefix_v6=network,
             )
 

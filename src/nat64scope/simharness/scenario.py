@@ -78,7 +78,7 @@ _INTS = ("count", "cell", "nprefixes")
 # The generator writes the cell and a probe's place in it into IPv4
 # octets (its first hop is 10.cell.place.254), so neither can pass 255.
 # It numbers a probe's /64 as 0x1000 + cell*64 + place, so past 64 probes
-# a cell's /64s run into the next cell's (ROADMAP item 5).
+# a cell's /64s run into the next cell's (README, "Simulation scenarios").
 # A pool prefix writes its number in decimal into one 16-bit group
 # (2001:db8:<cell>:<number>::), so the number cannot pass four digits.
 MAX_CELL = 255

@@ -16,7 +16,7 @@ import ipaddress
 import math
 
 from nat64scope.model import ProbeRecord, TestRun, TraceroutePath
-from nat64scope.simharness.oracle import V4_BYTE_SLOTS, embedded_address
+from nat64scope.simharness.oracle import V4_BYTE_SLOTS
 
 
 def oracle_extract(addr: ipaddress.IPv6Address, length: int) -> ipaddress.IPv4Address:

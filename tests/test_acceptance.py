@@ -26,7 +26,7 @@ from nat64scope.addrsynth import (
     extract_ipv4,
     synthesize,
 )
-from nat64scope.classifier import detect_isp_dns64, group_runs_by_as
+from nat64scope.classifier import attribute_nat64_as, detect_isp_dns64, group_runs_by_as, locate_nat64
 from nat64scope.cli import EXIT_OK, main
 from nat64scope.detector import DNS1_KNOWN_V4, DetectionGroup, assign_group, detect_dataset
 from nat64scope.model import (
@@ -34,15 +34,7 @@ from nat64scope.model import (
     Nat64Prefix,
     STANDARD_PREFIX,
 )
-from nat64scope.pathlab import (
-    CorrelationError,
-    aggregate_report,
-    attribute_nat64_as,
-    filter_pairs,
-    locate_nat64,
-    pair_paths,
-    pearson,
-)
+from nat64scope.pathlab import CorrelationError, aggregate_report, filter_pairs, pair_paths, pearson
 from nat64scope.simharness import (
     ACCEPTANCE_TEMPLATE,
     compare,
@@ -209,7 +201,7 @@ def test_criterion_03_decision_table():
 
 
 def _recoverable_locations(sim):
-    """probe -> located NatLocation, from kept pairs only."""
+    """probe -> located ``nat_location`` text, from kept pairs only."""
     pairs, _ = pair_paths(sim.dataset.paths)
     kept, _ = filter_pairs(pairs)
     by_probe = {}
@@ -223,7 +215,7 @@ def _recoverable_locations(sim):
         for prefix, paths in by_prefix.items():
             nat_asn = attribute_nat64_as(paths, prefix, sim.ip2as, record)
             where = locate_nat64(nat_asn, record)
-            assert located.setdefault(probe_id, where) is where, probe_id
+            assert located.setdefault(probe_id, where) == where, probe_id
     return located
 
 
@@ -254,7 +246,7 @@ def test_criterion_04_ground_truth_recovery():
 
         located = _recoverable_locations(sim)
         for probe_id, where in located.items():
-            assert where.value == truth[probe_id]["nat_location"], (seed, probe_id)
+            assert where == truth[probe_id]["nat_location"], (seed, probe_id)
         unlocatable = {
             pid
             for pid, planted in truth.items()

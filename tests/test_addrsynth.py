@@ -12,8 +12,9 @@ from nat64scope.addrsynth import (
     synthesize,
 )
 from nat64scope.model import ALLOWED_PREFIX_LENGTHS, Nat64Prefix, PrefixKind, STANDARD_PREFIX
+from nat64scope.simharness.oracle import embedded_address
 
-from oracles import embedded_address, oracle_extract
+from oracles import oracle_extract
 
 V4 = ipaddress.IPv4Address
 V6 = ipaddress.IPv6Address

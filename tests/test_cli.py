@@ -547,6 +547,24 @@ class TestClassify:
         assert err.count("\n") == 1 and err.startswith("config error:")
         assert f"{table}:{line}: AS number must be in 1..4294967295" in err
 
+    def test_unknown_category_code_is_the_only_stderr_line(self, tmp_path, capsys):
+        # U is a code of its own (an explicit unknown); a code outside the
+        # catalog's names the file and line.
+        world = simulate(tmp_path)
+        table = tmp_path / "cats.txt"
+        table.write_text("64500,U\n64501,XX\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"as_categories": str(table)}))
+        capsys.readouterr()
+        code = run(
+            "classify", "--from-dataset", str(world / "dataset.ndjson"), "--config", str(config),
+            "--out", str(tmp_path / "cls"),
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert f"{table}:2: 'XX' is not a valid ASCategory" in err
+
 
 class TestPaths:
     def test_summary_accounting(self, tmp_path):

@@ -18,7 +18,6 @@ from nat64scope.detector import (
 )
 from nat64scope.model import (
     Nat64Prefix,
-    PrefixKind,
     ProbeRecord,
     RawOutcome,
     STANDARD_PREFIX,

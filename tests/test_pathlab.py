@@ -1,7 +1,6 @@
-"""Path pairing, filtering, attribution, and statistics."""
+"""Path pairing, filtering, and statistics."""
 
 import ipaddress
-import math
 import random
 import statistics
 
@@ -13,33 +12,26 @@ from nat64scope.model import (
     Nat64Prefix,
     PathFamily,
     PathPair,
-    PrefixKind,
-    ProbeRecord,
     STANDARD_PREFIX,
     TraceroutePath,
 )
 from nat64scope.pathlab import (
     CorrelationError,
     FilterReason,
-    NatLocation,
     PathMetrics,
     aggregate_report,
-    attribute_nat64_as,
     compute_metrics,
     filter_pairs,
     first_nat_hop,
     flag_ttl_anomalies,
-    locate_nat64,
     missing_hop_histogram,
     pair_paths,
     path_metrics,
     pearson,
     target_hop,
 )
-from nat64scope.acquire.ip2as import Ip2AsTable
 
 from oracles import oracle_pearson
-from test_ip2as import table_of
 
 CUSTOM = Nat64Prefix.from_cidr("2001:db8:64::/96")
 CUSTOM2 = Nat64Prefix.from_cidr("2001:db8:99::/96")
@@ -290,92 +282,6 @@ class TestFiltering:
             (1, TARGET), (1, TARGET2),
         ]
         assert excluded == {FilterReason.INCOMPLETE_ROUND.value: 1}
-
-
-AS_TABLE = table_of(
-    [
-        ("192.0.2.0/24", 64500),
-        ("198.51.100.0/24", 64501),
-        ("2001:db8:aaaa::/48", 64502),
-        ("2001:db8:bbbb::/48", 64503),
-        ("2001:db8:64::/96", 64510),
-    ]
-)
-# The probe's AS numbers are in no table below: each branch of the
-# attribution (announced prefix, hop before the translator, the probe's
-# own AS) gives an AS number that no other branch could give.
-PROBE = ProbeRecord("p1", asn_v4=64504, asn_v6=64505)
-
-
-class TestAttribution:
-    def test_announced_prefix_wins(self):
-        path = nat_path(["2001:db8:bbbb::1", nat_addr(1)])
-        assert attribute_nat64_as([path], CUSTOM, AS_TABLE, PROBE) == 64510
-
-    def test_standard_prefix_never_announced(self):
-        table = table_of([("64:ff9b::/96", 64520), ("2001:db8:bbbb::/48", 64503)])
-        path = nat_path(
-            ["2001:db8:bbbb::1", nat_addr(1, STANDARD_PREFIX)], prefix=STANDARD_PREFIX
-        )
-        assert attribute_nat64_as([path], STANDARD_PREFIX, table, PROBE) == 64503
-
-    def test_pre_nat_hop_selection(self):
-        table = table_of([("2001:db8:aaaa::/48", 64502), ("2001:db8:bbbb::/48", 64503)])
-        path = nat_path(["2001:db8:aaaa::1", "2001:db8:bbbb::1", nat_addr(1)])
-        assert attribute_nat64_as([path], CUSTOM, table, PROBE) == 64503
-
-    def test_farthest_hop_across_paths_wins(self):
-        table = table_of([("2001:db8:aaaa::/48", 64502), ("2001:db8:bbbb::/48", 64503)])
-        near = nat_path(["2001:db8:aaaa::1", nat_addr(1)])
-        far = nat_path(
-            ["2001:db8:aaaa::1", "2001:db8:bbbb::1", nat_addr(1)], rnd=1
-        )
-        assert attribute_nat64_as([near, far], CUSTOM, table, PROBE) == 64503
-
-    def test_tie_goes_to_lower_asn(self):
-        table = table_of([("2001:db8:aaaa::/48", 64502), ("2001:db8:bbbb::/48", 64503)])
-        one = nat_path(["2001:db8:bbbb::1", nat_addr(1)])
-        two = nat_path(["2001:db8:aaaa::1", nat_addr(1)], rnd=1)
-        assert attribute_nat64_as([one, two], CUSTOM, table, PROBE) == 64502
-
-    def test_silent_pre_nat_hops_fall_back_to_probe(self):
-        table = table_of([("2001:db8:ffff::/48", 64599)])
-        path = nat_path([None, nat_addr(1)])
-        assert attribute_nat64_as([path], CUSTOM, table, PROBE) == 64505
-
-    def test_fallback_prefers_v6_as(self):
-        table = Ip2AsTable()
-        path = nat_path([nat_addr(1)])
-        v4_only = ProbeRecord("p1", asn_v4=64500, asn_v6=None)
-        assert attribute_nat64_as([path], CUSTOM, table, v4_only) == 64500
-
-    def test_no_information_raises(self):
-        table = Ip2AsTable()
-        bare = ProbeRecord("p1", asn_v4=None, asn_v6=None)
-        with pytest.raises(ValueError):
-            attribute_nat64_as([nat_path([nat_addr(1)])], CUSTOM, table, bare)
-
-
-class TestLocation:
-    def test_all_equal(self):
-        probe = ProbeRecord("p", asn_v4=64500, asn_v6=64500)
-        assert locate_nat64(64500, probe) is NatLocation.ALL_EQUAL
-
-    def test_in_v6_as(self):
-        probe = ProbeRecord("p", asn_v4=64500, asn_v6=64501)
-        assert locate_nat64(64501, probe) is NatLocation.NAT_IN_V6_AS
-
-    def test_remote(self):
-        probe = ProbeRecord("p", asn_v4=64500, asn_v6=64501)
-        assert locate_nat64(64999, probe) is NatLocation.REMOTE
-
-    def test_matching_v4_only_is_remote(self):
-        probe = ProbeRecord("p", asn_v4=64500, asn_v6=64501)
-        assert locate_nat64(64500, probe) is NatLocation.REMOTE
-
-    def test_requires_both_asns(self):
-        with pytest.raises(ValueError):
-            locate_nat64(64500, ProbeRecord("p", asn_v4=64500, asn_v6=None))
 
 
 class TestMetrics:

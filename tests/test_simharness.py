@@ -9,15 +9,10 @@ from nat64scope.acquire.dataset import load_dataset, write_dataset
 from nat64scope.acquire.dnswire import TYPE_AAAA
 from nat64scope.acquire.live import dns_query
 from nat64scope.detector import DetectionGroup, detect_dataset, eval_dns_test1, eval_dns_test2
-from nat64scope.classifier import detect_isp_dns64, group_runs_by_as
+from nat64scope.cli import _probe_path_facts
+from nat64scope.classifier import attribute_nat64_as, detect_isp_dns64, group_runs_by_as, locate_nat64
 from nat64scope.model import PathFamily, RawOutcome, STANDARD_PREFIX
-from nat64scope.pathlab import (
-    aggregate_report,
-    attribute_nat64_as,
-    filter_pairs,
-    locate_nat64,
-    pair_paths,
-)
+from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
 from nat64scope.simharness import (
     ACCEPTANCE_TEMPLATE,
     Cohort,
@@ -210,6 +205,121 @@ def test_scenario_is_refused_or_builds_a_loadable_world(lines, seed):
     assert len(loaded.probes) == probe_count(scenario)
 
 
+POOL = ("custom", "both")
+
+
+@st.composite
+def valid_cohort(draw, cell, prefixes, pool_location):
+    """One cohort that passes every check of its own line.
+
+    A pool user sits at its cell's ``pool_location``, as every pool user
+    of a cell must.
+    """
+    prefix = draw(st.sampled_from(prefixes))
+    pool_home = prefix in POOL and pool_location == "home"
+    resolvers = [
+        r for r in scenario_module.RESOLVERS
+        if not (r == "public" and prefix in POOL) and not (r == "broken" and pool_home)
+    ]
+    resolver = draw(st.sampled_from(resolvers))
+    if resolver == "broken":
+        nat = "none"
+    elif pool_home:
+        nat = "working"
+    else:
+        nat = draw(st.sampled_from(scenario_module.NATS))
+    if prefix == "public":
+        location = "remote"
+    elif prefix in POOL:
+        location = pool_location
+    elif nat == "working":
+        location = draw(st.sampled_from(scenario_module.LOCATIONS))
+    else:
+        location = draw(st.sampled_from(("local", "remote")))
+    icmp = draw(st.sampled_from(scenario_module.ICMP_MODES)) if nat == "working" else "transparent"
+    anomaly = "none"
+    if nat == "working" and icmp == "transparent":
+        anomaly = draw(st.sampled_from(scenario_module.ANOMALIES))
+    return Cohort(
+        count=draw(st.integers(1, 40)),
+        resolver=resolver,
+        nat=nat,
+        prefix=prefix,
+        scope="full" if resolver == "public" else draw(st.sampled_from(scenario_module.SCOPES)),
+        location=location,
+        cell=cell,
+        nprefixes=draw(st.integers(1, 3)) if prefix in POOL else 1,
+        icmp=icmp,
+        v4as=draw(st.sampled_from(scenario_module.V4AS_MODES)),
+        anomaly=anomaly,
+    )
+
+
+@st.composite
+def valid_cell(draw, cell):
+    """1 to 3 cohorts of one cell that pass every check of the scenario."""
+    public = draw(st.integers(0, 4)) == 0  # public gateways need a cell of their own
+    prefixes = ("public",) if public else ("standard", *POOL)
+    pool_location = draw(st.sampled_from(scenario_module.LOCATIONS))
+    cohorts = draw(st.lists(valid_cohort(cell, prefixes, pool_location), min_size=1, max_size=3))
+    users = [i for i, cohort in enumerate(cohorts) if cohort.prefix in POOL]
+    if users:
+        # Some synthesizing user must reveal the whole pool.
+        widest = max(users, key=lambda i: cohorts[i].nprefixes)
+        size = cohorts[widest].nprefixes
+        if not any(cohorts[i].resolver == "dns64" and cohorts[i].nprefixes == size for i in users):
+            cohorts[widest] = cohorts[widest]._replace(resolver="dns64")
+    return cohorts
+
+
+@st.composite
+def valid_scenarios(draw):
+    """1 to 5 cells of 1 to 3 cohorts, drawn valid, so none is refused."""
+    cells = draw(st.lists(st.integers(0, 255), min_size=1, max_size=5, unique=True))
+    text = "\n".join(
+        " ".join(f"{key}={value}" for key, value in cohort._asdict().items())
+        for cell in cells
+        for cohort in draw(valid_cell(cell))
+    )
+    return parse_scenario(text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=valid_scenarios(), seed=st.integers(0, 2**16))
+def test_truth_is_recovered_on_random_valid_worlds(scenario, seed):
+    sim = generate(scenario, seed)
+    planted = sim.truth["probes"]
+    detection = detect_dataset(
+        sim.dataset,
+        public_prefixes=catalogs.load_public_prefixes(),
+        public_resolvers=catalogs.load_public_resolvers(),
+    )
+    for probe_id, truth in planted.items():
+        got = detection["probes"][probe_id]
+        assert (got["group"], got["flags"]) == (truth["group"], truth["flags"]), probe_id
+
+    evidence = detect_isp_dns64(
+        group_runs_by_as(sim.dataset.runs, sim.dataset.probes), sim.dataset.probes
+    )
+    found = [int(asn) for asn, entry in evidence.items() if entry["is_isp_dns64"]]
+    assert found == sim.truth["isp_dns64_ases"]
+
+    facts = _probe_path_facts(sim.dataset, sim.ip2as)
+    unlocated = set()
+    for probe_id, truth in planted.items():
+        location = facts[probe_id][1]
+        if location is None and truth["nat_location"] is not None:
+            unlocated.add(probe_id)
+        else:
+            assert location == truth["nat_location"], probe_id
+    assert unlocated == {pid for pid, truth in planted.items() if truth["opaque"]}
+
+    kept, excluded = filter_pairs(pair_paths(sim.dataset.paths)[0])
+    assert excluded.get("NoNatHop", 0) == sim.truth["opaque_pair_count"]
+    groupings = {"home": [pid for pid, truth in planted.items() if truth["home"]]}
+    assert compare(aggregate_report(kept, groupings=groupings), oracle_stats(kept, groupings)) == []
+
+
 class TestLazyNames:
     def test_lazy_names_import(self):
         from nat64scope.simharness import Dns64Server, compare, embedded_address, oracle_stats
@@ -334,9 +444,7 @@ class TestTruthRecovery:
             record = sim.dataset.probes[probe_id]
             for prefix, paths in by_prefix.items():
                 nat_asn = attribute_nat64_as(paths, prefix, sim.ip2as, record)
-                assert (
-                    locate_nat64(nat_asn, record).value == planted[probe_id]["nat_location"]
-                ), probe_id
+                assert locate_nat64(nat_asn, record) == planted[probe_id]["nat_location"], probe_id
             located.add(probe_id)
         # Only translator-hiding probes stay unlocatable.
         unrecoverable = {
