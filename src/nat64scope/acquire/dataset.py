@@ -3,11 +3,12 @@
 This module owns the line contract. ``_KINDS`` gives each record kind,
 keyed by its ``record`` value, its decoder, its checks and the collection
 a loaded record is filed in; the writer has one line function per kind
-and makes the text of each distinct address, prefix and RTT tuple once
-per write. Encoding is canonical (sorted keys, no whitespace), so
-writing the same dataset twice produces identical bytes. Loading reports
-every problem it finds, each with its line number, and cross-checks that
-runs and paths reference known probes.
+and makes the text of each address, prefix and RTT tuple once per write.
+The loader parses each distinct address text once, in C where it can,
+and makes one object per address value. Encoding is canonical (sorted
+keys, no whitespace), so writing the same dataset twice produces
+identical bytes. Loading reports every problem it finds, each with its
+line number, and cross-checks that runs and paths reference known probes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from ..model import (
     _new_hop,
     _new_path,
     _new_probe,
+    _new_run,
+    pack_address,
+    pack_network,
+    unpack_address,
 )
 
 SCHEMA_VERSION = 1
@@ -222,12 +227,33 @@ class _Texts(dict):
     """The JSON text of each address, prefix and RTT tuple one write meets,
     made once.
 
-    Keys are the objects, which tell ``0.0.0.1`` from ``::1`` although
-    both are the integer 1. An RTT key is a clean hop's RTTs as a tuple
-    of floats, whose reprs are their JSON text. A tuple holding a zero is
+    Addresses key by identity, in ``ids``: an ``ipaddress`` object hashes
+    in Python, while the loader and the generator make one object per
+    address value, so a hop costs one lookup of an integer. An equal
+    address held by another object is formatted once more, to the same
+    text; a scoped address and its unscoped twin are never confused. The
+    table keeps every address it names, so no id is reused while it lives.
+
+    Prefixes and RTTs key the dict itself: a prefix computes its hash once,
+    when it is built. An RTT key is a clean hop's RTTs as a tuple of
+    floats, whose reprs are their JSON text. A tuple holding a zero is
     formatted on every lookup and never stored: ``(0.0,) == (-0.0,)`` and
     both hash alike, so a stored ``[0.0]`` would be written for ``(-0.0,)``.
     """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ids: Dict[int, str] = {id(None): "null"}
+        self._named: List[IPAddress] = []
+
+    def address(self, address: Optional[IPAddress]) -> str:
+        """The text of ``address``, or ``null`` for None."""
+        text = self.ids.get(id(address))
+        if text is None:
+            # ``_quote`` escapes an IPv6 scope's text as ``_dump`` would.
+            text = self.ids[id(address)] = _quote(str(address))
+            self._named.append(address)
+        return text
 
     def __missing__(self, value) -> str:
         if value is None:
@@ -236,12 +262,10 @@ class _Texts(dict):
             text = "[%s]" % ",".join(map(repr, value))
             if 0.0 in value:
                 return text
-        elif isinstance(value, Nat64Prefix):
+        else:
             text = _dump(
                 {"base": str(value.base), "length": value.length, "kind": value.kind.value}
             )
-        else:  # ``_quote`` escapes an IPv6 scope's text as ``_dump`` would
-            text = _quote(str(value))
         self[value] = text
         return text
 
@@ -253,7 +277,7 @@ def _probe_line(probe: ProbeRecord, texts: _Texts) -> str:
         _int_text(asn_v6),
         _dump(str(network) if network else None),
         _str_text(probe_id),
-        ",".join([texts[resolver] for resolver in resolvers]),
+        ",".join([texts.address(resolver) for resolver in resolvers]),
         _dump(list(tags)),
     )
 
@@ -265,7 +289,7 @@ def _run_line(run: TestRun, texts: _Texts) -> str:
         texts[prefix],
         _str_text(probe_id),
         outcome.value,
-        texts[resolver_used],
+        texts.address(resolver_used),
         kind.value,
         _int_text(timestamp),
     )
@@ -275,15 +299,17 @@ def _path_line(path: TraceroutePath, texts: _Texts) -> str:
     probe_id, family, prefix, target_v4, round_index, hops = path
     # Clean hops hold exact ints and finite floats, whose reprs are
     # their JSON text; bools, int RTTs, NaN and the like go to ``_dump``.
-    # ``tuple`` returns an exact tuple itself and makes a list a key.
+    # ``tuple`` returns an exact tuple itself and makes a list a key. The
+    # table's ``address`` is inlined: a known address is one lookup.
+    ids, name = texts.ids, texts.address
     if _hops_are_clean(hops):
         hop_texts = [
-            _HOP % (texts[address], index, texts[tuple(rtts)])
+            _HOP % (ids.get(id(address)) or name(address), index, texts[tuple(rtts)])
             for index, address, rtts in hops
         ]
     else:
         hop_texts = [
-            _HOP % (texts[address], _dump(index), _dump(list(rtts)))
+            _HOP % (name(address), _dump(index), _dump(list(rtts)))
             for index, address, rtts in hops
         ]
     return _TRACEROUTE % (
@@ -292,7 +318,7 @@ def _path_line(path: TraceroutePath, texts: _Texts) -> str:
         texts[prefix],
         _str_text(probe_id),
         _int_text(round_index),
-        texts[target_v4],
+        texts.address(target_v4),
     )
 
 
@@ -343,19 +369,44 @@ class _Decoder:
     def __init__(self) -> None:
         self._addresses: Dict[str, IPAddress] = {}
         self._targets: Dict[str, ipaddress.IPv4Address] = {}
+        self._values: Dict[bytes, IPAddress] = {}
         self._prefixes: Dict[Tuple[str, int, str], Nat64Prefix] = {}
+
+    def _parse(self, text: str, size: int, parse) -> IPAddress:
+        """``parse(text)`` for a text not seen yet: one object per value.
+
+        ``pack_address`` reads the text in C when it can, and an address
+        of ``size`` bytes (0: either family) is then looked up by value,
+        so two spellings of one address give one object. Any other text
+        goes to ``parse``, which keeps scoped addresses and every problem
+        message as ``ipaddress`` has them.
+        """
+        packed = pack_address(text)
+        if packed is None or (size and len(packed) != size):
+            return parse(text)
+        address = self._values.get(packed)
+        if address is None:
+            address = self._values[packed] = unpack_address(packed)
+        return address
 
     def address(self, text, what: str) -> IPAddress:
         address = self._addresses.get(_need(text, str, what))
         if address is None:
-            address = self._addresses[text] = ipaddress.ip_address(text)
+            address = self._addresses[text] = self._parse(text, 0, ipaddress.ip_address)
         return address
 
     def target(self, text) -> ipaddress.IPv4Address:
         target = self._targets.get(_need(text, str, "target_v4"))
         if target is None:
-            target = self._targets[text] = ipaddress.IPv4Address(text)
+            target = self._targets[text] = self._parse(text, 4, ipaddress.IPv4Address)
         return target
+
+    def network(self, text) -> ipaddress.IPv6Network:
+        parsed = pack_network(_need(text, str, "network_prefix_v6"))
+        if parsed is None or len(parsed[0]) != 16:
+            return ipaddress.IPv6Network(text)  # its value, or its error
+        packed, length = parsed
+        return ipaddress.IPv6Network((int.from_bytes(packed, "big"), length))
 
     def prefix(self, doc) -> Optional[Nat64Prefix]:
         if doc is None:
@@ -374,7 +425,7 @@ class _Decoder:
         kind = _need(doc["kind"], str, "prefix kind")
         # Exact types all, so the table missed above: a prefix not seen yet.
         prefix = self._prefixes[base, length, kind] = Nat64Prefix(
-            ipaddress.IPv6Address(base), length, PrefixKind(kind)
+            self._parse(base, 16, ipaddress.IPv6Address), length, PrefixKind(kind)
         )
         return prefix
 
@@ -410,14 +461,12 @@ class _Decoder:
                 for r in _need(doc["resolvers"], list, "resolvers")
             ),
             tuple(_need(doc["tags"], list, "tags")),
-            None
-            if network is None
-            else ipaddress.IPv6Network(_need(network, str, "network_prefix_v6")),
+            None if network is None else self.network(network),
         ))
 
     def test_run(self, doc) -> TestRun:
         used = doc["resolver_used"]
-        return TestRun(
+        return _new_run((
             _need(doc["probe_id"], str, "probe_id"),
             _member(TestKind, doc["test_kind"]),
             doc["timestamp"],
@@ -425,7 +474,7 @@ class _Decoder:
             self.prefix(doc["observed_prefix"]),
             None if used is None else self.address(used, "resolver_used"),
             doc.get("diagnostic"),
-        )
+        ))
 
     def path(self, doc) -> TraceroutePath:
         return _new_path((

@@ -10,7 +10,7 @@ from __future__ import annotations
 import ipaddress
 from typing import IO, Dict, Iterable, Optional, Tuple, Union
 
-from ..model import MAX_ASN, IPAddress
+from ..model import MAX_ASN, IPAddress, pack_network
 
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
@@ -19,8 +19,31 @@ class Ip2AsError(ValueError):
     """The mapping file has a line that is not ``prefix asn``."""
 
 
+def _check_asn(asn: int) -> None:
+    if not 1 <= asn <= MAX_ASN:
+        raise Ip2AsError(f"AS number must be in 1..{MAX_ASN}, got {asn}")
+
+
+def _parse_network(text: str) -> Tuple[int, int, int]:
+    """(IP version, prefix length, network integer) of the network ``text``,
+    as ``ipaddress.ip_network`` reads it: by ``pack_network`` where it can,
+    else by ``ip_network`` itself, which raises its own message."""
+    parsed = pack_network(text)
+    if parsed is None:
+        network = ipaddress.ip_network(text)
+        return network.version, network.prefixlen, int(network.network_address)
+    packed, length = parsed
+    return (4 if len(packed) == 4 else 6), length, int.from_bytes(packed, "big")
+
+
 class Ip2AsTable:
-    """Per-family, per-length buckets of masked network integers."""
+    """Per-family, per-length buckets of masked network integers.
+
+    A network is kept as three integers, its IP version, prefix length and
+    network address, so loading, looking up and saving build no
+    ``ipaddress`` network: ``load`` and ``add`` parse a prefix's text in C
+    where they can, and ``add_int`` takes the integers themselves.
+    """
 
     __slots__ = ("_tables", "_lengths")
 
@@ -29,21 +52,28 @@ class Ip2AsTable:
         self._lengths: Dict[int, Tuple[int, ...]] = {}
 
     def add(self, network: Union[IPNetwork, str], asn: int) -> None:
-        if not 1 <= asn <= MAX_ASN:
-            raise Ip2AsError(f"AS number must be in 1..{MAX_ASN}, got {asn}")
-        if isinstance(network, str):
-            network = ipaddress.ip_network(network)
-        key = (network.version, network.prefixlen)
-        bucket = self._tables.setdefault(key, {})
-        net_int = int(network.network_address)
-        previous = bucket.get(net_int)
-        bucket[net_int] = asn if previous is None else min(previous, asn)
-        self._lengths[network.version] = tuple(
-            sorted(
-                (length for version, length in self._tables if version == network.version),
-                reverse=True,
+        _check_asn(asn)
+        self._insert(*_parse_network(str(network)), asn)
+
+    def add_int(self, version: int, value: int, length: int, asn: int) -> None:
+        """Add the IPv``version`` network ``value/length``; its host bits must be clear."""
+        _check_asn(asn)
+        width = {4: 32, 6: 128}.get(version, -1)
+        if not (0 <= length <= width and 0 <= value < 1 << width
+                and not value & ((1 << (width - length)) - 1)):
+            raise Ip2AsError(f"{value}/{length} is not an IPv{version} network")
+        self._insert(version, length, value, asn)
+
+    def _insert(self, version: int, length: int, value: int, asn: int) -> None:
+        key = (version, length)
+        bucket = self._tables.get(key)
+        if bucket is None:
+            bucket = self._tables[key] = {}
+            self._lengths[version] = tuple(
+                sorted((n for v, n in self._tables if v == version), reverse=True)
             )
-        )
+        previous = bucket.get(value)
+        bucket[value] = asn if previous is None else min(previous, asn)
 
     @classmethod
     def load(cls, path: str) -> "Ip2AsTable":
@@ -57,9 +87,12 @@ class Ip2AsTable:
                 if len(parts) != 2:
                     raise Ip2AsError(f"{path}:{lineno}: expected 'prefix asn': {text!r}")
                 try:
-                    table.add(ipaddress.ip_network(parts[0]), int(parts[1]))
+                    version, length, value = _parse_network(parts[0])
+                    asn = int(parts[1])
+                    _check_asn(asn)
                 except ValueError as exc:
                     raise Ip2AsError(f"{path}:{lineno}: {exc}") from exc
+                table._insert(version, length, value, asn)
         return table
 
     def lookup(self, address: IPAddress) -> Optional[int]:
@@ -73,16 +106,23 @@ class Ip2AsTable:
                 return asn
         return None
 
+    def _sorted(self) -> Iterable[Tuple[IPAddress, int, int]]:
+        """(network address, length, asn) of every entry in deterministic order."""
+        for (version, length), bucket in sorted(self._tables.items()):
+            cls = ipaddress.IPv4Address if version == 4 else ipaddress.IPv6Address
+            for value in sorted(bucket):
+                yield cls(value), length, bucket[value]
+
     def entries(self) -> Iterable[Tuple[IPNetwork, int]]:
         """Every (network, asn) pair in deterministic order."""
-        for (version, length), bucket in sorted(self._tables.items()):
-            cls = ipaddress.IPv4Network if version == 4 else ipaddress.IPv6Network
-            width = 32 if version == 4 else 128
-            addr_cls = ipaddress.IPv4Address if version == 4 else ipaddress.IPv6Address
-            for net_int in sorted(bucket):
-                yield cls((addr_cls(net_int), length)), bucket[net_int]
+        for address, length, asn in self._sorted():
+            yield ipaddress.ip_network((address, length)), asn
 
     def save(self, handle: IO[str]) -> None:
-        """Write one ``network asn`` line per entry, the form ``load`` reads."""
-        for network, asn in self.entries():
-            handle.write(f"{network} {asn}\n")
+        """Write one ``network asn`` line per entry, the form ``load`` reads.
+
+        A network is written as its address's ``str`` and its length, as
+        its own ``str`` would write it; ``inet_ntop`` would write
+        ``::ffff:0:0`` as ``::ffff:0.0.0.0``.
+        """
+        handle.write("".join(f"{a}/{length} {asn}\n" for a, length, asn in self._sorted()))

@@ -16,7 +16,6 @@ a probe's ``nat_location``, ``categorize_probe`` its ``categories`` and
 from __future__ import annotations
 
 import enum
-import statistics
 from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .acquire.ip2as import Ip2AsTable
@@ -31,7 +30,7 @@ from .model import (
     TraceroutePath,
     VerdictValue,
 )
-from .pathlab import first_nat_hop
+from .pathlab import first_nat_hop, median
 
 #: Translator hops answering faster than this sit in the probe's own network.
 LOCAL_NAT_RTT_MS = 2.0
@@ -221,7 +220,7 @@ def detect_local_nat64(paths: Sequence[TraceroutePath]) -> Optional[bool]:
         hop = first_nat_hop(path)
         if hop is None or not hop.rtts_ms:
             continue
-        rtt = statistics.median(hop.rtts_ms)
+        rtt = median(hop.rtts_ms)
         if best is None or rtt < best:
             best = rtt
     return None if best is None else best < LOCAL_NAT_RTT_MS

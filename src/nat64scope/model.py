@@ -1,6 +1,7 @@
 """Core record types and constants shared by every stage of the toolkit.
 
-Addresses are ``ipaddress`` objects end to end. Records are named
+Addresses are ``ipaddress`` objects end to end; ``pack_address`` and
+``pack_network`` parse their text in C where they can. Records are named
 tuples, so they can key dicts, live in sets, and round-trip through the
 dataset codec without surprises; a record compares equal to the plain
 tuple of its fields, ``Hop`` to ``(index, address, rtts_ms)``. A named
@@ -12,12 +13,52 @@ with the codec, in ``acquire.dataset``.
 
 from __future__ import annotations
 
+# ``socket.inet_pton`` is the C module's: ``socket`` itself would add its
+# enums and ``selectors`` to every command's start-up, about 5 ms.
+import _socket
 import enum
 import ipaddress
 from functools import partial
 from typing import NamedTuple, Optional, Tuple, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
+
+
+def pack_address(text: str) -> Optional[bytes]:
+    """The 4 or 16 bytes of the IPv4 or IPv6 address ``text``, parsed in C.
+
+    None where ``inet_pton`` refuses the text. It accepts no text that
+    ``ipaddress`` refuses, and refuses one form that ``ipaddress``
+    accepts, a scoped IPv6 address such as ``fe80::1%eth0``: a caller
+    parses a refused text with ``ipaddress``, for its value or its error.
+    """
+    family = _socket.AF_INET6 if ":" in text else _socket.AF_INET
+    try:
+        return _socket.inet_pton(family, text)
+    except (OSError, ValueError):  # refused, or holds a NUL or a lone surrogate
+        return None
+
+
+def pack_network(text: str) -> Optional[Tuple[bytes, int]]:
+    """The packed network address and the prefix length of ``address/length``
+    text, parsed in C. None unless the length is one to three ASCII digits
+    within the address's width and no host bit is set: a caller parses any
+    other text with ``ipaddress``, for its value or its error."""
+    address, slash, length = text.partition("/")
+    packed = pack_address(address) if slash else None
+    if packed is None or not (len(length) <= 3 and length.isascii() and length.isdigit()):
+        return None
+    bits, width = int(length), 8 * len(packed)
+    if bits > width or int.from_bytes(packed, "big") & ((1 << (width - bits)) - 1):
+        return None
+    return packed, bits
+
+
+def unpack_address(packed: bytes) -> IPAddress:
+    """The ``ipaddress`` object of ``pack_address``'s bytes."""
+    value = int.from_bytes(packed, "big")
+    return ipaddress.IPv4Address(value) if len(packed) == 4 else ipaddress.IPv6Address(value)
+
 
 #: Prefix lengths under which an IPv4 address can be embedded in IPv6.
 ALLOWED_PREFIX_LENGTHS: Tuple[int, ...] = (32, 40, 48, 56, 64, 96)
@@ -181,6 +222,7 @@ class TraceroutePath(NamedTuple):
 #: Records from one tuple of fields, for the loader and the generator:
 #: no Python-level ``__new__``.
 _new_probe = partial(tuple.__new__, ProbeRecord)
+_new_run = partial(tuple.__new__, TestRun)
 _new_path = partial(tuple.__new__, TraceroutePath)
 
 

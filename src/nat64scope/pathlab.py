@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 import math
-import statistics
+import sys
 from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .addrsynth import synthesize
@@ -52,18 +52,22 @@ def pair_paths(
     The join key is (probe, target, round); a translated path additionally
     carries its prefix, so one native path can back several pairs when a
     probe uses more than one prefix. Later duplicates of an already-seen
-    key are set aside rather than silently replacing the first. Targets
-    and prefixes key as objects: their equality is that of their text,
-    because a prefix's kind follows from its base and length. The paths
-    set aside come back as counts by reason, in order of first use.
+    key are set aside rather than silently replacing the first. A target
+    keys as its integer: it is an IPv4 address, which has no scope, and
+    an ``ipaddress`` object hashes in Python. A prefix keys as itself: it
+    computes its hash once, when it is built, and its equality is that of
+    its text, scope included, because its kind follows from its base and
+    length. The paths set aside come back as counts by reason, in order
+    of first use.
     """
-    v4_index: Dict[Tuple[str, ipaddress.IPv4Address, int], TraceroutePath] = {}
+    v4_index: Dict[Tuple[str, int, int], TraceroutePath] = {}
     unpaired: Dict[str, int] = {}
     # In input order: the pairs come out in the order of their translated paths.
-    nat_seen: Dict[Tuple[str, ipaddress.IPv4Address, int, Nat64Prefix], TraceroutePath] = {}
+    nat_seen: Dict[Tuple[str, int, int, Nat64Prefix], TraceroutePath] = {}
 
     for path in paths:
         probe_id, family, prefix, target, round_index, _ = path
+        target = int(target)
         if family is PathFamily.IPV4:
             key = (probe_id, target, round_index)
             if key in v4_index:
@@ -117,7 +121,7 @@ def first_nat_hop(path: TraceroutePath) -> Optional[Hop]:
     wanted = int(prefix.base) >> shift
     for hop in path.hops:
         address = hop.address
-        if address is not None and address.version == 6 and int(address) >> shift == wanted:
+        if isinstance(address, ipaddress.IPv6Address) and int(address) >> shift == wanted:
             return hop
     return None
 
@@ -136,10 +140,12 @@ def filter_pairs(
     """
     # Round coverage per (probe, prefix): which targets were paired. A
     # round is complete when it paired every target seen in the input.
+    # Targets key as integers, as in ``pair_paths``.
     coverage: Dict[Tuple[str, Nat64Prefix, int], set] = {}
     keys = []  # per pair: its coverage key, target and round
     for pair in pairs:
         probe_id, _, prefix, target, round_index, _ = pair.nat64
+        target = int(target)
         key = (probe_id, prefix, round_index)
         coverage.setdefault(key, set()).add(target)
         keys.append((key, target, round_index))
@@ -210,7 +216,7 @@ def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
     hop6 = target_hop(pair.nat64)
     if hop4 is None or hop6 is None or not hop4.rtts_ms or not hop6.rtts_ms:
         return None
-    v4_rtt_ms = statistics.fmean(hop4.rtts_ms)
+    v4_rtt_ms = _mean(hop4.rtts_ms)
     if v4_rtt_ms == 0.0:
         return None
     # The missing share counts silent hops up to and including the target.
@@ -221,7 +227,7 @@ def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
         v4_length=len4,
         nat64_length=len6,
         v4_rtt_ms=v4_rtt_ms,
-        nat64_rtt_ms=statistics.fmean(hop6.rtts_ms),
+        nat64_rtt_ms=_mean(hop6.rtts_ms),
         v4_missing_pct=100.0 * silent4 / len4,
         nat64_missing_pct=100.0 * silent6 / len6,
     )
@@ -263,14 +269,69 @@ _METRIC_PROPERTIES = ("length_diff", "rtt_diff_ms", "length_diff_pct", "rtt_diff
 _METRIC_FIELDS = PathMetrics._fields + _METRIC_PROPERTIES
 
 
+# The three summaries below give the floats that ``statistics.fmean``,
+# ``median`` and ``pstdev`` give, without importing ``statistics`` (and
+# ``fractions`` and ``decimal``) at every command's start-up.
+
+
+def _mean(values: Sequence[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
+def median(values: Sequence[float]) -> float:
+    """The middle value, or the mean of the two middle values: an odd
+    count of ints has an int median."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
+#: Bits of the rounded-to-odd square root: enough that one more rounding,
+#: to a float, is correct.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_fraction(n: int, m: int) -> float:
+    """The square root of ``n/m``, correctly rounded to a float: an integer
+    root of about ``_SQRT_BITS`` bits, rounded to odd, then to a float."""
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return (root << q) / 1 if q >= 0 else root / (1 << -q)
+
+
+def _pstdev(values: Sequence[float]) -> float:
+    """The population standard deviation of ints and finite floats.
+
+    Each value is ``n/d`` by ``as_integer_ratio``, ``d`` a power of two, so
+    scaled by the largest ``d`` every value is an integer and the variance
+    is one exact fraction; its square root is rounded once.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(d for _, d in ratios)
+    total = squares = 0
+    for n, d in ratios:
+        n *= scale // d
+        total += n
+        squares += n * n
+    count = len(ratios)
+    return _sqrt_of_fraction(count * squares - total * total, (count * scale) ** 2)
+
+
 def _summary(values: Sequence[float]) -> Optional[dict]:
     if not values:
         return None
     return {
         "n": len(values),
-        "mean": statistics.fmean(values),
-        "sd": statistics.pstdev(values),
-        "median": statistics.median(values),
+        "mean": _mean(values),
+        "sd": _pstdev(values),
+        "median": median(values),
     }
 
 
@@ -351,15 +412,15 @@ def aggregate_report(
         return _rates([ok4[i] for i in indices], [ok6[i] for i in indices])
 
     # One pass groups pair positions by probe, target and prefix. Targets
-    # and prefixes key as objects and are named once each, so reports keep
-    # their order by text.
+    # key as integers and prefixes as objects, as in ``pair_paths``; each
+    # is named once, so reports keep their order by text.
     by_probe: Dict[str, List[int]] = {}
-    by_target: Dict[ipaddress.IPv4Address, List[int]] = {}
+    by_target: Dict[int, Tuple[ipaddress.IPv4Address, List[int]]] = {}
     by_prefix: Dict[Nat64Prefix, List[int]] = {}
     for i, pair in enumerate(pairs):
         probe_id, _, prefix, target, _, _ = pair.nat64
         by_probe.setdefault(probe_id, []).append(i)
-        by_target.setdefault(target, []).append(i)
+        by_target.setdefault(int(target), (target, []))[1].append(i)
         by_prefix.setdefault(prefix, []).append(i)
 
     groups: Dict[str, dict] = {}
@@ -373,7 +434,7 @@ def aggregate_report(
 
     per_target = {
         name: rates(indices)
-        for name, indices in sorted((str(t), idx) for t, idx in by_target.items())
+        for name, indices in sorted((str(t), idx) for t, idx in by_target.values())
     }
 
     per_prefix: Dict[str, dict] = {}

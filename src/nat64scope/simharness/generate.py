@@ -74,6 +74,17 @@ class SimResult(NamedTuple):
     ip2as: Ip2AsTable
 
 
+def _doc_v6(group: int, host: int = 0, subnet: int = 0) -> int:
+    """``2001:db8:<group>:<subnet>::<host>`` as an integer, each field hex
+    below 0x10000: simulated addresses are built from integers, not text."""
+    return 0x20010DB8 << 96 | group << 80 | subnet << 64 | host
+
+
+def _v4(a: int, b: int, c: int, d: int) -> int:
+    """``a.b.c.d`` as an integer, each octet below 256."""
+    return a << 24 | b << 16 | c << 8 | d
+
+
 def _asn_v6(cell: int) -> int:
     return 65000 + cell
 
@@ -89,7 +100,7 @@ def _nat_asn(cell: int) -> int:
 def _pool_prefix(cell: int, j: int) -> Nat64Prefix:
     # Pool members share their first 48 bits, like one operator carving
     # several translation prefixes out of a single allocation.
-    base = ipaddress.IPv6Address(f"2001:db8:{0x6400 + cell:x}:{j + 1}::")
+    base = ipaddress.IPv6Address(_doc_v6(0x6400 + cell, subnet=j + 1))
     return Nat64Prefix(base, 96, PrefixKind.CUSTOM)
 
 
@@ -97,7 +108,7 @@ def _resolver_address(cell: int, resolver: str, publics: Sequence[IPAddress]) ->
     if resolver == "public":
         return publics[0]
     host = {"dns64": 0x53, "plain": 0x10, "broken": 0x66}[resolver]
-    return ipaddress.IPv6Address(f"2001:db8:{0x5300 + cell:x}::{host:x}")
+    return ipaddress.IPv6Address(_doc_v6(0x5300 + cell, host))
 
 
 class _Plan(NamedTuple):
@@ -148,7 +159,7 @@ def _build_plans(scenario: Scenario, publics: Tuple[Nat64Prefix, ...],
             cell_counters[cell] = i + 1
             probe_id = f"sim{n:03d}"
             net_group = 0x1000 + cell * 64 + i
-            network = ipaddress.IPv6Network(f"2001:db8:{net_group:x}::/64")
+            network = ipaddress.IPv6Network((_doc_v6(net_group), 64))
             record = ProbeRecord(
                 probe_id=probe_id,
                 asn_v4=_asn_v4(cell, cohort),
@@ -321,21 +332,22 @@ def _nat64_layout(plan: _Plan, prefix: Nat64Prefix, v4: _Layout, pre: _Layout,
     return tuple(layout)
 
 
-def _fixed_hops(plan: _Plan,
-                parse) -> Tuple[ipaddress.IPv4Address, _Layout, ipaddress.IPv4Address]:
+def _fixed_hops(plan: _Plan, new_v4,
+                new_v6) -> Tuple[ipaddress.IPv4Address, _Layout, ipaddress.IPv4Address]:
     """The probe's first native hop, its hops before the translator and the
-    translator's IPv4 side: the same in all of its paths, so parsed once.
-    ``parse`` does what ``ipaddress.IPv6Address`` does."""
+    translator's IPv4 side: the same in all of its paths, so built once.
+    ``new_v4`` and ``new_v6`` do what ``ipaddress.IPv4Address`` and
+    ``IPv6Address`` do with an integer."""
     cell = plan.cohort.cell
     pre = (
-        f"2001:db8:{plan.net_group:x}::1",
-        f"2001:db8:{0x100 + cell:x}::2",
-        f"2001:db8:{0x200 + cell:x}::3",
+        _doc_v6(plan.net_group, 1),
+        _doc_v6(0x100 + cell, 2),
+        _doc_v6(0x200 + cell, 3),
     )[: _NAT_POSITION[plan.cohort.location] - 1]
     return (
-        ipaddress.IPv4Address(f"10.{cell}.{plan.cell_index}.254"),
-        tuple((h, parse(text), 0.4 * h) for h, text in enumerate(pre, start=1)),
-        ipaddress.IPv4Address(f"192.0.2.{cell % 250 + 1}"),
+        new_v4(_v4(10, cell, plan.cell_index, 254)),
+        tuple((h, new_v6(value), 0.4 * h) for h, value in enumerate(pre, start=1)),
+        new_v4(_v4(192, 0, 2, cell % 250 + 1)),
     )
 
 
@@ -382,22 +394,20 @@ def _runs_for(plan: _Plan) -> List[TestRun]:
 
 def _world_table(plans: Sequence[_Plan], publics: Tuple[Nat64Prefix, ...]) -> Ip2AsTable:
     table = Ip2AsTable()
-    table.add("198.51.100.0/24", TARGET_ASN)
-    table.add("203.0.113.0/24", TRANSIT_ASN)
+    table.add_int(4, _v4(198, 51, 100, 0), 24, TARGET_ASN)
+    table.add_int(4, _v4(203, 0, 113, 0), 24, TRANSIT_ASN)
     for idx, prefix in enumerate(publics):
-        table.add(
-            ipaddress.IPv6Network((prefix.base, prefix.length)), 64800 + idx
-        )
+        table.add_int(6, int(prefix.base), prefix.length, 64800 + idx)
     seen_cells: Set[int] = set()
     pool_owner: Dict[int, int] = {}
     for plan in plans:
         cell = plan.cohort.cell
-        table.add(f"10.{cell}.{plan.cell_index}.0/24", plan.record.asn_v4)
-        table.add(f"2001:db8:{plan.net_group:x}::/48", plan.record.asn_v6)
+        table.add_int(4, _v4(10, cell, plan.cell_index, 0), 24, plan.record.asn_v4)
+        table.add_int(6, _doc_v6(plan.net_group), 48, plan.record.asn_v6)
         if cell not in seen_cells:
             seen_cells.add(cell)
-            table.add(f"2001:db8:{0x100 + cell:x}::/48", _asn_v6(cell))
-            table.add(f"2001:db8:{0x200 + cell:x}::/48", _nat_asn(cell))
+            table.add_int(6, _doc_v6(0x100 + cell), 48, _asn_v6(cell))
+            table.add_int(6, _doc_v6(0x200 + cell), 48, _nat_asn(cell))
         if plan.cohort.prefix in ("custom", "both"):
             owner = (
                 _nat_asn(cell) if plan.cohort.location == "remote" else _asn_v6(cell)
@@ -406,9 +416,7 @@ def _world_table(plans: Sequence[_Plan], publics: Tuple[Nat64Prefix, ...]) -> Ip
                 if prefix.kind is PrefixKind.CUSTOM and prefix not in publics:
                     pool_owner.setdefault(int(prefix.base), owner)
     for base_int, owner in sorted(pool_owner.items()):
-        table.add(
-            ipaddress.IPv6Network((ipaddress.IPv6Address(base_int), 96)), owner
-        )
+        table.add_int(6, base_int, 96, owner)
     return table
 
 
@@ -430,7 +438,8 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
     # One object per hop address in the world, so that the writer's
     # lookups by address find each one by identity.
     embed = functools.lru_cache(maxsize=None)(synthesize)
-    parse = functools.lru_cache(maxsize=None)(ipaddress.IPv6Address)
+    new_v4 = functools.lru_cache(maxsize=None)(ipaddress.IPv4Address)
+    new_v6 = functools.lru_cache(maxsize=None)(ipaddress.IPv6Address)
 
     for plan in plans:
         dataset.probes[plan.probe_id] = plan.record
@@ -451,7 +460,7 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
             continue
         # Shapes come from rng one per target, in target order, before any
         # round: every seeded world's bytes depend on that order.
-        first, pre, anchor = _fixed_hops(plan, parse)
+        first, pre, anchor = _fixed_hops(plan, new_v4, new_v6)
         layouts = []
         for target in SIM_TARGETS:
             v4 = _v4_layout(plan, first, target, rng)

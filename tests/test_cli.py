@@ -38,6 +38,7 @@ from nat64scope.model import (
 )
 from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
 from nat64scope.simharness import ACCEPTANCE_TEMPLATE, compare, oracle_stats
+from test_address_parsing import spellings_of
 from test_dataset import json_values, write_file
 
 
@@ -215,6 +216,106 @@ class TestReportsArePinned:
             path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
         }
         assert digests == expected
+
+
+def respell(text, turn):
+    """Another valid spelling of the address ``text``, chosen by ``turn``:
+    for IPv6, expanded, upper case, both, or with an IPv4 tail. IPv4 has
+    only one spelling."""
+    others = spellings_of(ipaddress.ip_address(text))[1:] or [text]
+    return others[turn % len(others)]
+
+
+def respell_network(text, turn):
+    base, _, length = text.partition("/")
+    return f"{respell(base, turn)}/{length}"
+
+
+def respell_line(line, turns):
+    """The dataset line with each address, prefix base and network respelled,
+    taking a turn of ``turns`` for each."""
+    doc = json.loads(line)
+    kind = doc["record"]
+    if kind == "probe":
+        doc["resolvers"] = [respell(r, next(turns)) for r in doc["resolvers"]]
+        if doc["network_prefix_v6"]:
+            doc["network_prefix_v6"] = respell_network(doc["network_prefix_v6"], next(turns))
+    elif kind == "test_run":
+        if doc["resolver_used"]:
+            doc["resolver_used"] = respell(doc["resolver_used"], next(turns))
+        if doc["observed_prefix"]:
+            doc["observed_prefix"]["base"] = respell(doc["observed_prefix"]["base"], next(turns))
+    elif kind == "traceroute":
+        if doc["prefix"]:
+            doc["prefix"]["base"] = respell(doc["prefix"]["base"], next(turns))
+        for hop in doc["hops"]:
+            if hop["address"]:
+                hop["address"] = respell(hop["address"], next(turns))
+    return json.dumps(doc) + "\n"
+
+
+class TestRespelledDataset:
+    """The template world with every address, prefix base and network in
+    other spellings, several for one value within the file: each command
+    writes the reports of the canonical file, byte for byte.
+
+    Guards the loader's one object per address value and the keys by value
+    of pairing, filtering and aggregation; the AS table is respelled too.
+    """
+
+    CASES = {
+        "detect": ["detect"],
+        "classify": ["classify", "--config", "{config}"],
+        "paths": ["paths"],
+        "paths-final-round": ["paths", "--final-round", "1"],
+        "paths-ttl-final-round": ["paths", "--exclude-ttl-anomaly", "--final-round", "2"],
+    }
+
+    @pytest.fixture(scope="class")
+    def worlds(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("respelled")
+        canonical = simulate(root)
+        respelled = root / "respelled"
+        respelled.mkdir()
+        turns = iter(range(10**9))
+        original = (canonical / "dataset.ndjson").read_text().splitlines(keepends=True)
+        lines = [respell_line(line, turns) for line in original]
+        # A translated path twice, spelled apart: the second is a duplicate.
+        duplicate = next(line for line in original if '"nat64"' in line)
+        with open(canonical / "dataset.ndjson", "a") as handle:
+            handle.write(duplicate)
+        lines.append(duplicate)
+        (respelled / "dataset.ndjson").write_text("".join(lines))
+        table = []
+        for line in (canonical / "ip2as.tsv").read_text().splitlines():
+            network, asn = line.split()
+            table.append(f"{respell_network(network, next(turns))} {asn}\n")
+        (respelled / "ip2as.tsv").write_text("".join(table))
+        for world in (canonical, respelled):
+            (world / "config.json").write_text(json.dumps({"ip2as": str(world / "ip2as.tsv")}))
+        return canonical, respelled
+
+    def test_every_spelling_changed_and_the_records_did_not(self, worlds):
+        canonical, respelled = worlds
+        old = (canonical / "dataset.ndjson").read_text().splitlines()
+        new = (respelled / "dataset.ndjson").read_text().splitlines()
+        assert "2001:0db8:" in "".join(new) and "2001:DB8:" in "".join(new)
+        assert sum(a != b for a, b in zip(old, new)) > len(old) / 2
+        a = load_dataset(str(canonical / "dataset.ndjson"))
+        b = load_dataset(str(respelled / "dataset.ndjson"))
+        assert (a.probes, a.runs, a.paths) == (b.probes, b.runs, b.paths)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reports_are_those_of_the_canonical_file(self, worlds, tmp_path, capsys, case):
+        outputs = []
+        for world in worlds:
+            argv = [arg.replace("{config}", str(world / "config.json")) for arg in self.CASES[case]]
+            out = tmp_path / world.name
+            code = run(*argv, "--from-dataset", str(world / "dataset.ndjson"), "--out", str(out))
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            outputs.append((code, capsys.readouterr(), files))
+        assert outputs[0][0] == EXIT_OK
+        assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

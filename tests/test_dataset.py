@@ -268,6 +268,27 @@ def test_addresses_with_one_integer_value_keep_their_own_text():
     assert [hop["address"] for hop in path["hops"]] == ["0.0.0.1", "::1", "0.0.0.1"]
 
 
+def test_each_address_object_is_written_as_its_own_text():
+    # The writer names addresses by identity: equal objects made apart get
+    # the same text, and a scoped address is not its unscoped twin.
+    one, also_one = V6("2001:db8::1"), V6("2001:db8::1")
+    scoped = V6("2001:db8::1%eth0")
+    assert one == also_one and one is not also_one and int(scoped) == int(one)
+    ds = Dataset()
+    ds.probes["p1"] = ProbeRecord("p1", asn_v4=1, asn_v6=1, resolvers=(scoped, one))
+    ds.paths.append(
+        TraceroutePath(
+            "p1", PathFamily.IPV4, None, V4("198.18.0.1"), 0,
+            hops=(Hop(1, one, (1.0,)), Hop(2, scoped, (2.0,)), Hop(3, also_one, (3.0,))),
+        )
+    )
+    probe, path = (json.loads(line) for line in dataset_lines(ds)[1:])
+    assert probe["resolvers"] == ["2001:db8::1%eth0", "2001:db8::1"]
+    assert [hop["address"] for hop in path["hops"]] == [
+        "2001:db8::1", "2001:db8::1%eth0", "2001:db8::1"
+    ]
+
+
 @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
 def test_zero_and_negative_zero_rtts_keep_their_own_text(first, second):
     # Equal keys that hash alike: a table keyed by value alone would write

@@ -125,3 +125,25 @@ def test_matches_linear_scan_oracle():
     for _ in range(200):
         addr6 = V6(rng.getrandbits(128))
         assert table.lookup(addr6) == oracle(addr6)
+
+
+def test_networks_added_as_integers_equal_those_added_as_networks():
+    table = table_of([(NET("10.1.0.0/16"), 5), (NET("2001:db8::/32"), 7), (NET("0.0.0.0/0"), 9)])
+    same = Ip2AsTable()
+    same.add_int(4, int(V4("10.1.0.0")), 16, 5)
+    same.add_int(6, int(V6("2001:db8::")), 32, 7)
+    same.add_int(4, 0, 0, 9)
+    assert list(same.entries()) == list(table.entries())
+    assert same.lookup(V4("10.1.2.3")) == 5 and same.lookup(V4("11.0.0.1")) == 9
+    with pytest.raises(Ip2AsError, match="AS number must be in 1..4294967295"):
+        same.add_int(4, 0, 8, 0)
+
+
+@pytest.mark.parametrize(
+    "version, value, length",
+    [(4, 1, 24), (4, 0, 33), (4, 2**32, 8), (6, -1, 8), (6, 1 << 127, 0), (5, 0, 8)],
+    ids=["host-bits", "too-long", "too-large", "negative", "host-bits-v6", "no-version"],
+)
+def test_integers_that_are_no_network_are_refused(version, value, length):
+    with pytest.raises(Ip2AsError, match=f"is not an IPv{version} network"):
+        Ip2AsTable().add_int(version, value, length, 1)

@@ -5,6 +5,7 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nat64scope.addrsynth import synthesize
 from nat64scope.model import (
@@ -22,8 +23,11 @@ from nat64scope.pathlab import (
     aggregate_report,
     compute_metrics,
     filter_pairs,
+    _mean,
+    _pstdev,
     first_nat_hop,
     flag_ttl_anomalies,
+    median,
     missing_hop_histogram,
     pair_paths,
     path_metrics,
@@ -711,3 +715,39 @@ class TestGroupingAgainstBruteForce:
         assert len(expected_prefixes) >= 20
         assert report["per_prefix"] == expected_prefixes
         assert list(report["per_prefix"]) == list(expected_prefixes)
+
+
+# ------------------------------------------------ summaries without statistics
+
+finite_floats = st.floats(
+    min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
+)
+summary_values = st.one_of(
+    st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=40),
+    st.lists(finite_floats, min_size=1, max_size=40),
+    st.lists(st.one_of(st.integers(-(10**6), 10**6), finite_floats), min_size=1, max_size=40),
+    # subnormals, and many equal values
+    st.lists(st.floats(min_value=-1e-306, max_value=1e-306), min_size=1, max_size=40),
+    st.builds(lambda value, n: [value] * n, finite_floats, st.integers(1, 30)),
+)
+
+
+def same_number(a, b):
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@settings(max_examples=500)
+@given(summary_values)
+def test_summaries_equal_those_of_the_statistics_module_bit_for_bit(values):
+    # The report's mean, median and sd are computed without ``statistics``;
+    # each must give the float (or, for the median of ints, the int) it gives.
+    assert same_number(_mean(values), statistics.fmean(values))
+    assert same_number(median(values), statistics.median(values))
+    assert same_number(_pstdev(values), statistics.pstdev(values))
+
+
+@pytest.mark.parametrize("values", [[3], [1, 3, 2], [1, 2], [0.1] * 7, [1e300, -1e300, 5e-324]])
+def test_summaries_of_chosen_lists_equal_those_of_the_statistics_module(values):
+    assert same_number(_mean(values), statistics.fmean(values))
+    assert same_number(median(values), statistics.median(values))
+    assert same_number(_pstdev(values), statistics.pstdev(values))
