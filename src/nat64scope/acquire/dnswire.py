@@ -1,8 +1,9 @@
 """Minimal DNS wire format: enough to ask for A/AAAA records and read answers.
 
-Implements the subset the toolkit needs (UDP messages, IN class, A and
-AAAA rdata, compression pointers on decode). Encoding never compresses,
-so a message we build parses back to the same content everywhere.
+Implements a client's subset (UDP messages, IN class, A and AAAA rdata,
+compression pointers on decode): it builds queries and reads replies,
+and serves nothing. Encoding never compresses, so a query built here
+parses back to the same content everywhere.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 import struct
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..model import IPAddress
 
@@ -21,7 +22,6 @@ CLASS_IN = 1
 _HEADER = struct.Struct("!HHHHHH")
 _FLAG_QR = 0x8000
 _FLAG_RD = 0x0100
-_FLAG_RA = 0x0080
 
 #: A whole name in wire form, length bytes and root label included (RFC 1035).
 MAX_NAME_BYTES = 255
@@ -140,29 +140,6 @@ class DnsResponse(NamedTuple):
 def build_query(qname: str, qtype: int, txid: int) -> bytes:
     header = _HEADER.pack(txid, _FLAG_RD, 1, 0, 0, 0)
     return header + encode_name(qname) + struct.pack("!HH", qtype, CLASS_IN)
-
-
-def build_response(
-    txid: int,
-    qname: str,
-    qtype: int,
-    answers: Sequence[DnsAnswer] = (),
-    rcode: int = 0,
-) -> bytes:
-    flags = _FLAG_QR | _FLAG_RD | _FLAG_RA | (rcode & 0xF)
-    out = bytearray(_HEADER.pack(txid, flags, 1, len(answers), 0, 0))
-    out += encode_name(qname) + struct.pack("!HH", qtype, CLASS_IN)
-    for answer in answers:
-        out += encode_name(answer.name)
-        out += struct.pack("!HHIH", answer.rdtype, CLASS_IN, answer.ttl, len(answer.rdata))
-        out += answer.rdata
-    return bytes(out)
-
-
-def answer_for(name: str, address: IPAddress) -> DnsAnswer:
-    """Build an A or AAAA answer record for an address, with a 300 s TTL."""
-    rdtype = TYPE_A if isinstance(address, ipaddress.IPv4Address) else TYPE_AAAA
-    return DnsAnswer(canonical_name(name), rdtype, 300, address.packed, address)
 
 
 def _parse_rdata(rdtype: int, rdata: bytes) -> Optional[IPAddress]:

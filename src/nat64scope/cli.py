@@ -425,9 +425,13 @@ def cmd_paths(args) -> int:
     )
 
     rows = []
+    target_names: Dict[int, str] = {}  # each distinct target formatted once
     for pair, m in zip(kept, metrics):
         probe_id, _, prefix, target, round_index, _ = pair.nat64
-        base = [probe_id, str(target), str(prefix), round_index]
+        name = target_names.get(int(target))
+        if name is None:
+            name = target_names[int(target)] = str(target)
+        base = [probe_id, name, str(prefix), round_index]
         if m is None:
             rows.append(base + [""] * 6)
         else:

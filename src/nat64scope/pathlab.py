@@ -105,8 +105,17 @@ def target_hop(path: TraceroutePath) -> Optional[Hop]:
         wanted = path.target_v4
     else:
         wanted = synthesize(path.prefix, path.target_v4)
+    # ``hop.address == wanted``, read field by field as ``ipaddress``'s
+    # ``__eq__`` reads them: integer, version, then scope. A hop address
+    # that is not an ``ipaddress`` object has none of them and never equals.
+    ip, version, scope = wanted._ip, wanted._version, getattr(wanted, "_scope_id", None)
     for hop in path.hops:
-        if hop.address == wanted:
+        address = hop.address
+        if (
+            getattr(address, "_ip", None) == ip
+            and getattr(address, "_version", None) == version
+            and getattr(address, "_scope_id", None) == scope
+        ):
             return hop
     return None
 
@@ -121,7 +130,7 @@ def first_nat_hop(path: TraceroutePath) -> Optional[Hop]:
     wanted = int(prefix.base) >> shift
     for hop in path.hops:
         address = hop.address
-        if isinstance(address, ipaddress.IPv6Address) and int(address) >> shift == wanted:
+        if isinstance(address, ipaddress.IPv6Address) and address._ip >> shift == wanted:
             return hop
     return None
 
@@ -223,14 +232,12 @@ def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
     len4, len6 = hop4.index, hop6.index
     silent4 = sum(1 for hop in pair.ipv4.hops[:len4] if hop.address is None)
     silent6 = sum(1 for hop in pair.nat64.hops[:len6] if hop.address is None)
-    return PathMetrics(
-        v4_length=len4,
-        nat64_length=len6,
-        v4_rtt_ms=v4_rtt_ms,
-        nat64_rtt_ms=_mean(hop6.rtts_ms),
-        v4_missing_pct=100.0 * silent4 / len4,
-        nat64_missing_pct=100.0 * silent6 / len6,
-    )
+    # ``PathMetrics`` fields in order: lengths, target RTTs, missing shares.
+    return tuple.__new__(PathMetrics, (
+        len4, len6,
+        v4_rtt_ms, _mean(hop6.rtts_ms),
+        100.0 * silent4 / len4, 100.0 * silent6 / len6,
+    ))
 
 
 def compute_metrics(pairs: Sequence[PathPair]) -> List[Optional[PathMetrics]]:

@@ -2,11 +2,10 @@
 
 ``scenario`` describes cohorts of probes, ``generate`` materializes a
 dataset plus its ground truth (the ``truth.json`` document), ``oracle``
-recomputes aggregate statistics independently, and ``mockdns`` serves
-resolver personalities over real UDP for the live query path.
+recomputes aggregate statistics independently.
 
-``oracle`` (numpy) and ``mockdns`` load on first use of one of their
-names, so building a world does not pay for them.
+``oracle`` (numpy) loads on first use of one of its names, so building a
+world does not pay for it.
 """
 
 from importlib import import_module
@@ -24,7 +23,6 @@ _LAZY = {
     "compare": "oracle",
     "embedded_address": "oracle",
     "oracle_stats": "oracle",
-    "Dns64Server": "mockdns",
 }
 
 
@@ -38,7 +36,6 @@ def __getattr__(name: str):
 __all__ = [
     "ACCEPTANCE_TEMPLATE",
     "Cohort",
-    "Dns64Server",
     "SIM_ROUNDS",
     "SIM_TARGETS",
     "Scenario",

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from nat64scope.acquire.dnswire import DnsResponse, DnsStatus, answer_for
+from nat64scope.acquire.dnswire import DnsResponse, DnsStatus
 from nat64scope.detector import (
     DNS1_KNOWN_V4,
     DNS1_NAME,
@@ -27,6 +27,8 @@ from nat64scope.model import (
 )
 from nat64scope.acquire.dataset import Dataset
 from nat64scope.addrsynth import synthesize
+
+from loopback_dns import answer_for
 
 V4 = ipaddress.IPv4Address
 V6 = ipaddress.IPv6Address

@@ -8,13 +8,13 @@ from nat64scope.acquire.dnswire import (
     MalformedDns,
     TYPE_A,
     TYPE_AAAA,
-    answer_for,
     build_query,
-    build_response,
     canonical_name,
     encode_name,
     parse_message,
 )
+
+from loopback_dns import answer_for, build_response
 
 V4 = ipaddress.IPv4Address
 V6 = ipaddress.IPv6Address

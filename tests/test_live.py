@@ -1,18 +1,10 @@
 """Live probing drivers, exercised against local mocks."""
 
 import ipaddress
-import socket
-import threading
 
 import pytest
 
-from nat64scope.acquire.dnswire import (
-    DnsStatus,
-    TYPE_AAAA,
-    answer_for,
-    build_response,
-    parse_message,
-)
+from nat64scope.acquire.dnswire import DnsStatus, TYPE_AAAA, parse_message
 from nat64scope.acquire.live import (
     ProbePermissionError,
     _open_icmp6_socket,
@@ -22,44 +14,9 @@ from nat64scope.acquire.live import (
 from nat64scope.addrsynth import synthesize
 from nat64scope.model import Nat64Prefix
 
+from loopback_dns import MockResolver, answer_for, build_response
+
 PREFIX = Nat64Prefix.from_cidr("2001:db8:64::/96")
-
-
-class MockResolver:
-    """A one-thread UDP DNS64 that answers from a scripted behavior."""
-
-    def __init__(self, behavior):
-        self.behavior = behavior
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind(("127.0.0.1", 0))
-        self.sock.settimeout(5.0)
-        self.address = self.sock.getsockname()
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self._stop = threading.Event()
-
-    def __enter__(self):
-        self.thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        # Unblock the recv with a spare datagram.
-        poke = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        poke.sendto(b"", self.address)
-        poke.close()
-        self.thread.join(timeout=5.0)
-        self.sock.close()
-
-    def _serve(self):
-        while not self._stop.is_set():
-            try:
-                wire, peer = self.sock.recvfrom(4096)
-            except socket.timeout:
-                return
-            if self._stop.is_set() or not wire:
-                return
-            for reply in self.behavior(wire):
-                self.sock.sendto(reply, peer)
 
 
 def synthesizing_behavior(wire):

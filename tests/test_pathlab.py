@@ -154,6 +154,34 @@ class TestPathPredicates:
         v4 = TraceroutePath("p1", PathFamily.IPV4, None, target, 0, (Hop(1, lookalike, (1.0,)),))
         assert target_hop(v4) is None
 
+    @given(
+        family=st.sampled_from([PathFamily.IPV4, PathFamily.NAT64]),
+        prefix=st.sampled_from([STANDARD_PREFIX, CUSTOM]),
+        target=st.sampled_from([TARGET, TARGET2]),
+        picks=st.lists(st.integers(min_value=0, max_value=11), max_size=6),
+    )
+    def test_target_hop_agrees_with_address_equality(self, family, prefix, target, picks):
+        wanted = target if family is PathFamily.IPV4 else synthesize(prefix, target)
+        translated = synthesize(prefix, target)
+        candidates = [
+            target,
+            translated,
+            ipaddress.IPv6Address(f"{translated}%eth0"),  # scoped twin
+            ipaddress.IPv6Address(f"{translated}%1"),
+            ipaddress.IPv6Address(int(target)),  # the IPv4 target's 32 bits
+            ipaddress.IPv4Address(int(target) ^ 1),
+            ipaddress.IPv6Address(int(translated) ^ 1),
+            None,
+            str(wanted),
+            int(wanted),
+            wanted.packed,
+            ipaddress.ip_network(f"{wanted}/{wanted.max_prefixlen}"),
+        ]
+        hops = tuple(Hop(i + 1, candidates[pick], (1.0,)) for i, pick in enumerate(picks))
+        path = TraceroutePath("p1", family, None if family is PathFamily.IPV4 else prefix,
+                              target, 0, hops)
+        assert target_hop(path) is next((h for h in hops if h.address == wanted), None)
+
     def test_first_target_hop_wins(self):
         # The target answers at hop 4 and again at hop 6: length and RTT
         # come from hop 4.

@@ -16,7 +16,6 @@ from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
 from nat64scope.simharness import (
     ACCEPTANCE_TEMPLATE,
     Cohort,
-    Dns64Server,
     ScenarioError,
     compare,
     generate,
@@ -24,6 +23,8 @@ from nat64scope.simharness import (
     parse_scenario,
 )
 from nat64scope.simharness import scenario as scenario_module
+
+from loopback_dns import MockResolver, personality
 
 
 def template():
@@ -322,13 +323,12 @@ def test_truth_is_recovered_on_random_valid_worlds(scenario, seed):
 
 class TestLazyNames:
     def test_lazy_names_import(self):
-        from nat64scope.simharness import Dns64Server, compare, embedded_address, oracle_stats
-        from nat64scope.simharness import mockdns, oracle
+        from nat64scope.simharness import compare, embedded_address, oracle_stats
+        from nat64scope.simharness import oracle
 
         assert compare is oracle.compare
         assert embedded_address is oracle.embedded_address
         assert oracle_stats is oracle.oracle_stats
-        assert Dns64Server is mockdns.Dns64Server
 
     def test_unknown_name_is_attribute_error(self):
         import nat64scope.simharness as simharness
@@ -515,9 +515,9 @@ class TestTruthRecovery:
 
 class TestMockDns:
     def test_dns64_full_passes_both_tests(self):
-        with Dns64Server(mode="dns64", scope="full") as srv:
-            r1 = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.port, timeout_s=2.0)
-            r2 = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_AAAA, port=srv.port, timeout_s=2.0)
+        with MockResolver(personality(mode="dns64", scope="full")) as srv:
+            r1 = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
+            r2 = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
         run1 = eval_dns_test1("p", 0, [r1])
         run2 = eval_dns_test2("p", 0, [r2])
         assert run1.raw_outcome is RawOutcome.PASS
@@ -525,49 +525,43 @@ class TestMockDns:
         assert run2.raw_outcome is RawOutcome.PASS
 
     def test_arpa_only_fails_second_test(self):
-        with Dns64Server(mode="dns64", scope="arpa_only") as srv:
-            r1 = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.port, timeout_s=2.0)
-            r2 = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_AAAA, port=srv.port, timeout_s=2.0)
+        with MockResolver(personality(mode="dns64", scope="arpa_only")) as srv:
+            r1 = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
+            r2 = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
         assert eval_dns_test1("p", 0, [r1]).raw_outcome is RawOutcome.PASS
         assert eval_dns_test2("p", 0, [r2]).raw_outcome is RawOutcome.FAIL
 
     def test_plain_fails_both(self):
-        with Dns64Server(mode="plain") as srv:
-            r1 = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.port, timeout_s=2.0)
-            r2 = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_AAAA, port=srv.port, timeout_s=2.0)
+        with MockResolver(personality(mode="plain")) as srv:
+            r1 = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
+            r2 = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
         assert eval_dns_test1("p", 0, [r1]).raw_outcome is RawOutcome.FAIL
         assert eval_dns_test2("p", 0, [r2]).raw_outcome is RawOutcome.FAIL
 
     def test_broken_resolver_synthesizes_only_the_test_name(self):
-        with Dns64Server(mode="broken") as srv:
-            r1 = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.port, timeout_s=2.0)
-            r2 = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_AAAA, port=srv.port, timeout_s=2.0)
+        with MockResolver(personality(mode="broken")) as srv:
+            r1 = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
+            r2 = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
         assert eval_dns_test1("p", 0, [r1]).raw_outcome is RawOutcome.PASS
         assert eval_dns_test2("p", 0, [r2]).raw_outcome is RawOutcome.FAIL
 
     def test_unknown_name_is_nxdomain(self):
-        with Dns64Server() as srv:
-            r = dns_query("127.0.0.1", "nonexistent.example", TYPE_AAAA, port=srv.port, timeout_s=2.0)
+        with MockResolver(personality()) as srv:
+            r = dns_query("127.0.0.1", "nonexistent.example", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
         assert r.status.name == "NXDOMAIN"
 
     def test_a_records_always_served(self):
-        with Dns64Server(mode="plain") as srv:
+        with MockResolver(personality(mode="plain")) as srv:
             from nat64scope.acquire.dnswire import TYPE_A
 
-            r = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_A, port=srv.port, timeout_s=2.0)
+            r = dns_query("127.0.0.1", "time-c-b.nist.gov", TYPE_A, port=srv.address[1], timeout_s=2.0)
         assert [str(a.address) for a in r.answers] == ["132.163.96.3"]
 
     def test_custom_prefix_synthesis(self):
         from nat64scope.model import Nat64Prefix
 
         prefix = Nat64Prefix.from_cidr("2001:db8:64::/96")
-        with Dns64Server(prefix=prefix) as srv:
-            r = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.port, timeout_s=2.0)
+        with MockResolver(personality(prefix=prefix)) as srv:
+            r = dns_query("127.0.0.1", "ipv4only.arpa", TYPE_AAAA, port=srv.address[1], timeout_s=2.0)
         run = eval_dns_test1("p", 0, [r])
         assert run.observed_prefix == prefix
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            Dns64Server(mode="recursive")
-        with pytest.raises(ValueError, match="scope"):
-            Dns64Server(scope="partial")
