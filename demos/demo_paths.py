@@ -39,7 +39,8 @@ def main() -> int:
           f"translator-hiding pairs)")
     print()
 
-    stats = aggregate_report(kept)
+    metrics = compute_metrics(kept)
+    stats = aggregate_report(kept, metrics, {})  # no probe groups
     for name in ("v4_length", "nat64_length", "v4_rtt_ms", "nat64_rtt_ms"):
         s = stats["metrics"][name]
         print(f"  {name:16} mean {s['mean']:8.3f}   sd {s['sd']:7.3f}   median {s['median']:8.3f}")
@@ -55,7 +56,7 @@ def main() -> int:
     print()
 
     print("silent-hop share distribution (low..high%, v4 pairs, translated pairs):")
-    for low, high, v4_count, nat64_count in missing_hop_histogram(compute_metrics(kept)):
+    for low, high, v4_count, nat64_count in missing_hop_histogram(metrics):
         if v4_count or nat64_count:
             print(f"  {low:5.1f}..{high:5.1f}  {v4_count:4}  {nat64_count:4}")
     print()

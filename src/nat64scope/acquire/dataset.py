@@ -510,6 +510,9 @@ _KINDS = {
 def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
     """Parse and check; raises DatasetError naming every offender found.
 
+    ``source`` is a path, which is opened and closed here, or the lines
+    themselves; either way a line that is not ASCII is a problem.
+
     A load allocates many small containers, none of them in reference
     cycles, which the cyclic collector would scan again and again as they
     pile up. ``cli.main`` pauses the collector for the whole command; a
@@ -531,7 +534,7 @@ def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
             _, first = next(lines)
         except StopIteration:
             raise DatasetError(["file is empty, expected a header line"])
-        if own and not first.isascii():
+        if not first.isascii():
             raise DatasetError(["line 1: not ASCII"])
         try:
             header = json.loads(first)
@@ -552,7 +555,7 @@ def load_dataset(source: Union[str, IO[str], Iterable[str]]) -> Dataset:
             line = line.strip()
             if not line:
                 continue
-            if own and not line.isascii():
+            if not line.isascii():
                 problems.append(f"line {lineno}: not ASCII")
                 continue
             try:

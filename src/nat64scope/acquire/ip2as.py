@@ -8,18 +8,17 @@ rebuilt table never depends on input order.
 from __future__ import annotations
 
 import ipaddress
-from typing import IO, Dict, Iterable, Optional, Tuple, Union
+from typing import IO, Dict, Optional, Tuple
 
 from ..model import MAX_ASN, IPAddress, pack_network
-
-IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
 
 class Ip2AsError(ValueError):
     """The mapping file has a line that is not ``prefix asn``."""
 
 
-def _check_asn(asn: int) -> None:
+def check_asn(asn: int) -> None:
+    """Refuse an AS number outside the four-octet range."""
     if not 1 <= asn <= MAX_ASN:
         raise Ip2AsError(f"AS number must be in 1..{MAX_ASN}, got {asn}")
 
@@ -41,8 +40,8 @@ class Ip2AsTable:
 
     A network is kept as three integers, its IP version, prefix length and
     network address, so loading, looking up and saving build no
-    ``ipaddress`` network: ``load`` and ``add`` parse a prefix's text in C
-    where they can, and ``add_int`` takes the integers themselves.
+    ``ipaddress`` network: ``load`` parses a prefix's text in C where it
+    can, and ``add_int`` takes the integers themselves.
     """
 
     __slots__ = ("_tables", "_lengths")
@@ -51,13 +50,9 @@ class Ip2AsTable:
         self._tables: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._lengths: Dict[int, Tuple[int, ...]] = {}
 
-    def add(self, network: Union[IPNetwork, str], asn: int) -> None:
-        _check_asn(asn)
-        self._insert(*_parse_network(str(network)), asn)
-
     def add_int(self, version: int, value: int, length: int, asn: int) -> None:
         """Add the IPv``version`` network ``value/length``; its host bits must be clear."""
-        _check_asn(asn)
+        check_asn(asn)
         width = {4: 32, 6: 128}.get(version, -1)
         if not (0 <= length <= width and 0 <= value < 1 << width
                 and not value & ((1 << (width - length)) - 1)):
@@ -89,7 +84,7 @@ class Ip2AsTable:
                 try:
                     version, length, value = _parse_network(parts[0])
                     asn = int(parts[1])
-                    _check_asn(asn)
+                    check_asn(asn)
                 except ValueError as exc:
                     raise Ip2AsError(f"{path}:{lineno}: {exc}") from exc
                 table._insert(version, length, value, asn)
@@ -106,23 +101,16 @@ class Ip2AsTable:
                 return asn
         return None
 
-    def _sorted(self) -> Iterable[Tuple[IPAddress, int, int]]:
-        """(network address, length, asn) of every entry in deterministic order."""
-        for (version, length), bucket in sorted(self._tables.items()):
-            cls = ipaddress.IPv4Address if version == 4 else ipaddress.IPv6Address
-            for value in sorted(bucket):
-                yield cls(value), length, bucket[value]
-
-    def entries(self) -> Iterable[Tuple[IPNetwork, int]]:
-        """Every (network, asn) pair in deterministic order."""
-        for address, length, asn in self._sorted():
-            yield ipaddress.ip_network((address, length)), asn
-
     def save(self, handle: IO[str]) -> None:
-        """Write one ``network asn`` line per entry, the form ``load`` reads.
+        """Write one ``network asn`` line per entry, in deterministic order,
+        the form ``load`` reads.
 
         A network is written as its address's ``str`` and its length, as
         its own ``str`` would write it; ``inet_ntop`` would write
         ``::ffff:0:0`` as ``::ffff:0.0.0.0``.
         """
-        handle.write("".join(f"{a}/{length} {asn}\n" for a, length, asn in self._sorted()))
+        lines = []
+        for (version, length), bucket in sorted(self._tables.items()):
+            cls = ipaddress.IPv4Address if version == 4 else ipaddress.IPv6Address
+            lines.extend(f"{cls(value)}/{length} {bucket[value]}\n" for value in sorted(bucket))
+        handle.write("".join(lines))

@@ -70,8 +70,10 @@ def dns_query(
                     message = parse_message(wire)
                 except MalformedDns:
                     return DnsResponse(address, name, qtype, DnsStatus.MALFORMED)
-                if message.txid != txid or not message.is_response:
-                    continue  # stray datagram, keep waiting
+                # A reply to another query, or to another question, is stray.
+                asked = (message.txid, message.qname, message.qtype) == (txid, name, qtype)
+                if not (asked and message.is_response):
+                    continue  # keep waiting
                 return DnsResponse(address, name, qtype, message.status, message.answers)
         except socket.timeout:
             return DnsResponse(address, name, qtype, DnsStatus.TIMEOUT)
@@ -126,10 +128,10 @@ def icmp_echo(
                 if not ready:
                     break
                 wire, _ = sock.recvfrom(2048)
-                if len(wire) < 8 or wire[0] != 129:  # echo reply
-                    continue
-                r_ident, r_seq = struct.unpack_from("!HH", wire, 4)
-                if r_seq == seq:
+                # An echo reply (129) is ours when it repeats the request's
+                # sequence number and timestamp: a raw socket sees every
+                # process's replies, and a ping socket rewrites the identifier.
+                if len(wire) >= 16 and wire[0] == 129 and wire[6:16] == packet[6:16]:
                     rtt = (time.monotonic() - sent) * 1000.0
             rtts.append(rtt)
     return tuple(rtts)
@@ -158,10 +160,11 @@ def measure(
 ) -> Dataset:
     """Run the detection tests from this host as the one probe ``local``.
 
-    Each of ``repeat`` rounds sends both DNS tests to every resolver at
-    once. Then the well-known prefix, and after it each operator prefix
-    the DNS tests revealed, is echoed ``repeat`` times toward ``anchor``
-    embedded under it. An interrupt keeps the runs so far.
+    Each of ``repeat`` rounds sends both DNS tests to every resolver
+    through a thread pool of the executor's default size. Then the
+    well-known prefix, and after it each operator prefix the DNS tests
+    revealed, is echoed ``repeat`` times toward ``anchor`` embedded under
+    it. An interrupt keeps the runs so far.
     """
     probe_id = "local"
     started = int(time.time())
@@ -169,8 +172,8 @@ def measure(
     dataset.probes[probe_id] = ProbeRecord(probe_id, None, None, resolvers=tuple(resolvers))
 
     try:
-        # A round waits for all of its queries, so they are its parallelism.
-        with ThreadPoolExecutor(max_workers=2 * len(resolvers)) as pool:
+        # A round waits for all of its queries; the default pool size caps those in flight.
+        with ThreadPoolExecutor() as pool:
             for _ in range(repeat):
                 futures1 = [pool.submit(dns_query, r, DNS1_NAME, TYPE_AAAA) for r in resolvers]
                 futures2 = [pool.submit(dns_query, r, dns2_name, TYPE_AAAA) for r in resolvers]

@@ -10,8 +10,9 @@ import ipaddress
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
+from .acquire.ip2as import check_asn
 from .classifier import ASCategory
-from .model import MAX_ASN, IPAddress, Nat64Prefix
+from .model import IPAddress, Nat64Prefix
 
 
 def _read(path: Optional[str], packaged_name: str) -> str:
@@ -58,9 +59,8 @@ def load_as_categories(path: Optional[str] = None) -> Dict[int, ASCategory]:
         try:
             asn = int(parts[0])
             category = ASCategory(parts[1])
+            check_asn(asn)
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from exc
-        if not 1 <= asn <= MAX_ASN:
-            raise ValueError(f"{source}:{lineno}: AS number must be in 1..{MAX_ASN}, got {asn}")
         mapping[asn] = category
     return mapping

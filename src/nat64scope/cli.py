@@ -15,7 +15,7 @@ import ipaddress
 import json
 import os
 import sys
-from typing import IO, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import IO, Dict, List, Optional, Sequence
 
 from . import catalogs
 from .acquire.dataset import Dataset, load_dataset, write_dataset
@@ -56,20 +56,6 @@ class ConfigError(ValueError):
     """The command cannot start with the given configuration."""
 
 
-class RunConfig(NamedTuple):
-    """File-level knobs shared by all commands, named as the config keys."""
-
-    targets: Tuple[ipaddress.IPv4Address, ...]
-    dns2_name: str
-    dns2_answers: Tuple[ipaddress.IPv4Address, ...]
-    resolvers: Tuple[str, ...]
-    public_resolvers: Optional[str]
-    public_prefixes: Optional[str]
-    ip2as: Optional[str]
-    as_categories: Optional[str]
-    repeat: int
-
-
 #: Every config key, with the value it takes when the file leaves it out.
 _DEFAULTS = {
     "targets": [str(STD_PING_TARGET_V4)],
@@ -87,8 +73,9 @@ _DEFAULTS = {
 _FILE_KEYS = ("public_resolvers", "public_prefixes", "ip2as", "as_categories")
 
 
-def load_config(path: Optional[str]) -> RunConfig:
-    """``_DEFAULTS`` with the keys the JSON file at ``path`` sets, checked."""
+def load_config(path: Optional[str]) -> dict:
+    """``_DEFAULTS`` with the keys the JSON file at ``path`` sets, checked;
+    each list comes back a tuple, ``targets`` and ``dns2_answers`` of IPv4 addresses."""
     doc: dict = {}
     if path is not None:
         try:
@@ -145,7 +132,7 @@ def load_config(path: Optional[str]) -> RunConfig:
     for key in _FILE_KEYS:
         if values[key] is not None and not os.path.exists(values[key]):
             raise ConfigError(f"{key} file does not exist: {values[key]}")
-    return RunConfig(**values)
+    return values
 
 
 def _read_input(name: str, path: Optional[str], loader):
@@ -156,10 +143,12 @@ def _read_input(name: str, path: Optional[str], loader):
         raise ConfigError(f"{name} {path}: {exc}") from exc
 
 
-def _load_catalogs(config: RunConfig):
+def _load_catalogs(config: dict):
     return (
-        _read_input("public_prefixes", config.public_prefixes, catalogs.load_public_prefixes),
-        _read_input("public_resolvers", config.public_resolvers, catalogs.load_public_resolvers),
+        _read_input("public_prefixes", config["public_prefixes"], catalogs.load_public_prefixes),
+        _read_input(
+            "public_resolvers", config["public_resolvers"], catalogs.load_public_resolvers
+        ),
     )
 
 
@@ -233,10 +222,10 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 # ---------------------------------------------------------------- detect
 
 
-def _acquire_live(config: RunConfig) -> Dataset:
+def _acquire_live(config: dict) -> Dataset:
     from .acquire import live  # sockets; imported only when measuring
 
-    resolver_strs = config.resolvers or live.system_resolvers()
+    resolver_strs = config["resolvers"] or live.system_resolvers()
     if not resolver_strs:
         raise ConfigError("no resolvers configured and none found in /etc/resolv.conf")
     try:
@@ -244,7 +233,8 @@ def _acquire_live(config: RunConfig) -> Dataset:
     except ValueError as exc:
         raise ConfigError(f"bad resolver address: {exc}") from exc
     return live.measure(
-        resolvers, config.dns2_name, config.dns2_answers, config.targets[0], config.repeat
+        resolvers, config["dns2_name"], config["dns2_answers"],
+        config["targets"][0], config["repeat"],
     )
 
 
@@ -299,9 +289,9 @@ def cmd_classify(args) -> int:
     # Both tables are read before any warning, so a bad one ends the
     # command with its one-line error alone.
     ip2as: Optional[Ip2AsTable] = None
-    if config.ip2as is not None:
-        ip2as = _read_input("ip2as", config.ip2as, Ip2AsTable.load)
-    mapping = _read_input("as_categories", config.as_categories, catalogs.load_as_categories)
+    if config["ip2as"] is not None:
+        ip2as = _read_input("ip2as", config["ip2as"], Ip2AsTable.load)
+    mapping = _read_input("as_categories", config["as_categories"], catalogs.load_as_categories)
     evidence = detect_isp_dns64(
         group_runs_by_as(dataset.runs, dataset.probes), dataset.probes
     )
@@ -435,7 +425,7 @@ def cmd_paths(args) -> int:
         if m is None:
             rows.append(base + [""] * 6)
         else:
-            v4_length, nat64_length, *decimals = m  # RTTs, then missing shares
+            v4_length, nat64_length, *decimals = m[:6]  # RTTs, then missing shares
             rows.append(base + [v4_length, nat64_length] + [f"{x:.6f}" for x in decimals])
     _write_csv(
         os.path.join(out, "pairs.csv"),
@@ -530,9 +520,9 @@ def cmd_atlas_spec(args) -> int:
     config = load_config(args.config)
     public_prefixes, _ = _load_catalogs(config)
     definitions = atlas.measurement_definitions(
-        dns2_name=config.dns2_name,
-        ping_target_v4=config.targets[0],
-        traceroute_targets=config.targets,
+        dns2_name=config["dns2_name"],
+        ping_target_v4=config["targets"][0],
+        traceroute_targets=config["targets"],
         prefixes=(STANDARD_PREFIX, *public_prefixes),
     )
     out = _out_dir(args)

@@ -187,7 +187,8 @@ def filter_pairs(
 
 
 class PathMetrics(NamedTuple):
-    """Per-pair numbers; exists only when both members reached the target."""
+    """Per-pair numbers, each a column that ``summary.json`` summarizes;
+    exists only when both members reached the target."""
 
     v4_length: int
     nat64_length: int
@@ -195,22 +196,10 @@ class PathMetrics(NamedTuple):
     nat64_rtt_ms: float
     v4_missing_pct: float
     nat64_missing_pct: float
-
-    @property
-    def length_diff(self) -> int:
-        return self.nat64_length - self.v4_length
-
-    @property
-    def rtt_diff_ms(self) -> float:
-        return self.nat64_rtt_ms - self.v4_rtt_ms
-
-    @property
-    def length_diff_pct(self) -> float:
-        return 100.0 * self.length_diff / self.v4_length
-
-    @property
-    def rtt_diff_pct(self) -> float:
-        return 100.0 * self.rtt_diff_ms / self.v4_rtt_ms
+    length_diff: int
+    rtt_diff_ms: float
+    length_diff_pct: float
+    rtt_diff_pct: float
 
 
 def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
@@ -228,15 +217,19 @@ def path_metrics(pair: PathPair) -> Optional[PathMetrics]:
     v4_rtt_ms = _mean(hop4.rtts_ms)
     if v4_rtt_ms == 0.0:
         return None
+    nat64_rtt_ms = _mean(hop6.rtts_ms)
     # The missing share counts silent hops up to and including the target.
     len4, len6 = hop4.index, hop6.index
     silent4 = sum(1 for hop in pair.ipv4.hops[:len4] if hop.address is None)
     silent6 = sum(1 for hop in pair.nat64.hops[:len6] if hop.address is None)
-    # ``PathMetrics`` fields in order: lengths, target RTTs, missing shares.
+    length_diff, rtt_diff_ms = len6 - len4, nat64_rtt_ms - v4_rtt_ms
+    # ``PathMetrics`` fields in order: lengths, target RTTs, missing shares, differences.
     return tuple.__new__(PathMetrics, (
         len4, len6,
-        v4_rtt_ms, _mean(hop6.rtts_ms),
+        v4_rtt_ms, nat64_rtt_ms,
         100.0 * silent4 / len4, 100.0 * silent6 / len6,
+        length_diff, rtt_diff_ms,
+        100.0 * length_diff / len4, 100.0 * rtt_diff_ms / v4_rtt_ms,
     ))
 
 
@@ -268,12 +261,6 @@ def flag_ttl_anomalies(metrics: Sequence[Optional[PathMetrics]]) -> List[bool]:
         m is not None and min(m.v4_length, m.nat64_length) <= MAX_IMPLAUSIBLE_LENGTH
         for m in metrics
     ]
-
-
-#: What the report summarizes: every field of ``PathMetrics`` and its
-#: properties.
-_METRIC_PROPERTIES = ("length_diff", "rtt_diff_ms", "length_diff_pct", "rtt_diff_pct")
-_METRIC_FIELDS = PathMetrics._fields + _METRIC_PROPERTIES
 
 
 # The three summaries below give the floats that ``statistics.fmean``,
@@ -356,13 +343,14 @@ def _rates(ok4: Sequence[bool], ok6: Sequence[bool]) -> dict:
 
 def aggregate_report(
     pairs: Sequence[PathPair],
-    metrics: Optional[Sequence[Optional[PathMetrics]]] = None,
-    groupings: Optional[Mapping[str, Collection[str]]] = None,
+    metrics: Sequence[Optional[PathMetrics]],
+    groupings: Mapping[str, Collection[str]],
 ) -> dict:
     """Summarize success rates and per-pair metrics across the dataset.
 
-    ``metrics``, when given, holds ``path_metrics`` of each pair in order.
-    The result is the ``stats`` document of ``summary.json``, in the shape
+    ``metrics`` holds ``path_metrics`` of each pair in order, and
+    ``groupings`` the probe ids of each named group. The result is the
+    ``stats`` document of ``summary.json``, in the shape
     ``simharness.oracle_stats`` emits: plain dicts, numbers and ``None``.
 
     Both percentage conventions are reported. ``mean_of_pair_pcts``
@@ -370,21 +358,13 @@ def aggregate_report(
     compares the two sides' means. They answer different questions and
     can disagree wildly.
     """
-    if metrics is None:
-        metrics = compute_metrics(pairs)
     if len(metrics) != len(pairs):
         raise ValueError("metrics must align with pairs")
     usable = [m for m in metrics if m is not None]
 
-    # One column per field and property: fields transposed at once,
-    # properties read once per metric.
-    columns = {name: [getattr(m, name) for m in usable] for name in _METRIC_PROPERTIES}
-    columns.update(zip(PathMetrics._fields, zip(*usable)))
-    summaries: Dict[str, dict] = {}
-    for name in _METRIC_FIELDS:
-        stats = _summary(columns.get(name, ()))
-        if stats is not None:
-            summaries[name] = stats
+    # One column per field, all transposed at once; none without metrics.
+    columns = dict(zip(PathMetrics._fields, zip(*usable)))
+    summaries = {name: _summary(column) for name, column in columns.items()}
 
     mean_of_pair_pcts: Dict[str, Optional[float]] = {
         "length": summaries["length_diff_pct"]["mean"] if usable else None,
@@ -402,13 +382,9 @@ def aggregate_report(
             pct_of_means["rtt"] = 100.0 * (mean_nat_rtt - mean_v4_rtt) / mean_v4_rtt
 
     try:
-        r = pearson(columns["length_diff"], columns["rtt_diff_ms"])
+        r = pearson(columns.get("length_diff", ()), columns.get("rtt_diff_ms", ()))
     except CorrelationError:
         r = None
-    # The same differences by pair position, for the groups and prefixes.
-    usable_at = [i for i, m in enumerate(metrics) if m is not None]
-    length_diffs = dict(zip(usable_at, columns["length_diff"]))
-    rtt_diffs = dict(zip(usable_at, columns["rtt_diff_ms"]))
 
     # A pair has metrics only when both its paths reached the target; the
     # paths are rescanned only for pairs without.
@@ -431,12 +407,13 @@ def aggregate_report(
         by_prefix.setdefault(prefix, []).append(i)
 
     groups: Dict[str, dict] = {}
-    for name, probe_ids in (groupings or {}).items():
+    for name, probe_ids in groupings.items():
         indices = sorted(i for pid in set(probe_ids) for i in by_probe.get(pid, ()))
+        found = [metrics[i] for i in indices if metrics[i] is not None]
         groups[name] = {
             "success": rates(indices),
-            "length_diff": _summary([length_diffs[i] for i in indices if i in length_diffs]),
-            "rtt_diff_ms": _summary([rtt_diffs[i] for i in indices if i in rtt_diffs]),
+            "length_diff": _summary([m.length_diff for m in found]),
+            "rtt_diff_ms": _summary([m.rtt_diff_ms for m in found]),
         }
 
     per_target = {
@@ -446,7 +423,7 @@ def aggregate_report(
 
     per_prefix: Dict[str, dict] = {}
     for name, indices in sorted((str(p), idx) for p, idx in by_prefix.items()):
-        stats = _summary([length_diffs[i] for i in indices if i in length_diffs])
+        stats = _summary([metrics[i].length_diff for i in indices if metrics[i] is not None])
         if stats is not None:
             per_prefix[name] = stats
 

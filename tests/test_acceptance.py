@@ -34,7 +34,9 @@ from nat64scope.model import (
     Nat64Prefix,
     STANDARD_PREFIX,
 )
-from nat64scope.pathlab import CorrelationError, aggregate_report, filter_pairs, pair_paths, pearson
+from nat64scope.pathlab import (
+    CorrelationError, aggregate_report, compute_metrics, filter_pairs, pair_paths, pearson,
+)
 from nat64scope.simharness import (
     ACCEPTANCE_TEMPLATE,
     compare,
@@ -275,7 +277,7 @@ def test_criterion_05_statistics_oracle():
             groupings.setdefault(det["group"], []).append(pid)
         pairs, _ = pair_paths(sim.dataset.paths)
         kept, _ = filter_pairs(pairs)
-        stats = aggregate_report(kept, groupings=groupings)
+        stats = aggregate_report(kept, compute_metrics(kept), groupings)
         problems = compare(stats, oracle_stats(kept, groupings), rel=1e-9)
         assert problems == [], (seed, problems[:5])
         seeds_checked += 1

@@ -36,7 +36,7 @@ from nat64scope.model import (
     TestRun,
     TraceroutePath,
 )
-from nat64scope.pathlab import aggregate_report, filter_pairs, pair_paths
+from nat64scope.pathlab import aggregate_report, compute_metrics, filter_pairs, pair_paths
 from nat64scope.simharness import ACCEPTANCE_TEMPLATE, compare, oracle_stats
 from loopback_dns import answer_for
 from test_address_parsing import spellings_of
@@ -839,7 +839,7 @@ class TestPaths:
         assert read_csv(out / "pairs.csv")[1] == ["p1", str(target), "64:ff9b::/96", "0"] + [""] * 6
 
         kept, _ = filter_pairs(pair_paths(load_dataset(str(path)).paths)[0])
-        assert compare(aggregate_report(kept), oracle_stats(kept)) == []
+        assert compare(aggregate_report(kept, compute_metrics(kept), {}), oracle_stats(kept)) == []
 
     @staticmethod
     def paths_with_target_rtts(tmp_path, capsys, rtts):
@@ -895,8 +895,8 @@ class TestConfig:
         config = tmp_path / "config.json"
         config.write_text("{}")
         for loaded in (load_config(None), load_config(str(config))):
-            assert loaded.dns2_name == "time-c-b.nist.gov."
-            assert loaded.dns2_answers == (ipaddress.IPv4Address("132.163.96.3"),)
+            assert loaded["dns2_name"] == "time-c-b.nist.gov."
+            assert loaded["dns2_answers"] == (ipaddress.IPv4Address("132.163.96.3"),)
 
     def test_unknown_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -1417,7 +1417,7 @@ class TestAtlasSpec:
         definitions = read_json(out / "atlas_spec.json")
         prefixes = (STANDARD_PREFIX, *catalogs.load_public_prefixes())
         assert [d["query_argument"] for d in definitions if d["type"] == "dns"] == [
-            "ipv4only.arpa.", load_config(None).dns2_name,
+            "ipv4only.arpa.", load_config(None)["dns2_name"],
         ]
         assert [d["target"] for d in definitions if d["type"] == "ping"] == [
             str(synthesize(prefix, STD_PING_TARGET_V4)) for prefix in prefixes

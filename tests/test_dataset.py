@@ -765,7 +765,6 @@ def test_every_loaded_record_is_checked_once_through_validate(monkeypatch):
     [
         ([HEADER, PROBE + "x"], 2),
         ([HEADER, PROBE, "["], 3),
-        ([HEADER, PROBE, "\ufeff" + PROBE], 3),
     ],
 )
 def test_unparsable_lines_report_the_json_error(lines, bad):
@@ -781,6 +780,21 @@ def test_non_ascii_bytes_in_a_file_are_reported(tmp_path):
     path.write_bytes((HEADER + "\n" + PROBE.replace("p1", "pé") + "\n").encode("utf-8"))
     with pytest.raises(DatasetError, match="line 2: not ASCII"):
         load_dataset(str(path))
+
+
+@pytest.mark.parametrize(
+    "lines, bad",
+    [([HEADER, PROBE, "\ufeff" + PROBE], 3), (["\ufeff" + HEADER, PROBE], 1)],
+)
+def test_non_ascii_lines_are_reported_from_every_source(tmp_path, lines, bad):
+    # One rule for a path, an open handle and a list of lines alike.
+    text = "".join(line + "\n" for line in lines)
+    path = tmp_path / "d.ndjson"
+    path.write_text(text, encoding="utf-8")
+    for source in (str(path), io.StringIO(text), lines):
+        with pytest.raises(DatasetError) as info:
+            load_dataset(source)
+        assert info.value.problems == [f"line {bad}: not ASCII"]
 
 
 json_values = st.recursive(

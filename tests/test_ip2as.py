@@ -1,3 +1,4 @@
+import io
 import ipaddress
 import random
 import re
@@ -12,11 +13,20 @@ NET = ipaddress.ip_network
 
 
 def table_of(entries):
-    """A table holding each ``(network, asn)`` of ``entries``, added in order."""
+    """A table holding each ``(network, asn)`` of ``entries``, added in order;
+    a network is an ``ipaddress`` network or its text."""
     table = Ip2AsTable()
     for network, asn in entries:
-        table.add(network, asn)
+        network = ipaddress.ip_network(network)
+        table.add_int(network.version, int(network.network_address), network.prefixlen, asn)
     return table
+
+
+def saved_text(table):
+    """What ``save`` writes for ``table``: the ``ip2as.tsv`` form."""
+    handle = io.StringIO()
+    table.save(handle)
+    return handle.getvalue()
 
 
 def test_longest_prefix_wins():
@@ -55,9 +65,7 @@ def test_load_and_save(tmp_path):
         "2001:db8::/32 64500\n"
     )
     table = Ip2AsTable.load(str(source))
-    assert list(table.entries()) == [
-        (NET("10.0.0.0/8"), 100), (NET("10.1.0.0/16"), 200), (NET("2001:db8::/32"), 64500)
-    ]
+    assert saved_text(table) == "10.0.0.0/8 100\n10.1.0.0/16 200\n2001:db8::/32 64500\n"
     assert table.lookup(V4("10.1.0.1")) == 200
 
     out = tmp_path / "copy.txt"
@@ -127,13 +135,15 @@ def test_matches_linear_scan_oracle():
         assert table.lookup(addr6) == oracle(addr6)
 
 
-def test_networks_added_as_integers_equal_those_added_as_networks():
-    table = table_of([(NET("10.1.0.0/16"), 5), (NET("2001:db8::/32"), 7), (NET("0.0.0.0/0"), 9)])
+def test_networks_added_as_integers_equal_those_added_as_networks(tmp_path):
+    source = tmp_path / "table.txt"
+    source.write_text("10.1.0.0/16 5\n2001:db8::/32 7\n0.0.0.0/0 9\n")
+    table = Ip2AsTable.load(str(source))
     same = Ip2AsTable()
     same.add_int(4, int(V4("10.1.0.0")), 16, 5)
     same.add_int(6, int(V6("2001:db8::")), 32, 7)
     same.add_int(4, 0, 0, 9)
-    assert list(same.entries()) == list(table.entries())
+    assert saved_text(same) == saved_text(table)
     assert same.lookup(V4("10.1.2.3")) == 5 and same.lookup(V4("11.0.0.1")) == 9
     with pytest.raises(Ip2AsError, match="AS number must be in 1..4294967295"):
         same.add_int(4, 0, 8, 0)

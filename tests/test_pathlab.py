@@ -409,17 +409,17 @@ class TestPearson:
 
 class TestTtlAnomalies:
     def test_short_side_flags_pair(self):
-        short = PathMetrics(2, 12, 1.0, 2.0, 0.0, 0.0)
-        ordinary = PathMetrics(9, 12, 1.0, 2.0, 0.0, 0.0)
+        short = PathMetrics(2, 12, 1.0, 2.0, 0.0, 0.0, 10, 1.0, 500.0, 100.0)
+        ordinary = PathMetrics(9, 12, 1.0, 2.0, 0.0, 0.0, 3, 1.0, 100.0 * 3 / 9, 100.0)
         assert flag_ttl_anomalies([short, ordinary, None]) == [True, False, False]
 
     def test_boundary_is_inclusive(self):
-        edge = PathMetrics(3, 12, 1.0, 2.0, 0.0, 0.0)
-        above = PathMetrics(4, 12, 1.0, 2.0, 0.0, 0.0)
+        edge = PathMetrics(3, 12, 1.0, 2.0, 0.0, 0.0, 9, 1.0, 300.0, 100.0)
+        above = PathMetrics(4, 12, 1.0, 2.0, 0.0, 0.0, 8, 1.0, 200.0, 100.0)
         assert flag_ttl_anomalies([edge, above]) == [True, False]
 
     def test_translated_side_counts_too(self):
-        m = PathMetrics(9, 2, 1.0, 2.0, 0.0, 0.0)
+        m = PathMetrics(9, 2, 1.0, 2.0, 0.0, 0.0, -7, 1.0, 100.0 * -7 / 9, 100.0)
         assert flag_ttl_anomalies([m]) == [True]
 
 
@@ -441,14 +441,16 @@ class TestAggregateReport:
         ]
 
     def test_success_rates(self):
-        report = aggregate_report(self._pairs())
+        pairs = self._pairs()
+        report = aggregate_report(pairs, compute_metrics(pairs), {})
         assert report["success"]["n_pairs"] == 3
         assert report["success"]["v4_pct"] == pytest.approx(100.0)
         assert report["success"]["nat64_pct"] == pytest.approx(200.0 / 3)
         assert report["success"]["both_pct"] == pytest.approx(200.0 / 3)
 
     def test_metric_summaries_hand_checked(self):
-        report = aggregate_report(self._pairs())
+        pairs = self._pairs()
+        report = aggregate_report(pairs, compute_metrics(pairs), {})
         lengths = report["metrics"]["length_diff"]
         assert lengths["n"] == 2
         assert lengths["mean"] == pytest.approx(statistics.fmean([2, 0]))
@@ -456,7 +458,8 @@ class TestAggregateReport:
         assert lengths["median"] == pytest.approx(1.0)
 
     def test_both_percentage_conventions(self):
-        report = aggregate_report(self._pairs())
+        pairs = self._pairs()
+        report = aggregate_report(pairs, compute_metrics(pairs), {})
         # Pair percentages: (2/3, 0/2) lengths.
         assert report["mean_of_pair_pcts"]["length"] == pytest.approx(
             statistics.fmean([100.0 * 2 / 3, 0.0])
@@ -471,15 +474,17 @@ class TestAggregateReport:
         )
 
     def test_pearson_none_when_degenerate(self):
-        report = aggregate_report(self._pairs())
+        pairs = self._pairs()
+        report = aggregate_report(pairs, compute_metrics(pairs), {})
         # Two usable pairs -> correlation defined; drop to one -> None.
         assert report["pearson_r"] is not None
-        solo = aggregate_report(self._pairs()[:1])
+        solo = aggregate_report(pairs[:1], compute_metrics(pairs[:1]), {})
         assert solo["pearson_r"] is None
 
     def test_groups_keyed_by_probe(self):
+        pairs = self._pairs()
         report = aggregate_report(
-            self._pairs(), groupings={"g1": {"p1", "p3"}, "empty": set()}
+            pairs, compute_metrics(pairs), {"g1": {"p1", "p3"}, "empty": set()}
         )
         g1 = report["groups"]["g1"]
         assert g1["success"]["n_pairs"] == 2
@@ -489,7 +494,8 @@ class TestAggregateReport:
         assert empty["length_diff"] is None
 
     def test_per_target_and_per_prefix(self):
-        report = aggregate_report(self._pairs())
+        pairs = self._pairs()
+        report = aggregate_report(pairs, compute_metrics(pairs), {})
         assert set(report["per_target"]) == {str(TARGET), str(TARGET2)}
         assert report["per_target"][str(TARGET)]["n_pairs"] == 2
         assert set(report["per_prefix"]) == {str(CUSTOM)}
@@ -498,10 +504,10 @@ class TestAggregateReport:
     def test_metrics_alignment_checked(self):
         pairs = self._pairs()
         with pytest.raises(ValueError):
-            aggregate_report(pairs, metrics=[None])
+            aggregate_report(pairs, [None], {})
 
     def test_empty_input(self):
-        report = aggregate_report([])
+        report = aggregate_report([], [], {})
         assert report["success"]["n_pairs"] == 0
         assert report["success"]["v4_pct"] is None
         assert report["metrics"] == {}
@@ -517,19 +523,28 @@ class TestHistogram:
         assert rows[-1][:2] == (95.0, 100.0)
 
     def test_counts_both_sides(self):
-        m = PathMetrics(4, 6, 1.0, 2.0, v4_missing_pct=7.5, nat64_missing_pct=12.5)
+        m = PathMetrics(
+            4, 6, 1.0, 2.0, v4_missing_pct=7.5, nat64_missing_pct=12.5,
+            length_diff=2, rtt_diff_ms=1.0, length_diff_pct=50.0, rtt_diff_pct=100.0,
+        )
         rows = missing_hop_histogram([m, None])
         assert rows[1] == (5.0, 10.0, 1, 0)
         assert rows[2] == (10.0, 15.0, 0, 1)
 
     def test_full_value_lands_in_last_bin(self):
-        m = PathMetrics(4, 6, 1.0, 2.0, v4_missing_pct=100.0, nat64_missing_pct=0.0)
+        m = PathMetrics(
+            4, 6, 1.0, 2.0, v4_missing_pct=100.0, nat64_missing_pct=0.0,
+            length_diff=2, rtt_diff_ms=1.0, length_diff_pct=50.0, rtt_diff_pct=100.0,
+        )
         rows = missing_hop_histogram([m])
         assert rows[-1][2] == 1
         assert rows[0][3] == 1
 
     def test_bins_are_five_points_wide_and_closed_below(self):
-        m = PathMetrics(4, 6, 1.0, 2.0, v4_missing_pct=5.0, nat64_missing_pct=4.99)
+        m = PathMetrics(
+            4, 6, 1.0, 2.0, v4_missing_pct=5.0, nat64_missing_pct=4.99,
+            length_diff=2, rtt_diff_ms=1.0, length_diff_pct=50.0, rtt_diff_pct=100.0,
+        )
         rows = missing_hop_histogram([m])
         assert all(high - low == 5.0 for low, high, _, _ in rows)
         assert rows[0][2:] == (0, 1)
@@ -709,6 +724,12 @@ class TestGroupingAgainstBruteForce:
                 assert m.v4_missing_pct == self._missing_pct(v4, v4.target_v4)
                 wanted = synthesize(nat.prefix, nat.target_v4)
                 assert m.nat64_missing_pct == self._missing_pct(nat, wanted)
+                # The differences, then each in percent of the native side.
+                assert m[6:] == (
+                    m.nat64_length - m.v4_length, m.nat64_rtt_ms - m.v4_rtt_ms,
+                    100.0 * (m.nat64_length - m.v4_length) / m.v4_length,
+                    100.0 * (m.nat64_rtt_ms - m.v4_rtt_ms) / m.v4_rtt_ms,
+                )
         (timeless,) = [i for i, p in enumerate(pairs) if p.nat64.round_index == 3]
         assert metrics[timeless] is None
         assert None not in (target_hop(pairs[timeless].ipv4), target_hop(pairs[timeless].nat64))
