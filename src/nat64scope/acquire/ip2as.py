@@ -10,7 +10,7 @@ from __future__ import annotations
 import ipaddress
 from typing import IO, Dict, Optional, Tuple
 
-from ..model import MAX_ASN, IPAddress, pack_network
+from ..model import MAX_ASN, IPAddress, data_lines, pack_network
 
 
 class Ip2AsError(ValueError):
@@ -74,10 +74,7 @@ class Ip2AsTable:
     def load(cls, path: str) -> "Ip2AsTable":
         table = cls()
         with open(path, "r", encoding="ascii") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
+            for lineno, text in data_lines(handle):
                 parts = text.split()
                 if len(parts) != 2:
                     raise Ip2AsError(f"{path}:{lineno}: expected 'prefix asn': {text!r}")

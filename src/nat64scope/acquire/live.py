@@ -7,6 +7,7 @@ errors surface as typed exceptions and never as partial records.
 
 from __future__ import annotations
 
+import errno
 import ipaddress
 import os
 import random
@@ -41,6 +42,10 @@ class NoRouteError(OSError):
     """No route toward the target: the address family likely has no uplink."""
 
 
+#: The errors a send gives when no route leads toward its destination.
+_NO_ROUTE = (errno.ENETUNREACH, errno.EHOSTUNREACH)
+
+
 def dns_query(
     resolver: Union[IPAddress, str],
     qname: str,
@@ -49,7 +54,12 @@ def dns_query(
     timeout_s: float = 3.0,
     port: int = 53,
 ) -> DnsResponse:
-    """One UDP exchange with one resolver; wire errors become statuses."""
+    """One UDP exchange with one resolver; wire errors become statuses.
+
+    The socket is connected to the resolver, so the kernel drops datagrams
+    from any other sender. A closed port (refused) is a ``TIMEOUT``, and no
+    route toward the resolver is ``OTHER``: a failed lookup, not an error.
+    """
     address = ipaddress.ip_address(resolver)
     txid = random.randrange(0, 0x10000)
     family = socket.AF_INET if address.version == 4 else socket.AF_INET6
@@ -58,14 +68,15 @@ def dns_query(
     with socket.socket(family, socket.SOCK_DGRAM) as sock:
         sock.settimeout(timeout_s)
         try:
-            sock.sendto(query, (str(address), port))
+            sock.connect((str(address), port))
+            sock.send(query)
             deadline = time.monotonic() + timeout_s
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return DnsResponse(address, name, qtype, DnsStatus.TIMEOUT)
                 sock.settimeout(remaining)
-                wire, _ = sock.recvfrom(4096)
+                wire = sock.recv(4096)
                 try:
                     message = parse_message(wire)
                 except MalformedDns:
@@ -75,11 +86,11 @@ def dns_query(
                 if not (asked and message.is_response):
                     continue  # keep waiting
                 return DnsResponse(address, name, qtype, message.status, message.answers)
-        except socket.timeout:
+        except (socket.timeout, ConnectionRefusedError):
             return DnsResponse(address, name, qtype, DnsStatus.TIMEOUT)
         except OSError as exc:
-            if exc.errno in (101, 113):  # ENETUNREACH, EHOSTUNREACH
-                raise NoRouteError(str(exc)) from exc
+            if exc.errno in _NO_ROUTE:
+                return DnsResponse(address, name, qtype, DnsStatus.OTHER)
             raise
 
 
@@ -115,7 +126,7 @@ def icmp_echo(
             try:
                 sock.sendto(packet, (str(target), 0))
             except OSError as exc:
-                if exc.errno in (101, 113):
+                if exc.errno in _NO_ROUTE:
                     raise NoRouteError(str(exc)) from exc
                 raise
             deadline = sent + timeout_s

@@ -1,4 +1,4 @@
-"""IPv4-embedded IPv6 address synthesis and recovery (RFC 6052 layouts).
+"""IPv4-embedded IPv6 address synthesis and prefix discovery (RFC 6052 layouts).
 
 The embedded address occupies fixed bit windows that depend on the prefix
 length; bits 64..71 are a reserved byte that must stay zero and is skipped
@@ -18,22 +18,20 @@ All arithmetic below works on the address as a 128-bit integer.
 from __future__ import annotations
 
 import ipaddress
-from typing import Collection, Iterable
+from typing import Collection
 
 from .model import ALLOWED_PREFIX_LENGTHS, Nat64Prefix
 
 __all__ = [
     "NoEmbeddingFound",
-    "PrefixMismatch",
     "synthesize",
-    "extract_ipv4",
-    "matches_prefix",
     "derive_prefix_from_answer",
 ]
 
-
-class PrefixMismatch(ValueError):
-    """The address does not fall under the given prefix."""
+#: The order in which a synthesized answer's layouts are tried: every
+#: supported length, longest first, so /96 wins when several embed a
+#: known address.
+_SCAN_ORDER = tuple(sorted(ALLOWED_PREFIX_LENGTHS, reverse=True))
 
 
 class NoEmbeddingFound(ValueError):
@@ -74,35 +72,19 @@ def synthesize(prefix: Nat64Prefix, v4: ipaddress.IPv4Address) -> ipaddress.IPv6
     return ipaddress.IPv6Address(int(prefix.base) | _embed_bits(int(v4), prefix.length))
 
 
-def matches_prefix(addr: ipaddress.IPv6Address, prefix: Nat64Prefix) -> bool:
-    """True when the first ``prefix.length`` bits of ``addr`` equal the base."""
-    shift = 128 - prefix.length
-    return int(addr) >> shift == int(prefix.base) >> shift
-
-
-def extract_ipv4(addr: ipaddress.IPv6Address, prefix: Nat64Prefix) -> ipaddress.IPv4Address:
-    """Recover the embedded IPv4 address from an address under ``prefix``."""
-    if not matches_prefix(addr, prefix):
-        raise PrefixMismatch(f"{addr} is not under {prefix}")
-    return ipaddress.IPv4Address(_extract_bits(int(addr), prefix.length))
-
-
 def derive_prefix_from_answer(
     addr: ipaddress.IPv6Address,
     known_v4: Collection[ipaddress.IPv4Address],
-    lengths: Iterable[int] = (),
 ) -> Nat64Prefix:
     """Recover the translation prefix from a synthesized AAAA answer.
 
-    Tries every supported length, longest first, so /96 wins when several
-    layouts embed a known address. A candidate only counts when rebuilding
-    the address from the implied prefix reproduces it exactly, which forces
-    the reserved byte and any suffix bits to zero.
+    Tries the layouts in ``_SCAN_ORDER``. A candidate only counts when
+    rebuilding the address from the implied prefix reproduces it exactly,
+    which forces the reserved byte and any suffix bits to zero.
     """
     known = {int(v4) for v4 in known_v4}
     addr_int = int(addr)
-    order = tuple(lengths) or tuple(sorted(ALLOWED_PREFIX_LENGTHS, reverse=True))
-    for length in order:
+    for length in _SCAN_ORDER:
         candidate = _extract_bits(addr_int, length)
         if candidate not in known:
             continue

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import ipaddress
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .acquire.ip2as import check_asn
 from .classifier import ASCategory
-from .model import IPAddress, Nat64Prefix
+from .model import IPAddress, Nat64Prefix, data_lines
 
 
 def _read(path: Optional[str], packaged_name: str) -> str:
@@ -23,25 +23,16 @@ def _read(path: Optional[str], packaged_name: str) -> str:
         return handle.read()
 
 
-def _data_lines(text: str) -> List[str]:
-    lines = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    return lines
-
-
 def load_public_resolvers(path: Optional[str] = None) -> Tuple[IPAddress, ...]:
     """Addresses of public resolvers that synthesize AAAA records."""
     text = _read(path, "public_resolvers.txt")
-    return tuple(ipaddress.ip_address(line) for line in _data_lines(text))
+    return tuple(ipaddress.ip_address(line) for _, line in data_lines(text.splitlines()))
 
 
 def load_public_prefixes(path: Optional[str] = None) -> Tuple[Nat64Prefix, ...]:
     """Translation prefixes of openly usable gateways."""
     text = _read(path, "public_nat64.txt")
-    return tuple(Nat64Prefix.from_cidr(line) for line in _data_lines(text))
+    return tuple(Nat64Prefix.from_cidr(line) for _, line in data_lines(text.splitlines()))
 
 
 def load_as_categories(path: Optional[str] = None) -> Dict[int, ASCategory]:
@@ -49,10 +40,7 @@ def load_as_categories(path: Optional[str] = None) -> Dict[int, ASCategory]:
     text = _read(path, "as_categories.txt")
     source = path or "as_categories.txt"
     mapping: Dict[int, ASCategory] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for lineno, stripped in data_lines(text.splitlines()):
         parts = [p.strip() for p in stripped.split(",")]
         if len(parts) != 2:
             raise ValueError(f"{source}:{lineno}: expected 'asn,category'")

@@ -8,7 +8,8 @@ tuple of its fields, ``Hop`` to ``(index, address, rtts_ms)``. A named
 tuple is cheap to define, which every command pays at start-up, and to
 build, which it pays per record. The only check here is the one a
 ``Nat64Prefix`` makes of itself; what makes a dataset line valid lives
-with the codec, in ``acquire.dataset``.
+with the codec, in ``acquire.dataset``. ``data_lines`` is the one comment
+rule of every text table and scenario file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import _socket
 import enum
 import ipaddress
 from functools import partial
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -58,6 +59,16 @@ def unpack_address(packed: bytes) -> IPAddress:
     """The ``ipaddress`` object of ``pack_address``'s bytes."""
     value = int.from_bytes(packed, "big")
     return ipaddress.IPv4Address(value) if len(packed) == 4 else ipaddress.IPv6Address(value)
+
+
+def data_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """The numbered data of a text table or scenario: each line's number,
+    counted from 1, and its text with any ``#`` comment and surrounding
+    whitespace cut away; a line left empty is skipped."""
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
 
 
 #: Prefix lengths under which an IPv4 address can be embedded in IPv6.

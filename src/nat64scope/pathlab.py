@@ -29,10 +29,6 @@ MAX_IMPLAUSIBLE_LENGTH = 3
 HISTOGRAM_BIN_PCT = 5.0
 
 
-class CorrelationError(ValueError):
-    """Correlation is undefined: fewer than two points or a constant series."""
-
-
 class FilterReason(enum.Enum):
     NO_NAT_HOP = "NoNatHop"
     INCOMPLETE_ROUND = "IncompleteRound"
@@ -125,7 +121,8 @@ def first_nat_hop(path: TraceroutePath) -> Optional[Hop]:
     prefix = path.prefix
     if prefix is None:
         return None
-    # ``matches_prefix`` per hop, with the prefix's side computed once.
+    # A hop is under the prefix when its first ``prefix.length`` bits
+    # equal the base's; the base's side is computed once.
     shift = 128 - prefix.length
     wanted = int(prefix.base) >> shift
     for hop in path.hops:
@@ -237,19 +234,21 @@ def compute_metrics(pairs: Sequence[PathPair]) -> List[Optional[PathMetrics]]:
     return [path_metrics(pair) for pair in pairs]
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample correlation coefficient over paired observations."""
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
+    """Sample correlation coefficient over paired observations, or None
+    where it is undefined: fewer than two points or a constant series.
+    Series of different lengths are a ``ValueError``."""
     n = len(xs)
     if n != len(ys):
-        raise CorrelationError("series lengths differ")
+        raise ValueError("series lengths differ")
     if n < 2:
-        raise CorrelationError("need at least two points")
+        return None
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     sxx = math.fsum((x - mean_x) ** 2 for x in xs)
     syy = math.fsum((y - mean_y) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
-        raise CorrelationError("constant series")
+        return None
     sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
@@ -381,11 +380,6 @@ def aggregate_report(
         if mean_v4_rtt:
             pct_of_means["rtt"] = 100.0 * (mean_nat_rtt - mean_v4_rtt) / mean_v4_rtt
 
-    try:
-        r = pearson(columns.get("length_diff", ()), columns.get("rtt_diff_ms", ()))
-    except CorrelationError:
-        r = None
-
     # A pair has metrics only when both its paths reached the target; the
     # paths are rescanned only for pairs without.
     ok4 = [m is not None or target_hop(p.ipv4) is not None for p, m in zip(pairs, metrics)]
@@ -432,7 +426,7 @@ def aggregate_report(
         "metrics": summaries,
         "mean_of_pair_pcts": mean_of_pair_pcts,
         "pct_of_means": pct_of_means,
-        "pearson_r": r,
+        "pearson_r": pearson(columns.get("length_diff", ()), columns.get("rtt_diff_ms", ())),
         "ttl_anomaly_pairs": sum(flag_ttl_anomalies(metrics)),
         "groups": groups,
         "per_target": per_target,

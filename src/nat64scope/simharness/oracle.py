@@ -22,8 +22,7 @@ import numpy as np
 from ..model import PathPair, TraceroutePath
 
 #: Where the four IPv4 bytes land for each prefix length; byte 8 is the
-#: reserved zero octet and never appears as a slot. The test suite's own
-#: reference embedding reads this table too.
+#: reserved zero octet and never appears as a slot.
 V4_BYTE_SLOTS = {
     32: (4, 5, 6, 7),
     40: (5, 6, 7, 9),

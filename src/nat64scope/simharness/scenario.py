@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
+from ..model import data_lines
+
 
 class ScenarioError(ValueError):
     """The scenario text does not describe a generatable world."""
@@ -150,10 +152,7 @@ def _parse_cohort(line: str, lineno: int) -> Cohort:
 
 def parse_scenario(text: str) -> Scenario:
     cohorts: List[Cohort] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text.splitlines()):
         cohorts.append(_parse_cohort(line, lineno))
     if not cohorts:
         raise ScenarioError("scenario has no cohorts")

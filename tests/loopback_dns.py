@@ -4,10 +4,11 @@ The package only asks questions (``acquire.dnswire.build_query``) and
 reads answers; the encoder here builds the other side. ``MockResolver``
 binds a UDP socket on 127.0.0.1 and answers each query through a
 behavior: a function from the query's wire bytes to the replies to send.
-A test scripts its own behavior, or takes a resolver personality from
-``personality``: ``dns64`` synthesizes AAAA records for every zone name
-(or, at scope ``arpa_only``, only for the well-known name), ``broken``
-only for the well-known name, and ``plain`` never.
+While a behavior runs, ``MockResolver.peer`` is the address that sent the
+query. A test scripts its own behavior, or takes a resolver personality
+from ``personality``: ``dns64`` synthesizes AAAA records for every zone
+name (or, at scope ``arpa_only``, only for the well-known name),
+``broken`` only for the well-known name, and ``plain`` never.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ class MockResolver:
         self.sock.bind(("127.0.0.1", 0))
         self.sock.settimeout(5.0)
         self.address = self.sock.getsockname()
+        self.peer = None
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self._stop = threading.Event()
 
@@ -128,5 +130,6 @@ class MockResolver:
                 return
             if self._stop.is_set() or not wire:
                 return
+            self.peer = peer
             for reply in self.behavior(wire):
                 self.sock.sendto(reply, peer)

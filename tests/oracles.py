@@ -1,13 +1,12 @@
 """Independent reference implementations used to check derived values.
 
 Everything in this file is deliberately written with different arithmetic
-than the package under test: embeddings use a byte-position table instead
-of integer shifts, correlation uses the raw-moment formula, and statistics
-come from numpy, and dataset lines from a document built field by field
-for ``json.dumps``. The byte-position table and the byte-wise embedding
-are the simulation oracle's (``nat64scope.simharness.oracle``), which
-shares no arithmetic with ``nat64scope.addrsynth``; take nothing else from
-nat64scope internals beyond plain data types.
+than the package under test: embeddings place and read bytes through this
+file's own byte-position table instead of shifting integers, correlation
+uses the raw-moment formula, and dataset lines come from a document built
+field by field for ``json.dumps``. The table is written down here from the
+RFC 6052 layouts, not imported, so the reference shares nothing with the
+package; take nothing from nat64scope beyond its plain data types.
 """
 
 from __future__ import annotations
@@ -16,12 +15,50 @@ import ipaddress
 import math
 
 from nat64scope.model import ProbeRecord, TestRun, TraceroutePath
-from nat64scope.simharness.oracle import V4_BYTE_SLOTS
+
+#: Byte offsets of the embedded IPv4 address per prefix length (RFC 6052,
+#: section 2.2); byte 8 is the reserved zero octet and is never a slot.
+V4_BYTE_SLOTS = {
+    32: (4, 5, 6, 7),
+    40: (5, 6, 7, 9),
+    48: (6, 7, 9, 10),
+    56: (7, 9, 10, 11),
+    64: (9, 10, 11, 12),
+    96: (12, 13, 14, 15),
+}
+
+
+def _embed(head: bytes, length: int, v4: ipaddress.IPv4Address) -> bytes:
+    """``head`` padded with zeros to 16 bytes, the IPv4 bytes placed into
+    the /``length`` layout's slots one by one."""
+    packed = bytearray(head.ljust(16, b"\0"))
+    for slot, byte in zip(V4_BYTE_SLOTS[length], v4.packed):
+        packed[slot] = byte
+    return bytes(packed)
+
+
+def oracle_embed(prefix, v4: ipaddress.IPv4Address) -> ipaddress.IPv6Address:
+    """``v4`` embedded under ``prefix``; a base is zero past its length, so
+    below /96 the reserved byte stays zero."""
+    return ipaddress.IPv6Address(_embed(prefix.base.packed, prefix.length, v4))
 
 
 def oracle_extract(addr: ipaddress.IPv6Address, length: int) -> ipaddress.IPv4Address:
+    """Read the IPv4 bytes out of the /``length`` layout's slots."""
     packed = addr.packed
     return ipaddress.IPv4Address(bytes(packed[slot] for slot in V4_BYTE_SLOTS[length]))
+
+
+def oracle_layouts(addr: ipaddress.IPv6Address, known) -> list:
+    """Every length, shortest first, whose layout reads ``addr`` as one of
+    the ``known`` IPv4 addresses under ``addr``'s own leading bytes, with
+    every other byte zero."""
+    raw = addr.packed
+    return [
+        length for length in sorted(V4_BYTE_SLOTS)
+        if (v4 := oracle_extract(addr, length)) in known
+        and _embed(raw[: length // 8], length, v4) == raw
+    ]
 
 
 def oracle_pearson(xs, ys) -> float:

@@ -3,8 +3,9 @@
 Run ``pytest -v tests/test_acceptance.py`` for one PASSED/FAILED line per
 criterion. Each check that carries a time budget measures itself with
 ``time.perf_counter`` and fails when over budget. Expected values are
-recomputed here from scratch (hand-built tables, byte-slot decoders,
-exact-fraction arithmetic) rather than imported from the code under test.
+recomputed here from scratch (hand-built tables, the byte-slot decoders
+of ``oracles``, exact-fraction arithmetic) rather than imported from the
+code under test.
 """
 
 import hashlib
@@ -20,12 +21,7 @@ from fractions import Fraction
 import pytest
 
 from nat64scope import catalogs
-from nat64scope.addrsynth import (
-    NoEmbeddingFound,
-    derive_prefix_from_answer,
-    extract_ipv4,
-    synthesize,
-)
+from nat64scope.addrsynth import NoEmbeddingFound, derive_prefix_from_answer, synthesize
 from nat64scope.classifier import attribute_nat64_as, detect_isp_dns64, group_runs_by_as, locate_nat64
 from nat64scope.cli import EXIT_OK, main
 from nat64scope.detector import DNS1_KNOWN_V4, DetectionGroup, assign_group, detect_dataset
@@ -34,9 +30,7 @@ from nat64scope.model import (
     Nat64Prefix,
     STANDARD_PREFIX,
 )
-from nat64scope.pathlab import (
-    CorrelationError, aggregate_report, compute_metrics, filter_pairs, pair_paths, pearson,
-)
+from nat64scope.pathlab import aggregate_report, compute_metrics, filter_pairs, pair_paths, pearson
 from nat64scope.simharness import (
     ACCEPTANCE_TEMPLATE,
     compare,
@@ -45,21 +39,12 @@ from nat64scope.simharness import (
     parse_scenario,
 )
 
+from oracles import oracle_extract, oracle_layouts
+
 LENGTHS = tuple(sorted(ALLOWED_PREFIX_LENGTHS))
 
 #: The recovery sweeps run the template world under seeds 1 to 20.
 SWEEP_SEEDS = range(1, 21)
-
-# Byte offsets of the embedded IPv4 address per prefix length, written
-# down from the layout table rather than taken from the implementation.
-V4_BYTE_SLOTS = {
-    32: (4, 5, 6, 7),
-    40: (5, 6, 7, 9),
-    48: (6, 7, 9, 10),
-    56: (7, 9, 10, 11),
-    64: (9, 10, 11, 12),
-    96: (12, 13, 14, 15),
-}
 
 
 def report(criterion, elapsed, detail):
@@ -73,28 +58,11 @@ def random_prefix(rng, length):
     return Nat64Prefix.from_cidr(f"{ipaddress.IPv6Address(base)}/{length}")
 
 
-def slot_decodings(addr, known):
-    """Every length whose byte slots hold a known address, zeros elsewhere."""
-    raw = addr.packed
-    hits = []
-    for length, slots in V4_BYTE_SLOTS.items():
-        candidate = ipaddress.IPv4Address(bytes(raw[i] for i in slots))
-        if candidate not in known:
-            continue
-        rebuilt = bytearray(16)
-        rebuilt[: length // 8] = raw[: length // 8]
-        for i, slot in enumerate(slots):
-            rebuilt[slot] = candidate.packed[i]
-        if bytes(rebuilt) == raw:
-            hits.append(length)
-    return hits
-
-
 def test_criterion_01_address_arithmetic():
     anchor_v4 = ipaddress.IPv4Address("91.201.7.243")
     anchor_v6 = ipaddress.IPv6Address("64:ff9b::5bc9:7f3")
     assert synthesize(STANDARD_PREFIX, anchor_v4) == anchor_v6
-    assert extract_ipv4(anchor_v6, STANDARD_PREFIX) == anchor_v4
+    assert oracle_extract(anchor_v6, STANDARD_PREFIX.length) == anchor_v4
 
     rng = random.Random(0xCAFE)
     cases = []
@@ -107,7 +75,7 @@ def test_criterion_01_address_arithmetic():
     for prefixes, addresses in cases:
         for i, v4 in enumerate(addresses):
             prefix = prefixes[i % 3]
-            assert extract_ipv4(synthesize(prefix, v4), prefix) == v4
+            assert oracle_extract(synthesize(prefix, v4), prefix.length) == v4
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"round-trips took {elapsed:.2f}s"
     report(1, elapsed, f"anchor pair plus {len(LENGTHS) * 10_000} round-trips")
@@ -124,7 +92,7 @@ def test_criterion_02_prefix_discovery():
             prefix = random_prefix(rng, length)
             v4 = ipaddress.IPv4Address(rng.getrandbits(32))
             answer = synthesize(prefix, v4)
-            if slot_decodings(answer, {v4}) != [length]:
+            if oracle_layouts(answer, {v4}) != [length]:
                 continue  # window collision: excluded by construction
             assert derive_prefix_from_answer(answer, [v4]) == prefix
             done += 1
@@ -134,7 +102,7 @@ def test_criterion_02_prefix_discovery():
     known = set(DNS1_KNOWN_V4)
     while rejected < 1_000:
         addr = ipaddress.IPv6Address(rng.getrandbits(128))
-        if slot_decodings(addr, known):
+        if oracle_layouts(addr, known):
             continue  # embeds a known address by chance: excluded
         with pytest.raises(NoEmbeddingFound):
             derive_prefix_from_answer(addr, known)
@@ -316,12 +284,11 @@ def test_criterion_08_pearson_sanity():
     assert pearson(xs, [2.0 * x + 1.0 for x in xs]) == 1.0
     assert pearson(xs, [-3.0 * x + 7.0 for x in xs]) == -1.0
 
-    with pytest.raises(CorrelationError):
-        pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(CorrelationError):
-        pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-    with pytest.raises(CorrelationError):
-        pearson([1.0], [2.0])
+    assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+    assert pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
+    assert pearson([1.0], [2.0]) is None
+    with pytest.raises(ValueError):
+        pearson([1.0, 2.0], [1.0])
 
     rng = random.Random(0xF00D)
     for _ in range(1_000):
@@ -333,7 +300,7 @@ def test_criterion_08_pearson_sanity():
         assert abs(pearson(xs, ys) - _textbook_pearson(xs, ys)) <= 1e-12
 
     elapsed = time.perf_counter() - start
-    report(8, elapsed, "±1.0 exact, constant-series errors, 1000 random agreements at 1e-12")
+    report(8, elapsed, "±1.0 exact, None where undefined, 1000 random agreements at 1e-12")
 
 
 def _run_pipeline(base):

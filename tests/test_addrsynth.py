@@ -3,18 +3,10 @@ import ipaddress
 import pytest
 from hypothesis import given, strategies as st
 
-from nat64scope.addrsynth import (
-    NoEmbeddingFound,
-    PrefixMismatch,
-    derive_prefix_from_answer,
-    extract_ipv4,
-    matches_prefix,
-    synthesize,
-)
+from nat64scope.addrsynth import NoEmbeddingFound, derive_prefix_from_answer, synthesize
 from nat64scope.model import ALLOWED_PREFIX_LENGTHS, Nat64Prefix, PrefixKind, STANDARD_PREFIX
-from nat64scope.simharness.oracle import embedded_address
 
-from oracles import oracle_extract
+from oracles import oracle_embed, oracle_extract, oracle_layouts
 
 V4 = ipaddress.IPv4Address
 V6 = ipaddress.IPv6Address
@@ -52,25 +44,28 @@ class TestFrozenVectors:
 
     @pytest.mark.parametrize("cidr,v4,expected", FROZEN_VECTORS)
     def test_extract(self, cidr, v4, expected):
-        assert extract_ipv4(V6(expected), Nat64Prefix.from_cidr(cidr)) == V4(v4)
+        length = Nat64Prefix.from_cidr(cidr).length
+        assert oracle_extract(V6(expected), length) == V4(v4)
+        assert oracle_extract(synthesize(Nat64Prefix.from_cidr(cidr), V4(v4)), length) == V4(v4)
 
     def test_standard_anchor_round_trip(self):
         addr = synthesize(STANDARD_PREFIX, V4("91.201.7.243"))
         assert addr == V6("64:ff9b::5bc9:7f3")
-        assert extract_ipv4(addr, STANDARD_PREFIX) == V4("91.201.7.243")
+        assert oracle_extract(addr, STANDARD_PREFIX.length) == V4("91.201.7.243")
 
 
 class TestProperties:
     @given(prefixes(), v4_addresses)
     def test_round_trip(self, prefix, v4):
         addr = synthesize(prefix, v4)
-        assert extract_ipv4(addr, prefix) == v4
-        assert matches_prefix(addr, prefix)
+        assert oracle_extract(addr, prefix.length) == v4
+        covered = prefix.length // 8
+        assert addr.packed[:covered] == prefix.base.packed[:covered]
 
     @given(prefixes(), v4_addresses)
     def test_agrees_with_byte_table_oracle(self, prefix, v4):
         addr = synthesize(prefix, v4)
-        assert addr == embedded_address(prefix, v4)
+        assert addr == oracle_embed(prefix, v4)
         assert oracle_extract(addr, prefix.length) == v4
 
     @given(prefixes(), v4_addresses)
@@ -86,9 +81,16 @@ class TestProperties:
 
     @given(prefixes(), v4_addresses)
     def test_derive_recovers_prefix(self, prefix, v4):
+        # What detection relies on: the derived prefix re-synthesizes the
+        # answer, and it is the synthesizing prefix unless a longer layout
+        # also embeds ``v4`` (a /32 synthesis of 0.0.0.0 reads as /96 too).
         addr = synthesize(prefix, v4)
-        derived = derive_prefix_from_answer(addr, [v4], lengths=[prefix.length])
-        assert derived == prefix
+        derived = derive_prefix_from_answer(addr, [v4])
+        assert synthesize(derived, v4) == addr
+        longest = oracle_layouts(addr, {v4})[-1]
+        assert derived.length == longest
+        if longest == prefix.length:
+            assert derived == prefix
 
     @given(v4_addresses)
     def test_derive_prefers_96_on_ambiguity(self, v4):
@@ -110,17 +112,13 @@ class TestDeriveRejection:
         addr = synthesize(Nat64Prefix.from_cidr("2001:db8::/64"), V4("192.0.0.170"))
         dirty = V6(int(addr) | 1)
         with pytest.raises(NoEmbeddingFound):
-            derive_prefix_from_answer(dirty, [V4("192.0.0.170")], lengths=[64])
+            derive_prefix_from_answer(dirty, [V4("192.0.0.170")])
 
     def test_nonzero_reserved_byte_rejected(self):
         addr = synthesize(Nat64Prefix.from_cidr("2001:db8::/48"), V4("192.0.0.170"))
         dirty = V6(int(addr) | (1 << 56))
         with pytest.raises(NoEmbeddingFound):
-            derive_prefix_from_answer(dirty, [V4("192.0.0.170")], lengths=[48])
-
-    def test_mismatch_error(self):
-        with pytest.raises(PrefixMismatch):
-            extract_ipv4(V6("2001:db8::1"), STANDARD_PREFIX)
+            derive_prefix_from_answer(dirty, [V4("192.0.0.170")])
 
 
 class TestDeriveKinds:

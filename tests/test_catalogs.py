@@ -1,9 +1,13 @@
 import ipaddress
+import re
 
 import pytest
 
 from nat64scope import catalogs
+from nat64scope.acquire.ip2as import Ip2AsError, Ip2AsTable
+from nat64scope.classifier import ASCategory
 from nat64scope.model import PrefixKind
+from nat64scope.simharness import ScenarioError, parse_scenario
 
 
 class TestPackagedCatalogs:
@@ -48,3 +52,37 @@ class TestFileOverrides:
         path.write_text("not-an-address\n")
         with pytest.raises(ValueError):
             catalogs.load_public_resolvers(str(path))
+
+
+#: Three lines that hold no data: a comment, an empty line and blanks.
+PREAMBLE = "# a comment line\n\n   \n"
+
+
+class TestCommentRule:
+    """Every text table and scenario file skips ``#`` comments and blank
+    lines alike, and names a bad line by its number counted from 1."""
+
+    def test_catalogs_skip_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text(PREAMBLE + "2001:db8::53  # tail\n")
+        assert catalogs.load_public_resolvers(str(path)) == (ipaddress.ip_address("2001:db8::53"),)
+        path.write_text(PREAMBLE + "2001:db8:64::/96\t# tail\n")
+        assert [str(p) for p in catalogs.load_public_prefixes(str(path))] == ["2001:db8:64::/96"]
+        path.write_text(PREAMBLE + "64500,RI # tail\n")
+        assert catalogs.load_as_categories(str(path)) == {64500: ASCategory("RI")}
+        path.write_text(PREAMBLE + "64500,XX\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:4: ")):
+            catalogs.load_as_categories(str(path))
+
+    def test_ip2as_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "ip2as.tsv"
+        path.write_text(PREAMBLE + "10.0.0.0/8 64500 # tail\n")
+        assert Ip2AsTable.load(str(path)).lookup(ipaddress.ip_address("10.1.2.3")) == 64500
+        path.write_text(PREAMBLE + "10.0.0.0/8\n")
+        with pytest.raises(Ip2AsError, match="^" + re.escape(f"{path}:4: ")):
+            Ip2AsTable.load(str(path))
+
+    def test_scenarios_skip_comments_and_blank_lines(self):
+        assert parse_scenario(PREAMBLE + "count=1 resolver=plain # tail\n").cohorts[0].count == 1
+        with pytest.raises(ScenarioError, match="^line 4: "):
+            parse_scenario(PREAMBLE + "count=1 resolver=nope\n")

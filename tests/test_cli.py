@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -38,7 +39,7 @@ from nat64scope.model import (
 )
 from nat64scope.pathlab import aggregate_report, compute_metrics, filter_pairs, pair_paths
 from nat64scope.simharness import ACCEPTANCE_TEMPLATE, compare, oracle_stats
-from loopback_dns import answer_for
+from loopback_dns import MockResolver, answer_for, personality
 from test_address_parsing import spellings_of
 from test_dataset import json_values, write_file
 
@@ -1614,3 +1615,53 @@ class TestLiveDetect:
         capsys.readouterr()
         assert run("detect", "--config", str(config), "--out", str(tmp_path / "live")) == EXIT_ERROR
         assert capsys.readouterr().err == "error: need an ICMPv6 socket\n"
+
+
+def silent_echo(target, **_):
+    return (None, None, None)
+
+
+def no_route_echo(target, **_):
+    raise live.NoRouteError("network is unreachable")
+
+
+class TestLiveEqualsReplay:
+    """``detect`` measuring with the real DNS client, against the loopback
+    resolver in each personality, writes what ``detect --from-dataset``
+    writes from the dataset the live run recorded."""
+
+    ECHOES = {"answering": lambda target, **_: (1.5,), "silent": silent_echo,
+              "no_route": no_route_echo}
+    # The group each personality's two DNS verdicts and the echo imply.
+    GROUPS = {
+        ("dns64", "answering"): "nat64_plus_dns64",
+        ("dns64", "silent"): "inconclusive",
+        ("dns64", "no_route"): "inconclusive",
+        ("plain", "answering"): "nat64_only",
+        ("plain", "silent"): "no_nat64",
+        ("plain", "no_route"): "no_nat64",
+        ("broken", "answering"): "nat64_only",
+        ("broken", "silent"): "dns64_misconfigured_only",
+        ("broken", "no_route"): "dns64_misconfigured_only",
+    }
+
+    @pytest.mark.parametrize("mode, echo", list(GROUPS))
+    def test_live_run_equals_its_replay(self, tmp_path, monkeypatch, mode, echo):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resolvers": ["127.0.0.1"], "repeat": 2}))
+        measured, replayed = tmp_path / "live", tmp_path / "replay"
+        monkeypatch.setattr(live, "icmp_echo", self.ECHOES[echo])
+        with MockResolver(personality(mode=mode)) as server:
+            query = functools.partial(live.dns_query, port=server.address[1])
+            monkeypatch.setattr(live, "dns_query", query)
+            assert run("detect", "--config", str(config), "--out", str(measured)) == EXIT_OK
+        dataset = str(measured / "dataset.ndjson")
+        assert run("detect", "--from-dataset", dataset, "--out", str(replayed)) == EXIT_OK
+
+        for name in ("detection.json", "test_table.csv", "groups.csv"):
+            assert (measured / name).read_bytes() == (replayed / name).read_bytes(), name
+        probes = read_json(measured / "detection.json")["probes"]
+        assert [probe["group"] for probe in probes.values()] == [self.GROUPS[mode, echo]]
+        for command in ("classify", "paths"):
+            out = str(tmp_path / command)
+            assert run(command, "--from-dataset", dataset, "--out", out) == EXIT_OK

@@ -1,7 +1,10 @@
 """Live probing drivers, exercised against local mocks."""
 
+import errno
 import ipaddress
+import socket
 import struct
+import time
 import types
 from concurrent.futures import Future
 
@@ -16,7 +19,7 @@ from nat64scope.acquire.live import (
     icmp_echo,
 )
 from nat64scope.addrsynth import synthesize
-from nat64scope.model import Nat64Prefix
+from nat64scope.model import Nat64Prefix, RawOutcome
 
 from loopback_dns import MockResolver, answer_for, build_response
 
@@ -120,6 +123,118 @@ class TestDnsQuery:
         assert response.status is DnsStatus.TIMEOUT
         assert response.answers == ()
 
+    def test_datagram_from_another_sender_is_not_read(self):
+        # A malformed datagram from another loopback socket reaches the
+        # querier's port before the resolver's right answer.
+        right = answer_for("example.net", ipaddress.ip_address("2001:db8::1"))
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+            def behavior(wire):
+                query = parse_message(wire)
+                stray.sendto(b"\x00\x01\x80", server.peer)
+                yield build_response(query.txid, query.qname, query.qtype, (right,))
+
+            with MockResolver(behavior) as server:
+                response = dns_query(
+                    "127.0.0.1", "example.net", TYPE_AAAA,
+                    port=server.address[1], timeout_s=2.0,
+                )
+        assert response.status is DnsStatus.NOERROR
+        assert response.answers == (right,)
+
+    def test_closed_port_is_a_timeout_at_once(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        started = time.monotonic()
+        response = dns_query("127.0.0.1", "example.net", TYPE_AAAA, port=port, timeout_s=5.0)
+        assert response.status is DnsStatus.TIMEOUT
+        assert response.answers == ()
+        assert time.monotonic() - started < 1.0
+
+
+class NoRouteSocket:
+    """A UDP socket that sends nothing: connecting, or sending, fails as
+    it does on a host with no route toward the address."""
+
+    def __init__(self, fails_at, code):
+        self.fails_at = fails_at
+        self.code = code
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def _step(self, name):
+        if name == self.fails_at:
+            raise OSError(self.code, "no route")
+
+    def connect(self, address):
+        self._step("connect")
+
+    def send(self, data):
+        self._step("send")
+
+    def sendto(self, data, address):  # an unconnected socket's send
+        self._step("connect")
+        self._step("send")
+
+    def recv(self, size):
+        raise AssertionError("nothing was sent, so nothing is read")
+
+
+def no_route_sockets(monkeypatch, fails_at="connect", code=errno.ENETUNREACH):
+    """Make every socket ``live`` opens a ``NoRouteSocket``."""
+    monkeypatch.setattr(live, "socket", types.SimpleNamespace(
+        AF_INET=socket.AF_INET, AF_INET6=socket.AF_INET6, SOCK_DGRAM=socket.SOCK_DGRAM,
+        timeout=socket.timeout, socket=lambda *_: NoRouteSocket(fails_at, code),
+    ))
+
+
+class InlineExecutor:
+    """Runs each task when it is submitted, in the calling thread."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestNoRoute:
+    @pytest.mark.parametrize("fails_at", ["connect", "send"])
+    @pytest.mark.parametrize("code", [errno.ENETUNREACH, errno.EHOSTUNREACH])
+    def test_a_resolver_with_no_route_is_a_failed_lookup(self, monkeypatch, fails_at, code):
+        no_route_sockets(monkeypatch, fails_at, code)
+        response = dns_query("2001:db8::53", "example.net", TYPE_AAAA)
+        assert response.status is DnsStatus.OTHER
+        assert response.answers == ()
+
+    def test_measure_records_it_as_a_failed_dns_test(self, monkeypatch):
+        no_route_sockets(monkeypatch)
+        monkeypatch.setattr(live, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(live, "icmp_echo", lambda target, **_: (None,))
+        resolver = ipaddress.IPv6Address("2001:db8::53")
+        dataset = live.measure(
+            [resolver], "time-c-b.nist.gov.", (), ipaddress.IPv4Address("192.0.0.170"), 1
+        )
+        dns_runs = [run for run in dataset.runs if run.test_kind.is_dns]
+        assert [run.raw_outcome for run in dns_runs] == [RawOutcome.FAIL] * 2
+        assert [run.diagnostic for run in dns_runs] == [f"{resolver}: other"] * 2
+
 
 class TestIcmpEcho:
     def test_loopback_echo_if_permitted(self):
@@ -202,22 +317,9 @@ class TestMeasureThreads:
     def test_a_round_uses_the_executors_default_pool_size(self, monkeypatch):
         made = []
 
-        class InlineExecutor:
-            """Runs each task when it is submitted, in the calling thread."""
-
+        class RecordingExecutor(InlineExecutor):
             def __init__(self, *args, **kwargs):
                 made.append((args, kwargs))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
 
         queried = []
 
@@ -225,7 +327,7 @@ class TestMeasureThreads:
             queried.append(resolver)
             return DnsResponse(resolver, qname, qtype, DnsStatus.NXDOMAIN)
 
-        monkeypatch.setattr(live, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(live, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(live, "dns_query", fake_dns_query)
         monkeypatch.setattr(live, "icmp_echo", lambda target, **_: (None,))
         resolvers = [ipaddress.IPv6Address(f"2001:db8::{i:x}") for i in range(1, 1001)]
