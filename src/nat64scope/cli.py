@@ -15,7 +15,7 @@ import ipaddress
 import json
 import os
 import sys
-from typing import IO, Dict, List, Optional, Sequence
+from typing import IO, Dict, List, Optional, Sequence, Tuple
 
 from . import catalogs
 from .acquire.dataset import Dataset, load_dataset, write_dataset
@@ -36,7 +36,7 @@ from .detector import (
     STD_PING_TARGET_V4,
     detect_dataset,
 )
-from .model import Nat64Prefix, STANDARD_PREFIX, VerdictValue
+from .model import IPAddress, Nat64Prefix, STANDARD_PREFIX, VerdictValue
 from .pathlab import (
     aggregate_report,
     compute_metrics,
@@ -75,7 +75,8 @@ _FILE_KEYS = ("public_resolvers", "public_prefixes", "ip2as", "as_categories")
 
 def load_config(path: Optional[str]) -> dict:
     """``_DEFAULTS`` with the keys the JSON file at ``path`` sets, checked;
-    each list comes back a tuple, ``targets`` and ``dns2_answers`` of IPv4 addresses."""
+    each list comes back a tuple, ``targets`` and ``dns2_answers`` of IPv4
+    addresses, ``resolvers`` of IP addresses."""
     doc: dict = {}
     if path is not None:
         try:
@@ -116,14 +117,15 @@ def load_config(path: Optional[str]) -> dict:
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"{path}: {key} must be a list of strings")
 
-    try:
-        for key in ("targets", "dns2_answers"):
-            values[key] = tuple(ipaddress.IPv4Address(a) for a in values[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad IPv4 address in config: {exc}") from exc
-    if not values["targets"]:
-        raise ConfigError("targets must not be empty")
-    values["resolvers"] = tuple(values["resolvers"])
+    # With no dns2_answers no answer could embed a known address, so a live
+    # DNS test 2 could never pass.
+    for key in ("targets", "dns2_answers"):
+        values[key] = _addresses(values[key], ipaddress.IPv4Address, f"{path}: {key}")
+        if not values[key]:
+            raise ConfigError(f"{key} must not be empty")
+    values["resolvers"] = _addresses(
+        values["resolvers"], ipaddress.ip_address, f"{path}: resolvers"
+    )
 
     repeat = values["repeat"]
     if type(repeat) is not int or repeat < 1:
@@ -133,6 +135,13 @@ def load_config(path: Optional[str]) -> dict:
         if values[key] is not None and not os.path.exists(values[key]):
             raise ConfigError(f"{key} file does not exist: {values[key]}")
     return values
+
+
+def _addresses(texts: Sequence[str], parse, source: str) -> Tuple[IPAddress, ...]:
+    try:
+        return tuple(parse(text) for text in texts)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: bad address: {exc}") from exc
 
 
 def _read_input(name: str, path: Optional[str], loader):
@@ -225,13 +234,11 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 def _acquire_live(config: dict) -> Dataset:
     from .acquire import live  # sockets; imported only when measuring
 
-    resolver_strs = config["resolvers"] or live.system_resolvers()
-    if not resolver_strs:
+    resolvers = config["resolvers"] or _addresses(
+        live.system_resolvers(), ipaddress.ip_address, "/etc/resolv.conf"
+    )
+    if not resolvers:
         raise ConfigError("no resolvers configured and none found in /etc/resolv.conf")
-    try:
-        resolvers = tuple(ipaddress.ip_address(r) for r in resolver_strs)
-    except ValueError as exc:
-        raise ConfigError(f"bad resolver address: {exc}") from exc
     return live.measure(
         resolvers, config["dns2_name"], config["dns2_answers"],
         config["targets"][0], config["repeat"],

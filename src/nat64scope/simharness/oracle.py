@@ -2,9 +2,11 @@
 
 Everything here is deliberately reimplemented from the raw path records:
 the address embedding uses its own byte-position table, reachability and
-hop accounting are recomputed from scratch, and all summary numbers come
-from numpy instead of the statistics module. Agreement with the analysis
-code is therefore corroboration, not an identity.
+hop accounting are recomputed from scratch, and the summaries use their
+own formulas in plain Python (built-in ``sum``, a two-pass variance, the
+sorted middle, a correlation of scaled deviations) where ``pathlab`` uses
+``math.fsum`` and exact fractions. Agreement with the analysis code is
+therefore corroboration, not an identity.
 
 ``oracle_stats`` builds the same document that ``pathlab.aggregate_report``
 returns and ``summary.json`` holds under ``stats``; ``compare`` walks two
@@ -16,8 +18,6 @@ from __future__ import annotations
 import ipaddress
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..model import PathPair, TraceroutePath
 
@@ -59,6 +59,17 @@ def _target_index(path: TraceroutePath) -> Optional[int]:
     return None
 
 
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+#: The columns of a pair's row, in ``_pair_row``'s order.
+_COLUMNS = (
+    "v4_length", "nat64_length", "v4_rtt_ms", "nat64_rtt_ms", "v4_missing_pct",
+    "nat64_missing_pct", "length_diff", "rtt_diff_ms", "length_diff_pct", "rtt_diff_pct",
+)
+
+
 def _pair_row(pair: PathPair) -> Optional[Tuple[float, ...]]:
     i4 = _target_index(pair.ipv4)
     i6 = _target_index(pair.nat64)
@@ -68,29 +79,45 @@ def _pair_row(pair: PathPair) -> Optional[Tuple[float, ...]]:
     hop6 = pair.nat64.hops[i6 - 1]
     if not hop4.rtts_ms or not hop6.rtts_ms:
         return None
-    rtt4 = float(np.mean(hop4.rtts_ms))
+    rtt4 = _mean(hop4.rtts_ms)
     if rtt4 == 0.0:  # no RTT percentage exists
         return None
+    rtt6 = _mean(hop6.rtts_ms)
     silent4 = sum(1 for hop in pair.ipv4.hops[:i4] if hop.address is None)
     silent6 = sum(1 for hop in pair.nat64.hops[:i6] if hop.address is None)
     return (
         float(i4),
         float(i6),
         rtt4,
-        float(np.mean(hop6.rtts_ms)),
+        rtt6,
         100.0 * silent4 / i4,
         100.0 * silent6 / i6,
+        float(i6 - i4),
+        rtt6 - rtt4,
+        100.0 * (i6 - i4) / i4,
+        100.0 * (rtt6 - rtt4) / rtt4,
     )
 
 
-def _summary(values: np.ndarray) -> Optional[dict]:
-    if values.size == 0:
+def _deviations(values: Sequence[float]) -> List[float]:
+    mean = _mean(values)
+    return [value - mean for value in values]
+
+
+def _sd(values: Sequence[float]) -> float:
+    return math.sqrt(sum(d * d for d in _deviations(values)) / len(values))
+
+
+def _summary(values: Sequence[float]) -> Optional[dict]:
+    if not values:
         return None
+    ordered = sorted(values)
+    n = len(ordered)
     return {
-        "n": int(values.size),
-        "mean": float(np.mean(values)),
-        "sd": float(np.std(values)),
-        "median": float(np.median(values)),
+        "n": n,
+        "mean": _mean(values),
+        "sd": _sd(values),
+        "median": (ordered[(n - 1) // 2] + ordered[n // 2]) / 2,
     }
 
 
@@ -98,37 +125,29 @@ def _rates(pairs: Sequence[PathPair]) -> dict:
     n = len(pairs)
     if n == 0:
         return {"n_pairs": 0, "v4_pct": None, "nat64_pct": None, "both_pct": None}
-    ok4 = np.array([_target_index(p.ipv4) is not None for p in pairs])
-    ok6 = np.array([_target_index(p.nat64) is not None for p in pairs])
+    ok4 = [_target_index(p.ipv4) is not None for p in pairs]
+    ok6 = [_target_index(p.nat64) is not None for p in pairs]
     return {
         "n_pairs": n,
-        "v4_pct": float(100.0 * np.count_nonzero(ok4) / n),
-        "nat64_pct": float(100.0 * np.count_nonzero(ok6) / n),
-        "both_pct": float(100.0 * np.count_nonzero(ok4 & ok6) / n),
+        "v4_pct": 100.0 * ok4.count(True) / n,
+        "nat64_pct": 100.0 * ok6.count(True) / n,
+        "both_pct": 100.0 * sum(1 for a, b in zip(ok4, ok6) if a and b) / n,
     }
 
 
-def _columns(rows: Sequence[Tuple[float, ...]]) -> Dict[str, np.ndarray]:
-    table = np.array(rows, dtype=float) if rows else np.empty((0, 6))
-    cols = {
-        "v4_length": table[:, 0],
-        "nat64_length": table[:, 1],
-        "v4_rtt_ms": table[:, 2],
-        "nat64_rtt_ms": table[:, 3],
-        "v4_missing_pct": table[:, 4],
-        "nat64_missing_pct": table[:, 5],
-    }
-    cols["length_diff"] = cols["nat64_length"] - cols["v4_length"]
-    cols["rtt_diff_ms"] = cols["nat64_rtt_ms"] - cols["v4_rtt_ms"]
-    cols["length_diff_pct"] = 100.0 * cols["length_diff"] / cols["v4_length"]
-    cols["rtt_diff_pct"] = 100.0 * cols["rtt_diff_ms"] / cols["v4_rtt_ms"]
-    return cols
+def _columns(rows: Sequence[Tuple[float, ...]]) -> Dict[str, List[float]]:
+    return {name: [row[i] for row in rows] for i, name in enumerate(_COLUMNS)}
 
 
-def _pearson(xs: np.ndarray, ys: np.ndarray) -> Optional[float]:
-    if xs.size < 2 or np.std(xs) == 0.0 or np.std(ys) == 0.0:
+def _pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
+    """Undefined below two points or for a series with a single value."""
+    if len(xs) < 2 or min(xs) == max(xs) or min(ys) == max(ys):
         return None
-    r = float(np.corrcoef(xs, ys)[0, 1])
+    dx = _deviations(xs)
+    dy = _deviations(ys)
+    sx = math.sqrt(sum(d * d for d in dx))
+    sy = math.sqrt(sum(d * d for d in dy))
+    r = sum((a / sx) * (b / sy) for a, b in zip(dx, dy))
     return max(-1.0, min(1.0, r))
 
 
@@ -141,11 +160,7 @@ def oracle_stats(
     usable = [row for row in rows if row is not None]
     cols = _columns(usable)
 
-    metrics = {}
-    for name, values in cols.items():
-        summary = _summary(values)
-        if summary is not None:
-            metrics[name] = summary
+    metrics = {name: _summary(values) for name, values in cols.items()} if usable else {}
 
     mean_of_pair_pcts = {
         "length": metrics["length_diff_pct"]["mean"] if usable else None,
@@ -184,13 +199,11 @@ def oracle_stats(
 
     per_prefix = {}
     for prefix_name in sorted({str(p.nat64.prefix) for p in pairs}):
-        values = np.array(
-            [
-                row[1] - row[0]
-                for pair, row in zip(pairs, rows)
-                if row is not None and str(pair.nat64.prefix) == prefix_name
-            ]
-        )
+        values = [
+            row[1] - row[0]
+            for pair, row in zip(pairs, rows)
+            if row is not None and str(pair.nat64.prefix) == prefix_name
+        ]
         summary = _summary(values)
         if summary is not None:
             per_prefix[prefix_name] = summary
@@ -201,9 +214,7 @@ def oracle_stats(
         "mean_of_pair_pcts": mean_of_pair_pcts,
         "pct_of_means": pct_of_means,
         "pearson_r": _pearson(cols["length_diff"], cols["rtt_diff_ms"]),
-        "ttl_anomaly_pairs": int(
-            sum(1 for row in usable if min(row[0], row[1]) <= 3.0)
-        ),
+        "ttl_anomaly_pairs": sum(1 for row in usable if min(row[0], row[1]) <= 3.0),
         "groups": groups,
         "per_target": per_target,
         "per_prefix": per_prefix,

@@ -90,18 +90,23 @@ class TestSimulate:
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
-    def test_simulate_does_not_load_numpy(self, tmp_path):
+    def test_simulate_loads_only_the_standard_library(self, tmp_path):
+        # simulate imports the harness, oracle included, so a third-party or
+        # heavy standard import there would slow every simulated world.
         code = (
-            "import sys; from nat64scope.cli import main; "
+            "import json, sys; from nat64scope.cli import main; "
             f"assert main(['simulate', '--out', {str(tmp_path / 'w')!r}]) == 0; "
-            "print('numpy' not in sys.modules)"
+            "tops = {name.partition('.')[0] for name in sys.modules}; "
+            "foreign = tops - set(sys.stdlib_module_names) - {'nat64scope', '__main__'}; "
+            "heavy = tops & {'statistics', 'fractions', 'decimal'}; "
+            "print(json.dumps([sorted(foreign), sorted(heavy)]))"
         )
         src = os.path.dirname(os.path.dirname(nat64scope.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "True"
+        assert json.loads(done.stdout) == [[], []]
 
     def test_custom_scenario_file(self, tmp_path):
         scenario = tmp_path / "tiny.txt"
@@ -406,15 +411,13 @@ def test_startup_imports_no_heavy_standard_module():
 
 def test_package_imports_only_the_standard_library():
     # The package declares no runtime dependency, so importing every module
-    # of it must load nothing from outside the standard library. The numpy
-    # oracle is left out: only the tests and the benchmark use it.
+    # of it must load nothing from outside the standard library.
     code = (
         "import json, pkgutil, sys\n"
         "import nat64scope\n"
         "names = [m.name for m in pkgutil.walk_packages(nat64scope.__path__, 'nat64scope.')]\n"
         "for name in names:\n"
-        "    if name != 'nat64scope.simharness.oracle':\n"
-        "        __import__(name)\n"
+        "    __import__(name)\n"
         "tops = {name.partition('.')[0] for name in sys.modules}\n"
         "foreign = tops - set(sys.stdlib_module_names) - {'nat64scope', '__main__'}\n"
         "print(json.dumps([names, sorted(foreign)]))\n"
@@ -424,7 +427,12 @@ def test_package_imports_only_the_standard_library():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True,
     )
     names, foreign = json.loads(done.stdout)
-    assert {"nat64scope.cli", "nat64scope.acquire.atlas", "nat64scope.acquire.live"} <= set(names)
+    assert {
+        "nat64scope.cli",
+        "nat64scope.acquire.atlas",
+        "nat64scope.acquire.live",
+        "nat64scope.simharness.oracle",
+    } <= set(names)
     assert foreign == []
 
 
@@ -949,6 +957,8 @@ class TestConfig:
             {"dns2_name": "."},
             {"dns2_name": ".a."},
             {"dns2_name": "a.."},
+            {"resolvers": ["not-an-address"]},
+            {"dns2_answers": []},
         ],
     )
     def test_wrong_value_type_is_one_line_config_error(self, tmp_path, capsys, doc):

@@ -323,22 +323,13 @@ def test_truth_is_recovered_on_random_valid_worlds(scenario, seed):
     assert compare(stats, oracle_stats(kept, groupings)) == []
 
 
-class TestLazyNames:
-    def test_lazy_names_import(self):
-        from nat64scope.simharness import compare, embedded_address, oracle_stats
+class TestOracleNames:
+    def test_package_names_are_the_oracles(self):
+        from nat64scope.simharness import compare, oracle_stats
         from nat64scope.simharness import oracle
 
         assert compare is oracle.compare
-        assert embedded_address is oracle.embedded_address
         assert oracle_stats is oracle.oracle_stats
-
-    def test_unknown_name_is_attribute_error(self):
-        import nat64scope.simharness as simharness
-
-        with pytest.raises(AttributeError, match="no_such_name"):
-            simharness.no_such_name
-        with pytest.raises(ImportError):
-            from nat64scope.simharness import no_such_name  # noqa: F401
 
 
 class TestGenerate:
