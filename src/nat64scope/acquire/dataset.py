@@ -3,7 +3,8 @@
 This module owns the line contract. ``_KINDS`` gives each record kind,
 keyed by its ``record`` value, its decoder, its checks and the collection
 a loaded record is filed in; the writer has one line function per kind
-and makes the text of each address, prefix and RTT tuple once per write.
+and makes the text of each distinct hop, address, prefix and RTT tuple
+once per write.
 The loader parses each distinct address text once, in C where it can,
 and makes one object per address value. Encoding is canonical (sorted
 keys, no whitespace), so writing the same dataset twice produces
@@ -34,6 +35,7 @@ from ..model import (
     _new_path,
     _new_probe,
     _new_run,
+    address_text,
     pack_address,
     pack_network,
     unpack_address,
@@ -85,12 +87,13 @@ _RTT_RANGE = f"each must be 0, or {RTT_MIN_MS:g} to {RTT_MAX_MS:,.0f} ms"
 
 
 def _hops_are_clean(hops: Tuple[Hop, ...]) -> bool:
-    """True when no hop can fail the checks in ``_check_path``.
+    """True when no hop can fail the checks in ``_check_path``: the
+    loader's way past them for a clean path.
 
     Exact types only: hops numbered 1, 2, ... by ints, silent ones without
     RTTs, every RTT a float of 0 or between ``RTT_MIN_MS`` and ``RTT_MAX_MS``.
     Anything else, integer RTTs included, takes the full checks, which word
-    the problems. The writer's fast path takes the same test.
+    the problems.
     """
     position = 0
     low, high = RTT_MIN_MS, RTT_MAX_MS
@@ -216,23 +219,36 @@ _HOP = '{"address":%s,"index":%s,"rtts_ms":%s}'
 
 
 def _int_text(value) -> str:
-    return "%d" % value if type(value) is int else _dump(value)
+    return "%d" % value if type(value) is int else _null_or_dump(value)
 
 
 def _str_text(value) -> str:
-    return _quote(value) if type(value) is str else _dump(value)
+    return _quote(value) if type(value) is str else _null_or_dump(value)
+
+
+def _null_or_dump(value) -> str:
+    return "null" if value is None else _dump(value)
+
+
+def _network_text(network) -> str:
+    if type(network) is ipaddress.IPv6Network:  # written as its own ``str`` would
+        return _quote("%s/%d" % (address_text(network.network_address), network.prefixlen))
+    return _null_or_dump(str(network) if network else None)
 
 
 class _Texts(dict):
-    """The JSON text of each address, prefix and RTT tuple one write meets,
-    made once.
+    """The JSON text of each address, hop, prefix and RTT tuple one write
+    meets, made once.
 
-    Addresses key by identity, in ``ids``: an ``ipaddress`` object hashes
-    in Python, while the loader and the generator make one object per
-    address value, so a hop costs one lookup of an integer. An equal
-    address held by another object is formatted once more, to the same
-    text; a scoped address and its unscoped twin are never confused. The
-    table keeps every address it names, so no id is reused while it lives.
+    Addresses and hops key by identity, in ``ids`` and ``_hops``: an
+    ``ipaddress`` object hashes in Python, and so does a hop, through its
+    address. The loader makes one object per address value, and the
+    generator one per address value and one per hop value, so an address
+    or hop met before costs one lookup of an integer. An equal one held by
+    another object is formatted once more, to the same text: a scoped
+    address and its unscoped twin are never confused, nor RTTs of ``1``
+    and ``1.0``. The table keeps every object it names, so no id is reused
+    while it lives.
 
     Prefixes and RTTs key the dict itself: a prefix computes its hash once,
     when it is built. An RTT key is a clean hop's RTTs as a tuple of
@@ -244,16 +260,51 @@ class _Texts(dict):
     def __init__(self) -> None:
         super().__init__()
         self.ids: Dict[int, str] = {id(None): "null"}
-        self._named: List[IPAddress] = []
+        self._hops: Dict[int, str] = {}
+        self._held: List[object] = []
 
     def address(self, address: Optional[IPAddress]) -> str:
         """The text of ``address``, or ``null`` for None."""
         text = self.ids.get(id(address))
         if text is None:
             # ``_quote`` escapes an IPv6 scope's text as ``_dump`` would.
-            text = self.ids[id(address)] = _quote(str(address))
-            self._named.append(address)
+            text = self.ids[id(address)] = _quote(address_text(address))
+            self._held.append(address)
         return text
+
+    def hops(self, hops: Tuple[Hop, ...]) -> str:
+        """The comma-joined texts of ``hops``, each made when first met.
+
+        A hop of an exact int index and RTTs that are all finite floats,
+        whose reprs are their JSON text, is formatted directly; bools, int
+        RTTs, NaN and the like go to ``_dump``. ``tuple`` returns an exact
+        tuple itself and makes a list a key. The table's ``address`` is
+        inlined: a known address is one lookup.
+        """
+        table, ids, name = self._hops, self.ids, self.address
+        known = table.get
+        low, high = RTT_MIN_MS, RTT_MAX_MS
+        texts = []
+        append = texts.append
+        for hop in hops:
+            text = known(id(hop))
+            if text is None:
+                index, address, rtts = hop
+                clean = type(index) is int
+                for rtt in rtts:
+                    if type(rtt) is not float or not (low <= rtt <= high or rtt == 0.0):
+                        clean = False
+                        break
+                where = ids.get(id(address)) or name(address)
+                if clean:
+                    text = _HOP % (where, index, self[tuple(rtts)])
+                else:
+                    text = _HOP % (where, _dump(index), _dump(list(rtts)))
+                table[id(hop)] = text
+            append(text)
+        # Holding the tuple holds each hop in it.
+        self._held.append(hops)
+        return ",".join(texts)
 
     def __missing__(self, value) -> str:
         if value is None:
@@ -263,9 +314,11 @@ class _Texts(dict):
             if 0.0 in value:
                 return text
         else:
-            text = _dump(
-                {"base": str(value.base), "length": value.length, "kind": value.kind.value}
-            )
+            text = _dump({
+                "base": address_text(value.base),
+                "length": value.length,
+                "kind": value.kind.value,
+            })
         self[value] = text
         return text
 
@@ -275,7 +328,7 @@ def _probe_line(probe: ProbeRecord, texts: _Texts) -> str:
     return _PROBE % (
         _int_text(asn_v4),
         _int_text(asn_v6),
-        _dump(str(network) if network else None),
+        _network_text(network),
         _str_text(probe_id),
         ",".join([texts.address(resolver) for resolver in resolvers]),
         _dump(list(tags)),
@@ -288,33 +341,18 @@ def _run_line(run: TestRun, texts: _Texts) -> str:
         _str_text(diagnostic),
         texts[prefix],
         _str_text(probe_id),
-        outcome.value,
+        outcome._value_,
         texts.address(resolver_used),
-        kind.value,
+        kind._value_,
         _int_text(timestamp),
     )
 
 
 def _path_line(path: TraceroutePath, texts: _Texts) -> str:
     probe_id, family, prefix, target_v4, round_index, hops = path
-    # Clean hops hold exact ints and finite floats, whose reprs are
-    # their JSON text; bools, int RTTs, NaN and the like go to ``_dump``.
-    # ``tuple`` returns an exact tuple itself and makes a list a key. The
-    # table's ``address`` is inlined: a known address is one lookup.
-    ids, name = texts.ids, texts.address
-    if _hops_are_clean(hops):
-        hop_texts = [
-            _HOP % (ids.get(id(address)) or name(address), index, texts[tuple(rtts)])
-            for index, address, rtts in hops
-        ]
-    else:
-        hop_texts = [
-            _HOP % (name(address), _dump(index), _dump(list(rtts)))
-            for index, address, rtts in hops
-        ]
     return _TRACEROUTE % (
-        family.value,
-        ",".join(hop_texts),
+        family._value_,
+        texts.hops(hops),
         texts[prefix],
         _str_text(probe_id),
         _int_text(round_index),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import ipaddress
 from typing import IO, Dict, Optional, Tuple
 
-from ..model import MAX_ASN, IPAddress, data_lines, pack_network
+from ..model import MAX_ASN, IPAddress, address_text, data_lines, pack_network
 
 
 class Ip2AsError(ValueError):
@@ -103,11 +103,13 @@ class Ip2AsTable:
         the form ``load`` reads.
 
         A network is written as its address's ``str`` and its length, as
-        its own ``str`` would write it; ``inet_ntop`` would write
-        ``::ffff:0:0`` as ``::ffff:0.0.0.0``.
+        its own ``str`` would write it.
         """
         lines = []
         for (version, length), bucket in sorted(self._tables.items()):
             cls = ipaddress.IPv4Address if version == 4 else ipaddress.IPv6Address
-            lines.extend(f"{cls(value)}/{length} {bucket[value]}\n" for value in sorted(bucket))
+            lines.extend(
+                f"{address_text(cls(value))}/{length} {bucket[value]}\n"
+                for value in sorted(bucket)
+            )
         handle.write("".join(lines))

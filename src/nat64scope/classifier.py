@@ -29,6 +29,7 @@ from .model import (
     TestRun,
     TraceroutePath,
     VerdictValue,
+    address_text,
 )
 from .pathlab import first_nat_hop, median
 
@@ -106,7 +107,7 @@ def detect_isp_dns64(
 
         found_resolver = None
         witnesses: List[str] = []
-        for resolver in sorted(by_resolver, key=str):
+        for resolver in sorted(by_resolver, key=address_text):
             probe_ids = by_resolver[resolver]
             networks = {
                 probes[pid].network_prefix_v6
@@ -114,7 +115,7 @@ def detect_isp_dns64(
                 if pid in probes and probes[pid].network_prefix_v6 is not None
             }
             if len(networks) >= 2:
-                found_resolver = str(resolver)
+                found_resolver = address_text(resolver)
                 witnesses = sorted(probe_ids)
                 break
 
@@ -257,7 +258,7 @@ def categorize_probe(
     as_evidence = evidence.get(str(record.asn_v6)) if record.asn_v6 is not None else None
     if as_evidence is not None and as_evidence["is_isp_dns64"]:
         cats.add(ProbeCategory.AS_WITH_DNS64)
-        if any(str(r) == as_evidence["resolver"] for r in resolvers_used):
+        if any(address_text(r) == as_evidence["resolver"] for r in resolvers_used):
             cats.add(ProbeCategory.ISP_DNS64)
     if HOME_TAG in record.tags:
         cats.add(ProbeCategory.HOME_SETUP)

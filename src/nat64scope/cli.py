@@ -9,13 +9,14 @@ reproduces the same bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import ipaddress
 import json
 import os
 import sys
-from typing import IO, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import catalogs
 from .acquire.dataset import Dataset, load_dataset, write_dataset
@@ -36,7 +37,7 @@ from .detector import (
     STD_PING_TARGET_V4,
     detect_dataset,
 )
-from .model import IPAddress, Nat64Prefix, STANDARD_PREFIX, VerdictValue
+from .model import IPAddress, Nat64Prefix, STANDARD_PREFIX, VerdictValue, address_text
 from .pathlab import (
     aggregate_report,
     compute_metrics,
@@ -54,6 +55,10 @@ EXIT_CONFIG = 2
 
 class ConfigError(ValueError):
     """The command cannot start with the given configuration."""
+
+
+class OutputError(Exception):
+    """An output file could not be written in full, and was removed."""
 
 
 #: Every config key, with the value it takes when the file leaves it out.
@@ -200,19 +205,34 @@ def _analyze(args, live: bool = False):
     return config, public_resolvers, dataset, report, out
 
 
-def _create(path: str, encoding: str = "utf-8", newline: Optional[str] = None) -> IO[str]:
-    """Open one output file for writing: every command's files go through here.
+@contextlib.contextmanager
+def _create(
+    path: str, encoding: str = "utf-8", newline: Optional[str] = None
+) -> Iterator[IO[str]]:
+    """Open one output file for writing and close it: every command's files
+    go through here.
 
     A refused permission stays a ``PermissionError`` (exit 1, as in main).
     Any other failure to open, such as a directory taking the name, is a
-    config error naming the file.
+    config error naming the file. Any other failure to write or close it,
+    such as a full disk, removes the file and is an ``OutputError`` naming
+    it (exit 1).
     """
     try:
-        return open(path, "w", encoding=encoding, newline=newline)
+        handle = open(path, "w", encoding=encoding, newline=newline)
     except PermissionError:
         raise
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
+    try:
+        with handle:
+            yield handle
+    except PermissionError:
+        raise
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise OutputError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
 def _write_json(path: str, doc) -> None:
@@ -427,7 +447,7 @@ def cmd_paths(args) -> int:
         probe_id, _, prefix, target, round_index, _ = pair.nat64
         name = target_names.get(int(target))
         if name is None:
-            name = target_names[int(target)] = str(target)
+            name = target_names[int(target)] = address_text(target)
         base = [probe_id, name, str(prefix), round_index]
         if m is None:
             rows.append(base + [""] * 6)
@@ -612,7 +632,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
         print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
-    except PermissionError as exc:  # a probe socket or an output file refused
+    except (PermissionError, OutputError) as exc:
+        # A probe socket or an output file refused, or an output file left
+        # unwritten.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

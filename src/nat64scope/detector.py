@@ -24,6 +24,7 @@ from .model import (
     TestKind,
     TestRun,
     VerdictValue,
+    _new_run,
 )
 
 #: The name every DNS64 synthesizes answers for, and its fixed A records.
@@ -133,15 +134,11 @@ def eval_ping_test(
     """
     kind = TestKind.ping_for(prefix)
     if any(rtt is not None for rtt in rtts_ms):
-        return TestRun(probe_id, kind, timestamp, RawOutcome.PASS, observed_prefix=prefix)
-    return TestRun(
-        probe_id,
-        kind,
-        timestamp,
-        RawOutcome.FAIL,
-        observed_prefix=prefix,
-        diagnostic=f"0 of {len(rtts_ms)} replies",
-    )
+        return _new_run((probe_id, kind, timestamp, RawOutcome.PASS, prefix, None, None))
+    return _new_run((
+        probe_id, kind, timestamp, RawOutcome.FAIL,
+        prefix, None, f"0 of {len(rtts_ms)} replies",
+    ))
 
 
 def aggregate(runs: Sequence[TestRun]) -> dict:

@@ -1,21 +1,21 @@
 """Core record types and constants shared by every stage of the toolkit.
 
 Addresses are ``ipaddress`` objects end to end; ``pack_address`` and
-``pack_network`` parse their text in C where they can. Records are named
-tuples, so they can key dicts, live in sets, and round-trip through the
-dataset codec without surprises; a record compares equal to the plain
-tuple of its fields, ``Hop`` to ``(index, address, rtts_ms)``. A named
-tuple is cheap to define, which every command pays at start-up, and to
-build, which it pays per record. The only check here is the one a
-``Nat64Prefix`` makes of itself; what makes a dataset line valid lives
-with the codec, in ``acquire.dataset``. ``data_lines`` is the one comment
-rule of every text table and scenario file.
+``pack_network`` parse their text in C where they can, and ``address_text``
+writes it there. Records are named tuples, so they can key dicts, live in
+sets, and round-trip through the dataset codec without surprises; a record
+compares equal to the plain tuple of its fields, ``Hop`` to ``(index,
+address, rtts_ms)``. A named tuple is cheap to define, which every command
+pays at start-up, and to build, which it pays per record. The only check
+here is the one a ``Nat64Prefix`` makes of itself; what makes a dataset
+line valid lives with the codec, in ``acquire.dataset``. ``data_lines`` is
+the one comment rule of every text table and scenario file.
 """
 
 from __future__ import annotations
 
-# ``socket.inet_pton`` is the C module's: ``socket`` itself would add its
-# enums and ``selectors`` to every command's start-up, about 5 ms.
+# ``inet_pton`` and ``inet_ntop`` are the C module's: ``socket`` itself would
+# add its enums and ``selectors`` to every command's start-up, about 5 ms.
 import _socket
 import enum
 import ipaddress
@@ -38,6 +38,25 @@ def pack_address(text: str) -> Optional[bytes]:
         return _socket.inet_pton(family, text)
     except (OSError, ValueError):  # refused, or holds a NUL or a lone surrogate
         return None
+
+
+def address_text(address) -> str:
+    """``str(address)``, written in C by ``inet_ntop`` where that is the same text.
+
+    ``ipaddress`` writes every address in hex groups; ``inet_ntop`` writes
+    the last 32 bits of ``::/96`` and ``::ffff:0:0/96`` addresses as a
+    dotted IPv4 tail, so a text holding a dot is written by ``str``
+    instead. So is a scoped address, and anything that is not an exact
+    ``IPv4Address`` or ``IPv6Address``.
+    """
+    cls = type(address)
+    if cls is ipaddress.IPv6Address and address._scope_id is None:
+        text = _socket.inet_ntop(_socket.AF_INET6, address._ip.to_bytes(16, "big"))
+        if "." not in text:
+            return text
+    elif cls is ipaddress.IPv4Address:
+        return _socket.inet_ntop(_socket.AF_INET, address._ip.to_bytes(4, "big"))
+    return str(address)
 
 
 def pack_network(text: str) -> Optional[Tuple[bytes, int]]:
@@ -112,7 +131,7 @@ class Nat64Prefix(_PrefixFields):
         # Reports name a prefix and dicts key on it per record, while a load
         # builds only a handful: both are computed once, at construction,
         # and kept in the instance dict, as a tuple has no slots of its own.
-        self._text = f"{base}/{length}"
+        self._text = f"{address_text(base)}/{length}"
         self._hash = hash((base, length, kind))
         return self
 

@@ -20,7 +20,7 @@ import sys
 from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .addrsynth import synthesize
-from .model import Hop, Nat64Prefix, PathFamily, PathPair, TraceroutePath
+from .model import Hop, Nat64Prefix, PathFamily, PathPair, TraceroutePath, address_text
 
 #: A target this few hops away on either side points at a TTL anomaly.
 MAX_IMPLAUSIBLE_LENGTH = 3
@@ -412,7 +412,7 @@ def aggregate_report(
 
     per_target = {
         name: rates(indices)
-        for name, indices in sorted((str(t), idx) for t, idx in by_target.values())
+        for name, indices in sorted((address_text(t), idx) for t, idx in by_target.values())
     }
 
     per_prefix: Dict[str, dict] = {}

@@ -34,6 +34,8 @@ from ..model import (
     TestRun,
     _new_hop,
     _new_path,
+    _new_run,
+    address_text,
 )
 from .scenario import Cohort, Scenario
 
@@ -351,44 +353,52 @@ def _fixed_hops(plan: _Plan, new_v4,
     )
 
 
-def _hops(layout: _Layout, round_index: int) -> Tuple[Hop, ...]:
-    step = 0.02 * round_index
-    return tuple([
-        _new_hop((h, addr, () if addr is None else _rtts(base, step)))
-        for h, addr, base in layout
-    ])
+def _hops(layout: _Layout, made: Dict[tuple, Tuple[Hop, ...]]) -> Tuple[Tuple[Hop, ...], ...]:
+    """The hops of ``layout`` in each round, one tuple per round.
+
+    A layout entry's hops, one per round, are taken from ``made`` when an
+    equal entry was met before, so the world holds one hop object per
+    distinct (index, address, base RTT, round). Addresses key by identity:
+    the world has one object per address, and ``made``'s hops keep them.
+    """
+    entries = []
+    for h, addr, base in layout:
+        key = (h, id(addr), base)
+        hops = made.get(key)
+        if hops is None:
+            hops = made[key] = tuple([
+                _new_hop((h, addr, () if addr is None else _rtts(base, 0.02 * round_index)))
+                for round_index in range(SIM_ROUNDS)
+            ])
+        entries.append(hops)
+    return tuple(zip(*entries))
 
 
 def _runs_for(plan: _Plan) -> List[TestRun]:
     t0 = _BASE_TS + (plan.n - 1) * 120
     runs: List[TestRun] = []
+    probe_id, resolver = plan.probe_id, plan.resolver_addr
     for offset, kind, ok in (
         (0, TestKind.DNS_TEST1, plan.d1_pass),
         (10, TestKind.DNS_TEST2, plan.d2_pass),
     ):
         for rep in (0, 5):
             if ok:
-                runs.append(
-                    TestRun(
-                        plan.probe_id, kind, t0 + offset + rep, RawOutcome.PASS,
-                        observed_prefix=plan.synth_prefix,
-                        resolver_used=plan.resolver_addr,
-                    )
-                )
+                runs.append(_new_run((
+                    probe_id, kind, t0 + offset + rep, RawOutcome.PASS,
+                    plan.synth_prefix, resolver, None,
+                )))
             else:
-                runs.append(
-                    TestRun(
-                        plan.probe_id, kind, t0 + offset + rep, RawOutcome.FAIL,
-                        resolver_used=plan.resolver_addr,
-                        diagnostic="no answer embeds a known address",
-                    )
-                )
+                runs.append(_new_run((
+                    probe_id, kind, t0 + offset + rep, RawOutcome.FAIL,
+                    None, resolver, "no answer embeds a known address",
+                )))
     working = plan.cohort.nat == "working"
     for k, prefix in enumerate(plan.attempts):
         # Three echoes per test: a served prefix answers each, any other none.
         rtts = (1.0, 1.0, 1.0) if working and prefix in plan.served else (None, None, None)
         for rep in (0, 5):
-            runs.append(eval_ping_test(plan.probe_id, t0 + 20 + 10 * k + rep, prefix, rtts))
+            runs.append(eval_ping_test(probe_id, t0 + 20 + 10 * k + rep, prefix, rtts))
     return runs
 
 
@@ -435,8 +445,9 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
     group_counts: Dict[str, int] = {g.value: 0 for g in DetectionGroup}
     opaque_pairs = 0
     anomaly_pairs = 0
-    # One object per hop address in the world, so that the writer's
-    # lookups by address find each one by identity.
+    # One object per hop address and one per hop in the world, so that the
+    # writer names each once and finds it again by identity.
+    made: Dict[tuple, Tuple[Hop, ...]] = {}
     embed = functools.lru_cache(maxsize=None)(synthesize)
     new_v4 = functools.lru_cache(maxsize=None)(ipaddress.IPv4Address)
     new_v6 = functools.lru_cache(maxsize=None)(ipaddress.IPv6Address)
@@ -470,11 +481,14 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
                  _nat64_layout(plan, prefix, v4, pre, anchor, embed))
                 for prefix in plan.path_prefixes
             )
+        rounds = [
+            (family, prefix, target, _hops(layout, made))
+            for family, prefix, target, layout in layouts
+        ]
         for round_index in range(SIM_ROUNDS):
-            for family, prefix, target, layout in layouts:
+            for family, prefix, target, hops in rounds:
                 dataset.paths.append(_new_path((
-                    plan.probe_id, family, prefix, target, round_index,
-                    _hops(layout, round_index),
+                    plan.probe_id, family, prefix, target, round_index, hops[round_index],
                 )))
         pair_count = SIM_ROUNDS * len(SIM_TARGETS) * len(plan.path_prefixes)
         if plan.cohort.icmp == "opaque":
@@ -486,7 +500,7 @@ def generate(scenario: Scenario, seed: int) -> SimResult:
     witnesses: Dict[Tuple[int, str], Set[str]] = {}
     for plan in plans:
         if plan.d1_pass or plan.d2_pass:
-            key = (plan.record.asn_v6, str(plan.resolver_addr))
+            key = (plan.record.asn_v6, address_text(plan.resolver_addr))
             witnesses.setdefault(key, set()).add(plan.probe_id)
     for (asn, _), probe_ids in witnesses.items():
         if len(probe_ids) >= 2:

@@ -1,10 +1,11 @@
-"""The C-level parses of address and network text agree with ``ipaddress``.
+"""The C-level parses and writes of addresses agree with ``ipaddress``.
 
 ``pack_address`` reads an address with ``inet_pton``, ``pack_network`` a
 network; the dataset loader and the AS table fall back to ``ipaddress``
 for any text they refuse. The fast path must accept nothing that
 ``ipaddress`` refuses, and where both accept, give an equal value of the
-same type.
+same type. ``address_text`` writes an address with ``inet_ntop`` and must
+give the text ``str`` gives.
 """
 
 import io
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from nat64scope.acquire.dataset import _Decoder
 from nat64scope.acquire.ip2as import Ip2AsTable, _parse_network
-from nat64scope.model import pack_address, unpack_address
+from nat64scope.model import address_text, pack_address, unpack_address
 
 #: Spellings each worth a look: a zone id, leading zeros, NUL, non-ASCII
 #: digits (full-width, Arabic-Indic), upper-case hex, a ``::`` that stands
@@ -189,3 +190,54 @@ def test_save_writes_a_mapped_network_as_str_does():
     saved = io.StringIO()
     table.save(saved)
     assert saved.getvalue() == "::ffff:0:0/96 64500\n"
+
+
+# ------------------------------------------------ writing addresses
+
+
+@st.composite
+def ipv6_addresses(draw):
+    """An IPv6 address weighted towards the texts ``inet_ntop`` writes
+    otherwise than ``ipaddress``: a run of zero groups of any length at any
+    place, the last 32 bits under ``::/96`` or ``::ffff:0:0/96``, or a
+    scope."""
+    groups = draw(st.lists(
+        st.one_of(st.just(0), st.sampled_from([1, 0xFFFF]), st.integers(0, 0xFFFF)),
+        min_size=8, max_size=8,
+    ))
+    start = draw(st.integers(0, 8))
+    length = draw(st.integers(0, 8 - start))
+    groups[start:start + length] = [0] * length
+    value = int.from_bytes(b"".join(g.to_bytes(2, "big") for g in groups), "big")
+    tail = draw(st.sampled_from(["none", "compatible", "mapped"]))
+    if tail == "compatible":
+        value &= 0xFFFFFFFF
+    elif tail == "mapped":
+        value = 0xFFFF << 32 | value & 0xFFFFFFFF
+    address = ipaddress.IPv6Address(value)
+    if draw(st.integers(0, 4)) == 0:
+        scope = draw(st.text("abz019%", min_size=1, max_size=4).filter(lambda s: "%" not in s))
+        address = ipaddress.IPv6Address(f"{address}%{scope}")
+    return address
+
+
+class NamedAddress(ipaddress.IPv4Address):
+    def __str__(self):
+        return "named"
+
+
+@pytest.mark.parametrize("address", [
+    ipaddress.IPv6Address("::"), ipaddress.IPv6Address("::1"),
+    ipaddress.IPv6Address("::1:2"), ipaddress.IPv6Address("::ffff:1.2.3.4"),
+    ipaddress.IPv6Address("::ffff:0:0"), ipaddress.IPv6Address("1:0:0:1::1"),
+    ipaddress.IPv6Address("fe80::1%eth0"), ipaddress.IPv4Address("0.0.0.0"),
+    NamedAddress("192.0.2.1"), None,
+])
+def test_address_text_cases_are_str(address):
+    assert address_text(address) == str(address)
+
+
+@settings(max_examples=400)
+@given(st.one_of(ipv6_addresses(), st.integers(0, 2**32 - 1).map(ipaddress.IPv4Address)))
+def test_address_text_is_str(address):
+    assert address_text(address) == str(address)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import functools
 import gc
 import hashlib
@@ -1090,6 +1091,65 @@ def test_output_file_refused_by_the_system_stays_exit_1(tmp_path, capsys, monkey
     assert run("atlas-spec", "--out", str(tmp_path / "x")) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "Permission denied" in err
+
+
+class FullDisk:
+    """An output file whose ``write`` or ``close`` fails as on a full disk,
+    after the real call, so that what it wrote stays on disk."""
+
+    def __init__(self, handle, when):
+        self._handle, self._when = handle, when
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def _fail(self, when):
+        if self._when == when:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        count = self._handle.write(text)
+        self._fail("write")
+        return count
+
+    def close(self):
+        self._handle.close()
+        self._fail("close")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.mark.parametrize("when", ["write", "close"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("simulate",), "dataset.ndjson"),
+        (("simulate",), "truth.json"),
+        (("paths", "--from-dataset"), "summary.json"),
+    ],
+)
+def test_output_file_left_unwritten_is_one_line_exit_1(
+    template_world, tmp_path, capsys, monkeypatch, argv, name, when
+):
+    def open_full(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        return FullDisk(handle, when) if os.path.basename(path) == name else handle
+
+    root, _, _ = template_world
+    if "--from-dataset" in argv:
+        argv += (str(root / "world" / "dataset.ndjson"),)
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "open", open_full, raising=False)
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: cannot write output file {out / name}: No space left on device\n"
+    )
+    assert not (out / name).exists()
 
 
 class TestInputErrors:

@@ -327,6 +327,33 @@ def test_rtt_lists_and_repeated_tuples_are_written_as_json():
     assert [hop["rtts_ms"] for hop in path["hops"]] == [list(rtts)] * 3 + [[]]
 
 
+def test_shared_and_look_alike_hops_are_each_written_as_dump_writes_them():
+    # The writer names each hop object once. Hops that are equal and hash
+    # alike but are written otherwise ((1.0,) and (1,), index 1 and True,
+    # -0.0 and 0.0) must each keep their own text, and a hop shared by two
+    # paths is written alike in both.
+    a, b = V4("192.0.2.1"), V6("2001:db8::2")
+    clean, negative_zero = Hop(1, a, (1.0, 2.5)), Hop(2, b, (-0.0,))
+    ds = Dataset()
+    ds.probes["p1"] = ProbeRecord("p1", asn_v4=1, asn_v6=1)
+    ds.paths = [
+        TraceroutePath("p1", PathFamily.IPV4, None, V4("198.18.0.1"), 0,
+                       hops=(clean, negative_zero, Hop(3, None, ()))),
+        TraceroutePath("p1", PathFamily.IPV4, None, V4("198.18.0.1"), 1, hops=(
+            Hop(1, a, (1, 2.5)), Hop(True, a, (1.0, 2.5)), clean,
+            Hop(2, b, (0.0,)), negative_zero,
+        )),
+    ]
+    assert ds.paths[1].hops[:2] == (clean, clean) and Hop(2, b, (0.0,)) == negative_zero
+    lines = dataset_lines(ds)[2:]
+    assert lines == [
+        json.dumps(oracle_document(path), sort_keys=True, separators=(",", ":"))
+        for path in ds.paths
+    ]
+    assert '"index":true' in lines[1] and '"rtts_ms":[1,2.5]' in lines[1]
+    assert lines[1].count("[-0.0]") == 1 and lines[1].count("[0.0]") == 1
+
+
 # ------------------------------------------------ writing against the reference
 
 
@@ -702,7 +729,7 @@ class TestLineContract:
         loaded = load_dataset([HEADER, PROBE, hops(("1", ADDR, json.dumps([rtt])))])
         (hop,) = loaded.paths[0].hops
         assert hop.rtts_ms == (rtt,) and type(hop.rtts_ms[0]) is type(rtt)
-        # The loader's and the writer's fast path: floats only.
+        # The loader's shortcut past the full checks: floats only.
         assert _hops_are_clean(loaded.paths[0].hops) is (type(rtt) is float)
 
     @pytest.mark.parametrize(

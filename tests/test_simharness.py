@@ -25,6 +25,7 @@ from nat64scope.simharness import (
 from nat64scope.simharness import scenario as scenario_module
 
 from loopback_dns import MockResolver, personality
+from oracles import oracle_document
 from test_ip2as import saved_text
 
 
@@ -321,6 +322,27 @@ def test_truth_is_recovered_on_random_valid_worlds(scenario, seed):
     groupings = {"home": [pid for pid, truth in planted.items() if truth["home"]]}
     stats = aggregate_report(kept, compute_metrics(kept), groupings)
     assert compare(stats, oracle_stats(kept, groupings)) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario=valid_scenarios(), seed=st.integers(0, 2**16))
+def test_random_valid_world_and_its_reload_write_the_same_bytes(scenario, seed):
+    sim = generate(scenario, seed)
+    written = _dataset_bytes(sim)
+    hops = [hop for path in sim.dataset.paths for hop in path.hops]
+    # The generator shares hops between paths; the loader makes each anew.
+    assert len({id(hop) for hop in hops}) < len(hops) or not hops
+    records = [*sim.dataset.probes.values(), *sim.dataset.runs, *sim.dataset.paths]
+    assert written.splitlines()[1:] == [
+        json.dumps(oracle_document(record), sort_keys=True, separators=(",", ":"))
+        for record in records
+    ]
+    loaded = load_dataset(io.StringIO(written))
+    reloaded = [hop for path in loaded.paths for hop in path.hops]
+    assert len({id(hop) for hop in reloaded}) == len(reloaded)
+    buffer = io.StringIO()
+    write_dataset(loaded, buffer)
+    assert buffer.getvalue() == written
 
 
 class TestOracleNames:
